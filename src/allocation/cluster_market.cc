@@ -73,7 +73,6 @@ ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
   for (int c = 0; c < num_clusters; ++c) {
     clusters_.emplace_back(market::ClusterSupplyAgent(c, num_classes));
   }
-  default_plans_.resize(static_cast<size_t>(cost_model_->num_nodes()));
 }
 
 void ClusterMarket::EnsureActive(int cluster,
@@ -84,6 +83,10 @@ void ClusterMarket::EnsureActive(int cluster,
       plan_.clusters[static_cast<size_t>(cluster)];
   state.members = CandidateIndex(*cost_model_, members);
   int num_classes = cost_model_->num_classes();
+  // One flat block per cluster, not one vector per member: a million
+  // members would otherwise mean a million small long-lived allocations.
+  state.default_plans.reserve(members.size() *
+                              static_cast<size_t>(num_classes));
   for (catalog::NodeId node : members) {
     std::vector<util::VDuration> unit_costs(
         static_cast<size_t>(num_classes));
@@ -94,8 +97,10 @@ void ClusterMarket::EnsureActive(int cluster,
               ? market::CapacitySupplySet::kCannotEvaluate
               : c;
     }
-    default_plans_[static_cast<size_t>(node)] = market::DefaultPlannedSupply(
+    market::QuantityVector plan = market::DefaultPlannedSupply(
         std::move(unit_costs), period_, agent_config_);
+    state.default_plans.insert(state.default_plans.end(),
+                               plan.values().begin(), plan.values().end());
   }
   state.active = true;
   PublishCluster(cluster, remaining_of);
@@ -114,14 +119,21 @@ void ClusterMarket::OnTick(util::VTime now,
 
 void ClusterMarket::PublishCluster(int cluster,
                                    const RemainingFn& remaining_of) {
-  market::QuantityVector aggregate(cost_model_->num_classes());
-  for (catalog::NodeId node :
-       plan_.clusters[static_cast<size_t>(cluster)]) {
-    const market::QuantityVector* live = remaining_of(node);
-    aggregate +=
-        live != nullptr ? *live : default_plans_[static_cast<size_t>(node)];
+  int num_classes = cost_model_->num_classes();
+  Cluster& state = clusters_[static_cast<size_t>(cluster)];
+  const std::vector<catalog::NodeId>& members =
+      plan_.clusters[static_cast<size_t>(cluster)];
+  market::QuantityVector aggregate(num_classes);
+  for (size_t i = 0; i < members.size(); ++i) {
+    if (const market::QuantityVector* live = remaining_of(members[i])) {
+      aggregate += *live;
+      continue;
+    }
+    const market::Quantity* plan =
+        state.default_plans.data() + i * static_cast<size_t>(num_classes);
+    for (int k = 0; k < num_classes; ++k) aggregate[k] += plan[k];
   }
-  clusters_[static_cast<size_t>(cluster)].agent.Publish(aggregate);
+  state.agent.Publish(aggregate);
 }
 
 }  // namespace qa::allocation

@@ -99,6 +99,9 @@ class ClusterMarket {
     market::ClusterSupplyAgent agent;
     /// Built on activation; empty before.
     CandidateIndex members;
+    /// Default (first-period) plan of each member, row-major
+    /// [member index in the plan][class]; filled on activation.
+    std::vector<market::Quantity> default_plans;
     bool active = false;
   };
 
@@ -114,9 +117,6 @@ class ClusterMarket {
   std::vector<util::VDuration> quotes_;
   CandidateIndex cluster_candidates_;
   std::vector<Cluster> clusters_;
-  /// Cached default (first-period) plan per node; empty vectors until the
-  /// owning cluster activates.
-  std::vector<market::QuantityVector> default_plans_;
   /// Next global period boundary at which active clusters re-publish.
   util::VTime next_publish_;
 };

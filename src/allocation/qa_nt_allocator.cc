@@ -18,8 +18,7 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
       config_(config),
       selection_(selection),
       solicitation_(solicitation),
-      seed_(seed),
-      candidates_(*cost_model) {
+      seed_(seed) {
   assert(cost_model_ != nullptr);
   int num_nodes = cost_model_->num_nodes();
   agents_.resize(static_cast<size_t>(num_nodes));
@@ -42,6 +41,10 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
       const auto& agent = agents_[static_cast<size_t>(node)];
       return agent != nullptr ? &agent->remaining_supply() : nullptr;
     };
+  } else {
+    // Only the flat market solicits from the whole federation; the
+    // two-tier one reads each active cluster's member index instead.
+    candidates_ = CandidateIndex(*cost_model_);
   }
 }
 

@@ -164,6 +164,8 @@ class QaNtAllocator : public Allocator {
   /// Time of the most recent market tick — how far EnsureAgent must roll a
   /// newly instantiated agent forward.
   util::VTime last_rollover_now_ = 0;
+  /// Federation-wide candidate lists of the flat market; empty when the
+  /// plan is hierarchical.
   CandidateIndex candidates_;
   /// One slot per node; null until the node is first contacted.
   std::vector<std::unique_ptr<market::QaNtAgent>> agents_;

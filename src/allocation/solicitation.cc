@@ -1,7 +1,9 @@
 #include "allocation/solicitation.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
 
 namespace qa::allocation {
 
@@ -44,47 +46,44 @@ util::Status SolicitationConfig::Validate() const {
 }
 
 CandidateIndex::CandidateIndex(const query::CostModel& cost_model) {
-  int num_classes = cost_model.num_classes();
-  int num_nodes = cost_model.num_nodes();
-  by_id_.resize(static_cast<size_t>(num_classes));
-  by_cost_.resize(static_cast<size_t>(num_classes));
-  for (int k = 0; k < num_classes; ++k) {
-    std::vector<catalog::NodeId>& ids = by_id_[static_cast<size_t>(k)];
-    for (catalog::NodeId j = 0; j < num_nodes; ++j) {
-      if (cost_model.CanEvaluate(k, j)) ids.push_back(j);
-    }
-    std::vector<catalog::NodeId>& by_cost =
-        by_cost_[static_cast<size_t>(k)];
-    by_cost = ids;
-    std::stable_sort(by_cost.begin(), by_cost.end(),
-                     [&](catalog::NodeId a, catalog::NodeId b) {
-                       return cost_model.Cost(k, a) < cost_model.Cost(k, b);
-                     });
-  }
+  std::vector<catalog::NodeId> nodes(
+      static_cast<size_t>(cost_model.num_nodes()));
+  std::iota(nodes.begin(), nodes.end(), 0);
+  Build(cost_model, nodes);
 }
 
 CandidateIndex::CandidateIndex(
     const query::CostModel& cost_model,
     const std::vector<catalog::NodeId>& members) {
-  int num_classes = cost_model.num_classes();
   // The candidate lists keep ascending id order regardless of how the
   // cluster plan happens to list its members.
   std::vector<catalog::NodeId> sorted = members;
   std::sort(sorted.begin(), sorted.end());
-  by_id_.resize(static_cast<size_t>(num_classes));
-  by_cost_.resize(static_cast<size_t>(num_classes));
-  for (int k = 0; k < num_classes; ++k) {
-    std::vector<catalog::NodeId>& ids = by_id_[static_cast<size_t>(k)];
-    for (catalog::NodeId j : sorted) {
-      if (cost_model.CanEvaluate(k, j)) ids.push_back(j);
+  Build(cost_model, sorted);
+}
+
+void CandidateIndex::Build(const query::CostModel& cost_model,
+                           const std::vector<catalog::NodeId>& nodes) {
+  size_t num_classes = static_cast<size_t>(cost_model.num_classes());
+  by_id_.resize(num_classes);
+  by_cost_.resize(num_classes);
+  // Each class reads its costs once; the cost sort then never calls back
+  // into the (virtual) model. Sorting (cost, id) pairs equals a stable
+  // sort on cost over the id-ordered list.
+  std::vector<std::pair<util::VDuration, catalog::NodeId>> ranked;
+  for (size_t k = 0; k < num_classes; ++k) {
+    std::vector<catalog::NodeId>& ids = by_id_[k];
+    ranked.clear();
+    for (catalog::NodeId j : nodes) {
+      util::VDuration cost =
+          cost_model.Cost(static_cast<query::QueryClassId>(k), j);
+      if (cost == query::kInfeasibleCost) continue;
+      ids.push_back(j);
+      ranked.emplace_back(cost, j);
     }
-    std::vector<catalog::NodeId>& by_cost =
-        by_cost_[static_cast<size_t>(k)];
-    by_cost = ids;
-    std::stable_sort(by_cost.begin(), by_cost.end(),
-                     [&](catalog::NodeId a, catalog::NodeId b) {
-                       return cost_model.Cost(k, a) < cost_model.Cost(k, b);
-                     });
+    std::sort(ranked.begin(), ranked.end());
+    by_cost_[k].reserve(ranked.size());
+    for (const auto& [cost, j] : ranked) by_cost_[k].push_back(j);
   }
 }
 

@@ -84,6 +84,11 @@ class CandidateIndex {
   }
 
  private:
+  /// Fills both orderings over `nodes` (ascending ids): one Cost call per
+  /// (class, node).
+  void Build(const query::CostModel& cost_model,
+             const std::vector<catalog::NodeId>& nodes);
+
   std::vector<std::vector<catalog::NodeId>> by_id_;
   std::vector<std::vector<catalog::NodeId>> by_cost_;
 };

@@ -11,9 +11,14 @@ QaNtAgent::QaNtAgent(catalog::NodeId node,
     : node_(node),
       supply_set_(std::move(unit_costs), period_budget),
       config_(config),
-      prices_(supply_set_.num_classes(), config.initial_price),
+      prices_(supply_set_.num_classes(),
+              std::max(config.initial_price, config.price_floor)),
       planned_supply_(supply_set_.num_classes()),
-      remaining_supply_(supply_set_.num_classes()) {}
+      remaining_supply_(supply_set_.num_classes()) {
+  for (int k = 0; k < supply_set_.num_classes(); ++k) {
+    if (CanEvaluate(k)) classes_.push_back(k);
+  }
+}
 
 void QaNtAgent::BeginPeriod() {
   // Settle last period's books: work accepted beyond one period's capacity
@@ -34,22 +39,22 @@ void QaNtAgent::BeginPeriod() {
   accepted_cost_ = 0;
 
   remaining_budget_ = supply_set_.budget() - debt_;
-  if (remaining_budget_ <= 0) {
-    planned_supply_ = QuantityVector(supply_set_.num_classes());
-  } else {
-    planned_supply_ =
-        supply_set_.MaximizeValueWithBudget(prices_, remaining_budget_);
-  }
-  remaining_supply_ = planned_supply_;
-
-  max_density_ = 0.0;
-  for (int k = 0; k < supply_set_.num_classes(); ++k) {
-    if (!CanEvaluate(k)) continue;
-    double density =
-        prices_[k] / static_cast<double>(supply_set_.unit_cost(k));
-    max_density_ = std::max(max_density_, density);
-  }
+  // Out of budget, the greedy plans nothing.
+  supply_set_.MaximizeValueOver(prices_, remaining_budget_, classes_,
+                                &planned_supply_);
+  for (int k : classes_) remaining_supply_[k] = planned_supply_[k];
+  max_density_ = MaxDensity();
   ++stats_.periods;
+}
+
+double QaNtAgent::MaxDensity() const {
+  double best = 0.0;
+  for (int k : classes_) {
+    if (!CanEvaluate(k)) continue;
+    best = std::max(
+        best, prices_[k] / static_cast<double>(supply_set_.unit_cost(k)));
+  }
+  return best;
 }
 
 bool QaNtAgent::SupplyRestrictionActive() const {
@@ -129,15 +134,17 @@ void QaNtAgent::EndPeriod() {
   density_gate_active_ = remaining_budget_ <= 0;
   // Steps 12-14: leftover supply means the price was too high for the
   // demand this node saw; decay proportionally to the leftover quantity.
-  for (int k = 0; k < prices_.num_classes(); ++k) {
+  // Unlisted prices need no clamp: construction and SetPrices clamp them,
+  // and nothing else moves them.
+  for (int k : classes_) {
     Quantity leftover = std::min<Quantity>(
         remaining_supply_[k], config_.max_leftover_decay_units);
     if (leftover > 0) {
       double factor = 1.0 - config_.lambda * static_cast<double>(leftover);
       prices_[k] *= std::max(factor, 0.0);
     }
+    prices_[k] = std::max(prices_[k], config_.price_floor);
   }
-  prices_.ClampFloor(config_.price_floor);
 }
 
 void QaNtAgent::BumpPriceUp(int k) {
@@ -155,13 +162,17 @@ void QaNtAgent::SetPrices(PriceVector prices) {
   assert(prices.num_classes() == prices_.num_classes());
   prices_ = std::move(prices);
   prices_.ClampFloor(config_.price_floor);
-  max_density_ = 0.0;
-  for (int k = 0; k < supply_set_.num_classes(); ++k) {
-    if (!CanEvaluate(k)) continue;
-    max_density_ = std::max(
-        max_density_,
-        prices_[k] / static_cast<double>(supply_set_.unit_cost(k)));
+  max_density_ = MaxDensity();
+}
+
+void QaNtAgent::UpdateUnitCost(int k, util::VDuration cost) {
+  // A class switched on joins the rollover list unless it was listed
+  // before (an evaluable class always is).
+  if (cost != CapacitySupplySet::kCannotEvaluate && !CanEvaluate(k) &&
+      std::find(classes_.begin(), classes_.end(), k) == classes_.end()) {
+    classes_.push_back(k);
   }
+  supply_set_.SetUnitCost(k, cost);
 }
 
 }  // namespace qa::market

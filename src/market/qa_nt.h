@@ -17,6 +17,10 @@ struct QaNtConfig {
   /// price by a factor (1 +/- lambda-ish); larger values react faster but
   /// estimate equilibrium prices less accurately.
   double lambda = 0.05;
+  /// Every class's starting price, raised to price_floor when below it.
+  /// A class the node has never been able to evaluate keeps this price
+  /// unless SetPrices overrides it: the rollover skips such a class, floor
+  /// clamp included.
   double initial_price = 1.0;
   /// Prices stay within [price_floor, price_cap] (R_+ with guards against
   /// collapse to zero and runaway growth during long overloads).
@@ -160,16 +164,22 @@ class QaNtAgent {
   /// the node's plan-history estimator in the real-DBMS deployment, §5.2).
   /// Takes effect at the next BeginPeriod. Only the node's private data is
   /// involved, so autonomy is intact.
-  void UpdateUnitCost(int k, util::VDuration cost) {
-    supply_set_.SetUnitCost(k, cost);
-  }
+  void UpdateUnitCost(int k, util::VDuration cost);
 
  private:
   void BumpPriceUp(int k);
+  /// Best price-per-cost density over the currently evaluable classes.
+  double MaxDensity() const;
 
   catalog::NodeId node_;
   CapacitySupplySet supply_set_;
   QaNtConfig config_;
+  /// Every class this node has ever been able to evaluate, in the greedy
+  /// order of the last BeginPeriod. The period rollover walks only this
+  /// list: a class outside it has zero supply, and its price moves only
+  /// through SetPrices. A class switched off keeps its place, because
+  /// supply left over from before the switch still decays.
+  std::vector<int> classes_;
   PriceVector prices_;
   QuantityVector planned_supply_;
   QuantityVector remaining_supply_;

@@ -44,37 +44,48 @@ bool CapacitySupplySet::Contains(const QuantityVector& supply) const {
 
 QuantityVector CapacitySupplySet::MaximizeValue(
     const PriceVector& prices) const {
-  return MaximizeValueWithBudget(prices, budget_);
+  std::vector<int> classes(static_cast<size_t>(num_classes()));
+  std::iota(classes.begin(), classes.end(), 0);
+  QuantityVector supply(num_classes());
+  MaximizeValueOver(prices, budget_, classes, &supply);
+  return supply;
 }
 
-QuantityVector CapacitySupplySet::MaximizeValueWithBudget(
-    const PriceVector& prices, util::VDuration budget) const {
+void CapacitySupplySet::MaximizeValueOver(const PriceVector& prices,
+                                          util::VDuration budget,
+                                          std::span<int> classes,
+                                          QuantityVector* supply) const {
   assert(prices.num_classes() == num_classes());
-  // Order evaluable classes by descending value density p_k / cost_k.
-  std::vector<int> order;
-  for (int k = 0; k < num_classes(); ++k) {
-    if (CanEvaluateClass(k) && prices[k] > 0.0) order.push_back(k);
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    double da = prices[a] / static_cast<double>(unit_cost(a));
-    double db = prices[b] / static_cast<double>(unit_cost(b));
-    // Exact compare on purpose: an epsilon tie-break would violate strict
-    // weak ordering and make the knapsack order non-deterministic.
-    // qa-lint: allow(QA-NUM-001)
-    if (da != db) return da > db;
+  assert(supply->num_classes() == num_classes());
+  auto plannable = [&](int k) {
+    return CanEvaluateClass(k) && prices[k] > 0.0;
+  };
+  // Order plannable classes by descending value density p_k / cost_k.
+  std::sort(classes.begin(), classes.end(), [&](int a, int b) {
+    bool pa = plannable(a);
+    bool pb = plannable(b);
+    if (pa != pb) return pa;
+    if (pa) {
+      double da = prices[a] / static_cast<double>(unit_cost(a));
+      double db = prices[b] / static_cast<double>(unit_cost(b));
+      // Exact compare on purpose: an epsilon tie-break would violate
+      // strict weak ordering and make the knapsack order
+      // non-deterministic.
+      // qa-lint: allow(QA-NUM-001)
+      if (da != db) return da > db;
+    }
     return a < b;
   });
-  QuantityVector supply(num_classes());
   util::VDuration remaining = budget;
-  for (int k : order) {
-    util::VDuration c = unit_cost(k);
-    Quantity fit = remaining / c;
-    if (fit > 0) {
-      supply[k] += fit;
+  for (int k : classes) {
+    Quantity fit = 0;
+    if (plannable(k)) {
+      util::VDuration c = unit_cost(k);
+      fit = std::max<Quantity>(remaining / c, 0);
       remaining -= fit * c;
     }
+    (*supply)[k] = fit;
   }
-  return supply;
 }
 
 int CapacitySupplySet::BestDensityClass(const PriceVector& prices) const {

@@ -2,6 +2,7 @@
 #define QAMARKET_MARKET_SUPPLY_SET_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "market/vectors.h"
@@ -71,12 +72,21 @@ class CapacitySupplySet : public SupplySet {
   util::VDuration CostOf(const QuantityVector& supply) const;
 
   bool Contains(const QuantityVector& supply) const override;
+  /// The greedy over every class against the period budget.
   QuantityVector MaximizeValue(const PriceVector& prices) const override;
 
-  /// Same greedy knapsack against an arbitrary budget (the QA-NT agent
-  /// plans each period against its remaining capacity after debt).
-  QuantityVector MaximizeValueWithBudget(const PriceVector& prices,
-                                         util::VDuration budget) const;
+  /// The density greedy itself, over the candidate classes `classes` (each
+  /// at most once) and an arbitrary budget: the QA-NT agent plans each
+  /// period against its remaining capacity after debt, over only the
+  /// classes it can supply. Writes the plan of every listed class into
+  /// `*supply` and leaves the other entries untouched. Sorts `classes` in
+  /// place into greedy order — descending price-per-cost density, ties by
+  /// class id, then the classes it cannot plan (not evaluable or without
+  /// a positive price) by id — so a list kept across calls arrives nearly
+  /// sorted. Makes no heap allocation.
+  void MaximizeValueOver(const PriceVector& prices, util::VDuration budget,
+                         std::span<int> classes,
+                         QuantityVector* supply) const;
 
   /// The evaluable class with the highest price-per-cost density (given
   /// positive price), or -1. Used for the minimum-one-offer rule when every

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -286,6 +287,60 @@ TEST(ClusterMarketTest, ExhaustedClusterRoutesElsewhere) {
   AllocationDecision third = allocator.Allocate(arrival, context);
   EXPECT_EQ(third.cluster, 0);
   EXPECT_EQ(third.node, 0);
+}
+
+// ------------------------------------------------ construction cost
+
+/// Counts CostModel::Cost calls made through it.
+class CountingCostModel : public query::CostModel {
+ public:
+  explicit CountingCostModel(const query::CostModel* inner) : inner_(inner) {}
+  int num_classes() const override { return inner_->num_classes(); }
+  int num_nodes() const override { return inner_->num_nodes(); }
+  util::VDuration Cost(query::QueryClassId k,
+                       catalog::NodeId node) const override {
+    ++calls_;
+    return inner_->Cost(k, node);
+  }
+  int64_t calls() const { return calls_; }
+
+ private:
+  const query::CostModel* inner_;
+  mutable int64_t calls_ = 0;
+};
+
+// A hierarchical market reads costs O(1) times per (class, node): for the
+// cluster quotes, each activated cluster's member index and its members'
+// default plans. It builds no federation-wide candidate index (only the
+// flat market solicits from one), and the indexes it does build sort on
+// costs read once rather than calling the model per comparison.
+TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
+  constexpr int kClasses = 3;
+  constexpr int kNodes = 4096;
+  query::MatrixCostModel model(kClasses, kNodes);
+  util::Rng rng(11);
+  for (int k = 0; k < kClasses; ++k) {
+    for (int node = 0; node < kNodes; ++node) {
+      // Class 0 runs everywhere, so one class-0 arrival under a
+      // broadcast top tier activates every cluster.
+      if (k == 0 || rng.Bernoulli(0.7)) {
+        model.SetCost(k, node, rng.UniformInt(50, 900) * kMillisecond);
+      }
+    }
+  }
+  CountingCostModel counting(&model);
+  ClusterPlan plan = ClusterPlan::Uniform(kNodes, 64, /*top_fanout=*/0);
+  QaNtAllocator allocator(&counting, 500 * kMillisecond, {},
+                          QaNtAllocator::OfferSelection::kCheapest, {},
+                          /*seed=*/1, plan);
+  IdleContext context(&model);
+  workload::Arrival arrival;
+  arrival.class_id = 0;
+  allocator.Allocate(arrival, context);
+  for (int c = 0; c < plan.num_clusters(); ++c) {
+    ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
+  }
+  EXPECT_LE(counting.calls(), 4 * kClasses * kNodes);
 }
 
 // ------------------------------------------------ flat/hier equivalence

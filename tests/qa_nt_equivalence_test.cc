@@ -1,0 +1,385 @@
+// Sparse-vs-dense equivalence of the QA-NT agent. QaNtAgent's period
+// rollover walks only the classes its node has ever been able to evaluate;
+// DenseAgent below is the dense formulation of the same §3.3 listing —
+// every per-class loop runs over all K classes, and the eq.-4 knapsack
+// sorts a fresh candidate list into a fresh supply vector each period.
+// Seeded op sequences drive both and compare every observable bit for bit
+// after every op. The last test pins the rollover allocation-free.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "market/qa_nt.h"
+#include "util/rng.h"
+#include "util/vtime.h"
+
+namespace {
+
+/// Heap allocations made by this test binary so far (see operator new
+/// below); the allocation-free test reads it around the rollover.
+std::atomic<int64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace qa::market {
+namespace {
+
+using util::kMillisecond;
+constexpr util::VDuration kCannot = CapacitySupplySet::kCannotEvaluate;
+
+/// The dense reference agent: the QA-NT listing with every per-class loop
+/// over all K classes. Prices start at config.initial_price unclamped, so
+/// configs here keep initial_price >= price_floor (QaNtConfig documents
+/// the clamp the production agent applies).
+class DenseAgent {
+ public:
+  DenseAgent(std::vector<util::VDuration> unit_costs,
+             util::VDuration budget, QaNtConfig config)
+      : costs_(std::move(unit_costs)),
+        budget_(budget),
+        config_(config),
+        prices_(num_classes(), config.initial_price),
+        planned_(num_classes()),
+        remaining_(num_classes()) {}
+
+  int num_classes() const { return static_cast<int>(costs_.size()); }
+  bool CanEvaluate(int k) const { return cost(k) != kCannot; }
+  util::VDuration cost(int k) const {
+    return costs_[static_cast<size_t>(k)];
+  }
+
+  void BeginPeriod() {
+    if (first_period_) {
+      first_period_ = false;
+    } else {
+      util::VDuration floor = config_.bank_leftover_capacity ? -budget_ : 0;
+      debt_ = std::max<util::VDuration>(debt_ + accepted_ - budget_, floor);
+    }
+    accepted_ = 0;
+    remaining_budget_ = budget_ - debt_;
+    planned_ = remaining_budget_ <= 0 ? QuantityVector(num_classes())
+                                      : Knapsack(remaining_budget_);
+    remaining_ = planned_;
+    max_density_ = 0.0;
+    for (int k = 0; k < num_classes(); ++k) {
+      if (!CanEvaluate(k)) continue;
+      max_density_ = std::max(
+          max_density_, prices_[k] / static_cast<double>(cost(k)));
+    }
+  }
+
+  bool SupplyRestrictionActive() const {
+    if (config_.activation_threshold <= 0.0) return true;
+    double max_price = 0.0;
+    for (int k = 0; k < num_classes(); ++k) {
+      max_price = std::max(max_price, prices_[k]);
+    }
+    return max_price >= config_.activation_threshold;
+  }
+
+  bool WouldAccept(int k) const {
+    if (!CanEvaluate(k) || remaining_budget_ <= 0) return false;
+    util::VDuration c = cost(k);
+    if (c > remaining_budget_ &&
+        (!config_.allow_min_one_offer || c <= budget_)) {
+      return false;
+    }
+    if (!density_gate_active_ && !config_.density_gate_when_idle) {
+      return true;
+    }
+    if (max_density_ <= 0.0) return false;
+    double density = prices_[k] / static_cast<double>(c);
+    return density >=
+           config_.supply_density_tolerance * max_density_ - 1e-18;
+  }
+
+  bool OnRequest(int k) {
+    if (!CanEvaluate(k)) return false;
+    if (WouldAccept(k)) return true;
+    bool restricting = SupplyRestrictionActive();
+    BumpPriceUp(k);
+    return !restricting;
+  }
+
+  void OnOfferAccepted(int k) {
+    earnings_ += prices_[k];
+    accepted_ += cost(k);
+    remaining_budget_ -= cost(k);
+    if (remaining_[k] > 0) remaining_[k] -= 1;
+  }
+
+  void EndPeriod() {
+    density_gate_active_ = remaining_budget_ <= 0;
+    for (int k = 0; k < num_classes(); ++k) {
+      Quantity leftover =
+          std::min<Quantity>(remaining_[k], config_.max_leftover_decay_units);
+      if (leftover > 0) {
+        double factor = 1.0 - config_.lambda * static_cast<double>(leftover);
+        prices_[k] *= std::max(factor, 0.0);
+      }
+    }
+    prices_.ClampFloor(config_.price_floor);
+  }
+
+  void SetPrices(PriceVector prices) {
+    prices_ = std::move(prices);
+    prices_.ClampFloor(config_.price_floor);
+    max_density_ = 0.0;
+    for (int k = 0; k < num_classes(); ++k) {
+      if (!CanEvaluate(k)) continue;
+      max_density_ = std::max(
+          max_density_, prices_[k] / static_cast<double>(cost(k)));
+    }
+  }
+
+  void UpdateUnitCost(int k, util::VDuration c) {
+    costs_[static_cast<size_t>(k)] = c;
+  }
+
+  const PriceVector& prices() const { return prices_; }
+  const QuantityVector& planned_supply() const { return planned_; }
+  const QuantityVector& remaining_supply() const { return remaining_; }
+  util::VDuration debt() const { return debt_; }
+  util::VDuration remaining_budget() const { return remaining_budget_; }
+  double earnings() const { return earnings_; }
+  bool density_gate_active() const { return density_gate_active_; }
+
+ private:
+  void BumpPriceUp(int k) {
+    prices_[k] =
+        std::min(prices_[k] * (1.0 + config_.lambda), config_.price_cap);
+    if (CanEvaluate(k)) {
+      max_density_ = std::max(
+          max_density_, prices_[k] / static_cast<double>(cost(k)));
+    }
+  }
+
+  /// The eq.-4 density greedy over all K classes.
+  QuantityVector Knapsack(util::VDuration budget) const {
+    std::vector<int> order;
+    for (int k = 0; k < num_classes(); ++k) {
+      if (CanEvaluate(k) && prices_[k] > 0.0) order.push_back(k);
+    }
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      double da = prices_[a] / static_cast<double>(cost(a));
+      double db = prices_[b] / static_cast<double>(cost(b));
+      if (da != db) return da > db;
+      return a < b;
+    });
+    QuantityVector supply(num_classes());
+    for (int k : order) {
+      Quantity fit = budget / cost(k);
+      if (fit > 0) {
+        supply[k] += fit;
+        budget -= fit * cost(k);
+      }
+    }
+    return supply;
+  }
+
+  std::vector<util::VDuration> costs_;
+  util::VDuration budget_;
+  QaNtConfig config_;
+  PriceVector prices_;
+  QuantityVector planned_;
+  QuantityVector remaining_;
+  util::VDuration accepted_ = 0;
+  util::VDuration debt_ = 0;
+  util::VDuration remaining_budget_ = 0;
+  double max_density_ = 0.0;
+  double earnings_ = 0.0;
+  bool first_period_ = true;
+  bool density_gate_active_ = false;
+};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Compares every observable of the two agents; returns "" when equal.
+std::string Diff(const QaNtAgent& sparse, const DenseAgent& dense) {
+  for (int k = 0; k < dense.num_classes(); ++k) {
+    if (Bits(sparse.prices()[k]) != Bits(dense.prices()[k])) {
+      return "price of class " + std::to_string(k);
+    }
+    if (sparse.WouldAccept(k) != dense.WouldAccept(k)) {
+      return "WouldAccept(" + std::to_string(k) + ")";
+    }
+  }
+  if (sparse.planned_supply() != dense.planned_supply()) return "planned";
+  if (sparse.remaining_supply() != dense.remaining_supply()) {
+    return "remaining";
+  }
+  if (sparse.debt() != dense.debt()) return "debt";
+  if (sparse.remaining_budget() != dense.remaining_budget()) {
+    return "remaining budget";
+  }
+  if (Bits(sparse.earnings()) != Bits(dense.earnings())) return "earnings";
+  if (sparse.density_gate_active() != dense.density_gate_active()) {
+    return "density gate";
+  }
+  return "";
+}
+
+/// A small cost menu against a 500 ms period makes exact density ties
+/// common and includes classes that can never fit a period.
+util::VDuration DrawCost(util::Rng& rng) {
+  static constexpr util::VDuration kMenu[] = {100, 125, 250, 400, 700, 2000};
+  return kMenu[rng.UniformInt(0, 5)] * kMillisecond;
+}
+
+/// Prices from a small menu (ties again), sometimes exactly zero.
+double DrawPrice(util::Rng& rng) {
+  static constexpr double kMenu[] = {0.0, 0.5, 1.0, 1.0, 2.0, 4.0, 0.05};
+  return kMenu[rng.UniformInt(0, 6)];
+}
+
+QaNtConfig MakeConfig(int variant) {
+  QaNtConfig config;
+  switch (variant) {
+    case 1:
+      config.bank_leftover_capacity = false;
+      break;
+    case 2:
+      config.activation_threshold = 1.5;
+      break;
+    case 3:
+      config.density_gate_when_idle = true;
+      break;
+    case 4:
+      config.lambda = 1.25;  // decay factors clamp to 0
+      break;
+    case 5:
+      config.price_floor = 0.0;
+      config.lambda = 1.0;  // leftover prices collapse to exactly 0
+      break;
+    case 6:
+      config.allow_min_one_offer = false;
+      config.lambda = 0.3;
+      break;
+    default:
+      break;
+  }
+  return config;
+}
+constexpr int kNumConfigs = 7;
+
+/// Share of evaluable classes per mask: none, exactly one (-1), sparse,
+/// half, all. UpdateUnitCost ops then switch classes on and off.
+constexpr double kMaskDensity[] = {0.0, -1.0, 0.03, 0.5, 1.0};
+
+struct Case {
+  int num_classes;
+  int mask;
+  int config;
+};
+
+void RunCase(const Case& c, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<util::VDuration> costs(static_cast<size_t>(c.num_classes),
+                                     kCannot);
+  double density = kMaskDensity[c.mask];
+  if (density < 0.0) {
+    costs[static_cast<size_t>(rng.UniformInt(0, c.num_classes - 1))] =
+        DrawCost(rng);
+  } else {
+    for (util::VDuration& cost : costs) {
+      if (density >= 1.0 || rng.Bernoulli(density)) cost = DrawCost(rng);
+    }
+  }
+  QaNtConfig config = MakeConfig(c.config);
+  QaNtAgent sparse(0, costs, 500 * kMillisecond, config);
+  DenseAgent dense(costs, 500 * kMillisecond, config);
+  sparse.BeginPeriod();
+  dense.BeginPeriod();
+  std::string label = "K=" + std::to_string(c.num_classes) +
+                      " mask=" + std::to_string(c.mask) +
+                      " config=" + std::to_string(c.config);
+  ASSERT_EQ(Diff(sparse, dense), "") << label << " at start";
+
+  for (int op = 0; op < 600; ++op) {
+    int64_t draw = rng.UniformInt(0, 99);
+    int k = static_cast<int>(rng.UniformInt(0, c.num_classes - 1));
+    std::string name;
+    if (draw < 60) {
+      name = "request";
+      bool offered = sparse.OnRequest(k);
+      ASSERT_EQ(offered, dense.OnRequest(k)) << label << " op " << op;
+      if (offered) {
+        if (rng.Bernoulli(0.6)) {
+          sparse.OnOfferAccepted(k);
+          dense.OnOfferAccepted(k);
+        } else {
+          sparse.OnOfferRejected(k);
+        }
+      }
+    } else if (draw < 82) {
+      name = "rollover";
+      sparse.EndPeriod();
+      dense.EndPeriod();
+      sparse.BeginPeriod();
+      dense.BeginPeriod();
+    } else if (draw < 94) {
+      name = "unit cost";
+      util::VDuration cost = rng.Bernoulli(0.5) ? kCannot : DrawCost(rng);
+      sparse.UpdateUnitCost(k, cost);
+      dense.UpdateUnitCost(k, cost);
+    } else {
+      name = "set prices";
+      PriceVector prices(c.num_classes);
+      for (int j = 0; j < c.num_classes; ++j) prices[j] = DrawPrice(rng);
+      sparse.SetPrices(prices);
+      dense.SetPrices(prices);
+    }
+    ASSERT_EQ(Diff(sparse, dense), "")
+        << label << " after op " << op << " (" << name << ")";
+  }
+}
+
+TEST(QaNtEquivalenceTest, SparseRolloverMatchesDenseReference) {
+  uint64_t seed = 1;
+  for (int num_classes : {1, 2, 7, 100}) {
+    for (int mask = 0; mask < static_cast<int>(std::size(kMaskDensity));
+         ++mask) {
+      for (int config = 0; config < kNumConfigs; ++config) {
+        for (int rep = 0; rep < 3; ++rep) {
+          RunCase({num_classes, mask, config}, seed++);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(QaNtEquivalenceTest, RolloverMakesNoHeapAllocation) {
+  std::vector<util::VDuration> costs(100, kCannot);
+  for (int k = 0; k < 100; k += 9) costs[static_cast<size_t>(k)] = 200 + k;
+  QaNtAgent agent(0, costs, 500 * kMillisecond);
+  agent.BeginPeriod();
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int period = 0; period < 50; ++period) {
+    if (agent.OnRequest(period % 100)) agent.OnOfferAccepted(period % 100);
+    agent.EndPeriod();
+    agent.BeginPeriod();
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(agent.stats().periods, 51);
+}
+
+}  // namespace
+}  // namespace qa::market

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "market/supply_set.h"
 #include "util/rng.h"
 #include "util/vtime.h"
@@ -63,11 +66,15 @@ TEST(CapacitySupplySetTest, MaximizeValueIgnoresZeroPrices) {
   EXPECT_EQ(s[1], 0);
 }
 
-TEST(CapacitySupplySetTest, MaximizeValueWithBudget) {
+TEST(CapacitySupplySetTest, MaximizeValueOverBudget) {
   CapacitySupplySet set({100, 100}, 1000);
-  QuantityVector s = set.MaximizeValueWithBudget(PriceVector(2, 1.0), 250);
+  std::vector<int> classes = {1, 0};
+  QuantityVector s(2);
+  set.MaximizeValueOver(PriceVector(2, 1.0), 250, classes, &s);
   EXPECT_EQ(s.Total(), 2);
   EXPECT_TRUE(set.Contains(s));
+  // Equal densities tie-break by class id.
+  EXPECT_EQ(classes, (std::vector<int>{0, 1}));
 }
 
 TEST(CapacitySupplySetTest, BestDensityClass) {
@@ -94,6 +101,46 @@ TEST(CapacitySupplySetTest, GreedyResultAlwaysFeasible) {
     for (int i = 0; i < k; ++i) p[i] = rng.UniformReal(0.0, 10.0);
     QuantityVector s = set.MaximizeValue(p);
     EXPECT_TRUE(set.Contains(s)) << "trial " << trial;
+  }
+}
+
+// The greedy over any list holding every evaluable class (in any order,
+// with or without unevaluable extras) plans exactly what the greedy over
+// all classes does, and leaves unlisted entries alone.
+TEST(CapacitySupplySetTest, GreedyOverCandidateListMatchesAllClasses) {
+  util::Rng rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    int k = static_cast<int>(rng.UniformInt(1, 12));
+    std::vector<util::VDuration> costs;
+    for (int i = 0; i < k; ++i) {
+      costs.push_back(rng.Bernoulli(0.3)
+                          ? CapacitySupplySet::kCannotEvaluate
+                          : 50 * rng.UniformInt(1, 8));
+    }
+    CapacitySupplySet set(costs, rng.UniformInt(1, 2000));
+    PriceVector p(k);
+    for (int i = 0; i < k; ++i) {
+      p[i] = rng.Bernoulli(0.2) ? 0.0
+                                : 0.5 * static_cast<double>(
+                                            rng.UniformInt(1, 4));
+    }
+    std::vector<int> classes;
+    for (int i : rng.Permutation(k)) {
+      if (set.CanEvaluateClass(i) || rng.Bernoulli(0.5)) {
+        classes.push_back(i);
+      }
+    }
+    QuantityVector expected = set.MaximizeValue(p);
+    constexpr Quantity kUntouched = -7;
+    QuantityVector s(std::vector<Quantity>(static_cast<size_t>(k),
+                                           kUntouched));
+    set.MaximizeValueOver(p, set.budget(), classes, &s);
+    for (int i = 0; i < k; ++i) {
+      bool listed =
+          std::find(classes.begin(), classes.end(), i) != classes.end();
+      EXPECT_EQ(s[i], listed ? expected[i] : kUntouched)
+          << "trial " << trial << " class " << i;
+    }
   }
 }
 
