@@ -9,6 +9,7 @@
 
 #include "bench/bench_common.h"
 #include "market/tatonnement.h"
+#include "util/status.h"
 
 int main(int argc, char** argv) {
   using namespace qa;
@@ -35,8 +36,13 @@ int main(int argc, char** argv) {
     market::TatonnementConfig config;
     config.lambda = lambda;
     config.max_iterations = 100000;
-    market::TatonnementResult r = market::RunTatonnement(
+    util::StatusOr<market::TatonnementResult> run = market::RunTatonnement(
         market::QuantityVector({4, 2}), sets, config);
+    if (!run.ok()) {
+      std::cerr << run.status() << "\n";
+      return 1;
+    }
+    const market::TatonnementResult& r = *run;
     conv.AddRow(lambda, r.iterations, r.converged ? "yes" : "no",
                 r.prices.ToString());
     // Traced runs also log the umpire's final prices/excess demand per

@@ -44,9 +44,11 @@ ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
                              util::VDuration period)
     : cost_model_(cost_model),
       plan_(std::move(plan)),
-      agent_config_(agent_config),
       period_(period),
-      next_publish_(period) {
+      next_publish_(period),
+      unit_costs_(static_cast<size_t>(cost_model->num_classes())),
+      plan_scratch_(cost_model->num_classes(), period, agent_config),
+      publish_(cost_model->num_classes()) {
   assert(cost_model_ != nullptr);
   int num_classes = cost_model_->num_classes();
   int num_clusters = plan_.num_clusters();
@@ -82,28 +84,23 @@ void ClusterMarket::EnsureActive(int cluster,
   const std::vector<catalog::NodeId>& members =
       plan_.clusters[static_cast<size_t>(cluster)];
   state.members = CandidateIndex(*cost_model_, members);
-  int num_classes = cost_model_->num_classes();
-  // One flat block per cluster, not one vector per member: a million
-  // members would otherwise mean a million small long-lived allocations.
-  state.default_plans.reserve(members.size() *
-                              static_cast<size_t>(num_classes));
+  state.idle_sum = market::QuantityVector(cost_model_->num_classes());
   for (catalog::NodeId node : members) {
-    std::vector<util::VDuration> unit_costs(
-        static_cast<size_t>(num_classes));
-    for (int k = 0; k < num_classes; ++k) {
-      util::VDuration c = cost_model_->Cost(k, node);
-      unit_costs[static_cast<size_t>(k)] =
-          c == query::kInfeasibleCost
-              ? market::CapacitySupplySet::kCannotEvaluate
-              : c;
+    if (remaining_of(node) != nullptr) {
+      state.live.push_back(node);
+    } else {
+      state.idle_sum += DefaultPlan(node);
     }
-    market::QuantityVector plan = market::DefaultPlannedSupply(
-        std::move(unit_costs), period_, agent_config_);
-    state.default_plans.insert(state.default_plans.end(),
-                               plan.values().begin(), plan.values().end());
   }
   state.active = true;
   PublishCluster(cluster, remaining_of);
+}
+
+void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
+  Cluster& state = clusters_[static_cast<size_t>(cluster_of(node))];
+  if (!state.active) return;
+  state.idle_sum -= DefaultPlan(node);
+  state.live.push_back(node);
 }
 
 void ClusterMarket::OnTick(util::VTime now,
@@ -117,23 +114,26 @@ void ClusterMarket::OnTick(util::VTime now,
   while (next_publish_ <= now) next_publish_ += period_;
 }
 
+const market::QuantityVector& ClusterMarket::DefaultPlan(
+    catalog::NodeId node) {
+  for (size_t k = 0; k < unit_costs_.size(); ++k) {
+    util::VDuration c =
+        cost_model_->Cost(static_cast<query::QueryClassId>(k), node);
+    unit_costs_[k] = c == query::kInfeasibleCost
+                         ? market::CapacitySupplySet::kCannotEvaluate
+                         : c;
+  }
+  return market::DefaultPlannedSupply(unit_costs_, &plan_scratch_);
+}
+
 void ClusterMarket::PublishCluster(int cluster,
                                    const RemainingFn& remaining_of) {
-  int num_classes = cost_model_->num_classes();
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
-  const std::vector<catalog::NodeId>& members =
-      plan_.clusters[static_cast<size_t>(cluster)];
-  market::QuantityVector aggregate(num_classes);
-  for (size_t i = 0; i < members.size(); ++i) {
-    if (const market::QuantityVector* live = remaining_of(members[i])) {
-      aggregate += *live;
-      continue;
-    }
-    const market::Quantity* plan =
-        state.default_plans.data() + i * static_cast<size_t>(num_classes);
-    for (int k = 0; k < num_classes; ++k) aggregate[k] += plan[k];
-  }
-  state.agent.Publish(aggregate);
+  // Exact, not an estimate: quantities are integers, so the sum does not
+  // depend on the order members went live in.
+  publish_ = state.idle_sum;
+  for (catalog::NodeId node : state.live) publish_ += *remaining_of(node);
+  state.agent.Publish(publish_);
 }
 
 }  // namespace qa::allocation

@@ -21,22 +21,18 @@ namespace qa::allocation {
 /// aggregates.
 ///
 /// Clusters activate lazily, like node agents do: a cluster never
-/// solicited by the top tier carries no member index, no cached plans and
-/// no published aggregate — so a million-node federation where a sampled
-/// top tier only ever touches a few hundred clusters never pays for the
-/// rest. Everything here runs on the mediator lane (Allocate /
-/// OnPeriodStart): strictly sequential, no cross-shard state.
+/// solicited by the top tier carries no member index, no idle sum and no
+/// published aggregate — so a million-node federation where a sampled top
+/// tier only ever touches a few hundred clusters never pays for the rest.
+/// An active cluster's upkeep follows its traded members, not its size:
+/// a publish walks only the members whose agents exist. Everything here
+/// runs on the mediator lane (Allocate / OnPeriodStart): strictly
+/// sequential, no cross-shard state.
 class ClusterMarket {
  public:
   /// How the market reads a member agent's live remaining supply. Returns
-  /// null for members whose agent was never instantiated; the market then
-  /// uses the member's cached default (first-period) plan instead — an
-  /// uncontacted agent's plan is a pure function of its configuration, so
-  /// no agent needs to be built just to be summed. (Idle instantiated
-  /// agents drift as their prices decay; the cached plan intentionally
-  /// ignores that drift for never-contacted members — a documented
-  /// approximation that touches only the routing hint, never the tier-2
-  /// auction itself.)
+  /// null for members whose agent was never instantiated. Only activation
+  /// asks about every member; publishes ask only about live ones.
   using RemainingFn =
       std::function<const market::QuantityVector*(catalog::NodeId)>;
 
@@ -83,9 +79,16 @@ class ClusterMarket {
   }
 
   /// First-contact activation: builds the cluster's member candidate
-  /// index, caches its members' default plans and publishes the first
-  /// aggregate from the members' current state. Idempotent.
+  /// index, splits its members into live ones (agent instantiated) and
+  /// idle ones (summed as their default plans), and publishes the first
+  /// aggregate. O(members * K) with no per-member allocation. Idempotent.
   void EnsureActive(int cluster, const RemainingFn& remaining_of);
+
+  /// A member's agent was just instantiated. If its cluster is active, the
+  /// member leaves the idle sum (minus exactly the default plan activation
+  /// added) and joins the live list. An inactive cluster needs nothing:
+  /// its activation will find the agent.
+  void OnMemberBuilt(catalog::NodeId node);
 
   /// Market tick: once `now` crosses a global period boundary, every
   /// active cluster's sub-mediator re-publishes its aggregate from the
@@ -99,17 +102,24 @@ class ClusterMarket {
     market::ClusterSupplyAgent agent;
     /// Built on activation; empty before.
     CandidateIndex members;
-    /// Default (first-period) plan of each member, row-major
-    /// [member index in the plan][class]; filled on activation.
-    std::vector<market::Quantity> default_plans;
+    /// Sum of the default plans of the members with no agent. The
+    /// published aggregate is always idle_sum + the live members'
+    /// remaining supply.
+    market::QuantityVector idle_sum;
+    /// Members with an instantiated agent, in the order they were found.
+    std::vector<catalog::NodeId> live;
     bool active = false;
   };
 
+  /// The default (first-period) plan of `node`'s fresh agent; a view of
+  /// plan_scratch_, valid until the next call.
+  const market::QuantityVector& DefaultPlan(catalog::NodeId node);
+  /// Sums idle_sum and the live members' remaining supply into publish_
+  /// and publishes it: O(live members * K), allocation-free.
   void PublishCluster(int cluster, const RemainingFn& remaining_of);
 
   const query::CostModel* cost_model_;
   ClusterPlan plan_;
-  market::QaNtConfig agent_config_;
   util::VDuration period_;
   /// Owning cluster per node id.
   std::vector<int> node_cluster_;
@@ -119,6 +129,10 @@ class ClusterMarket {
   std::vector<Cluster> clusters_;
   /// Next global period boundary at which active clusters re-publish.
   util::VTime next_publish_;
+  /// Scratch reused across members and publishes.
+  std::vector<util::VDuration> unit_costs_;
+  market::DefaultPlanScratch plan_scratch_;
+  market::QuantityVector publish_;
 };
 
 }  // namespace qa::allocation

@@ -20,15 +20,7 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
       solicitation_(solicitation),
       seed_(seed) {
   assert(cost_model_ != nullptr);
-  int num_nodes = cost_model_->num_nodes();
-  agents_.resize(static_cast<size_t>(num_nodes));
-  next_refresh_.reserve(static_cast<size_t>(num_nodes));
-  for (catalog::NodeId i = 0; i < num_nodes; ++i) {
-    // Autonomous nodes run unsynchronized periods: spread the first
-    // boundary of agent i across [T/N, T]. The schedule exists for every
-    // node from t=0 even though the agent itself is built lazily.
-    next_refresh_.push_back(period_ * (i + 1) / std::max(num_nodes, 1));
-  }
+  agents_.resize(static_cast<size_t>(cost_model_->num_nodes()));
   // A single-cluster plan is structurally the flat market, so it runs the
   // flat code path — that degenerate identity is exactly what the
   // hierarchy equivalence tests pin down, and it means enabling the plan
@@ -67,21 +59,30 @@ std::unique_ptr<market::QaNtAgent> QaNtAllocator::MakeAgent(
   return agent;
 }
 
+util::VTime QaNtAllocator::Phase(catalog::NodeId node) const {
+  // Autonomous nodes run unsynchronized periods: spread the first boundary
+  // of agent i across [T/N, T].
+  return period_ * (node + 1) / std::max(num_nodes(), 1);
+}
+
 market::QaNtAgent& QaNtAllocator::EnsureAgent(catalog::NodeId node) {
   size_t i = static_cast<size_t>(node);
   assert(i < agents_.size());
   if (agents_[i] == nullptr) {
     agents_[i] = MakeAgent(node);
+    RosterEntry entry{node, Phase(node)};
     // Replay the rollovers the agent would have performed had it existed
     // since t=0. Only boundaries up to the last market *tick* are rolled
     // (not up to the current arrival time): an eagerly built agent also
     // rolls exclusively at tick times, and matching that exactly is what
     // keeps lazy instantiation byte-identical to the eager protocol.
-    while (next_refresh_[i] <= last_rollover_now_) {
+    while (entry.next_refresh <= last_rollover_now_) {
       agents_[i]->EndPeriod();
       agents_[i]->BeginPeriod();
-      next_refresh_[i] += period_;
+      entry.next_refresh += period_;
     }
+    roster_.push_back(entry);
+    if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);
   }
   return *agents_[i];
 }
@@ -225,6 +226,17 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
   }
   if (runner_ != nullptr && runner_->concurrency() > 1 &&
       solicited_.size() >= kParallelScanThreshold) {
+    // First contacts are built here, on the mediator lane, before the
+    // fork: building appends to the roster and can move a member in the
+    // cluster market, neither of which a chunk may touch. An agent's
+    // state does not depend on when it is built before its first request,
+    // so this equals building each inside the scan. Once every node has
+    // an agent there is nothing left to build.
+    if (roster_.size() < agents_.size()) {
+      for (catalog::NodeId j : solicited_) {
+        if (context.NodeOnline(j)) EnsureAgent(j);
+      }
+    }
     // Chunked parallel bid scan. SolicitNodes fills solicited_ in
     // ascending id order, every agent's OnRequest touches only that
     // agent's own state (plus read-only shared config), and the chunk
@@ -249,7 +261,9 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
             catalog::NodeId j = solicited_[i];
             if (!context.NodeOnline(j)) continue;
             ++asked_here;
-            if (EnsureAgent(j).OnRequest(k)) local.push_back(j);
+            if (agents_[static_cast<size_t>(j)]->OnRequest(k)) {
+              local.push_back(j);
+            }
           }
           chunk_asked_[c] = asked_here;
         });
@@ -394,30 +408,32 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   last_rollover_now_ = now;
   auto roll_range = [this, now](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      if (agents_[i] == nullptr) continue;
-      while (next_refresh_[i] <= now) {
-        agents_[i]->EndPeriod();
-        agents_[i]->BeginPeriod();
-        next_refresh_[i] += period_;
-      }
+      RosterEntry& entry = roster_[i];
+      if (entry.next_refresh > now) continue;
+      market::QaNtAgent& agent = *agents_[static_cast<size_t>(entry.node)];
+      do {
+        agent.EndPeriod();
+        agent.BeginPeriod();
+        entry.next_refresh += period_;
+      } while (entry.next_refresh <= now);
     }
   };
   // The batched per-tick rollover: each agent's rollover is a pure
   // function of its own state (EndPeriod decay + BeginPeriod re-solve),
-  // so contiguous id chunks run concurrently without any cross-agent
+  // so contiguous roster chunks run concurrently without any cross-agent
   // ordering to preserve.
   if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      agents_.size() >= kParallelScanThreshold) {
+      roster_.size() >= kParallelScanThreshold) {
     size_t chunks =
         std::min(static_cast<size_t>(runner_->concurrency()),
-                 (agents_.size() + kMinChunk - 1) / kMinChunk);
-    size_t per_chunk = (agents_.size() + chunks - 1) / chunks;
+                 (roster_.size() + kMinChunk - 1) / kMinChunk);
+    size_t per_chunk = (roster_.size() + chunks - 1) / chunks;
     runner_->ParallelFor(static_cast<int>(chunks), [&](int chunk) {
       size_t begin = static_cast<size_t>(chunk) * per_chunk;
-      roll_range(begin, std::min(begin + per_chunk, agents_.size()));
+      roll_range(begin, std::min(begin + per_chunk, roster_.size()));
     });
   } else {
-    roll_range(0, agents_.size());
+    roll_range(0, roster_.size());
   }
   if (cluster_market_ != nullptr) {
     // Sub-mediators publish after their members rolled: the aggregate a
@@ -442,18 +458,30 @@ void QaNtAllocator::OnPeriodEnd(util::VTime now) {
 void QaNtAllocator::OnNodeRestart(catalog::NodeId node, util::VTime now) {
   size_t i = static_cast<size_t>(node);
   assert(i < agents_.size());
+  bool was_built = agents_[i] != nullptr;
   // A restart instantiates the agent even if it was never contacted — the
   // rebuilt process is running from its configuration file either way, and
   // this matches the eager protocol's post-restart state exactly.
   agents_[i] = MakeAgent(node);
   // Keep the agent's staggered phase: its next boundary is the first one
   // of its original schedule that lies strictly after the restart.
-  util::VTime phase = period_ * (node + 1) / std::max(num_nodes(), 1);
+  util::VTime phase = Phase(node);
   util::VTime next = phase;
   if (now >= phase) {
     next = phase + ((now - phase) / period_ + 1) * period_;
   }
-  next_refresh_[i] = next;
+  if (!was_built) {
+    roster_.push_back({node, next});
+    if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);
+    return;
+  }
+  // Restarts are rare, so a linear search beats keeping a node-indexed
+  // map into the roster.
+  auto entry = std::find_if(
+      roster_.begin(), roster_.end(),
+      [node](const RosterEntry& e) { return e.node == node; });
+  assert(entry != roster_.end());
+  entry->next_refresh = next;
 }
 
 }  // namespace qa::allocation

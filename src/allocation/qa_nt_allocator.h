@@ -73,12 +73,14 @@ class QaNtAllocator : public Allocator {
   void FillMarketProbe(obs::metrics::MarketProbe* probe) const override;
 
   /// Market refresh hook. The nodes are autonomous, so their periods are
-  /// *staggered*: agent i's boundaries sit at phase (i/N)*T within the
+  /// *staggered*: agent i's boundaries sit at phase ((i+1)/N)*T within the
   /// global period. Each call rolls over every instantiated agent whose
   /// boundary has passed (EndPeriod price decay + BeginPeriod re-solving
   /// eq. 4), which makes fresh supply appear continuously instead of in
-  /// one synchronized burst. Call this at a granularity finer than T (the
-  /// federation's market tick); OnPeriodEnd is a no-op.
+  /// one synchronized burst. The walk covers the roster of instantiated
+  /// agents only, so a tick costs O(contacted nodes), not O(N). Call this
+  /// at a granularity finer than T (the federation's market tick);
+  /// OnPeriodEnd is a no-op.
   void OnPeriodStart(util::VTime now) override;
   void OnPeriodEnd(util::VTime now) override;
 
@@ -90,15 +92,19 @@ class QaNtAllocator : public Allocator {
   void OnNodeRestart(catalog::NodeId node, util::VTime now) override;
 
   /// Enables the fork-join fast paths: the per-arrival bid scan and the
-  /// per-tick rollover chunk the agent range and fan the chunks out on
-  /// `runner`. Exactness is by construction — each agent's OnRequest /
-  /// rollover touches only that agent's state (agents are autonomous, the
-  /// whole point of the mechanism), chunks are contiguous id ranges, and
-  /// chunk results are concatenated in chunk order, reproducing the
-  /// sequential left-to-right order byte for byte at any concurrency.
+  /// per-tick rollover chunk the solicited list / the roster and fan the
+  /// chunks out on `runner`. Exactness is by construction — each agent's
+  /// OnRequest / rollover touches only that agent's state (agents are
+  /// autonomous, the whole point of the mechanism), chunks are contiguous
+  /// ranges, and chunk results are concatenated in chunk order,
+  /// reproducing the sequential left-to-right order byte for byte at any
+  /// concurrency. Agents are never built inside a chunk: building appends
+  /// to the roster and can move a member in the cluster market, so the
+  /// scan builds first contacts on the mediator lane before forking.
   /// qa_lint's QA-SHD-002 pass holds the callbacks to that contract: a
   /// ParallelFor chunk lambda touching a cross-chunk aggregate
-  /// (total_messages_, arrival_seq_, metrics_) is a finding.
+  /// (total_messages_, arrival_seq_, metrics_, cluster_market_) is a
+  /// finding.
   void SetTaskRunner(const util::TaskRunner* runner) override {
     runner_ = runner;
   }
@@ -149,8 +155,21 @@ class QaNtAllocator : public Allocator {
   /// replaying every period rollover up to the last market tick — which
   /// leaves it byte-identical to an agent that had existed (idle) since
   /// t=0, because an uncontacted agent's state is a pure function of its
-  /// rollover count.
+  /// rollover count. A new agent joins the roster and, under a cluster
+  /// plan, goes live in its cluster's ledger. Mediator lane only.
   market::QaNtAgent& EnsureAgent(catalog::NodeId node);
+
+  /// First boundary of `node`'s staggered period: ((node+1)/N)*T. The
+  /// schedule exists for every node from t=0 even though the agent itself
+  /// is built lazily.
+  util::VTime Phase(catalog::NodeId node) const;
+
+  /// An instantiated agent's place in the rollover.
+  struct RosterEntry {
+    catalog::NodeId node;
+    /// Next boundary of the agent's own (staggered) period.
+    util::VTime next_refresh;
+  };
 
   const query::CostModel* cost_model_;
   util::VDuration period_;
@@ -169,8 +188,10 @@ class QaNtAllocator : public Allocator {
   CandidateIndex candidates_;
   /// One slot per node; null until the node is first contacted.
   std::vector<std::unique_ptr<market::QaNtAgent>> agents_;
-  /// Next boundary time of each agent's own (staggered) period.
-  std::vector<util::VTime> next_refresh_;
+  /// Every instantiated agent, in instantiation order: what the rollover
+  /// walks. The order is free — each agent's rollover is a pure function
+  /// of its own state.
+  std::vector<RosterEntry> roster_;
   /// Fork-join runner for the bid scan / rollover (null = sequential).
   const util::TaskRunner* runner_ = nullptr;
   /// Phase-profiling collector (null = no probes).

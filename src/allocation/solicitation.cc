@@ -69,18 +69,20 @@ void CandidateIndex::Build(const query::CostModel& cost_model,
   by_cost_.resize(num_classes);
   // Each class reads its costs once; the cost sort then never calls back
   // into the (virtual) model. Sorting (cost, id) pairs equals a stable
-  // sort on cost over the id-ordered list.
+  // sort on cost over the id-ordered list. Both lists are sized exactly
+  // from `ranked`, so the allocation count does not grow with the node
+  // count.
   std::vector<std::pair<util::VDuration, catalog::NodeId>> ranked;
+  ranked.reserve(nodes.size());
   for (size_t k = 0; k < num_classes; ++k) {
-    std::vector<catalog::NodeId>& ids = by_id_[k];
     ranked.clear();
     for (catalog::NodeId j : nodes) {
       util::VDuration cost =
           cost_model.Cost(static_cast<query::QueryClassId>(k), j);
-      if (cost == query::kInfeasibleCost) continue;
-      ids.push_back(j);
-      ranked.emplace_back(cost, j);
+      if (cost != query::kInfeasibleCost) ranked.emplace_back(cost, j);
     }
+    by_id_[k].reserve(ranked.size());
+    for (const auto& [cost, j] : ranked) by_id_[k].push_back(j);
     std::sort(ranked.begin(), ranked.end());
     by_cost_[k].reserve(ranked.size());
     for (const auto& [cost, j] : ranked) by_cost_[k].push_back(j);

@@ -2,9 +2,11 @@
 #define QAMARKET_MARKET_CLUSTER_SUPPLY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "market/qa_nt.h"
+#include "market/supply_set.h"
 #include "market/vectors.h"
 #include "util/vtime.h"
 
@@ -89,15 +91,39 @@ class ClusterSupplyAgent {
   ClusterSupplyStats stats_;
 };
 
+/// Reusable buffers of DefaultPlannedSupply for one market shape: K
+/// classes, one period budget and one agent configuration. Built once per
+/// shape (O(K) allocations); every DefaultPlannedSupply call then reuses
+/// them and makes no heap allocation.
+struct DefaultPlanScratch {
+  DefaultPlanScratch(int num_classes, util::VDuration period_budget,
+                     const QaNtConfig& config);
+
+  /// The knapsack's supply set; its unit costs are rewritten per call.
+  CapacitySupplySet supply_set;
+  /// A fresh agent's prices: the initial price, clamped to the floor.
+  PriceVector prices;
+  /// The evaluable classes of the node being planned (capacity K).
+  std::vector<int> classes;
+  QuantityVector plan;
+};
+
 /// The supply vector a fresh default-state QaNtAgent with these unit costs
-/// plans for its first period. Used by the cluster market as the aggregate
-/// contribution of members whose agent was never instantiated: an
-/// uncontacted agent's plan is a pure function of its configuration, so
-/// the sub-mediator can publish on behalf of its idle members without
-/// building (or messaging) them.
-QuantityVector DefaultPlannedSupply(std::vector<util::VDuration> unit_costs,
-                                    util::VDuration period_budget,
-                                    const QaNtConfig& config);
+/// plans for its first period, floored at 1 for every evaluable class,
+/// computed without building the agent: the agent's own eq.-4 knapsack
+/// (CapacitySupplySet::MaximizeValueOver) at the clamped initial prices
+/// against one whole period budget, which is exactly a fresh agent's first
+/// BeginPeriod. The cluster market adds this for every member whose agent
+/// was never instantiated, and subtracts the same value when the member's
+/// agent is built: an uncontacted agent's plan is a pure function of its
+/// configuration, so the sub-mediator can publish on behalf of its idle
+/// members without building (or messaging) them.
+///
+/// `unit_costs` holds one entry per class of `scratch` (kCannotEvaluate
+/// for a class the node cannot run). Returns a view of scratch->plan,
+/// valid until the next call with the same scratch.
+const QuantityVector& DefaultPlannedSupply(
+    std::span<const util::VDuration> unit_costs, DefaultPlanScratch* scratch);
 
 }  // namespace qa::market
 

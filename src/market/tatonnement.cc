@@ -3,14 +3,23 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 namespace qa::market {
 
-TatonnementResult RunTatonnement(
+util::StatusOr<TatonnementResult> RunTatonnement(
     const QuantityVector& aggregate_demand,
     const std::vector<const SupplySet*>& supply_sets,
     const TatonnementConfig& config) {
   int num_classes = aggregate_demand.num_classes();
+  for (size_t i = 0; i < supply_sets.size(); ++i) {
+    if (supply_sets[i]->num_classes() != num_classes) {
+      return util::Status::InvalidArgument(
+          "tatonnement: supply set " + std::to_string(i) + " has " +
+          std::to_string(supply_sets[i]->num_classes()) +
+          " classes, demand has " + std::to_string(num_classes));
+    }
+  }
   TatonnementResult result;
   result.prices = PriceVector(num_classes, config.initial_price);
 

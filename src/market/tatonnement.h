@@ -5,6 +5,7 @@
 
 #include "market/supply_set.h"
 #include "market/vectors.h"
+#include "util/status.h"
 
 namespace qa::market {
 
@@ -40,7 +41,10 @@ struct TatonnementResult {
 /// The paper uses this only as the conceptual starting point for QA-NT; we
 /// implement it as the reference process the decentralized algorithm is
 /// validated against in tests.
-TatonnementResult RunTatonnement(
+///
+/// Returns InvalidArgument when a supply set's class count K differs from
+/// the demand vector's.
+util::StatusOr<TatonnementResult> RunTatonnement(
     const QuantityVector& aggregate_demand,
     const std::vector<const SupplySet*>& supply_sets,
     const TatonnementConfig& config = {});

@@ -1,14 +1,18 @@
 // Tests of the hierarchical two-tier market (DESIGN.md §12): ClusterPlan
 // validation, the aggregate-supply ledger, hand-computed two-cluster
-// routing, and the central equivalence anchor — a 1-cluster hierarchy
-// reproduces flat QA-NT byte for byte (trace + metrics) at every
-// shard/thread combination.
+// routing, the incremental publish against a from-scratch member sum, the
+// allocation bounds of activation and of the per-tick upkeep, and the
+// central equivalence anchor — a 1-cluster hierarchy reproduces flat QA-NT
+// byte for byte (trace + metrics) at every shard/thread combination.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +31,37 @@
 #include "sim/scenario.h"
 #include "util/rng.h"
 #include "workload/sinusoid.h"
+
+namespace {
+
+/// Heap allocations made by this test binary so far (see operator new
+/// below); the allocation-bound tests read it around the calls they pin.
+std::atomic<int64_t> g_allocations{0};
+
+}  // namespace
+
+// The nothrow form (std::stable_sort's temporary buffer) is replaced too,
+// so every block the deletes below free() came from malloc(). The deletes
+// stay out of line: inlined next to a std::vector's allocation, GCC would
+// pair the free() with the builtin operator new and warn about a
+// mismatched deallocation.
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace qa::allocation {
 namespace {
@@ -180,12 +215,42 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
   // The default plan is the fresh agent's eq.-4 plan, floored at 1 for
   // every evaluable class (budget-elastic admission accepts a first query
   // of any evaluable class, even into debt).
-  market::QuantityVector plan =
-      market::DefaultPlannedSupply(costs, 500 * kMillisecond, config);
+  market::DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
+  const market::QuantityVector& plan =
+      market::DefaultPlannedSupply(costs, &scratch);
   for (int k = 0; k < plan.num_classes(); ++k) {
     EXPECT_EQ(plan[k], std::max(fresh.planned_supply()[k],
                                 market::Quantity{1}))
         << "class " << k;
+  }
+}
+
+// One scratch plans member after member: nothing of one node's plan (its
+// class list, costs or supply) may leak into the next one's.
+TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
+  constexpr int kClasses = 5;
+  constexpr util::VDuration kMenu[] = {
+      market::CapacitySupplySet::kCannotEvaluate, 60 * kMillisecond,
+      125 * kMillisecond, 250 * kMillisecond, 700 * kMillisecond};
+  market::QaNtConfig config;
+  config.initial_price = 0.5;
+  config.price_floor = 2.0;  // the clamp decides the starting prices
+  market::DefaultPlanScratch scratch(kClasses, 500 * kMillisecond, config);
+  util::Rng rng(5);
+  for (int node = 0; node < 200; ++node) {
+    std::vector<util::VDuration> costs(kClasses);
+    for (util::VDuration& cost : costs) cost = kMenu[rng.UniformInt(0, 4)];
+    market::QaNtAgent fresh(node, costs, 500 * kMillisecond, config);
+    fresh.BeginPeriod();
+    const market::QuantityVector& plan =
+        market::DefaultPlannedSupply(costs, &scratch);
+    for (int k = 0; k < kClasses; ++k) {
+      market::Quantity expected = fresh.planned_supply()[k];
+      if (fresh.CanEvaluate(k)) {
+        expected = std::max(expected, market::Quantity{1});
+      }
+      ASSERT_EQ(plan[k], expected) << "node " << node << " class " << k;
+    }
   }
 }
 
@@ -195,8 +260,9 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyFloorsEvaluableClasses) {
   std::vector<util::VDuration> costs = {
       800 * kMillisecond, market::CapacitySupplySet::kCannotEvaluate};
   market::QaNtConfig config;
-  market::QuantityVector plan =
-      market::DefaultPlannedSupply(costs, 500 * kMillisecond, config);
+  market::DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
+  const market::QuantityVector& plan =
+      market::DefaultPlannedSupply(costs, &scratch);
   EXPECT_EQ(plan[0], 1);
   EXPECT_EQ(plan[1], 0);
 }
@@ -289,6 +355,221 @@ TEST(ClusterMarketTest, ExhaustedClusterRoutesElsewhere) {
   EXPECT_EQ(third.node, 0);
 }
 
+// ------------------------------------------- incremental publish
+
+/// The default plan of `node`'s fresh agent, from a scratch of its own.
+market::QuantityVector FreshDefaultPlan(const query::CostModel& model,
+                                        catalog::NodeId node,
+                                        util::VDuration period,
+                                        const market::QaNtConfig& config) {
+  std::vector<util::VDuration> costs(
+      static_cast<size_t>(model.num_classes()));
+  for (int k = 0; k < model.num_classes(); ++k) {
+    util::VDuration c = model.Cost(k, node);
+    costs[static_cast<size_t>(k)] =
+        c == query::kInfeasibleCost ? market::CapacitySupplySet::kCannotEvaluate
+                                    : c;
+  }
+  market::DefaultPlanScratch scratch(model.num_classes(), period, config);
+  return market::DefaultPlannedSupply(costs, &scratch);
+}
+
+/// A cluster's aggregate summed from scratch over *all* its members: the
+/// live remaining supply of every member with an agent, the default plan
+/// of every other one.
+market::QuantityVector FromScratchAggregate(
+    const QaNtAllocator& allocator, const query::CostModel& model,
+    const std::vector<catalog::NodeId>& members, util::VDuration period,
+    const market::QaNtConfig& config) {
+  obs::AllocatorSnapshot snapshot = allocator.Snapshot();
+  market::QuantityVector sum(model.num_classes());
+  for (catalog::NodeId node : members) {
+    auto agent = std::find_if(
+        snapshot.agents.begin(), snapshot.agents.end(),
+        [node](const obs::AgentStateSnapshot& a) { return a.node == node; });
+    if (agent == snapshot.agents.end()) {
+      sum += FreshDefaultPlan(model, node, period, config);
+    } else {
+      sum += market::QuantityVector(agent->remaining_supply);
+    }
+  }
+  return sum;
+}
+
+// The published aggregate is kept incrementally (idle default plans summed
+// once, members moved to the live list as their agents appear); after
+// every global boundary it must equal the sum over all members. Members
+// go live every way an agent can appear: first contact in the tier-2
+// auction, the agent() accessor and restarts — of members of inactive
+// clusters, of never-contacted members of active clusters, and of live
+// members.
+TEST(ClusterMarketTest, IncrementalPublishEqualsFromScratchSum) {
+  constexpr int kClasses = 2;
+  constexpr int kNodes = 48;
+  constexpr int kClusters = 4;
+  constexpr util::VDuration kPeriod = 500 * kMillisecond;
+  query::MatrixCostModel model(kClasses, kNodes);
+  util::Rng rng(21);
+  for (int k = 0; k < kClasses; ++k) {
+    for (int node = 0; node < kNodes; ++node) {
+      // Costs above the period exercise the floor at 1.
+      if (rng.Bernoulli(0.8)) {
+        model.SetCost(k, node, rng.UniformInt(40, 700) * kMillisecond);
+      }
+    }
+  }
+  ClusterPlan plan = ClusterPlan::Uniform(kNodes, kClusters, /*top_fanout=*/1);
+  SolicitationConfig members;
+  members.policy = SolicitationPolicy::kUniformSample;
+  members.fanout = 3;
+  market::QaNtConfig config;
+  QaNtAllocator allocator(&model, kPeriod, config,
+                          QaNtAllocator::OfferSelection::kCheapest, members,
+                          /*seed=*/3, plan);
+  const ClusterMarket& market = *allocator.cluster_market();
+  IdleContext context(&model);
+
+  // Agents that exist before their cluster activates.
+  allocator.OnNodeRestart(plan.clusters[3][0], 0);
+  allocator.agent(plan.clusters[2][1]);
+
+  int checks = 0;
+  bool restarted_idle_member = false;
+  catalog::NodeId served = kNoNode;
+  for (int step = 1; step <= 60; ++step) {
+    util::VTime now = step * 100 * kMillisecond;
+    for (int a = 0; a < 3; ++a) {
+      workload::Arrival arrival;
+      arrival.class_id = static_cast<int>(rng.UniformInt(0, kClasses - 1));
+      catalog::NodeId node = allocator.Allocate(arrival, context).node;
+      if (node != kNoNode) served = node;
+    }
+    if (step % 7 == 0) {
+      allocator.OnNodeRestart(
+          static_cast<catalog::NodeId>(rng.UniformInt(0, kNodes - 1)), now);
+    }
+    if (step == 23) {
+      ASSERT_NE(served, kNoNode);
+      allocator.OnNodeRestart(served, now);  // a live member
+    }
+    if (!restarted_idle_member) {
+      // Restart a never-contacted member of an already active cluster.
+      obs::AllocatorSnapshot snapshot = allocator.Snapshot();
+      for (int c = 0; c < kClusters && !restarted_idle_member; ++c) {
+        if (!market.active(c)) continue;
+        for (catalog::NodeId node : plan.clusters[static_cast<size_t>(c)]) {
+          bool built = std::any_of(
+              snapshot.agents.begin(), snapshot.agents.end(),
+              [node](const obs::AgentStateSnapshot& a) {
+                return a.node == node;
+              });
+          if (built) continue;
+          allocator.OnNodeRestart(node, now);
+          restarted_idle_member = true;
+          break;
+        }
+      }
+    }
+    allocator.OnPeriodStart(now);
+    if (now % kPeriod != 0) continue;  // not a global boundary
+    for (int c = 0; c < kClusters; ++c) {
+      if (!market.active(c)) continue;
+      ++checks;
+      EXPECT_EQ(market.agent(c).published().ToString(),
+                FromScratchAggregate(allocator, model,
+                                     plan.clusters[static_cast<size_t>(c)],
+                                     kPeriod, config)
+                    .ToString())
+          << "cluster " << c << " at t=" << now;
+    }
+  }
+  EXPECT_TRUE(restarted_idle_member);
+  for (int c = 0; c < kClusters; ++c) {
+    EXPECT_TRUE(market.active(c)) << "cluster " << c;
+  }
+  EXPECT_GE(checks, 30);
+}
+
+// ------------------------------------------------ allocation bounds
+
+/// Heap allocations made by the first Allocate into a federation of two
+/// `members`-member clusters, K = 2: it activates one cluster (top fanout
+/// 1) and builds one member agent (member fanout 1).
+int64_t FirstAllocateAllocations(int members) {
+  int nodes = 2 * members;
+  query::MatrixCostModel model(/*num_classes=*/2, nodes);
+  for (int node = 0; node < nodes; ++node) {
+    model.SetCost(0, node, (100 + 50 * (node % 7)) * kMillisecond);
+    if (node % 3 != 0) model.SetCost(1, node, 800 * kMillisecond);
+  }
+  SolicitationConfig one;
+  one.policy = SolicitationPolicy::kUniformSample;
+  one.fanout = 1;
+  QaNtAllocator allocator(&model, 500 * kMillisecond, {},
+                          QaNtAllocator::OfferSelection::kCheapest, one,
+                          /*seed=*/1, ClusterPlan::Uniform(nodes, 2, 1));
+  IdleContext context(&model);
+  workload::Arrival arrival;
+  arrival.class_id = 0;
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  AllocationDecision decision = allocator.Allocate(arrival, context);
+  int64_t made = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_NE(decision.node, kNoNode);
+  EXPECT_NE(allocator.cluster_market()->active(0),
+            allocator.cluster_market()->active(1));
+  return made;
+}
+
+// Activation sums its idle members' default plans without building an
+// agent or a plan vector per member, so a 1,000-member cluster costs the
+// same number of heap allocations as a 250-member one.
+TEST(ClusterMarketAllocationTest, ActivationAllocationsDoNotGrowWithMembers) {
+  int64_t small = FirstAllocateAllocations(250);
+  int64_t large = FirstAllocateAllocations(1000);
+  EXPECT_EQ(large, small);
+  EXPECT_LE(large, 64);
+}
+
+// Steady-state upkeep: a tick that rolls agents over and republishes every
+// active cluster allocates nothing.
+TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
+  constexpr int kNodes = 48;
+  constexpr util::VDuration kPeriod = 500 * kMillisecond;
+  query::MatrixCostModel model(/*num_classes=*/2, kNodes);
+  for (int node = 0; node < kNodes; ++node) {
+    model.SetCost(0, node, (100 + 25 * (node % 5)) * kMillisecond);
+    if (node % 2 == 0) model.SetCost(1, node, 300 * kMillisecond);
+  }
+  SolicitationConfig members;
+  members.policy = SolicitationPolicy::kUniformSample;
+  members.fanout = 4;
+  QaNtAllocator allocator(&model, kPeriod, {},
+                          QaNtAllocator::OfferSelection::kCheapest, members,
+                          /*seed=*/2,
+                          ClusterPlan::Uniform(kNodes, 4, /*top_fanout=*/0));
+  IdleContext context(&model);
+  workload::Arrival arrival;
+  arrival.class_id = 0;
+  catalog::NodeId served = allocator.Allocate(arrival, context).node;
+  ASSERT_NE(served, kNoNode);
+  for (int c = 0; c < 4; ++c) {
+    ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
+  }
+  allocator.OnPeriodStart(kPeriod);  // first boundary: warm every buffer
+
+  int64_t periods = allocator.agent(served).stats().periods;
+  int64_t publishes = allocator.cluster_market()->agent(0).stats().publishes;
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  allocator.OnPeriodStart(2 * kPeriod);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
+  EXPECT_EQ(allocator.agent(served).stats().periods, periods + 1);
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(allocator.cluster_market()->agent(c).stats().publishes,
+              publishes + 1)
+        << "cluster " << c;
+  }
+}
+
 // ------------------------------------------------ construction cost
 
 /// Counts CostModel::Cost calls made through it.
@@ -311,9 +592,11 @@ class CountingCostModel : public query::CostModel {
 
 // A hierarchical market reads costs O(1) times per (class, node): for the
 // cluster quotes, each activated cluster's member index and its members'
-// default plans. It builds no federation-wide candidate index (only the
-// flat market solicits from one), and the indexes it does build sort on
-// costs read once rather than calling the model per comparison.
+// default plans, and, for a member whose agent is built, the agent and the
+// default plan it takes out of the idle sum. It builds no federation-wide
+// candidate index (only the flat market solicits from one), and the
+// indexes it does build sort on costs read once rather than calling the
+// model per comparison.
 TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
   constexpr int kClasses = 3;
   constexpr int kNodes = 4096;
@@ -350,20 +633,27 @@ struct RunOutput {
   std::string metrics;
 };
 
-/// Runs a 12-node two-class federation under QA-NT/uniform-4, optionally
-/// under a cluster plan, at the given shard/thread layout, and returns the
-/// full trace bytes plus the metrics JSON.
-RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads) {
+/// Federation size and member-tier solicitation of RunScenario.
+struct Shape {
+  int num_nodes = 12;
+  SolicitationConfig solicitation = {SolicitationPolicy::kUniformSample, 4};
+};
+
+/// Runs a two-class federation under QA-NT (by default 12 nodes,
+/// uniform-4), optionally under a cluster plan, at the given shard/thread
+/// layout, and returns the full trace bytes plus the metrics JSON.
+RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads,
+                      const Shape& shape = {}) {
   util::Rng rng(11);
   sim::TwoClassConfig scenario;
-  scenario.num_nodes = 12;
+  scenario.num_nodes = shape.num_nodes;
   auto model = sim::BuildTwoClassCostModel(scenario, rng);
 
   workload::SinusoidConfig workload;
   workload.q1_peak_rate = 30.0;
   workload.frequency_hz = 0.5;
   workload.duration = 2 * kSecond;
-  workload.num_origin_nodes = 12;
+  workload.num_origin_nodes = shape.num_nodes;
   util::Rng wl_rng(12);
   workload::Trace trace = workload::GenerateSinusoidWorkload(workload, wl_rng);
 
@@ -379,8 +669,7 @@ RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads) {
     spec.trace = &trace;
     spec.period = 500 * kMillisecond;
     spec.seed = 11;
-    spec.config.solicitation.policy = SolicitationPolicy::kUniformSample;
-    spec.config.solicitation.fanout = 4;
+    spec.config.solicitation = shape.solicitation;
     spec.config.cluster_plan = plan;
     spec.config.recorder = &recorder;
     spec.config.shards = shards;
@@ -462,6 +751,33 @@ TEST(HierarchyEquivalenceTest, ThreeClusterRunIsByteIdenticalAcrossShards) {
     }
   }
   EXPECT_TRUE(saw_routed_assign);
+}
+
+// The tier-2 auction's parallel bid scan (>= 192 solicited members, see
+// kParallelScanThreshold) builds first contacts on the mediator lane
+// before it forks; the run must not depend on the thread count. Two
+// 256-member clusters under member broadcast put every class-0 auction
+// over the threshold, first contacts included.
+TEST(HierarchyEquivalenceTest, ParallelTierTwoScanIsByteIdenticalAcrossThreads) {
+  Shape shape;
+  shape.num_nodes = 512;
+  shape.solicitation = {};  // broadcast
+  ClusterPlan plan = ClusterPlan::Uniform(512, 2, /*top_fanout=*/1);
+  RunOutput serial = RunScenario(plan, /*shards=*/1, /*threads=*/1, shape);
+  for (int shards : {1, 4}) {
+    RunOutput parallel = RunScenario(plan, shards, /*threads=*/8, shape);
+    EXPECT_EQ(parallel.trace, serial.trace) << "shards=" << shards;
+    EXPECT_EQ(parallel.metrics, serial.metrics) << "shards=" << shards;
+  }
+
+  std::istringstream stream(serial.trace);
+  util::StatusOr<obs::ParsedTrace> parsed = obs::ParsedTrace::Parse(stream);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  int widest = 0;
+  for (const obs::EventRecord& event : parsed->events) {
+    widest = std::max(widest, event.solicited);
+  }
+  EXPECT_GE(widest, 192);
 }
 
 }  // namespace

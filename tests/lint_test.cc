@@ -801,6 +801,47 @@ TEST(QaShd002Test, ChunkedAllocatorCallbackIsFlagged) {
   EXPECT_NE(findings[0].message.find("total_messages_"), std::string::npos);
 }
 
+// Building an agent goes live in the cluster market, so a chunk that
+// reaches EnsureAgent through a helper is a finding at the helper's touch;
+// a rollover chunk writing its own roster entries stays clean.
+TEST(QaShd002Test, ChunkReachingClusterMarketIsFlagged) {
+  Options options;
+  options.only_rules = {"QA-SHD-002"};
+  std::vector<Finding> findings = Analyze(
+      {{"src/allocation/fixture.cc",
+        "void QaNtAllocator::Scan() {\n"
+        "  runner_->ParallelFor(4, [&](int chunk) {\n"
+        "    EnsureAgent(chunk).OnRequest(k);\n"
+        "  });\n"
+        "}\n"
+        "QaNtAgent& QaNtAllocator::EnsureAgent(NodeId node) {\n"
+        "  roster_.push_back({node, Phase(node)});\n"
+        "  cluster_market_->OnMemberBuilt(node);\n"
+        "  return *agents_[node];\n"
+        "}\n"}},
+      options);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 8);
+  EXPECT_NE(findings[0].message.find("cluster_market_"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("EnsureAgent"), std::string::npos);
+
+  EXPECT_TRUE(Analyze(
+                  {{"src/allocation/fixture.cc",
+                    "void QaNtAllocator::OnPeriodStart(VTime now) {\n"
+                    "  auto roll_range = [this, now](size_t b, size_t e) {\n"
+                    "    for (size_t i = b; i < e; ++i) {\n"
+                    "      roster_[i].next_refresh += period_;\n"
+                    "    }\n"
+                    "  };\n"
+                    "  runner_->ParallelFor(4, [&](int chunk) {\n"
+                    "    roll_range(chunk, chunk + 1);\n"
+                    "  });\n"
+                    "  cluster_market_->OnTick(now, remaining_view_);\n"
+                    "}\n"}},
+                  options)
+                  .empty());
+}
+
 TEST(QaShd002Test, ShardLocalStateAndAllowDirectiveAreClean) {
   Options options;
   options.only_rules = {"QA-SHD-002"};

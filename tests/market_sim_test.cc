@@ -116,7 +116,10 @@ TEST(MarketSimTest, EquilibriumAllocationIsParetoOptimal) {
   TatonnementConfig config;
   config.lambda = 0.02;
   config.max_iterations = 20000;
-  TatonnementResult eq = RunTatonnement(Aggregate(demands), sets, config);
+  util::StatusOr<TatonnementResult> run =
+      RunTatonnement(Aggregate(demands), sets, config);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const TatonnementResult& eq = *run;
   ASSERT_TRUE(eq.converged);
 
   Solution solution;

@@ -153,7 +153,9 @@ TEST_P(RandomTatonnementTest, PricesPositiveAndSupplyFeasible) {
   TatonnementConfig config;
   config.lambda = rng.UniformReal(0.005, 0.1);
   config.max_iterations = 2000;
-  TatonnementResult r = RunTatonnement(demand, sets, config);
+  util::StatusOr<TatonnementResult> run = RunTatonnement(demand, sets, config);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const TatonnementResult& r = *run;
   for (int k = 0; k < 2; ++k) {
     EXPECT_GE(r.prices[k], config.price_floor);
   }
