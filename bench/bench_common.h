@@ -1,12 +1,15 @@
 #ifndef QAMARKET_BENCH_BENCH_COMMON_H_
 #define QAMARKET_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "allocation/factory.h"
@@ -39,6 +42,9 @@ namespace qa::bench {
 ///                  (analyze with tools/qa_perf)
 ///   --prom=FILE    write a Prometheus-style text exposition snapshot of
 ///                  the final metric values into FILE
+/// Parsing is strict: an unknown flag, a number that does not parse in
+/// full, or an empty value prints the usage line and exits with status 2,
+/// so a mistyped flag never silently runs the defaults.
 struct BenchArgs {
   bool quick = false;
   int threads = 0;  // 0 => hardware_concurrency
@@ -53,28 +59,34 @@ struct BenchArgs {
     BenchArgs args;
     args.seed = default_seed;
     for (int i = 1; i < argc; ++i) {
-      std::string arg(argv[i]);
+      std::string_view arg(argv[i]);
+      std::string_view value;
+      bool ok = true;
       if (arg == "--quick") {
         args.quick = true;
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        args.threads = std::atoi(arg.c_str() + 10);
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        args.shards = std::atoi(arg.c_str() + 9);
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-      } else if (arg.rfind("--trace=", 0) == 0) {
-        args.trace_path = arg.substr(8);
-      } else if (arg.rfind("--report=", 0) == 0) {
-        args.report_path = arg.substr(9);
-      } else if (arg.rfind("--metrics=", 0) == 0) {
-        args.metrics_path = arg.substr(10);
-      } else if (arg.rfind("--prom=", 0) == 0) {
-        args.prom_path = arg.substr(7);
+      } else if (Value(arg, "--threads=", &value)) {
+        ok = Number(value, &args.threads);
+      } else if (Value(arg, "--shards=", &value)) {
+        ok = Number(value, &args.shards);
+      } else if (Value(arg, "--seed=", &value)) {
+        ok = Number(value, &args.seed);
+      } else if (Value(arg, "--trace=", &value)) {
+        args.trace_path = value;
+      } else if (Value(arg, "--report=", &value)) {
+        args.report_path = value;
+      } else if (Value(arg, "--metrics=", &value)) {
+        args.metrics_path = value;
+      } else if (Value(arg, "--prom=", &value)) {
+        args.prom_path = value;
       } else {
-        std::cerr << "warning: ignoring unknown flag '" << arg
-                  << "' (known: --quick --threads=N --shards=N --seed=S "
-                     "--trace=FILE --report=FILE --metrics=FILE "
-                     "--prom=FILE)\n";
+        ok = false;
+      }
+      if (!ok) {
+        std::cerr << "error: bad flag '" << arg << "'\nusage: " << argv[0]
+                  << " [--quick] [--threads=N] [--shards=N] [--seed=S] "
+                     "[--trace=FILE] [--report=FILE] [--metrics=FILE] "
+                     "[--prom=FILE]\n";
+        std::exit(2);
       }
     }
     return args;
@@ -83,6 +95,28 @@ struct BenchArgs {
   /// The runner this invocation asked for.
   exec::ExperimentRunner MakeRunner() const {
     return exec::ExperimentRunner(threads);
+  }
+
+ private:
+  /// True when `arg` is `prefix` followed by a non-empty value, stored in
+  /// `value`.
+  static bool Value(std::string_view arg, std::string_view prefix,
+                    std::string_view* value) {
+    if (arg.size() <= prefix.size() ||
+        arg.substr(0, prefix.size()) != prefix) {
+      return false;
+    }
+    *value = arg.substr(prefix.size());
+    return true;
+  }
+
+  /// Parses all of `text` as a base-10 number; false on any leftover or
+  /// out-of-range input.
+  template <typename T>
+  static bool Number(std::string_view text, T* out) {
+    const char* end = text.data() + text.size();
+    std::from_chars_result result = std::from_chars(text.data(), end, *out);
+    return result.ec == std::errc() && result.ptr == end;
   }
 };
 

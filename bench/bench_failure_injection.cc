@@ -2,7 +2,7 @@
 // exceeds total system capacity ... due, for example, to multiple node
 // failures", §1), generalized into a fault-type x mechanism grid. One
 // 60-second sinusoid workload at 70% of capacity is replayed under seven
-// fault plans — none, a legacy partition-style outage, crashes with state
+// fault plans — none, a scattered outage, crashes with state
 // loss + restart, degraded capacity, a lossy/delayed network, a hard
 // partition, and a chaos mix — for every allocation mechanism. Clients
 // enforce a 12 s response SLA, so the Completed column directly contrasts
@@ -41,46 +41,49 @@ constexpr util::VDuration kQueryDeadline = 12 * util::kSecond;
 struct PlanCase {
   std::string name;
   std::string blurb;
-  std::vector<sim::Outage> outages;
   sim::faults::FaultPlan faults;
 };
 
 std::vector<PlanCase> BuildPlans(int num_nodes) {
   std::vector<PlanCase> plans;
 
-  plans.push_back({"baseline", "no faults (control row)", {}, {}});
+  plans.push_back({"baseline", "no faults (control row)", {}});
 
   PlanCase outage{"outage", "every 3rd node unreachable [20s,40s), state intact",
-                  {}, {}};
+                  {}};
+  sim::faults::PartitionFault scattered;
   for (catalog::NodeId j = 0; j < num_nodes; j += 3) {
-    outage.outages.push_back({j, 20 * kSecond, 40 * kSecond});
+    scattered.nodes.push_back(j);
   }
+  scattered.from = 20 * kSecond;
+  scattered.until = 40 * kSecond;
+  outage.faults.partitions.push_back(scattered);
   plans.push_back(outage);
 
   PlanCase crash{"crash",
                  "every 5th node crashes at 20s (state loss), restarts at 30s",
-                 {}, {}};
+                 {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 5) {
     crash.faults.crashes.push_back({j, 20 * kSecond, 30 * kSecond});
   }
   plans.push_back(crash);
 
   PlanCase degrade{"degrade", "every 4th node at 40% speed during [15s,45s)",
-                   {}, {}};
+                   {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 4) {
     degrade.faults.degrades.push_back({j, 15 * kSecond, 45 * kSecond, 0.4});
   }
   plans.push_back(degrade);
 
   PlanCase lossy{"lossy", "all links drop 10% of hops, +2ms during [20s,40s)",
-                 {}, {}};
+                 {}};
   lossy.faults.links.push_back({sim::faults::LinkFault::kAllNodes,
                                 20 * kSecond, 40 * kSecond, 0.10,
                                 2 * kMillisecond});
   plans.push_back(lossy);
 
   PlanCase partition{"partition", "first quarter of nodes cut off [20s,35s)",
-                     {}, {}};
+                     {}};
   sim::faults::PartitionFault cut;
   for (catalog::NodeId j = 0; j < num_nodes / 4; ++j) cut.nodes.push_back(j);
   cut.from = 20 * kSecond;
@@ -97,7 +100,7 @@ std::vector<PlanCase> BuildPlans(int num_nodes) {
   // plan is traced and its price-reconvergence report lands in the JSON.
   PlanCase chaos{"chaos",
                  "1/4 of nodes crash [14s,22s), 50% link loss [30s,40s)",
-                 {}, {}};
+                 {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 4) {
     chaos.faults.crashes.push_back({j, 14 * kSecond, 22 * kSecond});
   }
@@ -180,7 +183,6 @@ int main(int argc, char** argv) {
           bench::MakeSpec(*model, name, trace, period, seed);
       spec.config.query_deadline = kQueryDeadline;
       spec.config.seed = static_cast<int64_t>(seed);
-      spec.config.outages = plan.outages;
       spec.config.faults = plan.faults;
       if (plan.name == "chaos" && name == "QA-NT") {
         spec.config.recorder = &crash_recorder;

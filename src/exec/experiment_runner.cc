@@ -66,7 +66,7 @@ std::vector<RunResult> ExperimentRunner::Run(
   // internally serial); a single cell that asked for a sharded core gets
   // the whole pool as its intra-run fork-join runner instead. Never both —
   // S shard drains on each of T grid workers would oversubscribe the
-  // machine T-fold, and a sharded run is byte-identical to its inline
+  // machine T-fold, and a sharded run is byte-identical to its 1-lane
   // twin anyway, so which level wins is purely a scheduling choice.
   if (threads_ > 1 && specs.size() == 1 && specs[0].config.shards > 1 &&
       specs[0].config.runner == nullptr) {

@@ -53,9 +53,9 @@ const std::vector<MetricDef>& Catalog() {
       {"qa_phase_run_total_ns", Kind::kHistogram,
        "whole Federation::Run wall time"},
       {"qa_phase_lane_drain_ns", Kind::kHistogram,
-       "per-fence shard-lane drain (the parallel fork-join section)"},
+       "per-tick-fence node-lane drain (the parallel fork-join section)"},
       {"qa_phase_merge_ns", Kind::kHistogram,
-       "per-fence cross-shard canonical (time, stamp) merge"},
+       "per-tick-fence cross-lane canonical (time, stamp) merge"},
       {"qa_phase_market_tick_ns", Kind::kHistogram,
        "per-tick market driver (allocator period hooks and bookkeeping)"},
       {"qa_phase_allocate_ns", Kind::kHistogram,
@@ -67,7 +67,7 @@ const std::vector<MetricDef>& Catalog() {
       {"qa_phase_snapshot_ns", Kind::kHistogram,
        "per-period market probe + sample + watchdog evaluation"},
       {"qa_phase_mediator_dispatch_ns", Kind::kHistogram,
-       "per-window mediator run-ahead between fences (sharded mode)"},
+       "per-window mediator run-ahead between tick fences"},
       {"qa_node_queue_depth", Kind::kHistogram,
        "per-node waiting-queue length observed each global period "
        "(deterministic: virtual state, not wall clock)"},

@@ -42,10 +42,10 @@ std::string DescribeEvent(const Event& /*event*/) {
 ///
 /// `Event` is a by-value payload (for the federation: a small tagged
 /// struct, see SimEvent) handed back to the dispatcher passed to
-/// RunOne/RunAll/RunUntil. Storing plain structs instead of type-erased
-/// std::function callbacks keeps the hot path allocation-free: the only
-/// memory the queue ever touches is its own heap vector, which Reserve()
-/// can size up front.
+/// RunOne/RunAll/RunWhileBefore. Storing plain structs instead of
+/// type-erased std::function callbacks keeps the hot path allocation-free:
+/// the only memory the queue ever touches is its own heap vector, which
+/// Reserve() can size up front.
 template <typename Event>
 class EventQueue {
  public:
@@ -77,11 +77,6 @@ class EventQueue {
     }
     heap_.push_back(Entry{when, stamp, std::move(event)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  /// Schedules `event` `delay` after now() with an internal FIFO stamp.
-  void ScheduleAfter(util::VDuration delay, Event event) {
-    Schedule(now_ + delay, std::move(event));
   }
 
   /// Pre-sizes the underlying heap so steady-state scheduling never
@@ -119,23 +114,12 @@ class EventQueue {
     return ran;
   }
 
-  /// Runs events with time <= `until`.
-  template <typename Dispatch>
-  uint64_t RunUntil(util::VTime until, Dispatch&& dispatch) {
-    uint64_t ran = 0;
-    while (!heap_.empty() && heap_.front().time <= until &&
-           RunOne(dispatch)) {
-      ++ran;
-    }
-    return ran;
-  }
-
   /// Runs events whose (time, stamp) key is strictly before the given
-  /// fence key — the conservative-window drain of the sharded federation:
-  /// each shard lane advances exactly to the market-tick barrier and not
-  /// one event past it. Unlike RunOne, the dispatcher receives the popped
-  /// entry's key too, `dispatch(event, time, stamp)` — shard handlers use
-  /// it to key their buffered effects for the canonical barrier merge.
+  /// fence key — the fenced drain of the federation's node lanes: each
+  /// lane advances exactly to the fence and not one event past it. Unlike
+  /// RunOne, the dispatcher receives the popped entry's key too,
+  /// `dispatch(event, time, stamp)` — lane handlers use it to key their
+  /// buffered effects for the canonical fence merge.
   /// Returns the number of events run. The dispatcher runs on the shard
   /// lane: qa_lint's QA-SHD-002 pass treats every lambda handed here as a
   /// shard-lane entry point and flags mediator-lane state reachable from

@@ -15,35 +15,35 @@ namespace qa::sim {
 
 namespace {
 
-/// The fault schedule a run actually executes: the configured FaultPlan
-/// plus one single-node partition per legacy Outage (same [from, until)
-/// unreachable-but-state-intact semantics).
-faults::FaultPlan EffectivePlan(const FederationConfig& config) {
-  faults::FaultPlan plan = config.faults;
-  for (const Outage& outage : config.outages) {
-    faults::PartitionFault partition;
-    partition.nodes = {outage.node};
-    partition.from = outage.from;
-    partition.until = outage.until;
-    plan.partitions.push_back(std::move(partition));
-  }
-  return plan;
-}
-
 /// Every counter name a run can ever Count(), in the canonical emission
 /// order. Traced runs pre-register all of them at t=0 (a Count of 0
 /// creates the stat), so the recorder's trailing stats block lists the
 /// same names in the same order regardless of which events a scenario
-/// happens to produce — and, crucially for the sharded core, regardless
-/// of the order in which the first increment of each counter fires
-/// (mediator-side counts fire at dispatch, shard-side counts at the
-/// barrier merge; only pre-registration makes creation order invariant).
+/// happens to produce — and, crucially for the lane core, regardless of
+/// the order in which the first increment of each counter fires
+/// (mediator-side counts fire at dispatch, node-lane counts at the fence
+/// merge; only pre-registration makes creation order invariant).
 constexpr const char* kCounterNames[] = {
     "arrivals", "assigns",  "rejects",  "bounces",  "drops",
     "expired",  "shed",     "admission_rejects", "deliveries",
     "completions", "losses", "crashes",
     "restarts", "degrades", "surges", "ticks", "snapshots",
 };
+
+/// The client's pending query behind a task: original arrival time (a
+/// loss inflates the response time, which is the point) and retry count;
+/// a task is past the admission gate by construction.
+SimEvent::Pending PendingOf(const QueryTask& task) {
+  SimEvent::Pending pending;
+  pending.arrival.time = task.arrival;
+  pending.arrival.class_id = task.class_id;
+  pending.arrival.origin = task.origin;
+  pending.arrival.cost_jitter = task.cost_jitter;
+  pending.id = task.query_id;
+  pending.attempts = task.attempts;
+  pending.admitted = true;
+  return pending;
+}
 
 }  // namespace
 
@@ -93,21 +93,6 @@ util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
   }
   util::Status admission = config.admission.Validate();
   if (!admission.ok()) return admission;
-  for (size_t i = 0; i < config.outages.size(); ++i) {
-    const Outage& outage = config.outages[i];
-    if (outage.node < 0 || outage.node >= num_nodes) {
-      return util::Status::InvalidArgument(
-          "outages[" + std::to_string(i) + "]: node " +
-          std::to_string(outage.node) + " outside [0, " +
-          std::to_string(num_nodes) + ")");
-    }
-    if (outage.from < 0 || outage.until <= outage.from) {
-      return util::Status::InvalidArgument(
-          "outages[" + std::to_string(i) + "]: window [" +
-          std::to_string(outage.from) + ", " +
-          std::to_string(outage.until) + ") is empty or negative");
-    }
-  }
   util::Status solicitation = config.solicitation.Validate();
   if (!solicitation.ok()) return solicitation;
   util::Status clusters = config.cluster_plan.Validate(num_nodes);
@@ -164,34 +149,22 @@ Federation::Federation(const query::CostModel* cost_model,
     : cost_model_(cost_model),
       allocator_(allocator),
       config_(config),
-      injector_(EffectivePlan(config), static_cast<uint64_t>(config.seed)) {
+      injector_(config.faults, static_cast<uint64_t>(config.seed)) {
   assert(cost_model_ != nullptr);
   assert(allocator_ != nullptr);
   num_nodes_ = cost_model_->num_nodes();
 
-  // Mode selection. Sharded execution is legal exactly when the mediator
-  // can run ahead of the node lanes within a market window — i.e. when the
-  // mechanism never reads live node state at allocation time. Mechanisms
-  // that probe backlogs (Greedy, BNQRD, two-probes...) need that state
-  // current at every decision, which is a zero-lookahead synchronization
-  // requirement: they run on the inline path no matter what the config
-  // asks for. This is Table 2's autonomy column made operational.
-  sharded_ = config_.shards > 1 && config_.runner != nullptr &&
-             !allocator_->properties().reads_node_state;
-  plan_ = ShardPlan(num_nodes_, sharded_ ? config_.shards : 1);
+  plan_ = ShardPlan(num_nodes_, config_.shards);
   std::vector<int> shard_of;
   shard_of.reserve(static_cast<size_t>(num_nodes_));
   for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
     shard_of.push_back(plan_.shard_of(j));
   }
   pool_.Init(num_nodes_, plan_.shards(), shard_of);
-  if (sharded_) {
-    lanes_ = std::vector<ShardLane>(static_cast<size_t>(plan_.shards()));
-  }
+  lanes_ = std::vector<ShardLane>(static_cast<size_t>(plan_.shards()));
   node_seq_.assign(static_cast<size_t>(num_nodes_), 0);
   // The allocator may use the runner for intra-decision fan-out (QA-NT's
-  // chunked bid scan) on the inline path too; it must be byte-exact either
-  // way, so this is unconditional.
+  // chunked bid scan); it must be byte-exact either way.
   allocator_->SetTaskRunner(config_.runner);
 
   link_down_.assign(static_cast<size_t>(num_nodes_), 0);
@@ -268,7 +241,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
       config_.recorder->Count(name, 0);
     }
     // The market's initial prices, at t=0; written directly — nothing can
-    // be buffered ahead of it in either mode.
+    // be buffered ahead of it.
     config_.recorder->RecordSnapshot(0, allocator_->Snapshot());
     config_.recorder->Count("snapshots");
   }
@@ -278,7 +251,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     obs::metrics::RunMeta mmeta;
     mmeta.mechanism = allocator_->name();
     mmeta.nodes = num_nodes();
-    mmeta.shards = sharded_ ? plan_.shards() : 1;
+    mmeta.shards = plan_.shards();
     mmeta.threads =
         config_.runner != nullptr ? config_.runner->concurrency() : 1;
     mmeta.seed = static_cast<uint64_t>(config_.seed);
@@ -297,14 +270,12 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     run_start = util::MonotonicClock::NowNanos();
   }
 
-  // All arrivals live in the heap at once, plus one in-flight
-  // deliver/complete event per node, the market tick, and the fault
-  // plan's transitions: reserving here makes steady-state scheduling
-  // allocation-free. Every event carries a canonical placement-independent
-  // stamp (sim/shard.h) in both modes — inline runs dispatch in exactly
-  // the order sharded runs reproduce.
-  events_.Reserve(trace.size() + static_cast<size_t>(num_nodes_) + 1 +
-                  injector_.transitions().size());
+  // All arrivals live in the mediator heap at once, plus the market tick
+  // and the mediator-lane fault transitions: reserving here makes
+  // steady-state scheduling allocation-free. Every event carries a
+  // canonical placement-independent stamp (sim/shard.h), so the dispatch
+  // order is the same at every lane count.
+  events_.Reserve(trace.size() + 1 + injector_.transitions().size());
   // Surge windows expand (or thin) the trace at schedule time: each
   // matching arrival is scheduled `multiplier` times — the integer part
   // guaranteed, the fractional part by one seeded Bernoulli draw per
@@ -346,8 +317,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     // Restarts are mediator-lane (the allocator re-learns the node), and
     // so are the node-less surge edges (informational trace markers);
     // crash and degrade edges act on node state and belong to the node's
-    // own lane. Stamp allocation order here is the injector's transition
-    // order in both modes — the counters stay mode-invariant.
+    // own lane. Stamps are allocated in the injector's transition order.
     using TKind = faults::FaultInjector::Transition::Kind;
     if (transition.kind == TKind::kRestart ||
         transition.kind == TKind::kSurgeStart ||
@@ -362,11 +332,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   events_.Schedule(TickInterval(), NextMediatorStamp(),
                    SimEvent::MakeMarketTick());
 
-  if (sharded_) {
-    RunSharded();
-  } else {
-    events_.RunAll([this](const SimEvent& event) { Dispatch(event); });
-  }
+  RunLanes();
 
   metrics_.end_time = events_.now();
   for (const ShardLane& lane : lanes_) {
@@ -387,13 +353,23 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   return metrics_;
 }
 
-void Federation::RunSharded() {
+void Federation::RunLanes() {
   constexpr util::VTime kEndTime = std::numeric_limits<util::VTime>::max();
   constexpr uint64_t kEndStamp = std::numeric_limits<uint64_t>::max();
-  // The mediator-dispatch phase is the fence-to-fence window: everything
-  // the mediator does while running ahead of the shard lanes. Measured as
-  // the wall time between fences (two clock reads per fence) rather than
-  // per event — the dispatch hot path stays clock-free.
+  constexpr uint64_t kStride = obs::metrics::kTickProbeStride;
+  // The fence policy (DESIGN.md §8). A mechanism that reads live node
+  // state needs it current at every decision: zero lookahead, a fence
+  // before every mediator event. A market mechanism sees offers, never
+  // node state, so the mediator may run a whole tick window ahead.
+  const bool zero_lookahead = allocator_->properties().reads_node_state;
+  // Fence probes are sampled like the tick probe: one tick fence in
+  // kStride is timed — its drain, its merge, and the mediator-dispatch
+  // window that ends at it (everything the mediator did since the
+  // previous tick fence, zero-lookahead fences included) — and recorded
+  // with the stride as weight. A probe at every tick would be a
+  // measurable share of a small run's work; the dispatch hot path stays
+  // clock-free either way.
+  uint64_t tick_fences = 0;
   [[maybe_unused]] int64_t window_start = 0;
   QA_METRICS(config_.metrics) {
     window_start = util::MonotonicClock::NowNanos();
@@ -401,23 +377,31 @@ void Federation::RunSharded() {
   for (;;) {
     while (!events_.empty()) {
       if (events_.Peek().kind == SimEvent::Kind::kMarketTick) {
-        // The conservative time-window barrier: before the market tick
-        // runs, every lane has drained strictly up to the tick's own
-        // canonical key and all buffered effects are applied — so the
-        // tick (and everything the mediator does after it) observes
-        // exactly the state the inline dispatch order would have built.
-        // Nothing the merge schedules can precede the tick: loss
+        // Before the market tick runs, every lane has drained strictly up
+        // to the tick's own canonical key and all buffered effects are
+        // applied — so the tick (and everything the mediator does after
+        // it) observes exactly the state the canonical dispatch order
+        // builds. Nothing the merge schedules can precede the tick: loss
         // resubmissions land at tick times with node-lane stamps, which
         // sort after the tick's mediator stamp.
+        const uint64_t weight = tick_fences++ % kStride == 0 ? kStride : 0;
         QA_METRICS(config_.metrics) {
-          config_.metrics->RecordPhase(
-              obs::metrics::Phase::kMediatorDispatch,
-              util::MonotonicClock::NowNanos() - window_start);
+          if (weight != 0) {
+            config_.metrics->RecordPhase(
+                obs::metrics::Phase::kMediatorDispatch,
+                util::MonotonicClock::NowNanos() - window_start, weight);
+          }
         }
-        FenceAndMerge(events_.PeekTime(), events_.PeekStamp());
+        FenceAndMerge(events_.PeekTime(), events_.PeekStamp(),
+                      /*tick_fence=*/true, weight);
         QA_METRICS(config_.metrics) {
-          window_start = util::MonotonicClock::NowNanos();
+          if (tick_fences % kStride == 0) {
+            window_start = util::MonotonicClock::NowNanos();
+          }
         }
+      } else if (zero_lookahead) {
+        FenceAndMerge(events_.PeekTime(), events_.PeekStamp(),
+                      /*tick_fence=*/false, /*probe_weight=*/0);
       }
       current_time_ = events_.PeekTime();
       current_stamp_ = events_.PeekStamp();
@@ -430,46 +414,56 @@ void Federation::RunSharded() {
     // tick would still be queued — so this loop runs at most twice in
     // practice; the re-check keeps termination an invariant rather than
     // an argument.
-    FenceAndMerge(kEndTime, kEndStamp);
+    FenceAndMerge(kEndTime, kEndStamp, /*tick_fence=*/true,
+                  /*probe_weight=*/1);
     if (events_.empty()) break;
   }
 }
 
-void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp) {
+void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp,
+                               bool tick_fence, uint64_t probe_weight) {
   size_t lanes = lanes_.size();
   size_t queued = 0;
   for (const ShardLane& lane : lanes_) queued += lane.queue.size();
+  // The fence's last clock reading; read only by a timed fence.
+  [[maybe_unused]] int64_t mark = 0;
+  QA_METRICS(config_.metrics) {
+    if (probe_weight != 0) mark = util::MonotonicClock::NowNanos();
+  }
 
   if (queued > 0) {
-    auto drain = [this, fence_time, fence_stamp](int s) {
+    auto drain = [this, fence_time, fence_stamp, probe_weight](int s) {
       ShardLane& lane = lanes_[static_cast<size_t>(s)];
-      // Per-lane wall-time attribution: each worker times its own lane and
-      // writes a distinct slot (the fork-join publishes the writes), so
-      // the shard-imbalance stats need no per-event clock reads and no
-      // histogram sharing across threads.
+      // Per-lane wall-time attribution on timed fences: each worker times
+      // its own lane and writes a distinct slot (the fork-join publishes
+      // the writes), so the lane-imbalance stats need no per-event clock
+      // reads and no histogram sharing across threads. Event counts are
+      // recorded at every fence.
       [[maybe_unused]] int64_t lane_start = 0;
       QA_METRICS(config_.metrics) {
-        lane_start = util::MonotonicClock::NowNanos();
+        if (probe_weight != 0) lane_start = util::MonotonicClock::NowNanos();
       }
       lane.dispatched = lane.queue.RunWhileBefore(
           fence_time, fence_stamp,
           [this, &lane](const SimEvent& event, util::VTime when,
                         uint64_t stamp) {
-            DispatchShard(&lane, event, when, stamp);
+            DispatchShard(lane, event, when, stamp);
           });
       QA_METRICS(config_.metrics) {
-        config_.metrics->RecordLaneDrain(
-            static_cast<size_t>(s),
-            util::MonotonicClock::NowNanos() - lane_start, lane.dispatched);
+        int64_t nanos = 0;
+        if (probe_weight != 0) {
+          nanos = (util::MonotonicClock::NowNanos() - lane_start) *
+                  static_cast<int64_t>(probe_weight);
+        }
+        config_.metrics->RecordLaneDrain(static_cast<size_t>(s), nanos,
+                                         lane.dispatched);
       }
     };
-    [[maybe_unused]] int64_t drain_start = 0;
-    QA_METRICS(config_.metrics) {
-      drain_start = util::MonotonicClock::NowNanos();
-    }
-    // Tiny windows are not worth a fork-join round trip; the drain is
-    // byte-equivalent either way (lanes are independent by construction).
-    if (config_.runner != nullptr && lanes > 1 && queued >= 64) {
+    // Small or zero-lookahead windows are not worth a fork-join round
+    // trip; the drain is byte-equivalent either way (lanes are independent
+    // by construction).
+    if (tick_fence && config_.runner != nullptr && lanes > 1 &&
+        queued >= 64) {
       config_.runner->ParallelFor(static_cast<int>(lanes), drain);
     } else {
       for (size_t s = 0; s < lanes; ++s) drain(static_cast<int>(s));
@@ -477,9 +471,12 @@ void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp) {
     QA_METRICS(config_.metrics) {
       // The whole fork-join section, observed once from the mediator
       // thread (per-lane times above capture the imbalance inside it).
-      config_.metrics->RecordPhase(
-          obs::metrics::Phase::kLaneDrain,
-          util::MonotonicClock::NowNanos() - drain_start);
+      if (probe_weight != 0) {
+        int64_t now = util::MonotonicClock::NowNanos();
+        config_.metrics->RecordPhase(obs::metrics::Phase::kLaneDrain,
+                                     now - mark, probe_weight);
+        mark = now;
+      }
     }
     for (ShardLane& lane : lanes_) {
       metrics_.events_dispatched +=
@@ -488,20 +485,14 @@ void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp) {
     }
   }
 
-  // (S+1)-way merge of the window's buffered effects in canonical
-  // (time, stamp) order: each lane's outcome list and the mediator's
-  // record list are individually key-sorted (their producers run in key
-  // order), and keys never collide across lists (each stamp belongs to
-  // exactly one dispatched event), so picking the smallest head
-  // reproduces the inline dispatch order exactly — including the
-  // floating-point accumulation order of the metrics and the byte order
-  // of the trace.
-  [[maybe_unused]] int64_t merge_start = 0;
-  QA_METRICS(config_.metrics) {
-    merge_start = util::MonotonicClock::NowNanos();
-  }
+  // (S+1)-way merge of the buffered effects in canonical (time, stamp)
+  // order: each lane's outcome list and the mediator's record list are
+  // individually key-sorted (their producers run in key order), and keys
+  // never collide across lists (each stamp belongs to exactly one
+  // dispatched event), so picking the smallest head reproduces the
+  // canonical dispatch order exactly — including the floating-point
+  // accumulation order of the metrics and the byte order of the trace.
   size_t med_index = 0;
-  std::vector<size_t> out_index(lanes, 0);
   for (;;) {
     bool have = false;
     bool take_mediator = false;
@@ -515,8 +506,9 @@ void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp) {
       have = true;
     }
     for (size_t s = 0; s < lanes; ++s) {
-      if (out_index[s] >= lanes_[s].outcomes.size()) continue;
-      const ShardOutcome& outcome = lanes_[s].outcomes[out_index[s]];
+      const ShardLane& lane = lanes_[s];
+      if (lane.merged >= lane.outcomes.size()) continue;
+      const ShardOutcome& outcome = lane.outcomes[lane.merged];
       if (!have || outcome.time < best_time ||
           (outcome.time == best_time && outcome.stamp < best_stamp)) {
         best_time = outcome.time;
@@ -538,15 +530,21 @@ void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp) {
         }
       }
     } else {
-      ApplyOutcome(lanes_[best_lane].outcomes[out_index[best_lane]++]);
+      ShardLane& lane = lanes_[best_lane];
+      ApplyOutcome(lane.outcomes[lane.merged++]);
     }
   }
   med_items_.clear();
-  for (ShardLane& lane : lanes_) lane.outcomes.clear();
+  for (ShardLane& lane : lanes_) {
+    lane.outcomes.clear();
+    lane.merged = 0;
+  }
   QA_METRICS(config_.metrics) {
-    config_.metrics->RecordPhase(obs::metrics::Phase::kMerge,
-                                 util::MonotonicClock::NowNanos() -
-                                     merge_start);
+    if (probe_weight != 0) {
+      config_.metrics->RecordPhase(obs::metrics::Phase::kMerge,
+                                   util::MonotonicClock::NowNanos() - mark,
+                                   probe_weight);
+    }
   }
 }
 
@@ -556,34 +554,25 @@ void Federation::Dispatch(const SimEvent& event) {
     case SimEvent::Kind::kArrival:
       HandleQuery(event.pending);
       break;
-    case SimEvent::Kind::kDeliver:
-      DeliverTask(nullptr, event.node, event.task, events_.now(),
-                  /*stamp=*/0);
-      break;
-    case SimEvent::Kind::kComplete:
-      CompleteTask(nullptr, event.node, event.task, events_.now(),
-                   /*stamp=*/0);
-      break;
     case SimEvent::Kind::kMarketTick:
       MarketTick();
       break;
-    case SimEvent::Kind::kFault: {
-      using TKind = faults::FaultInjector::Transition::Kind;
-      if (event.transition.kind == TKind::kRestart) {
+    case SimEvent::Kind::kFault:
+      if (event.transition.kind ==
+          faults::FaultInjector::Transition::Kind::kRestart) {
         HandleRestart(event.transition);
-      } else if (event.transition.kind == TKind::kSurgeStart ||
-                 event.transition.kind == TKind::kSurgeEnd) {
-        HandleSurge(event.transition);
       } else {
-        HandleShardFault(nullptr, event.transition, events_.now(),
-                         /*stamp=*/0);
+        HandleSurge(event.transition);
       }
       break;
-    }
+    case SimEvent::Kind::kDeliver:
+    case SimEvent::Kind::kComplete:
+      assert(false && "node-lane event on the mediator lane");
+      break;
   }
 }
 
-void Federation::DispatchShard(ShardLane* lane, const SimEvent& event,
+void Federation::DispatchShard(ShardLane& lane, const SimEvent& event,
                                util::VTime now, uint64_t stamp) {
   switch (event.kind) {
     case SimEvent::Kind::kDeliver:
@@ -597,7 +586,7 @@ void Federation::DispatchShard(ShardLane* lane, const SimEvent& event,
       break;
     case SimEvent::Kind::kArrival:
     case SimEvent::Kind::kMarketTick:
-      assert(false && "mediator-lane event in a shard lane");
+      assert(false && "mediator-lane event in a node lane");
       break;
   }
 }
@@ -637,12 +626,7 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
   // (attempts == 0) are never expired — their sojourn is zero.
   if (config_.query_deadline > 0 && pending.attempts > 0 &&
       events_.now() - pending.arrival.time >= config_.query_deadline) {
-    if (admission_.enabled() && pending.admitted) {
-      --admitted_in_flight_;
-      --admission_load_;
-    }
-    DropQuery(pending.id, pending.arrival.class_id, pending.attempts,
-              /*expired=*/true);
+    DropQuery(pending, /*expired=*/true, MediatorSink());
     return;
   }
 
@@ -659,27 +643,25 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     AdmissionController::Decision fate =
         admission_.Admit(pending.arrival.class_id, admission_load_);
     if (fate == AdmissionController::Decision::kShed) {
-      ShedQuery(pending.id, pending.arrival.class_id, pending.attempts,
-                /*admission=*/true);
+      ShedQuery(pending, /*node_id=*/-1, /*admission=*/true, MediatorSink());
       return;
     }
     if (fate == AdmissionController::Decision::kDefer) {
       ++pending.attempts;
       if (pending.attempts > config_.max_retries) {
-        DropQuery(pending.id, pending.arrival.class_id, pending.attempts,
-                  /*expired=*/false);
+        DropQuery(pending, /*expired=*/false, MediatorSink());
         return;
       }
       if (retry_backlog_ >= config_.max_retry_backlog) {
-        ShedQuery(pending.id, pending.arrival.class_id, pending.attempts,
-                  /*admission=*/true);
+        ShedQuery(pending, /*node_id=*/-1, /*admission=*/true,
+                  MediatorSink());
         return;
       }
       ++retry_backlog_;
       ++metrics_.retries;
       ++metrics_.retries_per_class[static_cast<size_t>(
           pending.arrival.class_id)];
-      events_.Schedule(NextMarketTick(), NextMediatorStamp(),
+      events_.Schedule(NextMarketTick(events_.now()), NextMediatorStamp(),
                        SimEvent::MakeArrival(pending));
       return;
     }
@@ -761,12 +743,7 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     }
     ++pending.attempts;
     if (pending.attempts > config_.max_retries) {
-      if (admission_.enabled() && pending.admitted) {
-        --admitted_in_flight_;
-        --admission_load_;
-      }
-      DropQuery(pending.id, pending.arrival.class_id, pending.attempts,
-                /*expired=*/false);
+      DropQuery(pending, /*expired=*/false, MediatorSink());
       return;
     }
     // Bounded retry backlog: the escalating backoff below caps each
@@ -774,12 +751,7 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     // backed off at once — past it, overflow is shed instead of queued,
     // so a long outage costs O(bound) retry state, not O(arrivals).
     if (retry_backlog_ >= config_.max_retry_backlog) {
-      if (admission_.enabled() && pending.admitted) {
-        --admitted_in_flight_;
-        --admission_load_;
-      }
-      ShedQuery(pending.id, pending.arrival.class_id, pending.attempts,
-                /*admission=*/false);
+      ShedQuery(pending, /*node_id=*/-1, /*admission=*/false, MediatorSink());
       return;
     }
     ++retry_backlog_;
@@ -819,8 +791,9 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
                 std::max(config_.market_tick_divisor, 1);
       wait_ticks = std::min(wait_ticks << shift, cap);
     }
-    events_.Schedule(NextMarketTick() + (wait_ticks - 1) * TickInterval(),
-                     NextMediatorStamp(), SimEvent::MakeArrival(pending));
+    events_.Schedule(
+        NextMarketTick(events_.now()) + (wait_ticks - 1) * TickInterval(),
+        NextMediatorStamp(), SimEvent::MakeArrival(pending));
     return;
   }
 
@@ -858,9 +831,11 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
 
   // The shipment hop draws its own fate under an active link fault: a
   // dropped shipment loses the (already accepted) query in flight; the
-  // client notices the silence and resubmits at the next market tick.
+  // client notices the silence and resubmits at the next market tick,
+  // under a mediator stamp like every other mediator-made arrival.
   if (link_faults && injector_.DropMessage(decision.node, events_.now())) {
-    LoseTaskMediator(task, decision.node);
+    LoseTask(task, decision.node, MediatorSink(),
+             NextMarketTick(events_.now()), NextMediatorStamp());
     return;
   }
 
@@ -880,115 +855,100 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
                     SimEvent::MakeDeliver(decision.node, task));
 }
 
-void Federation::DropQuery(query::QueryId id, query::QueryClassId class_id,
-                           int attempts, bool expired) {
+void Federation::RecordFate(const obs::EventRecord& record, Sink sink) {
+  QA_OBS(config_.recorder) {
+    if (sink.merge) {
+      config_.recorder->Record(record);
+    } else {
+      EmitRecord(record);
+    }
+  }
+}
+
+void Federation::CountDrop(const SimEvent::Pending& query, Sink sink) {
   ++metrics_.dropped;
-  ++metrics_.dropped_per_class[static_cast<size_t>(class_id)];
-  if (expired) ++metrics_.expired;
+  ++metrics_.dropped_per_class[static_cast<size_t>(query.arrival.class_id)];
   --outstanding_;
+  if (query.admitted && admission_.enabled()) {
+    --admitted_in_flight_;
+    if (!sink.merge) --admission_load_;
+  }
+}
+
+void Federation::DropQuery(const SimEvent::Pending& query, bool expired,
+                           Sink sink) {
+  CountDrop(query, sink);
+  if (expired) ++metrics_.expired;
   QA_OBS(config_.recorder) {
     obs::EventRecord event;
     event.kind = obs::EventRecord::Kind::kDrop;
-    event.t_us = events_.now();
-    event.query = id;
-    event.class_id = class_id;
-    event.attempts = attempts;
-    EmitRecord(event);
+    event.t_us = sink.time;
+    event.query = query.id;
+    event.class_id = query.arrival.class_id;
+    event.attempts = query.attempts;
+    RecordFate(event, sink);
     config_.recorder->Count(expired ? "expired" : "drops");
   }
 }
 
-void Federation::ShedQuery(query::QueryId id, query::QueryClassId class_id,
-                           int attempts, bool admission) {
+void Federation::ShedQuery(const SimEvent::Pending& query,
+                           catalog::NodeId node_id, bool admission,
+                           Sink sink) {
   ++metrics_.shed;
   if (admission) ++metrics_.admission_rejects;
-  ++metrics_.dropped;
-  ++metrics_.dropped_per_class[static_cast<size_t>(class_id)];
-  --outstanding_;
+  CountDrop(query, sink);
   QA_OBS(config_.recorder) {
     obs::EventRecord event;
     event.kind = obs::EventRecord::Kind::kShed;
-    event.t_us = events_.now();
-    event.query = id;
-    event.class_id = class_id;
-    event.attempts = attempts;
-    EmitRecord(event);
+    event.t_us = sink.time;
+    event.query = query.id;
+    event.class_id = query.arrival.class_id;
+    event.node = node_id;
+    event.attempts = query.attempts;
+    RecordFate(event, sink);
     config_.recorder->Count("shed");
     if (admission) config_.recorder->Count("admission_rejects");
   }
 }
 
-void Federation::LoseTaskMediator(const QueryTask& task,
-                                  catalog::NodeId node_id) {
+void Federation::LoseTask(const QueryTask& task, catalog::NodeId node_id,
+                          Sink sink, util::VTime resubmit_time,
+                          uint64_t resubmit_stamp) {
   ++metrics_.lost;
   QA_OBS(config_.recorder) {
     obs::EventRecord event;
     event.kind = obs::EventRecord::Kind::kLost;
-    event.t_us = events_.now();
+    event.t_us = sink.time;
     event.query = task.query_id;
     event.class_id = task.class_id;
     event.node = node_id;
     event.attempts = task.attempts;
-    EmitRecord(event);
+    RecordFate(event, sink);
     config_.recorder->Count("losses");
   }
+  SimEvent::Pending pending = PendingOf(task);
+  ++pending.attempts;
   // A resubmission is retry backlog like any other; past the bound the
   // client gives up instead of queueing (accounted as shed, not retried).
   if (retry_backlog_ >= config_.max_retry_backlog) {
-    if (admission_.enabled()) {
-      // Tasks exist only past the admission gate; this is a mediator-lane
-      // event, so the gate's view updates too.
-      --admitted_in_flight_;
-      --admission_load_;
-    }
-    ShedQuery(task.query_id, task.class_id, task.attempts + 1,
-              /*admission=*/false);
+    ShedQuery(pending, node_id, /*admission=*/false, sink);
     return;
   }
   ++retry_backlog_;
-  // Reconstruct the client's pending query (original arrival time — the
-  // loss inflates its response time, which is the point) and resubmit it
-  // at the next market tick, one retry poorer. The tick event for that
-  // time is already in the heap, so the market refreshes first.
-  SimEvent::Pending pending;
-  pending.arrival.time = task.arrival;
-  pending.arrival.class_id = task.class_id;
-  pending.arrival.origin = task.origin;
-  pending.arrival.cost_jitter = task.cost_jitter;
-  pending.id = task.query_id;
-  pending.attempts = task.attempts + 1;
-  pending.admitted = true;  // a task is past the gate by construction
-  events_.Schedule(NextMarketTick(), NextMediatorStamp(),
+  // The tick event at the resubmission time is already in the heap and
+  // sorts first, so the market refreshes before the retry runs.
+  events_.Schedule(resubmit_time, resubmit_stamp,
                    SimEvent::MakeArrival(pending));
 }
 
-void Federation::LoseTaskShard(ShardLane* lane, const QueryTask& task,
-                               catalog::NodeId node_id, util::VTime now,
-                               uint64_t stamp) {
-  ShardOutcome outcome;
-  outcome.kind = ShardOutcome::Kind::kLost;
-  outcome.node = node_id;
-  outcome.time = now;
-  outcome.stamp = stamp;
-  outcome.task = task;
-  // The resubmission is decided here, on the losing node's lane: its time
-  // is the first market tick after the loss, its stamp comes from the
-  // node's own counter — both pure functions of the node's event history,
-  // so the mediator applying this outcome at the barrier schedules exactly
-  // the arrival the inline dispatch order would have.
-  outcome.resubmit_time = NextMarketTickAfter(now);
-  outcome.resubmit_stamp = NextNodeStamp(node_id);
-  Emit(lane, std::move(outcome));
-}
-
-void Federation::DeliverTask(ShardLane* lane, catalog::NodeId node_id,
+void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
                              const QueryTask& task, util::VTime now,
                              uint64_t stamp) {
   // The node crashed while the query was on the wire: the shipment reaches
   // a dead machine and is lost (the negotiation happened before the
   // crash). The client resubmits at the next market tick.
   if (injector_.Crashed(node_id, now)) {
-    LoseTaskShard(lane, task, node_id, now, stamp);
+    Emit(lane, ShardOutcome::Kind::kLost, node_id, now, stamp, task);
     return;
   }
   QueryTask delivered = task;
@@ -1008,49 +968,27 @@ void Federation::DeliverTask(ShardLane* lane, catalog::NodeId node_id,
   // queue. Newest-first sheds the arriving task; lowest-priority-first
   // evicts the most expensive queued task when the arrival is strictly
   // cheaper (so cheap work still completes under pressure) and otherwise
-  // sheds the arrival. Pure node-lane state — deterministic in both
-  // execution modes, and never gated on observability.
+  // sheds the arrival. Pure node-lane state — deterministic at every
+  // layout, and never gated on observability.
   if (pool_.QueueLength(node_id) >= config_.max_node_queue) {
-    if (config_.shed_policy == ShedPolicy::kLowestPriorityFirst) {
-      QueryTask victim;
-      if (pool_.EvictWorseQueued(
-              node_id, best_cost_,
-              best_cost_[static_cast<size_t>(delivered.class_id)],
-              &victim)) {
-        ShedTaskShard(lane, victim, node_id, now, stamp);
-      } else {
-        ShedTaskShard(lane, delivered, node_id, now, stamp);
-        return;
-      }
+    QueryTask victim;
+    if (config_.shed_policy == ShedPolicy::kLowestPriorityFirst &&
+        pool_.EvictWorseQueued(
+            node_id, best_cost_,
+            best_cost_[static_cast<size_t>(delivered.class_id)], &victim)) {
+      Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, victim);
     } else {
-      ShedTaskShard(lane, delivered, node_id, now, stamp);
+      Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, delivered);
       return;
     }
   }
   QA_OBS(config_.recorder) {
-    ShardOutcome outcome;
-    outcome.kind = ShardOutcome::Kind::kDeliverRecord;
-    outcome.node = node_id;
-    outcome.time = now;
-    outcome.stamp = stamp;
-    outcome.task = delivered;
-    Emit(lane, std::move(outcome));
+    Emit(lane, ShardOutcome::Kind::kDeliverRecord, node_id, now, stamp,
+         delivered);
   }
   if (pool_.Enqueue(node_id, delivered)) {
     StartTask(node_id, now);
   }
-}
-
-void Federation::ShedTaskShard(ShardLane* lane, const QueryTask& task,
-                               catalog::NodeId node_id, util::VTime now,
-                               uint64_t stamp) {
-  ShardOutcome outcome;
-  outcome.kind = ShardOutcome::Kind::kShed;
-  outcome.node = node_id;
-  outcome.time = now;
-  outcome.stamp = stamp;
-  outcome.task = task;
-  Emit(lane, std::move(outcome));
 }
 
 void Federation::StartTask(catalog::NodeId node_id, util::VTime now) {
@@ -1062,7 +1000,7 @@ void Federation::StartTask(catalog::NodeId node_id, util::VTime now) {
                     SimEvent::MakeComplete(node_id, task));
 }
 
-void Federation::CompleteTask(ShardLane* lane, catalog::NodeId node_id,
+void Federation::CompleteTask(ShardLane& lane, catalog::NodeId node_id,
                               const QueryTask& task, util::VTime now,
                               uint64_t stamp) {
   // A crash bumped the node's epoch after this completion was scheduled:
@@ -1070,23 +1008,14 @@ void Federation::CompleteTask(ShardLane* lane, catalog::NodeId node_id,
   // the event is a ghost of the previous incarnation. Ignore it.
   if (task.epoch != pool_.epoch(node_id)) return;
   bool more = pool_.CompleteCurrent(node_id, now);
-
-  ShardOutcome outcome;
-  outcome.node = node_id;
-  outcome.time = now;
-  outcome.stamp = stamp;
-  outcome.task = task;
   // The result arrived after the client's deadline: nobody is waiting for
   // it. The node's work is already spent (wasted capacity — the real cost
   // of serving a client that gave up); the query counts as expired.
-  if (config_.query_deadline > 0 &&
-      now - task.arrival > config_.query_deadline) {
-    outcome.kind = ShardOutcome::Kind::kExpired;
-  } else {
-    outcome.kind = ShardOutcome::Kind::kComplete;
-  }
-  Emit(lane, std::move(outcome));
-
+  bool late = config_.query_deadline > 0 &&
+              now - task.arrival > config_.query_deadline;
+  Emit(lane,
+       late ? ShardOutcome::Kind::kExpired : ShardOutcome::Kind::kComplete,
+       node_id, now, stamp, task);
   if (more) StartTask(node_id, now);
 }
 
@@ -1125,7 +1054,7 @@ void Federation::HandleSurge(
 }
 
 void Federation::HandleShardFault(
-    ShardLane* lane, const faults::FaultInjector::Transition& transition,
+    ShardLane& lane, const faults::FaultInjector::Transition& transition,
     util::VTime now, uint64_t stamp) {
   using Kind = faults::FaultInjector::Transition::Kind;
   switch (transition.kind) {
@@ -1133,17 +1062,14 @@ void Federation::HandleShardFault(
       std::vector<QueryTask> wiped;
       pool_.Crash(transition.node, now, &wiped);
       QA_OBS(config_.recorder) {
-        ShardOutcome outcome;
-        outcome.kind = ShardOutcome::Kind::kCrashRecord;
-        outcome.node = transition.node;
-        outcome.time = now;
-        outcome.stamp = stamp;
-        Emit(lane, std::move(outcome));
+        Emit(lane, ShardOutcome::Kind::kCrashRecord, transition.node, now,
+             stamp);
       }
       // Everything queued or running there is gone with the volatile
       // state; the clients detect the silence and resubmit.
       for (const QueryTask& task : wiped) {
-        LoseTaskShard(lane, task, transition.node, now, stamp);
+        Emit(lane, ShardOutcome::Kind::kLost, transition.node, now, stamp,
+             task);
       }
       break;
     }
@@ -1155,58 +1081,57 @@ void Federation::HandleShardFault(
     case Kind::kDegradeStart:
     case Kind::kDegradeEnd:
       QA_OBS(config_.recorder) {
-        ShardOutcome outcome;
-        outcome.kind = ShardOutcome::Kind::kDegradeRecord;
-        outcome.node = transition.node;
-        outcome.time = now;
-        outcome.stamp = stamp;
-        outcome.factor = transition.factor;
-        Emit(lane, std::move(outcome));
+        Emit(lane, ShardOutcome::Kind::kDegradeRecord, transition.node, now,
+             stamp, QueryTask(), transition.factor);
       }
       break;
   }
 }
 
-void Federation::Emit(ShardLane* lane, ShardOutcome outcome) {
-  if (lane != nullptr) {
-    lane->outcomes.push_back(std::move(outcome));
-  } else {
-    ApplyOutcome(outcome);
+void Federation::Emit(ShardLane& lane, ShardOutcome::Kind kind,
+                      catalog::NodeId node, util::VTime now, uint64_t stamp,
+                      const QueryTask& task, double factor) {
+  ShardOutcome& outcome = lane.outcomes.emplace_back();
+  outcome.kind = kind;
+  outcome.node = node;
+  outcome.time = now;
+  outcome.stamp = stamp;
+  outcome.task = task;
+  outcome.factor = factor;
+  if (kind == ShardOutcome::Kind::kLost) {
+    // The resubmission is keyed here, on the losing node's lane: its time
+    // is the first market tick after the loss, its stamp comes from the
+    // node's own counter — both pure functions of the node's event
+    // history, so the arrival the merge schedules is the same at every
+    // layout and fence policy.
+    outcome.resubmit_time = NextMarketTick(now);
+    outcome.resubmit_stamp = NextNodeStamp(node);
   }
 }
 
 void Federation::ApplyOutcome(const ShardOutcome& outcome) {
-  // Runs on the mediator thread only (inline dispatch, or the barrier
-  // merge), in canonical key order. All times come from the outcome — at
-  // a barrier the mediator clock has already moved past them.
+  // Runs on the mediator thread inside the fence merge, in canonical key
+  // order. All times come from the outcome — the mediator clock has
+  // already moved past them.
+  const Sink sink{outcome.time, /*merge=*/true};
+  obs::EventRecord::Kind kind = obs::EventRecord::Kind::kDeliver;
+  const char* counter = "deliveries";
+  double response_ms = 0.0;
   switch (outcome.kind) {
-    case ShardOutcome::Kind::kDeliverRecord: {
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kDeliver;
-        event.t_us = outcome.time;
-        event.query = outcome.task.query_id;
-        event.class_id = outcome.task.class_id;
-        event.node = outcome.node;
-        config_.recorder->Record(event);
-        config_.recorder->Count("deliveries");
-      }
+    case ShardOutcome::Kind::kDeliverRecord:
       break;
-    }
-    case ShardOutcome::Kind::kComplete: {
-      double response_ms =
-          util::ToMillis(outcome.time - outcome.task.arrival);
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kComplete;
-        event.t_us = outcome.time;
-        event.query = outcome.task.query_id;
-        event.class_id = outcome.task.class_id;
-        event.node = outcome.node;
-        event.response_ms = response_ms;
-        config_.recorder->Record(event);
-        config_.recorder->Count("completions");
-      }
+    case ShardOutcome::Kind::kCrashRecord:
+      kind = obs::EventRecord::Kind::kCrash;
+      counter = "crashes";
+      break;
+    case ShardOutcome::Kind::kDegradeRecord:
+      kind = obs::EventRecord::Kind::kDegrade;
+      counter = "degrades";
+      break;
+    case ShardOutcome::Kind::kComplete:
+      kind = obs::EventRecord::Kind::kComplete;
+      counter = "completions";
+      response_ms = util::ToMillis(outcome.time - outcome.task.arrival);
       metrics_.response_time_ms.Add(response_ms);
       metrics_.completions.Add(outcome.time,
                                static_cast<double>(outcome.task.class_id));
@@ -1215,127 +1140,36 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
       ++metrics_.completed;
       --outstanding_;
       // Node-side terminations update only the exact in-flight count, not
-      // the gate's view: inline mode applies this immediately, sharded
-      // mode at the next fence, and the gate may run in between. The view
-      // resyncs at the tick (see admission_load_).
+      // the gate's view, which resyncs at the tick (see admission_load_).
       if (admission_.enabled()) --admitted_in_flight_;
       break;
-    }
-    case ShardOutcome::Kind::kExpired: {
-      ++metrics_.dropped;
-      ++metrics_.dropped_per_class[static_cast<size_t>(
-          outcome.task.class_id)];
-      ++metrics_.expired;
-      --outstanding_;
-      if (admission_.enabled()) --admitted_in_flight_;
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kDrop;
-        event.t_us = outcome.time;
-        event.query = outcome.task.query_id;
-        event.class_id = outcome.task.class_id;
-        event.attempts = outcome.task.attempts;
-        config_.recorder->Record(event);
-        config_.recorder->Count("expired");
-      }
-      break;
-    }
-    case ShardOutcome::Kind::kLost: {
-      ++metrics_.lost;
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kLost;
-        event.t_us = outcome.time;
-        event.query = outcome.task.query_id;
-        event.class_id = outcome.task.class_id;
-        event.node = outcome.node;
-        event.attempts = outcome.task.attempts;
-        config_.recorder->Record(event);
-        config_.recorder->Count("losses");
-      }
-      // Bounded retry backlog, exactly like the mediator-side loss path:
-      // past the bound the client gives up (shed) instead of queueing.
-      if (retry_backlog_ >= config_.max_retry_backlog) {
-        ++metrics_.shed;
-        ++metrics_.dropped;
-        ++metrics_.dropped_per_class[static_cast<size_t>(
-            outcome.task.class_id)];
-        --outstanding_;
-        if (admission_.enabled()) --admitted_in_flight_;
-        QA_OBS(config_.recorder) {
-          obs::EventRecord event;
-          event.kind = obs::EventRecord::Kind::kShed;
-          event.t_us = outcome.time;
-          event.query = outcome.task.query_id;
-          event.class_id = outcome.task.class_id;
-          event.node = outcome.node;
-          event.attempts = outcome.task.attempts + 1;
-          config_.recorder->Record(event);
-          config_.recorder->Count("shed");
-        }
-        break;
-      }
-      ++retry_backlog_;
-      // Reconstruct the client's pending query (original arrival time —
-      // the loss inflates its response time, which is the point) and
-      // resubmit it with the time and stamp the losing lane fixed.
-      SimEvent::Pending pending;
-      pending.arrival.time = outcome.task.arrival;
-      pending.arrival.class_id = outcome.task.class_id;
-      pending.arrival.origin = outcome.task.origin;
-      pending.arrival.cost_jitter = outcome.task.cost_jitter;
-      pending.id = outcome.task.query_id;
-      pending.attempts = outcome.task.attempts + 1;
-      pending.admitted = true;  // a task is past the gate by construction
-      events_.Schedule(outcome.resubmit_time, outcome.resubmit_stamp,
-                       SimEvent::MakeArrival(pending));
-      break;
-    }
-    case ShardOutcome::Kind::kCrashRecord: {
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kCrash;
-        event.t_us = outcome.time;
-        event.node = outcome.node;
-        config_.recorder->Record(event);
-        config_.recorder->Count("crashes");
-      }
-      break;
-    }
-    case ShardOutcome::Kind::kDegradeRecord: {
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kDegrade;
-        event.t_us = outcome.time;
-        event.node = outcome.node;
-        event.factor = outcome.factor;
-        config_.recorder->Record(event);
-        config_.recorder->Count("degrades");
-      }
-      break;
-    }
-    case ShardOutcome::Kind::kShed: {
-      // A bounded node queue turned the task away (or evicted it):
-      // shed ⊆ dropped, so conservation still closes the run.
-      ++metrics_.shed;
-      ++metrics_.dropped;
-      ++metrics_.dropped_per_class[static_cast<size_t>(
-          outcome.task.class_id)];
-      --outstanding_;
-      if (admission_.enabled()) --admitted_in_flight_;
-      QA_OBS(config_.recorder) {
-        obs::EventRecord event;
-        event.kind = obs::EventRecord::Kind::kShed;
-        event.t_us = outcome.time;
-        event.query = outcome.task.query_id;
-        event.class_id = outcome.task.class_id;
-        event.node = outcome.node;
-        event.attempts = outcome.task.attempts;
-        config_.recorder->Record(event);
-        config_.recorder->Count("shed");
-      }
-      break;
-    }
+    case ShardOutcome::Kind::kExpired:
+      DropQuery(PendingOf(outcome.task), /*expired=*/true, sink);
+      return;
+    case ShardOutcome::Kind::kLost:
+      LoseTask(outcome.task, outcome.node, sink, outcome.resubmit_time,
+               outcome.resubmit_stamp);
+      return;
+    case ShardOutcome::Kind::kShed:
+      // A bounded node queue turned the task away (or evicted it).
+      ShedQuery(PendingOf(outcome.task), outcome.node, /*admission=*/false,
+                sink);
+      return;
+  }
+  // The trace record of a completion or a trace-only outcome; fields an
+  // outcome does not carry (a crash's task, a delivery's factor) hold the
+  // record's omitted defaults.
+  QA_OBS(config_.recorder) {
+    obs::EventRecord event;
+    event.kind = kind;
+    event.t_us = outcome.time;
+    event.query = outcome.task.query_id;
+    event.class_id = outcome.task.class_id;
+    event.node = outcome.node;
+    event.response_ms = response_ms;
+    event.factor = outcome.factor;
+    config_.recorder->Record(event);
+    config_.recorder->Count(counter);
   }
 }
 
@@ -1370,10 +1204,9 @@ void Federation::MarketTick() {
   // collector-never-perturbs invariant, DESIGN.md §9). The controller
   // keeps its own probe for the same reason.
   if (admission_.enabled()) {
-    // The fence has run (sharded mode merges every lane before a market
-    // tick dispatches), so admitted_in_flight_ is exact in both modes
-    // here: resync the gate's view so node-side completions since the
-    // last tick free admission slots.
+    // The fence before every market tick merged every lane, so
+    // admitted_in_flight_ is exact here: resync the gate's view so
+    // node-side completions since the last tick free admission slots.
     admission_load_ = admitted_in_flight_;
     if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
       if (admission_.wants_probe()) {
@@ -1390,9 +1223,13 @@ void Federation::MarketTick() {
     config_.recorder->Count("ticks");
     // Snapshot once per global period (every divisor-th tick), after the
     // period hooks ran: post-rollover prices are what convergence analysis
-    // wants to see.
+    // wants to see. Materialized eagerly: by the time the fence flushes
+    // the item the allocator has moved on.
     if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
-      EmitSnapshot();
+      med_items_.push_back({current_time_, current_stamp_,
+                            /*is_snapshot=*/true, {},
+                            allocator_->Snapshot()});
+      config_.recorder->Count("snapshots");
     }
   }
   QA_METRICS(config_.metrics) {
@@ -1405,17 +1242,17 @@ void Federation::MarketTick() {
                                    obs::metrics::kTickProbeStride);
     }
     // Sample once per global period (every divisor-th tick), after the
-    // period hooks: the barrier before this tick applied every outcome
-    // with an earlier key, so the cumulative counters here are the inline
-    // mode's counters byte for byte.
+    // period hooks: the fence before this tick applied every outcome with
+    // an earlier key, so the cumulative counters here are the canonical
+    // order's counters byte for byte, at every layout.
     if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
       obs::metrics::ScopedPhaseTimer timer(config_.metrics,
                                            obs::metrics::Phase::kSnapshot);
       EmitMetricsSample();
     }
   }
-  // The barrier before this tick applied every completion and drop with
-  // an earlier key, so `outstanding_` is exact here in both modes.
+  // The fence before this tick applied every completion and drop with an
+  // earlier key, so `outstanding_` is exact here.
   if (outstanding_ > 0) {
     events_.Schedule(events_.now() + TickInterval(), NextMediatorStamp(),
                      SimEvent::MakeMarketTick());
@@ -1424,39 +1261,10 @@ void Federation::MarketTick() {
 
 void Federation::EmitRecord(const obs::EventRecord& record) {
   // Every call site is inside a QA_OBS gate already; gating again here
-  // keeps the recorder call compiled away under -DQA_OBS_DISABLED.
+  // keeps the buffering compiled away under -DQA_OBS_DISABLED.
   QA_OBS(config_.recorder) {
-    if (!sharded_) {
-      config_.recorder->Record(record);
-      return;
-    }
-    MediatorTraceItem item;
-    item.time = current_time_;
-    item.stamp = current_stamp_;
-    item.record = record;
-    med_items_.push_back(std::move(item));
-  }
-}
-
-void Federation::EmitSnapshot() {
-  // The call site sits inside a QA_OBS gate already, but gate here too so
-  // the allocator Snapshot() walk compiles away under -DQA_OBS_DISABLED.
-  QA_OBS(config_.recorder) {
-    if (!sharded_) {
-      config_.recorder->RecordSnapshot(events_.now(),
-                                       allocator_->Snapshot());
-    } else {
-      // Materialized eagerly: by the time the barrier flushes this item
-      // the allocator has moved on, and a late Snapshot() would show the
-      // future.
-      MediatorTraceItem item;
-      item.time = current_time_;
-      item.stamp = current_stamp_;
-      item.is_snapshot = true;
-      item.snapshot = allocator_->Snapshot();
-      med_items_.push_back(std::move(item));
-    }
-    config_.recorder->Count("snapshots");
+    med_items_.push_back({current_time_, current_stamp_,
+                          /*is_snapshot=*/false, record, {}});
   }
 }
 
@@ -1512,23 +1320,15 @@ util::VDuration Federation::TickInterval() const {
       config_.period / std::max(config_.market_tick_divisor, 1), 1);
 }
 
-util::VTime Federation::NextMarketTick() const {
-  return NextMarketTickAfter(events_.now());
-}
-
-util::VTime Federation::NextMarketTickAfter(util::VTime t) const {
+util::VTime Federation::NextMarketTick(util::VTime t) const {
   util::VDuration tick = TickInterval();
   return (t / tick + 1) * tick;
 }
 
 void Federation::ScheduleNodeEvent(util::VTime when, uint64_t stamp,
                                    SimEvent event) {
-  if (sharded_) {
-    lanes_[static_cast<size_t>(plan_.shard_of(event.node))].queue.Schedule(
-        when, stamp, event);
-  } else {
-    events_.Schedule(when, stamp, event);
-  }
+  lanes_[static_cast<size_t>(plan_.shard_of(event.node))].queue.Schedule(
+      when, stamp, event);
 }
 
 double EstimateCapacityQps(const query::CostModel& cost_model,

@@ -27,25 +27,6 @@
 
 namespace qa::sim {
 
-/// A scheduled node outage: the node is unreachable during [from, until)
-/// but keeps its state (network-partition semantics) — queries already
-/// queued there keep executing. How new work is kept off the node depends
-/// on what the mechanism can observe, via AllocationContext::NodeOnline:
-/// mechanisms that negotiate or probe (QA-NT, Greedy, BNQRD, TwoProbes)
-/// get no reply from the unreachable node — the request times out, which
-/// counts as a decline — and route around it without penalty; blind
-/// mechanisms (Random, RoundRobin) never consult NodeOnline, so their
-/// assignments to the node bounce at the network layer and the query is
-/// resubmitted like any other failed placement.
-///
-/// This is the legacy compatibility spelling of a single-node
-/// faults::PartitionFault; prefer FederationConfig::faults for new code.
-struct Outage {
-  catalog::NodeId node = -1;
-  util::VTime from = 0;
-  util::VTime until = 0;
-};
-
 /// Timing and policy knobs of a federation run.
 struct FederationConfig {
   /// Market time period T (drives the allocator's period hooks).
@@ -60,11 +41,11 @@ struct FederationConfig {
   /// QA-NT refresh supply continuously and rejected queries retry without
   /// waiting a whole global period.
   int market_tick_divisor = 8;
-  /// Scheduled node outages (failure injection). Legacy shim: each entry
-  /// becomes a single-node faults::PartitionFault in the effective plan.
-  std::vector<Outage> outages;
   /// Declarative fault schedule (crashes with state loss, degraded
-  /// capacity, lossy/delayed links, partitions). Merged with `outages`.
+  /// capacity, lossy/delayed links, partitions, surges). A partitioned
+  /// node keeps its state; mechanisms that negotiate or probe get no reply
+  /// from it (a decline) and route around it, while blind ones (Random,
+  /// RoundRobin) bounce off it and resubmit.
   faults::FaultPlan faults;
   /// Mediator retry backoff cap: after sustained all-decline market rounds
   /// the per-query retry interval escalates exponentially, but never past
@@ -127,28 +108,27 @@ struct FederationConfig {
   /// ValidateConfig; forwarded into AllocatorParams by the experiment
   /// runner. Mechanisms other than QA-NT ignore it.
   allocation::ClusterPlan cluster_plan;
-  /// Node-partition count of the sharded core: nodes are split into this
-  /// many shards (stable id-hash, see ShardPlan), each draining its own
-  /// event lane between market-tick barriers. Results are byte-identical
-  /// at every (shards, runner) combination — sharding is an execution
-  /// layout, never a semantic knob. Sharded execution engages only when
-  /// shards > 1, `runner` is set, and the mechanism does not read live
-  /// node state (MechanismProperties::reads_node_state); otherwise the
-  /// run uses the inline single-queue path.
+  /// Node-lane count of the simulator core: nodes are split into this many
+  /// lanes (stable id-hash, see ShardPlan), each draining its own event
+  /// queue up to the fences the mechanism's fence policy sets (see
+  /// Federation). Every run uses lanes, one by default. Results are
+  /// byte-identical at every (shards, runner) combination — the lane count
+  /// is an execution layout, never a semantic knob.
   int shards = 1;
-  /// Fork-join runner the sharded core drains its lanes on, also handed
-  /// to the allocator for its intra-decision fan-out (QA-NT's bid scan).
-  /// Not owned; must outlive the run. Null = fully sequential.
+  /// Fork-join runner the lanes are drained on, also handed to the
+  /// allocator for its intra-decision fan-out (QA-NT's bid scan). Not
+  /// owned; must outlive the run. Null = fully sequential: the lanes drain
+  /// one after another on the calling thread.
   const util::TaskRunner* runner = nullptr;
 };
 
 /// Rejects misconfigured runs before they produce silent nonsense:
 /// non-positive period, market_tick_divisor < 1, negative message latency
 /// or retry budget, max_backoff_periods < 1, shards < 1, shed bounds < 1,
-/// malformed admission bands, malformed outage windows, and anything
-/// FaultPlan::Validate rejects. Federation::Run
-/// calls this at entry and aborts on error; callers building configs from
-/// external input should call it themselves and surface the Status.
+/// malformed admission bands, and anything FaultPlan::Validate rejects.
+/// Federation::Run calls this at entry and aborts on error; callers
+/// building configs from external input should call it themselves and
+/// surface the Status.
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes);
 
 /// The tagged event payload of the federation's discrete-event loop.
@@ -234,23 +214,26 @@ std::string DescribeEvent(const SimEvent& event);
 /// mechanism: it exposes node backlogs/work to the mechanisms that probe
 /// them, and charges every decision's messages to the metrics.
 ///
-/// Execution has two byte-identical modes:
+/// Execution has one path. Every run is split into a *mediator lane*
+/// (arrivals, allocation, market ticks, restarts, surge markers) and
+/// config.shards node lanes (deliveries, completions, crash and degrade
+/// edges). The mediator runs ahead of the node lanes up to a fence; at a
+/// fence every node lane drains strictly up to the fence's (time, stamp)
+/// key — in parallel on config.runner when one is set, serially otherwise
+/// — and the lanes' buffered effects (metrics, trace records, loss
+/// resubmissions) are k-way merged with the mediator's buffered records in
+/// canonical key order. The mechanism picks the fence, never the layout:
 ///
-///  - Inline: one event queue, events dispatched strictly in canonical
-///    (time, stamp) order — the semantics reference.
-///  - Sharded (config.shards > 1 with a runner): the run is split into a
-///    *mediator lane* (arrivals, allocation, market ticks, restarts) and
-///    one lane per node shard (deliveries, completions, node faults). The
-///    mediator runs ahead within one market-tick window — legal exactly
-///    when the mechanism never reads live node state — while shard lanes
-///    drain their queues in parallel at each tick barrier (a conservative
-///    time window: the tick's own (time, stamp) key). Shard-side effects
-///    (metrics, trace records, loss resubmissions) are buffered per lane
-///    and k-way merged in canonical key order at the barrier, so metrics
-///    float-accumulation order and trace bytes match the inline mode
-///    exactly. Canonical stamps (sim/shard.h) make the global order a
-///    pure function of the scenario, independent of shard count, thread
-///    count and node placement.
+///  - Market mechanisms (MechanismProperties::reads_node_state false)
+///    see offers, never node state, so the mediator may run a whole
+///    market-tick window ahead: one fence before each market tick.
+///  - Mechanisms that probe node state at every decision (Greedy, BNQRD,
+///    TwoProbes, LeastImbalance) have zero lookahead: one fence before
+///    every mediator event, so each decision reads current node state.
+///
+/// Canonical stamps (sim/shard.h) make the global order a pure function of
+/// the scenario, so metrics float-accumulation order and trace bytes are
+/// independent of lane count, thread count and node placement.
 ///
 /// Threading: concurrency exists only inside the fork-join fences the
 /// federation itself issues on config.runner; between fences the run is
@@ -271,8 +254,9 @@ class Federation : public allocation::AllocationContext {
   int num_nodes() const override { return num_nodes_; }
   const query::CostModel& cost_model() const override { return *cost_model_; }
   util::VDuration NodeBacklog(catalog::NodeId node) const override {
-    // Only mechanisms with reads_node_state consult this; those run on
-    // the inline path, where node state is current at every allocation.
+    // Only mechanisms with reads_node_state consult this; their
+    // zero-lookahead fence drains every node lane before each mediator
+    // event, so node state is current at every allocation.
     return pool_.Backlog(node, events_.now());
   }
   double NodeQueuedWork(catalog::NodeId node) const override {
@@ -285,8 +269,8 @@ class Federation : public allocation::AllocationContext {
   bool NodeOnline(catalog::NodeId node) const override;
 
  private:
-  /// A shard-side effect, buffered during the window drain and applied by
-  /// the mediator at the barrier in canonical (time, stamp) order.
+  /// A node-lane effect, buffered during the drain and applied by the
+  /// mediator at the fence merge in canonical (time, stamp) order.
   struct ShardOutcome {
     enum class Kind : uint8_t {
       kDeliverRecord,  // trace only
@@ -301,22 +285,25 @@ class Federation : public allocation::AllocationContext {
     catalog::NodeId node = -1;
     util::VTime time = 0;
     uint64_t stamp = 0;
-    QueryTask task;       // kComplete / kExpired / kLost
+    QueryTask task;       // kDeliverRecord / kComplete / kExpired / kLost /
+                          // kShed
     double factor = 0.0;  // kDegradeRecord
     util::VTime resubmit_time = 0;   // kLost
     uint64_t resubmit_stamp = 0;     // kLost
   };
 
-  /// One node shard's event lane: its own queue over its own nodes, plus
-  /// the window's buffered effects, drained only inside tick barriers.
+  /// One node lane: its own queue over its own nodes, plus the effects
+  /// buffered since the last fence, drained only inside fences.
   struct ShardLane {
     EventQueue<SimEvent> queue;
     std::vector<ShardOutcome> outcomes;
+    /// Merge cursor into `outcomes` (reset with it after every merge).
+    size_t merged = 0;
     uint64_t dispatched = 0;
   };
 
   /// A mediator-side trace emission buffered while the mediator runs
-  /// ahead of the shard lanes, flushed at the barrier merge.
+  /// ahead of the node lanes, flushed at the fence merge.
   struct MediatorTraceItem {
     util::VTime time = 0;
     uint64_t stamp = 0;
@@ -327,15 +314,39 @@ class Federation : public allocation::AllocationContext {
     obs::AllocatorSnapshot snapshot;
   };
 
+  /// Where a query's terminal fate (loss, shed, drop) is accounted. On the
+  /// mediator side, mid-dispatch, its record buffers at the dispatching
+  /// event's key and the admission gate's view moves with the exact
+  /// in-flight count. Inside a fence merge (`merge`), already in canonical
+  /// order, the record goes straight to the recorder and only the exact
+  /// count moves; the view resyncs at the next tick (see admission_load_).
+  struct Sink {
+    util::VTime time;  // when the fate happened (the record's t_us)
+    bool merge;
+  };
+  Sink MediatorSink() const { return {events_.now(), /*merge=*/false}; }
+
   // ---- event dispatch ----
+  /// Runs the mediator lane, fencing the node lanes per the mechanism's
+  /// fence policy (see the class comment).
+  void RunLanes();
+  /// Drains every node lane strictly up to the fence key, then merges and
+  /// applies the buffered effects. A `tick_fence` closes a whole market
+  /// window (or the run) and may fork the drain onto the runner; a
+  /// zero-lookahead fence drains the few events ahead of one mediator
+  /// event serially. A nonzero `probe_weight` times the drain and merge
+  /// for an attached metrics collector, recorded with that weight; zero
+  /// reads no clock.
+  void FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp,
+                     bool tick_fence, uint64_t probe_weight);
   void Dispatch(const SimEvent& event);
-  void DispatchShard(ShardLane* lane, const SimEvent& event, util::VTime now,
+  void DispatchShard(ShardLane& lane, const SimEvent& event, util::VTime now,
                      uint64_t stamp);
   void HandleQuery(SimEvent::Pending pending);
-  void DeliverTask(ShardLane* lane, catalog::NodeId node_id,
+  void DeliverTask(ShardLane& lane, catalog::NodeId node_id,
                    const QueryTask& task, util::VTime now, uint64_t stamp);
   void StartTask(catalog::NodeId node_id, util::VTime now);
-  void CompleteTask(ShardLane* lane, catalog::NodeId node_id,
+  void CompleteTask(ShardLane& lane, catalog::NodeId node_id,
                     const QueryTask& task, util::VTime now, uint64_t stamp);
   void MarketTick();
   /// Mediator-side fault transition (restart: allocator re-learns).
@@ -343,50 +354,40 @@ class Federation : public allocation::AllocationContext {
   /// Mediator-side surge edge: the rate change itself was applied when the
   /// arrivals were scheduled; this emits the informational trace marker.
   void HandleSurge(const faults::FaultInjector::Transition& transition);
-  /// Shard-side fault transition (crash flush / degrade edges).
-  void HandleShardFault(ShardLane* lane,
+  /// Node-lane fault transition (crash flush / degrade edges).
+  void HandleShardFault(ShardLane& lane,
                         const faults::FaultInjector::Transition& transition,
                         util::VTime now, uint64_t stamp);
-  /// Accounts `task` as lost to a *shard-side* event (crash flush,
-  /// delivery to a dead node) and arranges the client's resubmission.
-  void LoseTaskShard(ShardLane* lane, const QueryTask& task,
-                     catalog::NodeId node_id, util::VTime now,
-                     uint64_t stamp);
-  /// Accounts `task` as lost on the mediator side (shipment hop dropped by
-  /// a link fault) and schedules the resubmission.
-  void LoseTaskMediator(const QueryTask& task, catalog::NodeId node_id);
+
+  // ---- terminal fates: one accounting routine each, both sides ----
+  /// Accounts `task` as lost in flight to `node_id` and resubmits the
+  /// client's query at the given key — or, past the retry-backlog bound,
+  /// sheds it.
+  void LoseTask(const QueryTask& task, catalog::NodeId node_id, Sink sink,
+                util::VTime resubmit_time, uint64_t resubmit_stamp);
+  /// Accounts one query as shed (SimMetrics::shed ⊆ dropped, plus
+  /// admission_rejects when the admission gate did it) with the schema-v4
+  /// `shed` record; `node_id` names the node that turned it away, or -1.
+  void ShedQuery(const SimEvent::Pending& query, catalog::NodeId node_id,
+                 bool admission, Sink sink);
   /// Accounts one query as abandoned — retry budget exhausted, or
   /// `expired` (client deadline passed) — and emits the drop record.
-  /// Mediator-side only; the shard-side equivalent is a kExpired outcome.
-  void DropQuery(query::QueryId id, query::QueryClassId class_id,
-                 int attempts, bool expired);
-  /// Accounts one query as shed on the mediator side (admission gate or
-  /// retry-backlog overflow): SimMetrics::shed ⊆ dropped, plus
-  /// admission_rejects when the admission gate did it, and the schema-v4
-  /// `shed` trace record.
-  void ShedQuery(query::QueryId id, query::QueryClassId class_id,
-                 int attempts, bool admission);
-  /// Sheds `task` at a full node queue (the incoming task, or the evicted
-  /// queued victim under kLowestPriorityFirst): buffers a kShed outcome in
-  /// sharded mode, applies it on the spot inline.
-  void ShedTaskShard(ShardLane* lane, const QueryTask& task,
-                     catalog::NodeId node_id, util::VTime now,
-                     uint64_t stamp);
+  void DropQuery(const SimEvent::Pending& query, bool expired, Sink sink);
+  /// The part every dropped query shares: conservation counters and the
+  /// admission slot it held.
+  void CountDrop(const SimEvent::Pending& query, Sink sink);
+  /// Writes a fate's trace record where `sink` says.
+  void RecordFate(const obs::EventRecord& record, Sink sink);
 
-  // ---- sharded-mode machinery ----
-  /// Runs the mediator lane with a barrier before every market tick.
-  void RunSharded();
-  /// Drains every shard lane up to the fence key (in parallel on the
-  /// runner), then merges and applies the buffered window effects.
-  void FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp);
-  /// Routes a shard effect: buffered into the lane in sharded mode,
-  /// applied on the spot in inline mode — one effect-application code path
-  /// in both modes, which is what makes byte-identity an invariant rather
-  /// than a coincidence.
-  void Emit(ShardLane* lane, ShardOutcome outcome);
+  // ---- fence machinery ----
+  /// Buffers a node-lane effect for the next fence merge. A kLost outcome
+  /// gets its resubmission key here, on the losing node's lane.
+  void Emit(ShardLane& lane, ShardOutcome::Kind kind, catalog::NodeId node,
+            util::VTime now, uint64_t stamp, const QueryTask& task = {},
+            double factor = 0.0);
   void ApplyOutcome(const ShardOutcome& outcome);
-  /// Emits a mediator-side trace record: direct in inline mode, buffered
-  /// in canonical key order in sharded mode.
+  /// Buffers a mediator-side trace record at the dispatching event's key
+  /// for the next fence merge.
   void EmitRecord(const obs::EventRecord& record);
 
   // ---- stamps and routing ----
@@ -402,23 +403,17 @@ class Federation : public allocation::AllocationContext {
     return EventStamp::Node(node, 1,
                             node_seq_[static_cast<size_t>(node)]++);
   }
-  /// Schedules a node-lane event: into the owning shard's lane queue in
-  /// sharded mode, into the single queue otherwise.
+  /// Schedules a node-lane event into the owning lane's queue.
   void ScheduleNodeEvent(util::VTime when, uint64_t stamp, SimEvent event);
 
-  /// Streams the allocator's Snapshot() into the recorder (traced runs
-  /// only; called once per global market period plus once at t=0).
-  void EmitSnapshot();
   /// Evaluates the market-health watchdogs against the allocator snapshot
   /// and emits one deterministic msample (plus any alarms) into the
   /// collector. Global-market-period cadence, plus one final sample when
   /// the run ends.
   void EmitMetricsSample();
-  util::VTime NextMarketTick() const;
-  /// First market tick strictly after `t` (shard lanes compute their loss
-  /// resubmission times against their own event clock, not the
-  /// mediator's).
-  util::VTime NextMarketTickAfter(util::VTime t) const;
+  /// First market tick strictly after `t` (node lanes pass their own
+  /// event clock, the mediator its own).
+  util::VTime NextMarketTick(util::VTime t) const;
   util::VDuration TickInterval() const;
   /// Cached cost_model_->Cost(k, node): one flat-array load instead of a
   /// virtual call per placement on the hot path.
@@ -430,34 +425,31 @@ class Federation : public allocation::AllocationContext {
   }
 
   // Lane partition of the members below (DESIGN.md §8, machine-checked
-  // by qa_lint QA-SHD-002): shard-lane code — DispatchShard and the
-  // RunWhileBefore drain lambdas — may touch only shard-local state
+  // by qa_lint QA-SHD-002): node-lane code — DispatchShard and the
+  // RunWhileBefore drain lambdas — may touch only lane-local state
   // (pool_, lanes_, node_seq_, plan_) and read-only-shared inputs
-  // (config_, cost_model_, injector_, best_cost_, sharded_, num_nodes_).
+  // (config_, cost_model_, injector_, best_cost_, num_nodes_).
   // Everything else is mediator-owned, mutated only between fences or
   // inside the canonical barrier merge.
   const query::CostModel* cost_model_;
   allocation::Allocator* allocator_;
   FederationConfig config_;
-  /// Compiled fault schedule: config_.faults plus config_.outages (each
-  /// outage becomes a single-node partition).
+  /// Compiled fault schedule (config_.faults).
   faults::FaultInjector injector_;
   int num_nodes_ = 0;
-  /// The mediator lane (and, in inline mode, the only queue).
+  /// The mediator lane.
   EventQueue<SimEvent> events_;
   /// Struct-of-arrays node state (see NodePool).
   NodePool pool_;
   ShardPlan plan_;
   std::vector<ShardLane> lanes_;
-  /// True while Run executes in sharded mode.
-  bool sharded_ = false;
   /// Canonical stamp counters: the mediator's scheduling counter and each
   /// node's own (sublane 1) counter. See sim/shard.h for why the two
   /// spaces must be separate.
   uint64_t mediator_seq_ = 0;
   std::vector<uint64_t> node_seq_;
   /// Key of the mediator event being dispatched (buffered records carry
-  /// it so the barrier merge can interleave them canonically).
+  /// it so the fence merge can interleave them canonically).
   util::VTime current_time_ = 0;
   uint64_t current_stamp_ = 0;
   std::vector<MediatorTraceItem> med_items_;
@@ -483,18 +475,18 @@ class Federation : public allocation::AllocationContext {
   /// config_.max_retry_backlog.
   int64_t retry_backlog_ = 0;
   /// Queries that passed the admission gate and have not yet terminated
-  /// (completed, dropped, or shed). Exact at market ticks in both execution
-  /// modes; between ticks the sharded merge defers node-side terminations
-  /// to the next fence, so the gate must never read this directly.
+  /// (completed, dropped, or shed). Exact at market ticks; between ticks
+  /// node-side terminations land at whichever fence the fence policy
+  /// places next, so the gate must never read this directly.
   int64_t admitted_in_flight_ = 0;
   /// The admission gate's view of admitted_in_flight_: refreshed from it at
-  /// every market tick (post-fence, where inline and sharded state agree)
-  /// and tracked between ticks by mediator-lane events only. Node-side
-  /// completions become visible at the next tick — the gate reads node
-  /// state at market granularity, exactly like the market itself does.
-  /// Reading the live counter instead would make admission decisions
-  /// depend on the execution layout (inline applies shard outcomes
-  /// immediately; sharded applies them at the fence).
+  /// every market tick (post-fence) and tracked between ticks by
+  /// mediator-lane events only. Node-side completions become visible at
+  /// the next tick — the gate reads node state at market granularity,
+  /// exactly like the market itself does. Reading the live counter instead
+  /// would make admission decisions depend on the fence policy (a
+  /// zero-lookahead run merges node outcomes between ticks, a market run
+  /// only at them).
   int64_t admission_load_ = 0;
   /// Admission-control state machine, rebuilt per Run from the config and
   /// the per-class best costs.

@@ -23,9 +23,9 @@ namespace qa::sim {
 ///  - Mediator-lane events (arrivals, resubmissions issued by the
 ///    mediator, market ticks, restarts) use node = -1: the high bits are
 ///    zero and the stamp is just the mediator's own scheduling counter.
-///    The mediator's decisions never read shard-side state, so its
-///    scheduling order — and therefore these stamps — is identical in
-///    inline and sharded execution.
+///    The mediator reads node-lane state only after a fence has merged
+///    every earlier node event (DESIGN.md §8), so its scheduling order —
+///    and therefore these stamps — is the same at every layout.
 ///  - Node-lane events carry the target node in the high bits, so at equal
 ///    time the order is: mediator events first, then node events in node
 ///    order. Two sublanes per node keep the counters placement-

@@ -323,8 +323,8 @@ TEST_F(RunnerTest, SampledTraceIsByteIdenticalAcrossRepeatRuns) {
 // ------------------------------------------------------- Sharded core
 
 /// Runs one traced cell under the given shard/thread layout and returns
-/// (metrics, full trace bytes). shards == 1 is the inline reference; any
-/// other count routes through the sharded fork-join core with a pool of
+/// (metrics, full trace bytes). shards == 1 drains one lane serially (the
+/// reference); any other count drains that many lanes on a pool of
 /// `threads` workers.
 std::pair<sim::SimMetrics, std::string> RunShardLayout(
     const query::CostModel& model, const workload::Trace& trace,
@@ -361,7 +361,7 @@ std::pair<sim::SimMetrics, std::string> RunShardLayout(
 TEST_F(RunnerTest, ShardedRunIsByteIdenticalAtAnyShardAndThreadCount) {
   // The tentpole contract: metrics AND trace bytes must be a pure function
   // of the scenario, never of the shard count or the pool width. Compare
-  // the inline reference against shards {1, 4} x threads {1, 8}.
+  // the serial 1-lane reference against shards {1, 4} x threads {1, 8}.
   auto [reference_metrics, reference_trace] =
       RunShardLayout(*model_, trace_, "QA-NT", kSeed, 1, 1, "ref");
   int case_id = 0;
@@ -380,10 +380,11 @@ TEST_F(RunnerTest, ShardedRunIsByteIdenticalAtAnyShardAndThreadCount) {
   EXPECT_GT(reference_metrics.completed, 0);
 }
 
-TEST_F(RunnerTest, StateReadingMechanismFallsBackToInlineAndStaysExact) {
-  // Greedy reads live node state at allocation time, so the federation
-  // must refuse to shard it (reads_node_state routes it inline) — and the
-  // run with shards requested must still be byte-identical to shards=1.
+TEST_F(RunnerTest, StateReadingMechanismFencesEveryEventAndStaysExact) {
+  // Greedy reads live node state at allocation time, so its fence policy
+  // has zero lookahead (reads_node_state: every lane drains before each
+  // mediator event) — and its run on 4 lanes over 8 threads must be
+  // byte-identical to the 1-lane reference.
   auto [reference_metrics, reference_trace] =
       RunShardLayout(*model_, trace_, "Greedy", kSeed, 1, 1, "greedy_ref");
   auto [sharded_metrics, sharded_trace] =
@@ -396,7 +397,7 @@ TEST_F(RunnerTest, StateReadingMechanismFallsBackToInlineAndStaysExact) {
 TEST_F(RunnerTest, SingleShardedSpecBorrowsTheRunnersPool) {
   // ExperimentRunner's nested-parallelism budget: a one-cell grid that
   // asks for shards gets the runner's own pool as its intra-run runner,
-  // and the result still matches the serial inline reference.
+  // and the result still matches the serial 1-lane reference.
   RunSpec spec;
   spec.cost_model = model_.get();
   spec.mechanism = "QA-NT";
@@ -404,12 +405,12 @@ TEST_F(RunnerTest, SingleShardedSpecBorrowsTheRunnersPool) {
   spec.period = 500 * kMillisecond;
   spec.seed = kSeed;
   spec.config.max_retries = 5000;
-  std::vector<RunResult> inline_result = ExperimentRunner(1).Run({spec});
+  std::vector<RunResult> serial_result = ExperimentRunner(1).Run({spec});
   spec.config.shards = 4;
   std::vector<RunResult> sharded_result = ExperimentRunner(8).Run({spec});
-  ASSERT_EQ(inline_result.size(), 1u);
+  ASSERT_EQ(serial_result.size(), 1u);
   ASSERT_EQ(sharded_result.size(), 1u);
-  ExpectIdenticalMetrics(inline_result[0].metrics, sharded_result[0].metrics,
+  ExpectIdenticalMetrics(serial_result[0].metrics, sharded_result[0].metrics,
                          0);
 }
 

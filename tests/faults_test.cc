@@ -121,14 +121,15 @@ TEST(ValidateConfigTest, RejectsMisconfiguredRuns) {
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
   config.query_deadline = 0;
 
-  config.outages.push_back({/*node=*/7, kSecond, 2 * kSecond});
+  config.faults.partitions.push_back({{/*node=*/7}, kSecond, 2 * kSecond});
   util::Status s = ValidateConfig(config, 2);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("outages[0]"), std::string::npos);
-  config.outages[0].node = 0;
-  config.outages[0].until = config.outages[0].from;  // empty window
+  EXPECT_NE(s.message().find("partitions[0]"), std::string::npos);
+  config.faults.partitions[0].nodes = {0};
+  config.faults.partitions[0].until =
+      config.faults.partitions[0].from;  // empty window
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
-  config.outages[0].until = 2 * kSecond;
+  config.faults.partitions[0].until = 2 * kSecond;
   EXPECT_TRUE(ValidateConfig(config, 2).ok());
 
   // A malformed FaultPlan is caught through the same funnel.

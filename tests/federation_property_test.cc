@@ -16,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -403,8 +406,8 @@ void SplitMetricsStream(const std::string& stream, ReplayResult* out) {
 
 /// Replays one fuzz case end to end under the given shard/thread layout
 /// — trace recorder AND metrics collector attached, so the byte-identity
-/// contract covers both observability streams. shards == 1 leaves
-/// config.runner unset and takes the inline path.
+/// contract covers both observability streams. The 1-shard, 1-thread
+/// layout leaves config.runner unset: one lane, drained serially.
 ReplayResult ReplayCase(const FuzzCase& c, int index,
                         int shards, int threads,
                         const std::string& tag) {
@@ -437,7 +440,7 @@ ReplayResult ReplayCase(const FuzzCase& c, int index,
     spec.config.recorder = recorder.value().get();
     spec.config.metrics = &collector;
     spec.config.shards = shards;
-    if (shards > 1) spec.config.runner = &runner;
+    if (shards > 1 || threads > 1) spec.config.runner = &runner;
     result.metrics_json =
         MetricsToJson(exec::RunSpecOnce(spec).metrics).Dump();
     recorder.value()->Finish();
@@ -451,19 +454,111 @@ ReplayResult ReplayCase(const FuzzCase& c, int index,
   return result;
 }
 
-// The sharded-core contract over the whole fuzz corpus: every scenario —
-// every mechanism, fault plan, deadline, and solicitation policy the
-// corpus generates — must come back byte-identical (metrics, trace bytes,
-// AND the deterministic half of the metrics stream: every msample and
-// alarm line) when the run is split over 4 shards on an 8-thread pool,
-// and again on a 1-thread pool (same partition, different interleaving of
-// the drains). The wall-clock mstat block only has to keep its record
-// count (one line per catalog metric, every layout). This is the
-// strongest statement the repo can make that the conservative-window
-// merge reproduces the inline event order exactly — and that profiling
-// rides along without perturbing it.
+/// FNV-1a (64-bit) of a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// The pinned fingerprint of one fuzz case's replay: FNV-1a digests of the
+/// final metrics JSON, the trace bytes, and the deterministic (msample +
+/// alarm) half of the metrics stream.
+struct CaseDigests {
+  uint64_t metrics = 0;
+  uint64_t trace = 0;
+  uint64_t stream = 0;
+};
+
+CaseDigests DigestOf(const ReplayResult& run) {
+  return {Fnv1a(run.metrics_json), Fnv1a(run.trace_bytes),
+          Fnv1a(run.deterministic_metrics)};
+}
+
+/// Reads the pinned digests: one "case metrics trace stream" line per
+/// case (hex digests), '#' lines are comments.
+std::vector<CaseDigests> LoadFuzzDigests(const std::string& path) {
+  std::vector<CaseDigests> digests;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    size_t index = 0;
+    CaseDigests d;
+    fields >> index >> std::hex >> d.metrics >> d.trace >> d.stream;
+    if (!fields || index != digests.size()) return {};
+    digests.push_back(d);
+  }
+  return digests;
+}
+
+void WriteFuzzDigests(const std::string& path,
+                      const std::vector<CaseDigests>& digests) {
+  std::ofstream out(path, std::ios::trunc);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+  out << "# FNV-1a digests of the fuzz corpus replays (federation_property_"
+         "test):\n"
+      << "# case, metrics JSON, trace bytes, msample+alarm lines. Pinned "
+         "from the\n"
+      << "# single-queue reference loop; every layout must reproduce them. "
+         "Regenerate\n"
+      << "# only for an intended modeled change: QA_UPDATE_GOLDEN=1 "
+         "./federation_property_test\n";
+  char row[80];
+  for (size_t i = 0; i < digests.size(); ++i) {
+    std::snprintf(row, sizeof(row), "%zu %016llx %016llx %016llx\n", i,
+                  static_cast<unsigned long long>(digests[i].metrics),
+                  static_cast<unsigned long long>(digests[i].trace),
+                  static_cast<unsigned long long>(digests[i].stream));
+    out << row;
+  }
+}
+
+/// Compares one layout's replay against the pinned digests. The metrics
+/// stream is empty when the metrics subsystem is compiled out, so its
+/// digest is only comparable in metrics-enabled builds.
+void ExpectPinned(const CaseDigests& want, const CaseDigests& got) {
+  EXPECT_EQ(want.metrics, got.metrics) << "metrics JSON digest";
+  EXPECT_EQ(want.trace, got.trace) << "trace bytes digest";
+#ifndef QA_METRICS_DISABLED
+  EXPECT_EQ(want.stream, got.stream) << "msample/alarm digest";
+#endif
+}
+
+// The layout contract over the whole fuzz corpus: every scenario — every
+// mechanism, fault plan, deadline, and solicitation policy the corpus
+// generates — must reproduce the pinned digests of its metrics, trace
+// bytes AND the deterministic half of the metrics stream (every msample
+// and alarm line) on one serially drained lane (S1T1), on 4 lanes drained
+// by a 1-thread pool (S4T1), and on 4 lanes over an 8-thread pool (S4T8).
+// The digests were pinned from the single-queue loop the simulator used to
+// run without lanes, so this is the strongest statement the repo can make
+// that the fenced lane merge reproduces the canonical event order exactly
+// — and that profiling rides along without perturbing it. The wall-clock
+// mstat block only has to keep its record count across layouts.
 TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
   constexpr int kCases = 48;
+  const std::string path =
+      std::string(QA_TEST_SOURCE_DIR) + "/tests/golden/fuzz_digests.txt";
+  const bool update = std::getenv("QA_UPDATE_GOLDEN") != nullptr;
+  std::vector<CaseDigests> pinned;
+  if (!update) {
+    pinned = LoadFuzzDigests(path);
+    ASSERT_EQ(pinned.size(), static_cast<size_t>(kCases))
+        << path << " missing or malformed; regenerate with "
+        << "QA_UPDATE_GOLDEN=1";
+  }
+  struct Layout {
+    int shards;
+    int threads;
+    const char* tag;
+  };
+  constexpr Layout kLayouts[] = {{1, 1, "s1t1"}, {4, 1, "s4t1"},
+                                 {4, 8, "s4t8"}};
   for (int i = 0; i < kCases; ++i) {
     SCOPED_TRACE("fuzz case " + std::to_string(i));
     FuzzCase c = MakeCase(i);
@@ -472,23 +567,25 @@ TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
                  std::to_string(c.config.faults.crashes.size() +
                                 c.config.faults.partitions.size() +
                                 c.config.faults.degrades.size()));
-    ReplayResult inline_run = ReplayCase(c, i, 1, 1, "inline");
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE("shards 4 threads " + std::to_string(threads));
-      ReplayResult sharded =
-          ReplayCase(c, i, 4, threads, "s4t" + std::to_string(threads));
-      EXPECT_EQ(inline_run.metrics_json, sharded.metrics_json);
-      EXPECT_EQ(inline_run.trace_bytes, sharded.trace_bytes);
-      EXPECT_EQ(inline_run.deterministic_metrics,
-                sharded.deterministic_metrics);
-      EXPECT_EQ(inline_run.mstat_lines, sharded.mstat_lines);
+    ReplayResult reference;
+    for (const Layout& layout : kLayouts) {
+      SCOPED_TRACE(layout.tag);
+      ReplayResult run =
+          ReplayCase(c, i, layout.shards, layout.threads, layout.tag);
+      if (update && layout.shards == 1) pinned.push_back(DigestOf(run));
+      ExpectPinned(pinned[static_cast<size_t>(i)], DigestOf(run));
+      if (layout.shards == 1) {
+        reference = std::move(run);
+      } else {
+        EXPECT_EQ(reference.mstat_lines, run.mstat_lines);
+      }
     }
 
     // Admission snapshot sanity: the brownout level every msample reports
     // must be a valid class count (0 = no brownout, at most the two
     // classes of the scenario), and identically zero when admission is
     // off.
-    std::istringstream lines(inline_run.deterministic_metrics);
+    std::istringstream lines(reference.deterministic_metrics);
     std::string line;
     while (std::getline(lines, line)) {
       size_t pos = line.find("\"brownout\":");
@@ -499,6 +596,48 @@ TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
       if (c.config.admission.policy != AdmissionPolicy::kPriceSignal) {
         EXPECT_EQ(level, 0) << line;
       }
+    }
+  }
+  if (update) WriteFuzzDigests(path, pinned);
+}
+
+// Regression: a crash loses tasks on a node lane while the mediator's
+// retry backlog is at its bound. Whether each lost query is shed or
+// resubmitted depends on when its loss takes a backlog slot; that must be
+// the merge at the next fence at every layout, never the loss's own time,
+// or the shard count changes the outcome.
+TEST(FederationPropertyTest, CrashUnderFullRetryBacklogIsLayoutInvariant) {
+  FuzzCase c;
+  c.seed = 6;  // cost model from Rng(6), workload from Rng(7)
+  c.num_nodes = 6;
+  c.mechanism = "QA-NT";
+  c.workload.q1_peak_rate = 40.0;
+  c.workload.frequency_hz = 0.2;
+  c.workload.duration = 10 * kSecond;
+  c.workload.num_origin_nodes = c.num_nodes;
+  c.config.period = 500 * kMillisecond;
+  c.config.max_retries = 200;
+  c.config.max_retry_backlog = 10;
+  c.config.seed = static_cast<int64_t>(c.seed);
+  c.config.faults.crashes.push_back({/*node=*/0, 3 * kSecond, 5 * kSecond});
+
+  ReplayResult reference = ReplayCase(c, 1000, 1, 1, "backlog_s1t1");
+  // The scenario must reach the path: crash losses and backlog sheds.
+  EXPECT_NE(reference.trace_bytes.find("\"kind\":\"lost\""),
+            std::string::npos);
+  EXPECT_NE(reference.trace_bytes.find("\"kind\":\"shed\""),
+            std::string::npos);
+  for (int shards : {1, 4}) {
+    for (int threads : {1, 8}) {
+      if (shards == 1 && threads == 1) continue;
+      std::string tag =
+          "backlog_s" + std::to_string(shards) + "t" + std::to_string(threads);
+      SCOPED_TRACE(tag);
+      ReplayResult run = ReplayCase(c, 1000, shards, threads, tag);
+      EXPECT_EQ(reference.metrics_json, run.metrics_json);
+      // Digests keep a failure's report short; the metrics line above
+      // already shows which counters moved.
+      ExpectPinned(DigestOf(reference), DigestOf(run));
     }
   }
 }

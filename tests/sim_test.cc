@@ -46,20 +46,10 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   q.Schedule(10, 1);
   q.RunAll([&](int tag) {
     ++fired;
-    if (tag == 1) q.ScheduleAfter(5, 2);
+    if (tag == 1) q.Schedule(q.now() + 5, 2);
   });
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(q.now(), 15);
-}
-
-TEST(EventQueueTest, RunUntilStopsAtBoundary) {
-  EventQueue<int> q;
-  int fired = 0;
-  q.Schedule(10, 1);
-  q.Schedule(20, 2);
-  q.RunUntil(15, [&](int) { ++fired; });
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.empty());
 }
 
 TEST(EventQueueTest, ReserveDoesNotDisturbOrdering) {
@@ -293,8 +283,8 @@ TEST_F(FederationTest, OutagesBounceBlindAssignmentsButEverythingCompletes) {
   auto alloc = allocation::CreateAllocator("Random", params);
   FederationConfig config;
   config.max_retries = 500;
-  // Node 0 unreachable during [1 s, 6 s).
-  config.outages.push_back({0, 1 * kSecond, 6 * kSecond});
+  // Node 0 partitioned off (unreachable, state intact) during [1 s, 6 s).
+  config.faults.partitions.push_back({{0}, 1 * kSecond, 6 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
   SimMetrics m = fed.Run(MakeTrace(30, 300 * kMillisecond, 0));
   EXPECT_GT(m.bounced, 0);
@@ -311,7 +301,7 @@ TEST_F(FederationTest, QaNtRoutesAroundOutageWithoutBounces) {
   FederationConfig config;
   config.period = 500 * kMillisecond;
   config.max_retries = 500;
-  config.outages.push_back({0, 1 * kSecond, 6 * kSecond});
+  config.faults.partitions.push_back({{0}, 1 * kSecond, 6 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
   SimMetrics m = fed.Run(MakeTrace(20, 400 * kMillisecond, 0));
   // The market never selects an unreachable node: no network bounces.
@@ -321,7 +311,7 @@ TEST_F(FederationTest, QaNtRoutesAroundOutageWithoutBounces) {
 
 // Hand-computed outage accounting. Scenario (Fig. 1 model, 2 nodes, both
 // feasible for q1): ten q1 queries from node 0, one per second at
-// t = 0..9 s; node 0 is unreachable during [2 s, 5 s).
+// t = 0..9 s; node 0 is partitioned off (unreachable) during [2 s, 5 s).
 //
 // QA-NT asks every feasible *online* node (request + offer/decline reply
 // each, plus the final accept: 2*asked+1 messages). Load is far below
@@ -339,7 +329,7 @@ TEST_F(FederationTest, QaNtOutageMessageAccountingByHand) {
   auto alloc = allocation::CreateAllocator("QA-NT", params);
   FederationConfig config;
   config.period = 500 * kMillisecond;
-  config.outages.push_back({0, 2 * kSecond, 5 * kSecond});
+  config.faults.partitions.push_back({{0}, 2 * kSecond, 5 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
 
   SimMetrics m = fed.Run(MakeTrace(10, 1 * kSecond, 0));
@@ -373,7 +363,7 @@ TEST_F(FederationTest, RoundRobinOutageMessageAccountingByHand) {
   params.cost_model = model.get();
   auto alloc = allocation::CreateAllocator("RoundRobin", params);
   FederationConfig config;
-  config.outages.push_back({0, 2 * kSecond, 5 * kSecond});
+  config.faults.partitions.push_back({{0}, 2 * kSecond, 5 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
 
   SimMetrics m = fed.Run(MakeTrace(10, 1 * kSecond, 0));
