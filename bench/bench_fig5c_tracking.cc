@@ -42,9 +42,6 @@ int main(int argc, char** argv) {
 
   bench::Telemetry telemetry(args, "Fig. 5c");
   telemetry.ReportField("capacity_qps", capacity);
-  QA_OBS(telemetry.recorder()) {
-    telemetry.recorder()->Gauge("capacity_qps", capacity);
-  }
 
   // The trace (when requested) follows the QA-NT run: its per-period
   // price/supply snapshots are what tools/qa_trace turns into the
@@ -61,12 +58,17 @@ int main(int argc, char** argv) {
   util::VTime horizon = 15 * kSecond;
   std::vector<int> arrivals =
       trace.ArrivalCounts(0, 500 * kMillisecond, horizon);
-  std::vector<size_t> qa_done =
-      qa_nt.completions_per_class[0].BucketCounts(500 * kMillisecond,
-                                                  horizon);
-  std::vector<size_t> greedy_done =
-      greedy.completions_per_class[0].BucketCounts(500 * kMillisecond,
-                                                   horizon);
+  // Q1 completions per bucket, read off the completion events (each
+  // sample's value is the completed query's class).
+  auto q1_done = [horizon](const sim::SimMetrics& metrics) {
+    stats::TimeSeries q1;
+    for (const stats::Sample& done : metrics.completions.samples()) {
+      if (static_cast<int>(done.value) == 0) q1.Add(done.time, 1.0);
+    }
+    return q1.BucketCounts(500 * kMillisecond, horizon);
+  };
+  std::vector<size_t> qa_done = q1_done(qa_nt);
+  std::vector<size_t> greedy_done = q1_done(greedy);
 
   util::TableWriter table({"t (ms)", "Q1 arriving", "Q1 done (QA-NT)",
                            "Q1 done (Greedy)"});

@@ -76,13 +76,18 @@ class DdlParser {
       while (true) {
         const Token& token = Peek();
         switch (token.type) {
-          case TokenType::kInteger:
-            row.push_back(Value(static_cast<int64_t>(
-                std::stoll(token.text))));
+          case TokenType::kInteger: {
+            int64_t value = 0;
+            QA_RETURN_IF_ERROR(ParseIntegerLiteral(token, &value));
+            row.push_back(Value(value));
             break;
-          case TokenType::kFloat:
-            row.push_back(Value(std::stod(token.text)));
+          }
+          case TokenType::kFloat: {
+            double value = 0.0;
+            QA_RETURN_IF_ERROR(ParseFloatLiteral(token, &value));
+            row.push_back(Value(value));
             break;
+          }
           case TokenType::kString:
             row.push_back(Value(token.text));
             break;

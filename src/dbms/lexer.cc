@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace qa::dbms {
 
 namespace {
+
+/// Parses all of `token.text` as a T, or names the literal that does not
+/// fit.
+template <typename T>
+util::Status ParseLiteral(const Token& token, const char* what, T* value) {
+  const char* end = token.text.data() + token.text.size();
+  std::from_chars_result result =
+      std::from_chars(token.text.data(), end, *value);
+  if (result.ec == std::errc() && result.ptr == end) {
+    return util::Status::OK();
+  }
+  return util::Status::InvalidArgument(
+      std::string(what) + " literal " + token.text +
+      " is out of range at position " + std::to_string(token.offset));
+}
 
 const char* const kKeywords[] = {
     "SELECT", "FROM", "WHERE", "JOIN",  "ON",    "AND",   "GROUP",
@@ -104,6 +121,14 @@ util::StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
   }
   tokens.push_back({TokenType::kEnd, "", static_cast<int>(sql.size()) + 1});
   return tokens;
+}
+
+util::Status ParseIntegerLiteral(const Token& token, int64_t* value) {
+  return ParseLiteral(token, "integer", value);
+}
+
+util::Status ParseFloatLiteral(const Token& token, double* value) {
+  return ParseLiteral(token, "float", value);
 }
 
 }  // namespace qa::dbms

@@ -1,6 +1,7 @@
 #ifndef QAMARKET_DBMS_LEXER_H_
 #define QAMARKET_DBMS_LEXER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,12 @@ struct Token {
 /// normalized to upper case; identifiers keep their case. Returns
 /// InvalidArgument on malformed input (unterminated string, stray char).
 util::StatusOr<std::vector<Token>> Tokenize(const std::string& sql);
+
+/// The value of a kInteger / kFloat token. The lexer accepts any digit
+/// run, so a literal that does not fit an int64 (or overflows/underflows a
+/// double) is InvalidArgument naming the literal and its position.
+util::Status ParseIntegerLiteral(const Token& token, int64_t* value);
+util::Status ParseFloatLiteral(const Token& token, double* value);
 
 }  // namespace qa::dbms
 

@@ -34,7 +34,7 @@ class Parser {
       if (Peek().type != TokenType::kInteger) {
         return Error("expected row count after LIMIT");
       }
-      stmt_.limit = std::stoll(Next().text);
+      QA_RETURN_IF_ERROR(ParseIntegerLiteral(Next(), &stmt_.limit));
       if (stmt_.limit < 0) return Error("LIMIT must be non-negative");
     }
     if (!Peek().IsSymbol("") && Peek().type != TokenType::kEnd) {
@@ -248,12 +248,18 @@ class Parser {
       Value constant;
       const Token& lit = Peek();
       switch (lit.type) {
-        case TokenType::kInteger:
-          constant = Value(static_cast<int64_t>(std::stoll(lit.text)));
+        case TokenType::kInteger: {
+          int64_t value = 0;
+          QA_RETURN_IF_ERROR(ParseIntegerLiteral(lit, &value));
+          constant = Value(value);
           break;
-        case TokenType::kFloat:
-          constant = Value(std::stod(lit.text));
+        }
+        case TokenType::kFloat: {
+          double value = 0.0;
+          QA_RETURN_IF_ERROR(ParseFloatLiteral(lit, &value));
+          constant = Value(value);
           break;
+        }
         case TokenType::kString:
           constant = Value(lit.text);
           break;

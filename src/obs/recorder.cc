@@ -1,5 +1,7 @@
 #include "obs/recorder.h"
 
+#include <utility>
+
 namespace qa::obs {
 
 util::StatusOr<std::unique_ptr<Recorder>> Recorder::OpenFile(
@@ -75,40 +77,8 @@ void Recorder::RecordSnapshot(util::VTime now,
   }
 }
 
-StatRecord* Recorder::FindStat(std::string_view name, bool gauge) {
-  for (StatRecord& stat : stats_) {
-    if (stat.gauge == gauge && stat.name == name) return &stat;
-  }
-  stats_.push_back(StatRecord{std::string(name), 0.0, gauge});
-  return &stats_.back();
-}
-
-void Recorder::Count(std::string_view name, int64_t delta) {
-  if (sink_ == nullptr) return;
-  FindStat(name, /*gauge=*/false)->value += static_cast<double>(delta);
-}
-
-void Recorder::Gauge(std::string_view name, double value) {
-  if (sink_ == nullptr) return;
-  FindStat(name, /*gauge=*/true)->value = value;
-}
-
-int64_t Recorder::counter(std::string_view name) const {
-  for (const StatRecord& stat : stats_) {
-    if (!stat.gauge && stat.name == name) {
-      return static_cast<int64_t>(stat.value);
-    }
-  }
-  return 0;
-}
-
 void Recorder::Finish() {
-  if (sink_ == nullptr || finished_) return;
-  for (const StatRecord& stat : stats_) {
-    Write(stat.ToJson());
-  }
-  sink_->flush();
-  finished_ = true;
+  if (sink_ != nullptr) sink_->flush();
 }
 
 }  // namespace qa::obs

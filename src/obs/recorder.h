@@ -1,14 +1,10 @@
 #ifndef QAMARKET_OBS_RECORDER_H_
 #define QAMARKET_OBS_RECORDER_H_
 
-#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/snapshot.h"
 #include "obs/trace_schema.h"
@@ -17,15 +13,15 @@
 
 namespace qa::obs {
 
-/// Streams telemetry records as JSONL and accumulates named counters and
-/// gauges. One Recorder belongs to one simulation run at a time (single
+/// Streams telemetry records as JSONL. It keeps no counts of its own: a
+/// run's totals are its SimMetrics, written once as the trailing `run`
+/// record. One Recorder belongs to one simulation run at a time (single
 /// writer, no locking): probes sit on the simulator's hot path, so keeping
 /// the recorder thread-confined keeps the enabled path cheap and the
 /// disabled path a single pointer test.
 ///
 /// Probe sites use the QA_OBS macro below so that the disabled path is one
-/// predictable branch — or no code at all when QA_OBS_DISABLED is defined
-/// at build time (the probes compile away entirely).
+/// predictable branch.
 class Recorder {
  public:
   /// A disabled recorder: every probe is dropped.
@@ -50,47 +46,31 @@ class Recorder {
   void Record(const AgentRecord& record) { Write(record.ToJson()); }
   void Record(const ClusterRecord& record) { Write(record.ToJson()); }
   void Record(const UmpireRecord& record) { Write(record.ToJson()); }
+  void Record(const RunRecord& record) { Write(record.ToJson()); }
 
   /// Expands an allocator snapshot into price/agent/umpire records stamped
   /// with virtual time `now`.
   void RecordSnapshot(util::VTime now, const AllocatorSnapshot& snapshot);
 
-  // ---- Counters and gauges ----
-  /// Adds `delta` to the named counter (created at zero on first use).
-  void Count(std::string_view name, int64_t delta = 1);
-  /// Sets the named gauge to `value` (last write wins).
-  void Gauge(std::string_view name, double value);
-
-  int64_t counter(std::string_view name) const;
-  const std::vector<StatRecord>& stats() const { return stats_; }
-
-  /// Flushes counters and gauges as trailing records and syncs the sink.
-  /// Idempotent per set of stats; called by the owner once the run(s)
-  /// being traced are over.
+  /// Syncs the sink; called by the owner once the run(s) being traced are
+  /// over.
   void Finish();
 
   ~Recorder() { Finish(); }
 
  private:
   void Write(const Json& json);
-  StatRecord* FindStat(std::string_view name, bool gauge);
 
   std::ostream* sink_ = nullptr;
   /// Owned sink storage when OpenFile was used.
   std::unique_ptr<std::ofstream> file_;
-  std::vector<StatRecord> stats_;
-  bool finished_ = false;
   std::string line_buffer_;
 };
 
 }  // namespace qa::obs
 
 /// Probe gate: `QA_OBS(recorder) recorder->...;` costs one null test when
-/// telemetry is off, and compiles to nothing under -DQA_OBS_DISABLED.
-#ifdef QA_OBS_DISABLED
-#define QA_OBS(recorder_ptr) if constexpr (false)
-#else
+/// telemetry is off.
 #define QA_OBS(recorder_ptr) if ((recorder_ptr) != nullptr)
-#endif
 
 #endif  // QAMARKET_OBS_RECORDER_H_

@@ -40,8 +40,8 @@ util::StatusOr<ParsedTrace> ParsedTrace::Parse(std::istream& in) {
       trace.clusters.push_back(ClusterRecord::FromJson(json));
     } else if (type == "umpire") {
       trace.umpire.push_back(UmpireRecord::FromJson(json));
-    } else if (type == "counter" || type == "gauge") {
-      trace.stats.push_back(StatRecord::FromJson(json));
+    } else if (type == "run") {
+      trace.runs.push_back(RunRecord::FromJson(json));
     } else if (type.empty()) {
       return util::Status::InvalidArgument(
           "trace line " + std::to_string(line_number) +

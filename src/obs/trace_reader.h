@@ -21,11 +21,11 @@ struct ParsedTrace {
   std::vector<AgentRecord> agents;
   std::vector<ClusterRecord> clusters;
   std::vector<UmpireRecord> umpire;
-  std::vector<StatRecord> stats;
+  std::vector<RunRecord> runs;
 
   size_t NumRecords() const {
     return (has_meta ? 1 : 0) + events.size() + prices.size() +
-           agents.size() + clusters.size() + umpire.size() + stats.size();
+           agents.size() + clusters.size() + umpire.size() + runs.size();
   }
 
   /// Parses a whole stream of JSONL records. Unknown record types from the

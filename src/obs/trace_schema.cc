@@ -237,26 +237,16 @@ UmpireRecord UmpireRecord::FromJson(const Json& json) {
   return r;
 }
 
-Json StatRecord::ToJson() const {
+Json RunRecord::ToJson() const {
   Json json = Json::MakeObject();
-  json.Set("type", gauge ? "gauge" : "counter");
-  json.Set("name", name);
-  // Counters are integral by construction; serialize them as JSON ints so
-  // the trace reads naturally ("value":390, not "value":3.9e+02).
-  if (gauge) {
-    json.Set("value", value);
-  } else {
-    json.Set("value", static_cast<int64_t>(value));
-  }
+  json.Set("type", "run");
+  json.Set("metrics", metrics);
   return json;
 }
 
-StatRecord StatRecord::FromJson(const Json& json) {
-  StatRecord r;
-  r.gauge = json.GetString("type") == "gauge";
-  r.name = json.GetString("name");
-  r.value = json.GetDouble("value");
-  return r;
+RunRecord RunRecord::FromJson(const Json& json) {
+  const Json* metrics = json.Find("metrics");
+  return RunRecord{metrics != nullptr ? *metrics : Json::MakeObject()};
 }
 
 }  // namespace qa::obs

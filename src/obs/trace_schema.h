@@ -30,7 +30,9 @@ namespace qa::obs {
 /// `clusters_asked` (sub-mediators solicited on the attempt); snapshots
 /// additionally emit `cluster` records (one per activated cluster and
 /// query class: published/remaining/sold aggregate supply).
-inline constexpr int kTraceSchemaVersion = 5;
+/// v6: the trailing `counter`/`gauge` block is gone; each run ends with one
+/// `run` record holding its SimMetrics totals (sim::MetricsToJson).
+inline constexpr int kTraceSchemaVersion = 6;
 
 /// The typed records of the trace. Every record serializes to one JSON
 /// object per line with a "type" discriminator; fields holding their
@@ -179,15 +181,15 @@ struct UmpireRecord {
   static UmpireRecord FromJson(const Json& json);
 };
 
-/// A named counter or gauge, flushed when the recorder finishes.
-struct StatRecord {
-  std::string name;
-  double value = 0.0;
-  bool gauge = false;
+/// One per run (its last line): the run's totals as sim::MetricsToJson
+/// renders them, the same object the run's --report row holds. The trace
+/// keeps no tallies of its own; qa_trace checks its records against these.
+struct RunRecord {
+  Json metrics;
 
-  bool operator==(const StatRecord&) const = default;
+  bool operator==(const RunRecord&) const = default;
   Json ToJson() const;
-  static StatRecord FromJson(const Json& json);
+  static RunRecord FromJson(const Json& json);
 };
 
 }  // namespace qa::obs

@@ -9,26 +9,21 @@
 #include <string>
 
 #include "market/market_sim.h"
+#include "sim/metrics_json.h"
 #include "util/logging.h"
 
 namespace qa::sim {
 
 namespace {
 
-/// Every counter name a run can ever Count(), in the canonical emission
-/// order. Traced runs pre-register all of them at t=0 (a Count of 0
-/// creates the stat), so the recorder's trailing stats block lists the
-/// same names in the same order regardless of which events a scenario
-/// happens to produce — and, crucially for the lane core, regardless of
-/// the order in which the first increment of each counter fires
-/// (mediator-side counts fire at dispatch, node-lane counts at the fence
-/// merge; only pre-registration makes creation order invariant).
-constexpr const char* kCounterNames[] = {
-    "arrivals", "assigns",  "rejects",  "bounces",  "drops",
-    "expired",  "shed",     "admission_rejects", "deliveries",
-    "completions", "losses", "crashes",
-    "restarts", "degrades", "surges", "ticks", "snapshots",
-};
+/// A run that cannot be trusted stops the process: a config that would
+/// silently simulate nonsense, or a finished run whose counts break an
+/// accounting identity (a drift bug fails the run that caused it).
+void AbortUnlessOk(const util::Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "FATAL: %s: %s\n", what, status.ToString().c_str());
+  std::abort();
+}
 
 /// The client's pending query behind a task: original arrival time (a
 /// loss inflates the response time, which is the point) and retry count;
@@ -189,16 +184,11 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   // A malformed config (zero period, inverted fault window...) would not
   // crash — it would silently simulate nonsense. Fail fast instead, like
   // the experiment runner does for an unknown mechanism name.
-  util::Status valid = ValidateConfig(config_, num_nodes());
-  if (!valid.ok()) {
-    std::fprintf(stderr, "FATAL: invalid FederationConfig: %s\n",
-                 valid.ToString().c_str());
-    std::abort();
-  }
+  AbortUnlessOk(ValidateConfig(config_, num_nodes()),
+                "invalid FederationConfig");
 
   metrics_ = SimMetrics();
   size_t num_classes = static_cast<size_t>(cost_model_->num_classes());
-  metrics_.completions_per_class.resize(num_classes);
   metrics_.dropped_per_class.resize(num_classes);
   metrics_.retries_per_class.resize(num_classes);
   ticks_ = 0;
@@ -236,14 +226,9 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
                             : 0;
     }
     config_.recorder->Record(meta);
-    // Fix the stats block's name order up front (see kCounterNames).
-    for (const char* name : kCounterNames) {
-      config_.recorder->Count(name, 0);
-    }
     // The market's initial prices, at t=0; written directly — nothing can
     // be buffered ahead of it.
     config_.recorder->RecordSnapshot(0, allocator_->Snapshot());
-    config_.recorder->Count("snapshots");
   }
 
   watchdogs_.reset();
@@ -310,7 +295,6 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     arrivals_scheduled += copies;
   }
   metrics_.arrivals = arrivals_scheduled;
-  outstanding_ = arrivals_scheduled;
   admitted_in_flight_ = 0;
   admission_load_ = 0;
   for (const auto& [when, transition] : injector_.transitions()) {
@@ -349,6 +333,11 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     EmitMetricsSample();
     config_.metrics->RecordPhase(obs::metrics::Phase::kRunTotal,
                                  util::MonotonicClock::NowNanos() - run_start);
+  }
+  AbortUnlessOk(ValidateAccounting(metrics_), "run accounting");
+  // The run's totals close its trace: the one counter store, rendered.
+  QA_OBS(config_.recorder) {
+    config_.recorder->Record(obs::RunRecord{MetricsToJson(metrics_)});
   }
   return metrics_;
 }
@@ -612,7 +601,6 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       event.class_id = pending.arrival.class_id;
       event.origin = pending.arrival.origin;
       EmitRecord(event);
-      config_.recorder->Count("arrivals");
     }
   }
 
@@ -725,7 +713,6 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       event.node = decision.node;
       event.attempts = pending.attempts;
       EmitRecord(event);
-      config_.recorder->Count("bounces");
     }
     decision.node = allocation::kNoNode;
   }
@@ -770,7 +757,6 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       event.clusters_asked = decision.clusters_solicited;
       event.attempts = pending.attempts;
       EmitRecord(event);
-      config_.recorder->Count("rejects");
     }
     // The client resubmits the query at the next market tick (§3.3 says
     // "next time period" — with staggered autonomous periods, some node's
@@ -812,7 +798,6 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     event.clusters_asked = decision.clusters_solicited;
     event.attempts = pending.attempts;
     EmitRecord(event);
-    config_.recorder->Count("assigns");
   }
   QueryTask task;
   task.query_id = pending.id;
@@ -868,7 +853,6 @@ void Federation::RecordFate(const obs::EventRecord& record, Sink sink) {
 void Federation::CountDrop(const SimEvent::Pending& query, Sink sink) {
   ++metrics_.dropped;
   ++metrics_.dropped_per_class[static_cast<size_t>(query.arrival.class_id)];
-  --outstanding_;
   if (query.admitted && admission_.enabled()) {
     --admitted_in_flight_;
     if (!sink.merge) --admission_load_;
@@ -887,7 +871,6 @@ void Federation::DropQuery(const SimEvent::Pending& query, bool expired,
     event.class_id = query.arrival.class_id;
     event.attempts = query.attempts;
     RecordFate(event, sink);
-    config_.recorder->Count(expired ? "expired" : "drops");
   }
 }
 
@@ -906,8 +889,6 @@ void Federation::ShedQuery(const SimEvent::Pending& query,
     event.node = node_id;
     event.attempts = query.attempts;
     RecordFate(event, sink);
-    config_.recorder->Count("shed");
-    if (admission) config_.recorder->Count("admission_rejects");
   }
 }
 
@@ -924,7 +905,6 @@ void Federation::LoseTask(const QueryTask& task, catalog::NodeId node_id,
     event.node = node_id;
     event.attempts = task.attempts;
     RecordFate(event, sink);
-    config_.recorder->Count("losses");
   }
   SimEvent::Pending pending = PendingOf(task);
   ++pending.attempts;
@@ -1033,7 +1013,6 @@ void Federation::HandleRestart(
     event.t_us = events_.now();
     event.node = transition.node;
     EmitRecord(event);
-    config_.recorder->Count("restarts");
   }
 }
 
@@ -1049,7 +1028,6 @@ void Federation::HandleSurge(
     event.class_id = transition.class_id;
     event.factor = transition.factor;
     EmitRecord(event);
-    config_.recorder->Count("surges");
   }
 }
 
@@ -1115,30 +1093,23 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
   // already moved past them.
   const Sink sink{outcome.time, /*merge=*/true};
   obs::EventRecord::Kind kind = obs::EventRecord::Kind::kDeliver;
-  const char* counter = "deliveries";
   double response_ms = 0.0;
   switch (outcome.kind) {
     case ShardOutcome::Kind::kDeliverRecord:
       break;
     case ShardOutcome::Kind::kCrashRecord:
       kind = obs::EventRecord::Kind::kCrash;
-      counter = "crashes";
       break;
     case ShardOutcome::Kind::kDegradeRecord:
       kind = obs::EventRecord::Kind::kDegrade;
-      counter = "degrades";
       break;
     case ShardOutcome::Kind::kComplete:
       kind = obs::EventRecord::Kind::kComplete;
-      counter = "completions";
       response_ms = util::ToMillis(outcome.time - outcome.task.arrival);
       metrics_.response_time_ms.Add(response_ms);
       metrics_.completions.Add(outcome.time,
                                static_cast<double>(outcome.task.class_id));
-      metrics_.completions_per_class[static_cast<size_t>(
-          outcome.task.class_id)].Add(outcome.time, 1.0);
       ++metrics_.completed;
-      --outstanding_;
       // Node-side terminations update only the exact in-flight count, not
       // the gate's view, which resyncs at the tick (see admission_load_).
       if (admission_.enabled()) --admitted_in_flight_;
@@ -1169,7 +1140,6 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
     event.response_ms = response_ms;
     event.factor = outcome.factor;
     config_.recorder->Record(event);
-    config_.recorder->Count(counter);
   }
 }
 
@@ -1220,7 +1190,6 @@ void Federation::MarketTick() {
     event.kind = obs::EventRecord::Kind::kTick;
     event.t_us = events_.now();
     EmitRecord(event);
-    config_.recorder->Count("ticks");
     // Snapshot once per global period (every divisor-th tick), after the
     // period hooks ran: post-rollover prices are what convergence analysis
     // wants to see. Materialized eagerly: by the time the fence flushes
@@ -1229,7 +1198,6 @@ void Federation::MarketTick() {
       med_items_.push_back({current_time_, current_stamp_,
                             /*is_snapshot=*/true, {},
                             allocator_->Snapshot()});
-      config_.recorder->Count("snapshots");
     }
   }
   QA_METRICS(config_.metrics) {
@@ -1251,21 +1219,18 @@ void Federation::MarketTick() {
       EmitMetricsSample();
     }
   }
-  // The fence before this tick applied every completion and drop with an
-  // earlier key, so `outstanding_` is exact here.
-  if (outstanding_ > 0) {
+  // The market keeps ticking while queries are in flight. The fence
+  // before this tick applied every completion and drop with an earlier
+  // key, so the count is exact here.
+  if (metrics_.InFlight() > 0) {
     events_.Schedule(events_.now() + TickInterval(), NextMediatorStamp(),
                      SimEvent::MakeMarketTick());
   }
 }
 
 void Federation::EmitRecord(const obs::EventRecord& record) {
-  // Every call site is inside a QA_OBS gate already; gating again here
-  // keeps the buffering compiled away under -DQA_OBS_DISABLED.
-  QA_OBS(config_.recorder) {
-    med_items_.push_back({current_time_, current_stamp_,
-                          /*is_snapshot=*/false, record, {}});
-  }
+  med_items_.push_back({current_time_, current_stamp_,
+                        /*is_snapshot=*/false, record, {}});
 }
 
 void Federation::EmitMetricsSample() {
@@ -1287,7 +1252,7 @@ void Federation::EmitMetricsSample() {
     row.retries = metrics_.retries;
     row.messages = metrics_.messages;
     row.solicited = metrics_.solicited;
-    row.outstanding = outstanding_;
+    row.outstanding = metrics_.InFlight();
     row.shed = metrics_.shed;
     row.admission_rejects = metrics_.admission_rejects;
     row.brownout_level = admission_.brownout_level();

@@ -79,8 +79,9 @@ struct FederationConfig {
   /// behavior.
   AdmissionConfig admission;
   /// Optional telemetry sink (not owned; must outlive the run). When set,
-  /// the federation streams event spans, per-period allocator snapshots and
-  /// run counters into it; when null every probe is a single branch.
+  /// the federation streams event spans and per-period allocator snapshots
+  /// into it, closed by the run's totals (one `run` record); when null
+  /// every probe is a single branch.
   obs::Recorder* recorder = nullptr;
   /// Optional metrics collector (not owned; must outlive the run). When
   /// set, the federation streams deterministic per-period samples and
@@ -247,7 +248,8 @@ class Federation : public allocation::AllocationContext {
              allocation::Allocator* allocator, FederationConfig config);
 
   /// Runs the whole trace to completion and returns the metrics. The run
-  /// ends when all queries completed or were dropped.
+  /// ends when all queries completed or were dropped; a run whose metrics
+  /// then fail ValidateAccounting aborts, like an invalid config.
   SimMetrics Run(const workload::Trace& trace);
 
   // ---- AllocationContext ----
@@ -387,7 +389,8 @@ class Federation : public allocation::AllocationContext {
             double factor = 0.0);
   void ApplyOutcome(const ShardOutcome& outcome);
   /// Buffers a mediator-side trace record at the dispatching event's key
-  /// for the next fence merge.
+  /// for the next fence merge. Traced runs only: every call site sits
+  /// inside a QA_OBS gate.
   void EmitRecord(const obs::EventRecord& record);
 
   // ---- stamps and routing ----
@@ -467,9 +470,6 @@ class Federation : public allocation::AllocationContext {
   int64_t tick_assigns_ = 0;
   int64_t tick_rejects_ = 0;
   int consecutive_decline_rounds_ = 0;
-  /// Queries in flight (arrived, not yet completed or dropped); the
-  /// periodic market event keeps rescheduling itself while this is > 0.
-  int64_t outstanding_ = 0;
   /// Queries currently scheduled for a future retry/defer attempt
   /// (attempts > 0 arrivals in the queue); bounded by
   /// config_.max_retry_backlog.

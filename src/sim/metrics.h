@@ -7,6 +7,7 @@
 #include "query/query.h"
 #include "stats/series.h"
 #include "stats/summary.h"
+#include "util/status.h"
 #include "util/vtime.h"
 
 namespace qa::sim {
@@ -15,10 +16,9 @@ namespace qa::sim {
 struct SimMetrics {
   /// Response time (ms) per completed query: completion - first arrival.
   stats::Summary response_time_ms;
-  /// Completion events: one sample per finished query, value = class id.
+  /// Completion events: one sample per finished query, value = class id
+  /// (the per-class completion counts and curves are read off it).
   stats::TimeSeries completions;
-  /// Completion events per class (index = class id).
-  std::vector<stats::TimeSeries> completions_per_class;
   /// Queries that entered the system. Under arrival-rate surges this is
   /// not the configured trace length: surge windows clone (or thin)
   /// scheduled arrivals, so conservation checks must use this counter,
@@ -39,7 +39,8 @@ struct SimMetrics {
   int64_t expired = 0;
   /// Total re-submissions (QA-NT's "ask again next period").
   int64_t retries = 0;
-  /// Drops broken down by query class (index = class id).
+  /// Drops broken down by query class (index = class id; sized to the
+  /// model's class count, like retries_per_class).
   std::vector<int64_t> dropped_per_class;
   /// Re-submissions broken down by query class (index = class id).
   std::vector<int64_t> retries_per_class;
@@ -75,6 +76,8 @@ struct SimMetrics {
   /// Per-node completed-query counts.
   std::vector<int64_t> node_completed;
 
+  /// Queries that arrived and have neither completed nor been dropped.
+  int64_t InFlight() const { return arrivals - completed - dropped; }
   /// Mean response time in ms (0 if nothing completed).
   double MeanResponseMs() const { return response_time_ms.Mean(); }
   /// Completed queries per second of virtual time.
@@ -84,6 +87,14 @@ struct SimMetrics {
                         : 0.0;
   }
 };
+
+/// Checks a finished run's accounting identities in O(classes):
+/// arrivals == completed + dropped; admission_rejects <= shed <= dropped
+/// and expired <= dropped; the per-class drops and retries sum to their
+/// totals; completed == response-time samples == completion events.
+/// Returns an Internal error naming the first identity that fails.
+/// Federation::Run checks every run with it before returning.
+util::Status ValidateAccounting(const SimMetrics& metrics);
 
 }  // namespace qa::sim
 

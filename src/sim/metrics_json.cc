@@ -1,5 +1,7 @@
 #include "sim/metrics_json.h"
 
+#include <vector>
+
 namespace qa::sim {
 
 obs::Json MetricsToJson(const SimMetrics& metrics) {
@@ -39,10 +41,16 @@ obs::Json MetricsToJson(const SimMetrics& metrics) {
   for (int64_t r : metrics.retries_per_class) retries.Append(r);
   json.Set("retries_per_class", std::move(retries));
 
-  obs::Json completed = obs::Json::MakeArray();
-  for (const auto& series : metrics.completions_per_class) {
-    completed.Append(static_cast<int64_t>(series.size()));
+  // Completions per class, read off the completion events (each sample's
+  // value is the class id); one entry per class, like the drop breakdown.
+  std::vector<int64_t> per_class(metrics.dropped_per_class.size(), 0);
+  for (const stats::Sample& sample : metrics.completions.samples()) {
+    auto k = static_cast<size_t>(sample.value);
+    if (k >= per_class.size()) per_class.resize(k + 1, 0);
+    ++per_class[k];
   }
+  obs::Json completed = obs::Json::MakeArray();
+  for (int64_t c : per_class) completed.Append(c);
   json.Set("completed_per_class", std::move(completed));
   return json;
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dbms/ddl.h"
 #include "dbms/engine.h"
 #include "dbms/parser.h"
@@ -53,6 +57,24 @@ TEST(DdlTest, ParseErrors) {
   EXPECT_FALSE(ParseStatement("INSERT INTO t VALUES (1,)").ok());
   EXPECT_FALSE(ParseStatement("DROP TABLE t").ok());
   EXPECT_FALSE(ParseStatement("CREATE TABLE t (a INT) junk").ok());
+}
+
+// INSERT literals that fit no int64/double are errors naming the literal,
+// not an uncaught std::out_of_range: one case per site (integer, float).
+TEST(DdlTest, OutOfRangeInsertLiteralsAreErrors) {
+  const std::string huge_int = "99999999999999999999";
+  const std::string huge_float = std::string(400, '9') + ".0";
+  for (const auto& [sql, literal] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"INSERT INTO t VALUES (" + huge_int + ", 2.0)", huge_int},
+           {"INSERT INTO t VALUES (1, " + huge_float + ")", huge_float}}) {
+    auto stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(stmt.status().message().find(literal + " is out of range"),
+              std::string::npos)
+        << stmt.status();
+  }
 }
 
 TEST(DdlTest, ApplyCreateAndInsertEndToEnd) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dbms/engine.h"
 #include "dbms/lexer.h"
 #include "dbms/parser.h"
@@ -185,6 +189,26 @@ TEST(ParserTest, UnknownQualifierRejected) {
   EXPECT_FALSE(stmt.ok());
   EXPECT_NE(stmt.status().message().find("unknown table"),
             std::string::npos);
+}
+
+// A literal the lexer accepts but no int64/double holds is a parse error
+// naming it, not an uncaught std::out_of_range: one case per parse site
+// (WHERE integer, WHERE float, LIMIT).
+TEST(ParserTest, OutOfRangeLiteralsAreErrorsNamingTheLiteral) {
+  const std::string huge_int = "99999999999999999999";
+  const std::string huge_float = std::string(400, '9') + ".0";
+  for (const auto& [sql, literal] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"SELECT a FROM t WHERE a > " + huge_int, huge_int},
+           {"SELECT a FROM t WHERE a > " + huge_float, huge_float},
+           {"SELECT a FROM t LIMIT " + huge_int, huge_int}}) {
+    auto stmt = ParseSelect(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(stmt.status().message().find(literal + " is out of range"),
+              std::string::npos)
+        << stmt.status();
+  }
 }
 
 // ------------------------------------------------- Parse + execute e2e

@@ -283,6 +283,10 @@ void CheckInvariants(const FuzzCase& c, const workload::Trace& trace,
   // One start + one end marker per configured surge window.
   EXPECT_EQ(rec_surges,
             2 * static_cast<int64_t>(c.config.faults.surges.size()));
+  // The trace closes with exactly one `run` record: the run's SimMetrics,
+  // rendered as the run report renders them (the trace keeps no tallies).
+  ASSERT_EQ(parsed.runs.size(), 1u);
+  EXPECT_EQ(parsed.runs[0].metrics.Dump(), MetricsToJson(m).Dump());
 
   // Snapshot sanity, every period: prices positive, unsold supply within
   // the period plan, agent counters ordered (requests >= offers >=

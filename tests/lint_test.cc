@@ -305,7 +305,7 @@ TEST(QaObs002Test, FlagsBareProbe) {
   std::vector<Finding> findings =
       Lint("src/sim/fixture.cc",
            "void Tick() {\n"
-           "  recorder_->Count(\"ticks\");\n"
+           "  recorder_->Record(tick);\n"
            "}\n");
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "QA-OBS-002");
@@ -317,15 +317,15 @@ TEST(QaObs002Test, GatedProbesAreClean) {
   EXPECT_TRUE(Lint("src/sim/fixture.cc",
                    "void Tick() {\n"
                    "  QA_OBS(recorder_) {\n"
-                   "    recorder_->Count(\"ticks\");\n"
-                   "    recorder_->Gauge(\"load\", 0.5);\n"
+                   "    recorder_->Record(tick);\n"
+                   "    recorder_->RecordSnapshot(0, snapshot);\n"
                    "  }\n"
                    "}\n")
                   .empty());
   // Single-statement gate.
   EXPECT_TRUE(Lint("src/sim/fixture.cc",
                    "void Tick() {\n"
-                   "  QA_OBS(recorder_) recorder_->Count(\"ticks\");\n"
+                   "  QA_OBS(recorder_) recorder_->Record(tick);\n"
                    "}\n")
                   .empty());
 }
@@ -334,9 +334,9 @@ TEST(QaObs002Test, GateDoesNotLeakPastItsBlock) {
   EXPECT_TRUE(Has(Lint("src/sim/fixture.cc",
                        "void Tick() {\n"
                        "  QA_OBS(recorder_) {\n"
-                       "    recorder_->Count(\"in\");\n"
+                       "    recorder_->Record(in);\n"
                        "  }\n"
-                       "  recorder_->Count(\"out\");\n"
+                       "  recorder_->Record(out);\n"
                        "}\n"),
                   "QA-OBS-002"));
 }

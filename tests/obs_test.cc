@@ -159,6 +159,16 @@ TEST(TraceSchemaTest, WriteParseRoundTripIsExact) {
   umpire.price = 0.25;
   umpire.excess = -2.0;
 
+  // v6: the run's totals close its trace, as one nested metrics object.
+  RunRecord run;
+  run.metrics.Set("arrivals", int64_t{1});
+  run.metrics.Set("completed", int64_t{1});
+  run.metrics.Set("mean_ms", 411.25);
+  Json per_class = Json::MakeArray();
+  per_class.Append(int64_t{0});
+  per_class.Append(int64_t{1});
+  run.metrics.Set("completed_per_class", std::move(per_class));
+
   std::ostringstream sink;
   {
     Recorder recorder(&sink);
@@ -169,8 +179,7 @@ TEST(TraceSchemaTest, WriteParseRoundTripIsExact) {
     recorder.Record(price);
     recorder.Record(agent);
     recorder.Record(umpire);
-    recorder.Count("ticks", 390);
-    recorder.Gauge("capacity_qps", 12.5);
+    recorder.Record(run);
     recorder.Finish();
   }
 
@@ -191,19 +200,9 @@ TEST(TraceSchemaTest, WriteParseRoundTripIsExact) {
   EXPECT_EQ(trace.agents[0], agent);
   ASSERT_EQ(trace.umpire.size(), 1u);
   EXPECT_EQ(trace.umpire[0], umpire);
-  ASSERT_EQ(trace.stats.size(), 2u);
-  EXPECT_EQ(trace.stats[0], (StatRecord{"ticks", 390.0, false}));
-  EXPECT_EQ(trace.stats[1], (StatRecord{"capacity_qps", 12.5, true}));
-  EXPECT_EQ(trace.NumRecords(), 9u);
-}
-
-TEST(TraceSchemaTest, CountersSerializeAsIntegers) {
-  StatRecord counter{"ticks", 390.0, /*gauge=*/false};
-  EXPECT_EQ(counter.ToJson().Dump(),
-            "{\"type\":\"counter\",\"name\":\"ticks\",\"value\":390}");
-  StatRecord gauge{"qps", 12.5, /*gauge=*/true};
-  EXPECT_EQ(gauge.ToJson().Dump(),
-            "{\"type\":\"gauge\",\"name\":\"qps\",\"value\":12.5}");
+  ASSERT_EQ(trace.runs.size(), 1u);
+  EXPECT_EQ(trace.runs[0], run);
+  EXPECT_EQ(trace.NumRecords(), 8u);
 }
 
 TEST(TraceSchemaTest, EveryEventKindRoundTripsByName) {
@@ -303,28 +302,10 @@ TEST(TraceReaderTest, RejectsNewerSchemaAndBadLines) {
 TEST(RecorderTest, DisabledRecorderDropsEverything) {
   Recorder recorder;  // no sink
   EXPECT_FALSE(recorder.enabled());
-  recorder.Count("x");
-  recorder.Gauge("y", 1.0);
-  EXPECT_EQ(recorder.counter("x"), 0);
-  EXPECT_TRUE(recorder.stats().empty());
-}
-
-TEST(RecorderTest, CountersAccumulateAndGaugesOverwrite) {
-  std::ostringstream sink;
-  Recorder recorder(&sink);
-  recorder.Count("ticks");
-  recorder.Count("ticks", 9);
-  recorder.Gauge("qps", 1.0);
-  recorder.Gauge("qps", 2.0);
-  EXPECT_EQ(recorder.counter("ticks"), 10);
+  recorder.Record(MetaRecord{});
+  recorder.Record(RunRecord{});
+  recorder.RecordSnapshot(0, AllocatorSnapshot{});
   recorder.Finish();
-  recorder.Finish();  // idempotent: stats are flushed once
-
-  std::istringstream in(sink.str());
-  ParsedTrace trace = ParsedTrace::Parse(in).value();
-  ASSERT_EQ(trace.stats.size(), 2u);
-  EXPECT_EQ(trace.stats[0], (StatRecord{"ticks", 10.0, false}));
-  EXPECT_EQ(trace.stats[1], (StatRecord{"qps", 2.0, true}));
 }
 
 TEST(RecorderTest, TatonnementSnapshotBecomesUmpireRecords) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -126,6 +127,63 @@ TEST(EventQueueTest, PastTimestampDiagnosticNamesTheOffendingEvent) {
   // Debug builds die on the assert, with the description in the report.
   EXPECT_DEATH(q.Schedule(4, 2, late), "deliver node=5 query=77");
 #endif
+}
+
+// ------------------------------------------------------------ Accounting
+
+/// A finished run's metrics that satisfy every accounting identity: 10
+/// arrivals, 6 completed, 4 dropped (1 expired, 2 shed, 1 of them by the
+/// admission gate), 5 retries, over two classes.
+SimMetrics ConformingMetrics() {
+  SimMetrics m;
+  m.arrivals = 10;
+  m.completed = 6;
+  m.dropped = 4;
+  m.expired = 1;
+  m.shed = 2;
+  m.admission_rejects = 1;
+  m.retries = 5;
+  m.dropped_per_class = {3, 1};
+  m.retries_per_class = {2, 3};
+  for (int i = 0; i < 6; ++i) {
+    m.response_time_ms.Add(10.0 * (i + 1));
+    m.completions.Add(i * kMillisecond, i % 2);
+  }
+  return m;
+}
+
+TEST(AccountingTest, ValidateAccountingNamesEachBrokenIdentity) {
+  EXPECT_TRUE(ValidateAccounting(ConformingMetrics()).ok());
+  EXPECT_TRUE(ValidateAccounting(SimMetrics()).ok());  // an empty run
+
+  struct Breakage {
+    const char* identity;
+    void (*apply)(SimMetrics&);
+  };
+  const Breakage breakages[] = {
+      {"arrivals == completed + dropped", [](SimMetrics& m) { ++m.arrivals; }},
+      {"admission_rejects <= shed",
+       [](SimMetrics& m) { m.admission_rejects = 3; }},
+      {"shed <= dropped", [](SimMetrics& m) { m.shed = 5; }},
+      {"expired <= dropped", [](SimMetrics& m) { m.expired = 5; }},
+      {"sum(dropped_per_class) == dropped",
+       [](SimMetrics& m) { --m.dropped_per_class[0]; }},
+      {"sum(retries_per_class) == retries",
+       [](SimMetrics& m) { ++m.retries_per_class[1]; }},
+      {"completed == response-time samples",
+       [](SimMetrics& m) { m.response_time_ms.Add(1.0); }},
+      {"completed == completion events",
+       [](SimMetrics& m) { m.completions.Add(0, 0.0); }},
+  };
+  for (const Breakage& breakage : breakages) {
+    SCOPED_TRACE(breakage.identity);
+    SimMetrics m = ConformingMetrics();
+    breakage.apply(m);
+    util::Status status = ValidateAccounting(m);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find(breakage.identity), std::string::npos)
+        << status;
+  }
 }
 
 // --------------------------------------------------------------- SimNode

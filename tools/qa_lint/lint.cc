@@ -60,8 +60,8 @@ const Rule kRules[] = {
      "every kind EventKindName() can emit must be documented, or trace "
      "consumers cannot rely on the schema"},
     {"QA-OBS-002", "Recorder probe not gated by QA_OBS",
-     "a bare recorder call keeps costing when telemetry is off and does not "
-     "compile away under -DQA_OBS_DISABLED"},
+     "the recorder pointer is null when telemetry is off, so a bare "
+     "recorder call dereferences a null pointer on every untraced run"},
     {"QA-OBS-003", "unregistered metric name at a MetricId() call site",
      "every metric a run can emit is declared once in "
      "src/obs/metrics/catalog.cc; a name looked up anywhere else that is "
@@ -801,8 +801,8 @@ class Linter {
   // QA-OBS-002 — recorder probes must sit inside a QA_OBS(...) gate.
   void RuleUngatedProbe() {
     if (!InSimPaths(path_) && !PathInDir(path_, "src/exec")) return;
-    static const std::set<std::string> kProbeMethods = {
-        "Record", "RecordSnapshot", "Count", "Gauge"};
+    static const std::set<std::string> kProbeMethods = {"Record",
+                                                        "RecordSnapshot"};
     std::vector<bool> guarded = {false};
     bool stmt_has_gate = false;
     for (size_t i = 0; i < toks().size(); ++i) {

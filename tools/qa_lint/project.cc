@@ -1123,7 +1123,7 @@ class ShardPass {
         "current_time_",   "current_stamp_",   "metrics_",
         "link_down_",      "link_mask_active_", "tick_assigns_",
         "tick_rejects_",   "consecutive_decline_rounds_",
-        "outstanding_",    "retry_backlog_",   "admitted_in_flight_",
+        "retry_backlog_",  "admitted_in_flight_",
         "admission_load_", "admission_",       "admission_probe_",
         "next_query_id_",  "ticks_",           "watchdogs_",
         "market_probe_",   "alloc_probe_seq_", "tick_probe_seq_",

@@ -1,8 +1,12 @@
 // qa_trace: convergence diagnostics for a JSONL market trace.
 //
-// Reads a trace produced by any bench's --trace=FILE flag (schema v1, see
-// src/obs/SCHEMA.md) and reports how the market behaved over time:
+// Reads a trace produced by any bench's --trace=FILE flag (schema v6, see
+// src/obs/SCHEMA.md; older versions are read too) and reports how the
+// market behaved over time:
 //
+//   * the run totals from the trace's closing `run` record — and exit
+//     status 1 when the trace's own arrival, assign, complete, bounce,
+//     lost, shed and drop records disagree with them;
 //   * per-class price variance across nodes, period by period — the paper's
 //     §3.3 convergence claim made measurable;
 //   * time-to-equilibrium: the first period from which the observable
@@ -27,17 +31,23 @@
 //            [--periods=N] [--csv] [--faults] [--shed] [--clusters]
 //            [--alarms=METRICS.jsonl]
 //
+// Flags are strict: a malformed or out-of-range value (a non-positive
+// band, window or bucket width, a negative period count) prints the usage
+// line and exits 2.
+//
 // All analysis goes through the same parser the tests use
 // (obs::ParsedTrace), so anything this tool prints is covered by the
 // round-trip tests in tests/obs_test.cc.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "obs/analysis.h"
@@ -69,17 +79,28 @@ void Usage(const char* argv0) {
                " [--alarms=METRICS.jsonl]\n";
 }
 
+/// Parses all of `text` as a number; false on an empty, malformed or
+/// out-of-range value.
+template <typename T>
+bool Number(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  std::from_chars_result result = std::from_chars(text.data(), end, *out);
+  return result.ec == std::errc() && result.ptr == end;
+}
+
 bool ParseArgs(int argc, char** argv, Options* opts) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    std::string_view value = std::string_view(arg).substr(arg.find('=') + 1);
+    bool valid = true;
     if (arg.rfind("--band=", 0) == 0) {
-      opts->band = std::atof(arg.c_str() + 7);
+      valid = Number(value, &opts->band) && opts->band > 0.0;
     } else if (arg.rfind("--window=", 0) == 0) {
-      opts->window = std::atoi(arg.c_str() + 9);
+      valid = Number(value, &opts->window) && opts->window > 0;
     } else if (arg.rfind("--bucket-ms=", 0) == 0) {
-      opts->bucket_ms = std::atoll(arg.c_str() + 12);
+      valid = Number(value, &opts->bucket_ms) && opts->bucket_ms > 0;
     } else if (arg.rfind("--periods=", 0) == 0) {
-      opts->max_periods = std::atoi(arg.c_str() + 10);
+      valid = Number(value, &opts->max_periods) && opts->max_periods >= 0;
     } else if (arg == "--csv") {
       opts->csv = true;
     } else if (arg == "--faults") {
@@ -89,7 +110,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else if (arg == "--clusters") {
       opts->clusters = true;
     } else if (arg.rfind("--alarms=", 0) == 0) {
-      opts->alarms_path = arg.substr(9);
+      opts->alarms_path = value;
+      valid = !value.empty();
     } else if (arg == "--help" || arg == "-h") {
       return false;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -99,6 +121,10 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       opts->trace_path = arg;
     } else {
       std::cerr << "extra positional argument: " << arg << "\n";
+      return false;
+    }
+    if (!valid) {
+      std::cerr << "bad value for flag: " << arg << "\n";
       return false;
     }
   }
@@ -118,6 +144,70 @@ std::string Fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
   return buf;
+}
+
+/// Sum of one `metrics` key over the trace's `run` records (one per run).
+int64_t RunTotal(const obs::ParsedTrace& trace, const char* key) {
+  int64_t total = 0;
+  for (const obs::RunRecord& run : trace.runs) {
+    total += run.metrics.GetInt(key);
+  }
+  return total;
+}
+
+/// Prints the run totals and checks them against the trace's own event
+/// records. Returns false, naming each disagreement on stderr, when a
+/// count differs: the trace is truncated, or its records and the run's
+/// accounting drifted apart. A trace without a `run` record (schema < 6)
+/// has no totals to check.
+bool CheckRunTotals(const obs::ParsedTrace& trace,
+                    const std::vector<obs::PeriodLoad>& loads) {
+  if (trace.runs.empty()) {
+    std::cout << "run totals: none (no run record)\n\n";
+    return true;
+  }
+  std::cout << "run totals:";
+  for (const char* key : {"arrivals", "assigned", "completed", "dropped",
+                          "shed", "expired", "bounced", "lost", "retries",
+                          "messages"}) {
+    std::cout << " " << key << "=" << RunTotal(trace, key);
+  }
+  std::cout << "\n\n";
+  obs::PeriodLoad seen;
+  for (const obs::PeriodLoad& load : loads) {
+    seen.arrivals += load.arrivals;
+    seen.assigns += load.assigns;
+    seen.completes += load.completes;
+    seen.bounces += load.bounces;
+    seen.losses += load.losses;
+    seen.sheds += load.sheds;
+    seen.drops += load.drops;
+  }
+  struct Check {
+    const char* total;
+    const char* records;
+    int64_t count;
+  };
+  const Check checks[] = {
+      {"arrivals", "arrival", seen.arrivals},
+      {"assigned", "assign", seen.assigns},
+      {"completed", "complete", seen.completes},
+      {"bounced", "bounce", seen.bounces},
+      {"lost", "lost", seen.losses},
+      {"shed", "shed", seen.sheds},
+      {"dropped", "drop + shed", seen.drops + seen.sheds},
+  };
+  bool agree = true;
+  for (const Check& check : checks) {
+    int64_t total = RunTotal(trace, check.total);
+    if (total != check.count) {
+      std::cerr << "error: " << check.count << " " << check.records
+                << " record(s), but the run total " << check.total << " is "
+                << total << "\n";
+      agree = false;
+    }
+  }
+  return agree;
 }
 
 int Run(const Options& opts) {
@@ -148,11 +238,12 @@ int Run(const Options& opts) {
   std::cout << "records: " << trace.NumRecords() << " ("
             << trace.events.size() << " events, " << trace.prices.size()
             << " prices, " << trace.agents.size() << " agents, "
-            << trace.umpire.size() << " umpire, " << trace.stats.size()
-            << " stats)\n\n";
+            << trace.umpire.size() << " umpire, " << trace.runs.size()
+            << " run)\n";
 
   // ---- Per-period activity and message overhead.
   std::vector<obs::PeriodLoad> loads = obs::LoadByPeriod(trace);
+  if (!CheckRunTotals(trace, loads)) return 1;
   std::vector<obs::PriceDispersion> dispersion =
       obs::PriceVarianceByPeriod(trace);
 
