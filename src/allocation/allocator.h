@@ -122,12 +122,14 @@ class Allocator {
   }
 
   /// Offers the mechanism a fork-join runner for intra-decision
-  /// parallelism (the federation forwards its shard runner here). Purely
-  /// an execution hint: implementations that use it must produce byte-
-  /// identical results with or without it, at any concurrency (QA-NT's
-  /// chunked bid scan keeps the sequential offer order by construction).
-  /// nullptr (the default state) means run sequentially. The runner must
-  /// outlive the allocator or be reset first.
+  /// parallelism. No mechanism uses one and the federation hands none
+  /// over (its lane drain is a run's only fork-join); the hook stays
+  /// virtual because the benchmark's timing decorator overrides it to
+  /// forward to the allocator it wraps. An implementation that used it
+  /// would have to produce byte-identical results with or without it, at
+  /// any concurrency. nullptr (the default state) means run
+  /// sequentially. The runner must outlive the allocator or be reset
+  /// first.
   virtual void SetTaskRunner(const util::TaskRunner* runner) {
     (void)runner;
   }

@@ -77,8 +77,7 @@ ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
   }
 }
 
-void ClusterMarket::EnsureActive(int cluster,
-                                 const RemainingFn& remaining_of) {
+void ClusterMarket::EnsureActive(int cluster, const AgentSlots& agents) {
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
   if (state.active) return;
   const std::vector<catalog::NodeId>& members =
@@ -86,14 +85,14 @@ void ClusterMarket::EnsureActive(int cluster,
   state.members = CandidateIndex(*cost_model_, members);
   state.idle_sum = market::QuantityVector(cost_model_->num_classes());
   for (catalog::NodeId node : members) {
-    if (remaining_of(node) != nullptr) {
+    if (agents[static_cast<size_t>(node)] != nullptr) {
       state.live.push_back(node);
     } else {
       state.idle_sum += DefaultPlan(node);
     }
   }
   state.active = true;
-  PublishCluster(cluster, remaining_of);
+  PublishCluster(cluster, agents);
 }
 
 void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
@@ -103,12 +102,11 @@ void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
   state.live.push_back(node);
 }
 
-void ClusterMarket::OnTick(util::VTime now,
-                           const RemainingFn& remaining_of) {
+void ClusterMarket::OnTick(util::VTime now, const AgentSlots& agents) {
   if (now < next_publish_) return;
   for (int c = 0; c < num_clusters(); ++c) {
     if (clusters_[static_cast<size_t>(c)].active) {
-      PublishCluster(c, remaining_of);
+      PublishCluster(c, agents);
     }
   }
   while (next_publish_ <= now) next_publish_ += period_;
@@ -126,13 +124,14 @@ const market::QuantityVector& ClusterMarket::DefaultPlan(
   return market::DefaultPlannedSupply(unit_costs_, &plan_scratch_);
 }
 
-void ClusterMarket::PublishCluster(int cluster,
-                                   const RemainingFn& remaining_of) {
+void ClusterMarket::PublishCluster(int cluster, const AgentSlots& agents) {
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
   // Exact, not an estimate: quantities are integers, so the sum does not
   // depend on the order members went live in.
   publish_ = state.idle_sum;
-  for (catalog::NodeId node : state.live) publish_ += *remaining_of(node);
+  for (catalog::NodeId node : state.live) {
+    publish_ += agents[static_cast<size_t>(node)]->remaining_supply();
+  }
   state.agent.Publish(publish_);
 }
 

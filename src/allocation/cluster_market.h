@@ -1,7 +1,7 @@
 #ifndef QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 #define QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "allocation/cluster_plan.h"
@@ -30,11 +30,10 @@ namespace qa::allocation {
 /// sequential, no cross-shard state.
 class ClusterMarket {
  public:
-  /// How the market reads a member agent's live remaining supply. Returns
-  /// null for members whose agent was never instantiated. Only activation
-  /// asks about every member; publishes ask only about live ones.
-  using RemainingFn =
-      std::function<const market::QuantityVector*(catalog::NodeId)>;
+  /// The allocator's member agents, one slot per node id; null for
+  /// members whose agent was never instantiated. Only activation reads
+  /// every member's slot; publishes read only the live ones.
+  using AgentSlots = std::vector<std::unique_ptr<market::QaNtAgent>>;
 
   /// The plan must have passed Validate(cost_model->num_nodes()). The
   /// cost model must outlive the market.
@@ -82,7 +81,7 @@ class ClusterMarket {
   /// index, splits its members into live ones (agent instantiated) and
   /// idle ones (summed as their default plans), and publishes the first
   /// aggregate. O(members * K) with no per-member allocation. Idempotent.
-  void EnsureActive(int cluster, const RemainingFn& remaining_of);
+  void EnsureActive(int cluster, const AgentSlots& agents);
 
   /// A member's agent was just instantiated. If its cluster is active, the
   /// member leaves the idle sum (minus exactly the default plan activation
@@ -94,7 +93,7 @@ class ClusterMarket {
   /// active cluster's sub-mediator re-publishes its aggregate from the
   /// members' post-rollover supply. Call after the member rollover of the
   /// same tick.
-  void OnTick(util::VTime now, const RemainingFn& remaining_of);
+  void OnTick(util::VTime now, const AgentSlots& agents);
 
  private:
   struct Cluster {
@@ -116,7 +115,7 @@ class ClusterMarket {
   const market::QuantityVector& DefaultPlan(catalog::NodeId node);
   /// Sums idle_sum and the live members' remaining supply into publish_
   /// and publishes it: O(live members * K), allocation-free.
-  void PublishCluster(int cluster, const RemainingFn& remaining_of);
+  void PublishCluster(int cluster, const AgentSlots& agents);
 
   const query::CostModel* cost_model_;
   ClusterPlan plan_;

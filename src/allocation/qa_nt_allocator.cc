@@ -28,11 +28,6 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
   if (cluster_plan.hierarchical()) {
     cluster_market_ = std::make_unique<ClusterMarket>(
         cost_model_, std::move(cluster_plan), config_, period_);
-    remaining_view_ =
-        [this](catalog::NodeId node) -> const market::QuantityVector* {
-      const auto& agent = agents_[static_cast<size_t>(node)];
-      return agent != nullptr ? &agent->remaining_supply() : nullptr;
-    };
   } else {
     // Only the flat market solicits from the whole federation; the
     // two-tier one reads each active cluster's member index instead.
@@ -99,59 +94,23 @@ MechanismProperties QaNtAllocator::properties() const {
   return p;
 }
 
-namespace {
-
-/// Below this many solicited nodes a fork-join dispatch costs more than
-/// the scan itself; the sequential loop also remains the semantics
-/// reference the chunked scan must reproduce exactly.
-constexpr size_t kParallelScanThreshold = 192;
-/// Minimum nodes per chunk, so tiny tails do not become pool tasks.
-constexpr size_t kMinChunk = 64;
-
-}  // namespace
-
 /// Salts the top tier's per-arrival sampling stream so its draws never
-/// alias the tier-2 member sampling made for the same arrival.
+/// alias the member sampling made for the same arrival.
 constexpr uint64_t kTopTierSeedSalt = 0x746965722d746f70ULL;  // "tier-top"
 
-AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
-                                           const AllocationContext& context) {
-  if (cluster_market_ != nullptr) {
-    return AllocateHierarchical(arrival, context);
-  }
-  AllocationDecision decision;
-  int k = arrival.class_id;
-
-  decision.solicited = SolicitNodes(
-      solicitation_, candidates_, k,
-      util::SplitMix64(util::MixSeed(seed_, arrival_seq_++)), &solicited_);
-
-  int asked = 0;
-  decision.node = ScanAndSettle(context, k, &asked);
-  // Request + offer/decline reply per asked node, plus the final accept.
-  decision.messages = 2 * asked + 1;
-  total_messages_ += decision.messages;
-  return decision;
-}
-
-AllocationDecision QaNtAllocator::AllocateHierarchical(
-    const workload::Arrival& arrival, const AllocationContext& context) {
-  AllocationDecision decision;
-  int k = arrival.class_id;
-  uint64_t seq = arrival_seq_++;
-
-  // Tier 1: solicit cluster sub-mediators on the aggregate-supply market.
-  // Each offers iff its published-aggregate ledger still shows supply for
-  // the class; the query routes to the offer with the highest *supply
-  // density* — remaining aggregate per unit of quoted cost. Routing on the
-  // quote alone would funnel every arrival into the fastest cluster until
-  // its ledger drained, burning a retry per mis-route; density is the
-  // commodity this tier actually trades (how much eq.-4 supply the quoted
-  // price buys), so plentiful clusters absorb load before hot ones
-  // over-promise. Ties (exact density equality) break toward the
-  // earliest-solicited cluster via the strict > below — a pure function
-  // of the per-arrival solicitation draw, so byte-deterministic.
-  decision.clusters_solicited = SolicitNodes(
+int QaNtAllocator::RouteToCluster(int k, uint64_t seq, int* asked) {
+  // Each solicited sub-mediator offers iff its published-aggregate ledger
+  // still shows supply for the class; the query routes to the offer with
+  // the highest *supply density* — remaining aggregate per unit of quoted
+  // cost. Routing on the quote alone would funnel every arrival into the
+  // fastest cluster until its ledger drained, burning a retry per
+  // mis-route; density is the commodity this tier actually trades (how
+  // much eq.-4 supply the quoted price buys), so plentiful clusters absorb
+  // load before hot ones over-promise. Ties (exact density equality)
+  // break toward the earliest-solicited cluster via the strict > below — a
+  // pure function of the per-arrival solicitation draw, so
+  // byte-deterministic.
+  *asked = SolicitNodes(
       cluster_market_->plan().top, cluster_market_->cluster_candidates(), k,
       util::SplitMix64(util::MixSeed(seed_ ^ kTopTierSeedSalt, seq)),
       &top_solicited_);
@@ -159,12 +118,12 @@ AllocationDecision QaNtAllocator::AllocateHierarchical(
   double best_density = 0.0;
   int fallback_cluster = -1;
   for (catalog::NodeId c : top_solicited_) {
-    cluster_market_->EnsureActive(c, remaining_view_);
+    cluster_market_->EnsureActive(c, agents_);
     if (!cluster_market_->agent(c).OnSolicited(k)) {
       // An empty ledger is a worst-possible offer, not a refusal: the
       // first feasible decliner (solicitation order — a fresh uniform
       // draw per arrival, so load spreads) backstops the round when every
-      // ledger is drained. Member-tier admission, which knows the real
+      // ledger is drained. The member auction, which knows the real
       // budgets, then settles it like a flat round would.
       if (fallback_cluster < 0 &&
           cluster_market_->Quote(c, k) != query::kInfeasibleCost) {
@@ -180,34 +139,50 @@ AllocationDecision QaNtAllocator::AllocateHierarchical(
       best_density = density;
     }
   }
-  if (best_cluster < 0) best_cluster = fallback_cluster;
-  // Solicitation + quote/decline reply per contacted sub-mediator.
-  decision.messages = 2 * decision.clusters_solicited;
-  if (best_cluster < 0) {
-    // No solicited cluster can evaluate this class at all; the client
-    // resubmits next period, like an all-decline flat round.
-    total_messages_ += decision.messages;
-    return decision;
-  }
-  decision.cluster = best_cluster;
+  return best_cluster >= 0 ? best_cluster : fallback_cluster;
+}
 
-  // Tier 2: the ordinary QA-NT auction among the chosen cluster's
-  // members, on the same per-arrival stream the flat market would use.
+AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
+                                           const AllocationContext& context) {
+  AllocationDecision decision;
+  int k = arrival.class_id;
+  uint64_t seq = arrival_seq_++;
+  // The flat market auctions the arrival among the whole federation; the
+  // two-tier market first routes it to a cluster, then auctions it among
+  // that cluster's members.
+  const CandidateIndex* universe = &candidates_;
+  if (cluster_market_ != nullptr) {
+    decision.cluster = RouteToCluster(k, seq, &decision.clusters_solicited);
+    // Solicitation + quote/decline reply per contacted sub-mediator.
+    decision.messages = 2 * decision.clusters_solicited;
+    if (decision.cluster < 0) {
+      // No solicited cluster can evaluate this class at all; the client
+      // resubmits next period, like an all-decline member auction.
+      total_messages_ += decision.messages;
+      return decision;
+    }
+    universe = &cluster_market_->member_candidates(decision.cluster);
+  }
+
   decision.solicited = SolicitNodes(
-      solicitation_, cluster_market_->member_candidates(best_cluster), k,
+      solicitation_, *universe, k,
       util::SplitMix64(util::MixSeed(seed_, seq)), &solicited_);
   int asked = 0;
-  catalog::NodeId best = ScanAndSettle(context, k, &asked);
+  decision.node = ScanAndSettle(context, k, &asked);
+  // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
   total_messages_ += decision.messages;
-  if (best == kNoNode) {
-    // The ledger over-promised (members sold out / went offline since the
-    // last publish): correct it so follow-up queries stop routing here.
-    cluster_market_->agent(best_cluster).MarkExhausted(k);
-    return decision;
+  if (decision.cluster >= 0) {
+    market::ClusterSupplyAgent& seat = cluster_market_->agent(decision.cluster);
+    if (decision.node == kNoNode) {
+      // The ledger over-promised (members sold out / went offline since
+      // the last publish): correct it so follow-up queries stop routing
+      // here.
+      seat.MarkExhausted(k);
+    } else {
+      seat.OnSold(k);
+    }
   }
-  cluster_market_->agent(best_cluster).OnSold(k);
-  decision.node = best;
   return decision;
 }
 
@@ -217,70 +192,20 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
   int asked = 0;
   [[maybe_unused]] int64_t scan_start = 0;
   QA_METRICS(metrics_) {
-    // Chain from the federation's allocate-start reading (the
-    // solicitation sampling above then counts as part of the scan — it
-    // is the fan-out decision of the same stage). An absent mark means
+    // Chain from the federation's allocate-start reading (the routing and
+    // solicitation sampling above then count as part of the scan — they
+    // are the fan-out decision of the same stage). An absent mark means
     // this allocation fell outside the deterministic probe sample (see
     // kAllocProbeStride) and the scan goes untimed.
     scan_start = metrics_->TakePhaseMark();
   }
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      solicited_.size() >= kParallelScanThreshold) {
-    // First contacts are built here, on the mediator lane, before the
-    // fork: building appends to the roster and can move a member in the
-    // cluster market, neither of which a chunk may touch. An agent's
-    // state does not depend on when it is built before its first request,
-    // so this equals building each inside the scan. Once every node has
-    // an agent there is nothing left to build.
-    if (roster_.size() < agents_.size()) {
-      for (catalog::NodeId j : solicited_) {
-        if (context.NodeOnline(j)) EnsureAgent(j);
-      }
-    }
-    // Chunked parallel bid scan. SolicitNodes fills solicited_ in
-    // ascending id order, every agent's OnRequest touches only that
-    // agent's own state (plus read-only shared config), and the chunk
-    // offer lists are concatenated in chunk order below — so the offers_
-    // this produces are byte-identical to the sequential loop in the else
-    // branch, at any chunk count and any thread count.
-    size_t chunks = std::min(
-        static_cast<size_t>(runner_->concurrency()),
-        (solicited_.size() + kMinChunk - 1) / kMinChunk);
-    chunk_offers_.resize(chunks);
-    chunk_asked_.assign(chunks, 0);
-    size_t per_chunk = (solicited_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(
-        static_cast<int>(chunks), [&](int chunk) {
-          size_t c = static_cast<size_t>(chunk);
-          size_t begin = c * per_chunk;
-          size_t end = std::min(begin + per_chunk, solicited_.size());
-          std::vector<catalog::NodeId>& local = chunk_offers_[c];
-          local.clear();
-          int asked_here = 0;
-          for (size_t i = begin; i < end; ++i) {
-            catalog::NodeId j = solicited_[i];
-            if (!context.NodeOnline(j)) continue;
-            ++asked_here;
-            if (agents_[static_cast<size_t>(j)]->OnRequest(k)) {
-              local.push_back(j);
-            }
-          }
-          chunk_asked_[c] = asked_here;
-        });
-    for (size_t c = 0; c < chunks; ++c) {
-      asked += chunk_asked_[c];
-      offers_.insert(offers_.end(), chunk_offers_[c].begin(),
-                     chunk_offers_[c].end());
-    }
-  } else {
-    for (catalog::NodeId j : solicited_) {
-      // An offline node's agent is simply unreachable: the request times
-      // out and no offer (or price move) happens. Autonomy makes failure
-      // handling free — the market routes around dead nodes by itself.
-      if (!context.NodeOnline(j)) continue;
-      ++asked;
-      if (EnsureAgent(j).OnRequest(k)) offers_.push_back(j);
-    }
+  for (catalog::NodeId j : solicited_) {
+    // An offline node's agent is simply unreachable: the request times
+    // out and no offer (or price move) happens. Autonomy makes failure
+    // handling free — the market routes around dead nodes by itself.
+    if (!context.NodeOnline(j)) continue;
+    ++asked;
+    if (EnsureAgent(j).OnRequest(k)) offers_.push_back(j);
   }
   QA_METRICS(metrics_) {
     if (scan_start != 0) {
@@ -303,34 +228,11 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
       best = j;
     }
   }
-  // Accept/reject notifications touch disjoint agents, so under broadcast
-  // (offers ~ N) they chunk out on the runner just like the scan; the
-  // winner is already fixed, so the interleaving cannot matter.
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      offers_.size() >= kParallelScanThreshold) {
-    size_t chunks =
-        std::min(static_cast<size_t>(runner_->concurrency()),
-                 (offers_.size() + kMinChunk - 1) / kMinChunk);
-    size_t per_chunk = (offers_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(static_cast<int>(chunks), [&](int chunk) {
-      size_t begin = static_cast<size_t>(chunk) * per_chunk;
-      size_t end = std::min(begin + per_chunk, offers_.size());
-      for (size_t i = begin; i < end; ++i) {
-        catalog::NodeId j = offers_[i];
-        if (j == best) {
-          agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-        } else {
-          agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
-        }
-      }
-    });
-  } else {
-    for (catalog::NodeId j : offers_) {
-      if (j == best) {
-        agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-      } else {
-        agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
-      }
+  for (catalog::NodeId j : offers_) {
+    if (j == best) {
+      agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
+    } else {
+      agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
     }
   }
   return best;
@@ -406,40 +308,19 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   // Record the tick *before* rolling: EnsureAgent replays rollovers for
   // lazily built agents up to exactly this time.
   last_rollover_now_ = now;
-  auto roll_range = [this, now](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      RosterEntry& entry = roster_[i];
-      if (entry.next_refresh > now) continue;
-      market::QaNtAgent& agent = *agents_[static_cast<size_t>(entry.node)];
-      do {
-        agent.EndPeriod();
-        agent.BeginPeriod();
-        entry.next_refresh += period_;
-      } while (entry.next_refresh <= now);
-    }
-  };
-  // The batched per-tick rollover: each agent's rollover is a pure
-  // function of its own state (EndPeriod decay + BeginPeriod re-solve),
-  // so contiguous roster chunks run concurrently without any cross-agent
-  // ordering to preserve.
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      roster_.size() >= kParallelScanThreshold) {
-    size_t chunks =
-        std::min(static_cast<size_t>(runner_->concurrency()),
-                 (roster_.size() + kMinChunk - 1) / kMinChunk);
-    size_t per_chunk = (roster_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(static_cast<int>(chunks), [&](int chunk) {
-      size_t begin = static_cast<size_t>(chunk) * per_chunk;
-      roll_range(begin, std::min(begin + per_chunk, roster_.size()));
-    });
-  } else {
-    roll_range(0, roster_.size());
+  for (RosterEntry& entry : roster_) {
+    if (entry.next_refresh > now) continue;
+    market::QaNtAgent& agent = *agents_[static_cast<size_t>(entry.node)];
+    do {
+      agent.EndPeriod();
+      agent.BeginPeriod();
+      entry.next_refresh += period_;
+    } while (entry.next_refresh <= now);
   }
   if (cluster_market_ != nullptr) {
     // Sub-mediators publish after their members rolled: the aggregate a
     // cluster trades this period is the members' post-rollover supply.
-    // Strictly sequential on the mediator lane — no cross-chunk state.
-    cluster_market_->OnTick(now, remaining_view_);
+    cluster_market_->OnTick(now, agents_);
   }
   QA_METRICS(metrics_) {
     if (roll_start != 0) {

@@ -44,8 +44,8 @@ class QaNtAllocator : public Allocator {
   /// turns on the two-tier market: arrivals are first routed to a cluster
   /// on the aggregate-supply top market, then auctioned among that
   /// cluster's members with the ordinary QA-NT protocol. A disabled or
-  /// single-cluster plan runs the flat market code path and is
-  /// byte-identical to it.
+  /// single-cluster plan is the flat market: the same member auction over
+  /// the whole federation, with no top-tier draw and no ledger publish.
   QaNtAllocator(const query::CostModel* cost_model, util::VDuration period,
                 market::QaNtConfig config = {},
                 OfferSelection selection = OfferSelection::kCheapest,
@@ -91,24 +91,6 @@ class QaNtAllocator : public Allocator {
   /// phase is preserved so the restart does not re-synchronize the market.
   void OnNodeRestart(catalog::NodeId node, util::VTime now) override;
 
-  /// Enables the fork-join fast paths: the per-arrival bid scan and the
-  /// per-tick rollover chunk the solicited list / the roster and fan the
-  /// chunks out on `runner`. Exactness is by construction — each agent's
-  /// OnRequest / rollover touches only that agent's state (agents are
-  /// autonomous, the whole point of the mechanism), chunks are contiguous
-  /// ranges, and chunk results are concatenated in chunk order,
-  /// reproducing the sequential left-to-right order byte for byte at any
-  /// concurrency. Agents are never built inside a chunk: building appends
-  /// to the roster and can move a member in the cluster market, so the
-  /// scan builds first contacts on the mediator lane before forking.
-  /// qa_lint's QA-SHD-002 pass holds the callbacks to that contract: a
-  /// ParallelFor chunk lambda touching a cross-chunk aggregate
-  /// (total_messages_, arrival_seq_, metrics_, cluster_market_) is a
-  /// finding.
-  void SetTaskRunner(const util::TaskRunner* runner) override {
-    runner_ = runner;
-  }
-
   /// Wall-clock phase profiling of the mechanism's two internal stages:
   /// the staggered period rollover (OnPeriodStart) and the solicited-agent
   /// bid scan (Allocate). Side channel only — readings never influence the
@@ -138,15 +120,15 @@ class QaNtAllocator : public Allocator {
   /// crash/restart recovery share this).
   std::unique_ptr<market::QaNtAgent> MakeAgent(catalog::NodeId node) const;
 
-  /// Two-tier dispatch of one arrival (see class comment on the ctor's
-  /// cluster_plan): top-tier cluster routing, then the flat tier-2
-  /// auction over the chosen cluster's members.
-  AllocationDecision AllocateHierarchical(const workload::Arrival& arrival,
-                                          const AllocationContext& context);
+  /// Tier 1 of the two-tier market: solicits cluster sub-mediators for
+  /// arrival `seq` of class `k` and returns the cluster the arrival routes
+  /// to, or -1 when no solicited cluster can evaluate the class. `*asked`
+  /// receives the number of clusters solicited.
+  int RouteToCluster(int k, uint64_t seq, int* asked);
 
-  /// Shared tier-2/flat engine: scans solicited_ (bids via OnRequest),
-  /// picks the best offer, sends accept/reject notifications, and returns
-  /// the winner (kNoNode when everyone declined). `*asked` receives the
+  /// The member auction: scans solicited_ (bids via OnRequest), picks the
+  /// best offer, sends accept/reject notifications, and returns the
+  /// winner (kNoNode when everyone declined). `*asked` receives the
   /// number of online nodes actually contacted.
   catalog::NodeId ScanAndSettle(const AllocationContext& context, int k,
                                 int* asked);
@@ -183,8 +165,8 @@ class QaNtAllocator : public Allocator {
   /// Time of the most recent market tick — how far EnsureAgent must roll a
   /// newly instantiated agent forward.
   util::VTime last_rollover_now_ = 0;
-  /// Federation-wide candidate lists of the flat market; empty when the
-  /// plan is hierarchical.
+  /// Federation-wide candidate lists: the flat market's auction universe.
+  /// Empty when the plan is hierarchical.
   CandidateIndex candidates_;
   /// One slot per node; null until the node is first contacted.
   std::vector<std::unique_ptr<market::QaNtAgent>> agents_;
@@ -192,22 +174,14 @@ class QaNtAllocator : public Allocator {
   /// walks. The order is free — each agent's rollover is a pure function
   /// of its own state.
   std::vector<RosterEntry> roster_;
-  /// Fork-join runner for the bid scan / rollover (null = sequential).
-  const util::TaskRunner* runner_ = nullptr;
   /// Phase-profiling collector (null = no probes).
   obs::metrics::Collector* metrics_ = nullptr;
   /// Top tier of the two-tier market; null when the plan is flat.
   std::unique_ptr<ClusterMarket> cluster_market_;
-  /// How the cluster market reads live member supply (bound once; no
-  /// per-publish allocation).
-  ClusterMarket::RemainingFn remaining_view_;
   /// Scratch buffers reused across arrivals (no hot-path allocation).
   std::vector<catalog::NodeId> solicited_;
   std::vector<catalog::NodeId> top_solicited_;
   std::vector<catalog::NodeId> offers_;
-  /// Per-chunk scratch of the parallel bid scan.
-  std::vector<std::vector<catalog::NodeId>> chunk_offers_;
-  std::vector<int> chunk_asked_;
 };
 
 }  // namespace qa::allocation

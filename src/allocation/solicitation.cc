@@ -19,23 +19,6 @@ std::string_view SolicitationPolicyName(SolicitationPolicy policy) {
   return "broadcast";
 }
 
-bool ParseSolicitationPolicy(std::string_view name,
-                             SolicitationPolicy* policy) {
-  if (name == "broadcast") {
-    *policy = SolicitationPolicy::kBroadcast;
-    return true;
-  }
-  if (name == "uniform-sample" || name == "uniform") {
-    *policy = SolicitationPolicy::kUniformSample;
-    return true;
-  }
-  if (name == "stratified-sample" || name == "stratified") {
-    *policy = SolicitationPolicy::kStratifiedSample;
-    return true;
-  }
-  return false;
-}
-
 util::Status SolicitationConfig::Validate() const {
   if (sampled() && fanout < 1) {
     return util::Status::InvalidArgument(

@@ -34,9 +34,6 @@ enum class SolicitationPolicy {
 };
 
 std::string_view SolicitationPolicyName(SolicitationPolicy policy);
-/// Returns false when `name` names no known policy.
-bool ParseSolicitationPolicy(std::string_view name,
-                             SolicitationPolicy* policy);
 
 /// The solicitation knobs of a federation run, validated by
 /// sim::ValidateConfig before a run starts.

@@ -20,12 +20,6 @@ Row ConcatRows(const Row& left, const Row& right) {
 
 }  // namespace
 
-int64_t ExecStats::TotalTableBytes() const {
-  int64_t total = 0;
-  for (const auto& [name, bytes] : table_bytes) total += bytes;
-  return total;
-}
-
 // ------------------------------------------------------------------ Scan
 
 ScanNode::ScanNode(std::string table_name, Schema schema, ExprPtr filter)

@@ -28,8 +28,6 @@ struct ExecStats {
   int64_t rows_sorted = 0;
   int64_t rows_grouped = 0;
   int64_t output_rows = 0;
-
-  int64_t TotalTableBytes() const;
 };
 
 /// A node of a physical query plan. Execution is materialized: each

@@ -102,19 +102,4 @@ MarketSimulator::PeriodResult MarketSimulator::RunPeriod(
   return result;
 }
 
-MarketSimulator::PeriodResult MarketSimulator::RunSteadyDemand(
-    const std::vector<QuantityVector>& demand, int periods) {
-  PeriodResult last;
-  for (int t = 0; t < periods; ++t) {
-    last = RunPeriod(demand);
-  }
-  return last;
-}
-
-QuantityVector MarketSimulator::AggregatePlannedSupply() const {
-  QuantityVector sum(num_classes());
-  for (const auto& agent : agents_) sum += agent->planned_supply();
-  return sum;
-}
-
 }  // namespace qa::market

@@ -50,11 +50,6 @@ class MarketSimulator {
   /// end-of-period price decay and returns the period's bookkeeping.
   PeriodResult RunPeriod(const std::vector<QuantityVector>& new_demands);
 
-  /// Convenience: runs `periods` periods of the same per-period demand.
-  /// Returns the last period's result.
-  PeriodResult RunSteadyDemand(const std::vector<QuantityVector>& demand,
-                               int periods);
-
   int num_nodes() const { return static_cast<int>(agents_.size()); }
   int num_classes() const { return cost_model_->num_classes(); }
   const QaNtAgent& agent(int node) const {
@@ -65,8 +60,6 @@ class MarketSimulator {
   }
   /// Queries still waiting, per client node.
   const std::vector<QuantityVector>& pending() const { return pending_; }
-  /// Sum over nodes of the supply vectors the agents planned this period.
-  QuantityVector AggregatePlannedSupply() const;
 
  private:
   const query::CostModel* cost_model_;

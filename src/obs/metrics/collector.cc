@@ -17,20 +17,15 @@ util::StatusOr<std::unique_ptr<Collector>> Collector::OpenFile(
 }
 
 void Collector::Write(const Json& json) {
-#ifndef QA_METRICS_DISABLED
   if (sink_ == nullptr) return;
   line_buffer_.clear();
   json.DumpTo(line_buffer_);
   line_buffer_.push_back('\n');
   sink_->write(line_buffer_.data(),
                static_cast<std::streamsize>(line_buffer_.size()));
-#else
-  (void)json;
-#endif
 }
 
 void Collector::BeginRun(const RunMeta& meta) {
-#ifndef QA_METRICS_DISABLED
   finished_ = false;
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
@@ -42,34 +37,20 @@ void Collector::BeginRun(const RunMeta& meta) {
   line.Set("seed", meta.seed);
   line.Set("period_us", meta.period_us);
   Write(line);
-#else
-  (void)meta;
-#endif
 }
 
 void Collector::SetNumLanes(size_t lanes) {
-#ifndef QA_METRICS_DISABLED
   lane_nanos_.assign(lanes, 0);
   lane_events_.assign(lanes, 0);
-#else
-  (void)lanes;
-#endif
 }
 
 void Collector::RecordLaneDrain(size_t lane, int64_t nanos, uint64_t events) {
-#ifndef QA_METRICS_DISABLED
   if (lane >= lane_nanos_.size()) return;
   lane_nanos_[lane] += nanos;
   lane_events_[lane] += events;
-#else
-  (void)lane;
-  (void)nanos;
-  (void)events;
-#endif
 }
 
 void Collector::Sample(const SampleRow& row) {
-#ifndef QA_METRICS_DISABLED
   registry_.SetCounter(kEventsDispatched, row.events_dispatched);
   registry_.SetCounter(kQueriesAssigned, row.assigned);
   registry_.SetCounter(kQueriesCompleted, row.completed);
@@ -120,13 +101,9 @@ void Collector::Sample(const SampleRow& row) {
   line.Set("max_reject_age_ms", row.max_reject_age_ms);
   line.Set("earnings_cv", row.earnings_cv);
   Write(line);
-#else
-  (void)row;
-#endif
 }
 
 void Collector::Alarm(const AlarmRecord& alarm) {
-#ifndef QA_METRICS_DISABLED
   registry_.Add(kAlarms, 1);
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
@@ -139,13 +116,9 @@ void Collector::Alarm(const AlarmRecord& alarm) {
   line.Set("threshold", alarm.threshold);
   line.Set("detail", alarm.detail);
   Write(line);
-#else
-  (void)alarm;
-#endif
 }
 
 void Collector::Finish() {
-#ifndef QA_METRICS_DISABLED
   if (finished_) return;
   finished_ = true;
   if (sink_ == nullptr) return;
@@ -197,12 +170,10 @@ void Collector::Finish() {
   shards.Set("lane_events", std::move(events));
   Write(shards);
   sink_->flush();
-#endif
 }
 
 Json Collector::PerfJson() const {
   Json perf = Json::MakeObject();
-#ifndef QA_METRICS_DISABLED
   const std::vector<MetricDef>& catalog = Catalog();
   Json phases = Json::MakeObject();
   for (size_t i = 0; i < catalog.size(); ++i) {
@@ -234,7 +205,6 @@ Json Collector::PerfJson() const {
              mean_ns > 0.0 ? static_cast<double>(max_ns) / mean_ns : 0.0);
   }
   perf.Set("alarms", registry_.counter(kAlarms));
-#endif
   return perf;
 }
 

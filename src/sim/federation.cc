@@ -158,9 +158,6 @@ Federation::Federation(const query::CostModel* cost_model,
   pool_.Init(num_nodes_, plan_.shards(), shard_of);
   lanes_ = std::vector<ShardLane>(static_cast<size_t>(plan_.shards()));
   node_seq_.assign(static_cast<size_t>(num_nodes_), 0);
-  // The allocator may use the runner for intra-decision fan-out (QA-NT's
-  // chunked bid scan); it must be byte-exact either way.
-  allocator_->SetTaskRunner(config_.runner);
 
   link_down_.assign(static_cast<size_t>(num_nodes_), 0);
   best_cost_.resize(static_cast<size_t>(cost_model_->num_classes()), 0.0);
@@ -1234,50 +1231,46 @@ void Federation::EmitRecord(const obs::EventRecord& record) {
 }
 
 void Federation::EmitMetricsSample() {
-  // Call sites are inside QA_METRICS gates already; gating again keeps the
-  // snapshot walk compiled away under -DQA_METRICS_DISABLED.
-  QA_METRICS(config_.metrics) {
-    int divisor = std::max(config_.market_tick_divisor, 1);
-    obs::metrics::SampleRow row;
-    row.t_us = events_.now();
-    row.period = ticks_ / divisor;
-    row.ticks = ticks_;
-    row.events_dispatched = metrics_.events_dispatched;
-    row.assigned = metrics_.assigned;
-    row.completed = metrics_.completed;
-    row.dropped = metrics_.dropped;
-    row.expired = metrics_.expired;
-    row.bounced = metrics_.bounced;
-    row.lost = metrics_.lost;
-    row.retries = metrics_.retries;
-    row.messages = metrics_.messages;
-    row.solicited = metrics_.solicited;
-    row.outstanding = metrics_.InFlight();
-    row.shed = metrics_.shed;
-    row.admission_rejects = metrics_.admission_rejects;
-    row.brownout_level = admission_.brownout_level();
-    // Queue-depth histogram: per-node waiting-queue lengths at the period
-    // fence. Virtual state, so the histogram is as deterministic as the
-    // counters (the one histogram that is not a wall-clock side channel).
-    for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
-      config_.metrics->registry().Observe(obs::metrics::kNodeQueueDepth,
-                                          pool_.QueueLength(j));
-    }
-    // Watchdogs first: alarms precede the sample that carries the gauges
-    // they fired on, so the stream reads cause-before-effect.
-    watchdogs_->ObserveOverload(metrics_.shed, admission_.brownout_level());
-    allocator_->FillMarketProbe(&market_probe_);
-    std::vector<obs::metrics::AlarmRecord> alarms =
-        watchdogs_->EvaluatePeriod(row.period, events_.now(), market_probe_);
-    for (const obs::metrics::AlarmRecord& alarm : alarms) {
-      config_.metrics->Alarm(alarm);
-    }
-    row.log_price_variance = watchdogs_->log_price_variance();
-    row.osc_flip_rate = watchdogs_->osc_flip_rate();
-    row.max_reject_age_ms = watchdogs_->max_reject_age_ms();
-    row.earnings_cv = watchdogs_->earnings_cv();
-    config_.metrics->Sample(row);
+  int divisor = std::max(config_.market_tick_divisor, 1);
+  obs::metrics::SampleRow row;
+  row.t_us = events_.now();
+  row.period = ticks_ / divisor;
+  row.ticks = ticks_;
+  row.events_dispatched = metrics_.events_dispatched;
+  row.assigned = metrics_.assigned;
+  row.completed = metrics_.completed;
+  row.dropped = metrics_.dropped;
+  row.expired = metrics_.expired;
+  row.bounced = metrics_.bounced;
+  row.lost = metrics_.lost;
+  row.retries = metrics_.retries;
+  row.messages = metrics_.messages;
+  row.solicited = metrics_.solicited;
+  row.outstanding = metrics_.InFlight();
+  row.shed = metrics_.shed;
+  row.admission_rejects = metrics_.admission_rejects;
+  row.brownout_level = admission_.brownout_level();
+  // Queue-depth histogram: per-node waiting-queue lengths at the period
+  // fence. Virtual state, so the histogram is as deterministic as the
+  // counters (the one histogram that is not a wall-clock side channel).
+  for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
+    config_.metrics->registry().Observe(obs::metrics::kNodeQueueDepth,
+                                        pool_.QueueLength(j));
   }
+  // Watchdogs first: alarms precede the sample that carries the gauges
+  // they fired on, so the stream reads cause-before-effect.
+  watchdogs_->ObserveOverload(metrics_.shed, admission_.brownout_level());
+  allocator_->FillMarketProbe(&market_probe_);
+  std::vector<obs::metrics::AlarmRecord> alarms =
+      watchdogs_->EvaluatePeriod(row.period, events_.now(), market_probe_);
+  for (const obs::metrics::AlarmRecord& alarm : alarms) {
+    config_.metrics->Alarm(alarm);
+  }
+  row.log_price_variance = watchdogs_->log_price_variance();
+  row.osc_flip_rate = watchdogs_->osc_flip_rate();
+  row.max_reject_age_ms = watchdogs_->max_reject_age_ms();
+  row.earnings_cv = watchdogs_->earnings_cv();
+  config_.metrics->Sample(row);
 }
 
 util::VDuration Federation::TickInterval() const {

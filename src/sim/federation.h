@@ -116,8 +116,8 @@ struct FederationConfig {
   /// byte-identical at every (shards, runner) combination — the lane count
   /// is an execution layout, never a semantic knob.
   int shards = 1;
-  /// Fork-join runner the lanes are drained on, also handed to the
-  /// allocator for its intra-decision fan-out (QA-NT's bid scan). Not
+  /// Fork-join runner the lanes are drained on: the lane drain at a tick
+  /// fence is a run's only fork-join (the allocator never forks). Not
   /// owned; must outlive the run. Null = fully sequential: the lanes drain
   /// one after another on the calling thread.
   const util::TaskRunner* runner = nullptr;
@@ -412,7 +412,8 @@ class Federation : public allocation::AllocationContext {
   /// Evaluates the market-health watchdogs against the allocator snapshot
   /// and emits one deterministic msample (plus any alarms) into the
   /// collector. Global-market-period cadence, plus one final sample when
-  /// the run ends.
+  /// the run ends. Requires a collector (call sites sit in QA_METRICS
+  /// gates).
   void EmitMetricsSample();
   /// First market tick strictly after `t` (node lanes pass their own
   /// event clock, the mediator its own).

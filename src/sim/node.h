@@ -2,7 +2,6 @@
 #define QAMARKET_SIM_NODE_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -34,78 +33,18 @@ struct QueryTask {
   int64_t epoch = 0;
 };
 
-/// One autonomous RDBMS in the federation: a serial executor draining a
-/// FIFO queue of assigned queries. The node tracks its backlog in time
-/// units and in node-independent work units; the simulator exposes those to
-/// mechanisms that (legitimately or not) probe node load.
-class SimNode {
- public:
-  explicit SimNode(catalog::NodeId id) : id_(id) {}
-
-  catalog::NodeId id() const { return id_; }
-
-  /// Adds a task to the queue. Returns true if the node was idle (the
-  /// caller should schedule a start immediately).
-  bool Enqueue(const QueryTask& task, util::VTime now);
-
-  /// Pops the task to run next and marks the node busy until
-  /// now + task.exec_time. Requires a non-empty queue and an idle node.
-  QueryTask BeginNext(util::VTime now);
-
-  /// Marks the current task finished. Returns true if more tasks wait.
-  bool CompleteCurrent(util::VTime now);
-
-  bool idle() const { return !running_; }
-  size_t queue_length() const { return queue_.size() + (running_ ? 1 : 0); }
-
-  /// Remaining execution time of everything assigned here (running task
-  /// remainder + queued tasks), in microseconds.
-  util::VDuration Backlog(util::VTime now) const;
-
-  /// Outstanding work in node-independent units.
-  double QueuedWork() const { return queued_work_; }
-
-  /// Cumulative work ever assigned here, in node-independent units.
-  double CumulativeWork() const { return cumulative_work_; }
-
-  /// Cumulative statistics.
-  util::VDuration busy_time() const { return busy_time_; }
-  int64_t completed() const { return completed_; }
-  /// Time the node last went idle (0 if never busy) — used for the
-  /// overload-duration measurements of Fig. 1.
-  util::VTime last_idle_at() const { return last_idle_at_; }
-
-  /// Current incarnation of the node's volatile state; bumped by Crash().
-  int64_t epoch() const { return epoch_; }
-
-  /// Crash with loss of volatile state: the run queue and the running task
-  /// are wiped and returned (so the simulator can account them as lost and
-  /// resubmit them), the busy-time ledger is corrected for the un-run
-  /// remainder of the current task, and the node's epoch is bumped so
-  /// in-flight completion events of wiped tasks become stale.
-  std::vector<QueryTask> Crash(util::VTime now);
-
- private:
-  catalog::NodeId id_;
-  std::deque<QueryTask> queue_;
-  bool running_ = false;
-  QueryTask current_;
-  util::VTime busy_until_ = 0;
-  double queued_work_ = 0.0;
-  double cumulative_work_ = 0.0;
-  util::VDuration busy_time_ = 0;
-  int64_t completed_ = 0;
-  util::VTime last_idle_at_ = 0;
-  int64_t epoch_ = 0;
-};
-
-/// Struct-of-arrays node state for the federation's hot path: the same
-/// executor semantics as SimNode, but every per-node field lives in a flat
-/// parallel array indexed by node id, and the FIFO task queues draw their
-/// storage from per-shard arena free lists instead of one std::deque per
-/// node. Federation::Dispatch touches two or three of these arrays per
-/// event; with 10k+ nodes that is a handful of contiguous cache lines
-/// instead of a pointer chase through 10k deque headers.
+/// The federation's server nodes. Each node is one autonomous RDBMS: a
+/// serial executor draining a FIFO queue of assigned queries, tracking its
+/// backlog in time units and in node-independent work units; the simulator
+/// exposes those to mechanisms that (legitimately or not) probe node load.
+///
+/// The layout is struct-of-arrays for the federation's hot path: every
+/// per-node field lives in a flat parallel array indexed by node id, and
+/// the FIFO task queues draw their storage from per-shard arena free lists
+/// instead of one std::deque per node. Federation::Dispatch touches two or
+/// three of these arrays per event; with 10k+ nodes that is a handful of
+/// contiguous cache lines instead of a pointer chase through 10k deque
+/// headers.
 ///
 /// Sharding contract: a node's state (including its queue links) is only
 /// ever touched by the lane that owns its shard, and each arena belongs to
@@ -121,26 +60,37 @@ class NodePool {
 
   int num_nodes() const { return static_cast<int>(busy_until_.size()); }
 
-  /// Same contract as SimNode::Enqueue: returns true when the node was
-  /// idle with an empty queue (caller should begin the task now).
+  /// Adds a task to the node's queue. Returns true when the node was idle
+  /// with an empty queue (the caller should begin the task now); a caller
+  /// that has not yet called BeginNext for an earlier enqueue is not told
+  /// to start twice.
   bool Enqueue(catalog::NodeId node, const QueryTask& task);
 
-  /// Same contract as SimNode::BeginNext.
+  /// Pops the task to run next and marks the node busy until
+  /// now + task.exec_time, charging that time to the busy ledger up front.
+  /// Requires a non-empty queue and an idle node.
   QueryTask BeginNext(catalog::NodeId node, util::VTime now);
 
-  /// Same contract as SimNode::CompleteCurrent.
+  /// Marks the running task finished. Returns true if more tasks wait.
   bool CompleteCurrent(catalog::NodeId node, util::VTime now);
 
-  /// Same contract as SimNode::Crash: wipes queue + running task into
-  /// `lost` (appended in run-queue order, running task first), corrects
-  /// the busy ledger, bumps the epoch.
+  /// Crash with loss of volatile state: wipes the queue and the running
+  /// task into `lost` (appended in run-queue order, running task first) so
+  /// the simulator can account them as lost and resubmit them, gives back
+  /// the un-run remainder of the running task's busy time, and bumps the
+  /// node's epoch so in-flight completion events of wiped tasks become
+  /// stale.
   void Crash(catalog::NodeId node, util::VTime now,
              std::vector<QueryTask>* lost);
 
+  /// Remaining execution time of everything assigned to the node (running
+  /// task remainder + queued tasks), in microseconds.
   util::VDuration Backlog(catalog::NodeId node, util::VTime now) const;
+  /// Outstanding work in node-independent units.
   double QueuedWork(catalog::NodeId node) const {
     return queued_work_[static_cast<size_t>(node)];
   }
+  /// Cumulative work ever assigned to the node, in node-independent units.
   double CumulativeWork(catalog::NodeId node) const {
     return cumulative_work_[static_cast<size_t>(node)];
   }
@@ -150,9 +100,12 @@ class NodePool {
   int64_t completed(catalog::NodeId node) const {
     return completed_[static_cast<size_t>(node)];
   }
+  /// Time the node last went idle (0 if never busy) — used for the
+  /// overload-duration measurements of Fig. 1.
   util::VTime last_idle_at(catalog::NodeId node) const {
     return last_idle_[static_cast<size_t>(node)];
   }
+  /// Current incarnation of the node's volatile state; bumped by Crash().
   int64_t epoch(catalog::NodeId node) const {
     return epoch_[static_cast<size_t>(node)];
   }

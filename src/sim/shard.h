@@ -91,18 +91,6 @@ class ShardPlan {
     return shard_of_[static_cast<size_t>(node)];
   }
 
-  /// Nodes owned by `shard`, in ascending id order.
-  std::vector<catalog::NodeId> NodesOf(int shard) const {
-    std::vector<catalog::NodeId> nodes;
-    for (catalog::NodeId node = 0;
-         node < static_cast<catalog::NodeId>(shard_of_.size()); ++node) {
-      if (shard_of_[static_cast<size_t>(node)] == shard) {
-        nodes.push_back(node);
-      }
-    }
-    return nodes;
-  }
-
   static int HashShard(catalog::NodeId node, int shards) {
     if (shards <= 1) return 0;
     return static_cast<int>(

@@ -29,11 +29,6 @@ double Rng::Exponential(double mean) {
   return dist(engine_);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
-}
-
 const Rng::ZipfTable& Rng::GetZipfTable(int64_t n, double alpha) {
   for (const ZipfTable& t : zipf_cache_) {
     // Cache-key identity: alpha is caller-provided and stored verbatim, so

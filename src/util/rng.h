@@ -30,9 +30,6 @@ class Rng {
   /// Exponentially distributed real with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Normally distributed real.
-  double Normal(double mean, double stddev);
-
   /// Zipf-distributed integer rank in [1, n] with exponent `alpha` > 0.
   ///
   /// P(X = k) is proportional to 1 / k^alpha. Uses inverse-CDF sampling over

@@ -20,9 +20,9 @@ namespace qa::util {
 ///
 /// Re-entrancy: ParallelFor must not be called from inside one of its own
 /// fn invocations (a nested call on a shared fixed-size pool can deadlock).
-/// The federation's bulk-synchronous shard loop and the allocator's bid
-/// scan both run fork-join phases strictly one at a time, so a single
-/// shared pool serves every phase of a run.
+/// A run's only fork-join is the federation's lane drain, issued from the
+/// mediator thread strictly one fence at a time, so a single shared pool
+/// serves the whole run.
 class TaskRunner {
  public:
   virtual ~TaskRunner() = default;
@@ -34,16 +34,6 @@ class TaskRunner {
 
   virtual void ParallelFor(int n,
                            const std::function<void(int)>& fn) const = 0;
-};
-
-/// Runs everything inline on the calling thread. The semantics baseline:
-/// any TaskRunner must produce byte-identical results to this one.
-class SerialRunner final : public TaskRunner {
- public:
-  int concurrency() const override { return 1; }
-  void ParallelFor(int n, const std::function<void(int)>& fn) const override {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
 };
 
 }  // namespace qa::util

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -30,6 +31,7 @@
 #include "sim/metrics_json.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
+#include "util/task_runner.h"
 #include "workload/sinusoid.h"
 
 namespace {
@@ -631,6 +633,26 @@ TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
 struct RunOutput {
   std::string trace;
   std::string metrics;
+  /// Fork-joins the run issued on its runner.
+  int parallel_fors = 0;
+};
+
+/// Forwards to a pool runner and counts the fork-joins issued on it. Only
+/// the mediator thread issues them, so the count needs no atomic.
+class CountingRunner final : public util::TaskRunner {
+ public:
+  explicit CountingRunner(const util::TaskRunner* inner) : inner_(inner) {}
+  int concurrency() const override { return inner_->concurrency(); }
+  void ParallelFor(int n,
+                   const std::function<void(int)>& fn) const override {
+    ++calls_;
+    inner_->ParallelFor(n, fn);
+  }
+  int calls() const { return calls_; }
+
+ private:
+  const util::TaskRunner* inner_;
+  mutable int calls_ = 0;
 };
 
 /// Federation size and member-tier solicitation of RunScenario.
@@ -661,7 +683,8 @@ RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads,
   std::ostringstream sink;
   {
     exec::ThreadPool pool(threads);
-    exec::PoolRunner runner(&pool);
+    exec::PoolRunner pool_runner(&pool);
+    CountingRunner runner(&pool_runner);
     obs::Recorder recorder(&sink);
     exec::RunSpec spec;
     spec.cost_model = model.get();
@@ -677,6 +700,7 @@ RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads,
     exec::RunResult result = exec::RunSpecOnce(spec);
     recorder.Finish();
     out.metrics = sim::MetricsToJson(result.metrics).Dump();
+    out.parallel_fors = runner.calls();
   }
   out.trace = std::move(sink).str();
   return out;
@@ -753,12 +777,13 @@ TEST(HierarchyEquivalenceTest, ThreeClusterRunIsByteIdenticalAcrossShards) {
   EXPECT_TRUE(saw_routed_assign);
 }
 
-// The tier-2 auction's parallel bid scan (>= 192 solicited members, see
-// kParallelScanThreshold) builds first contacts on the mediator lane
-// before it forks; the run must not depend on the thread count. Two
-// 256-member clusters under member broadcast put every class-0 auction
-// over the threshold, first contacts included.
-TEST(HierarchyEquivalenceTest, ParallelTierTwoScanIsByteIdenticalAcrossThreads) {
+// A wide member auction never forks: two 256-member clusters under member
+// broadcast put every class-0 auction, first contacts included, at 192 or
+// more solicited members, yet a shards=1 run (one lane, so a lane drain
+// with nothing to fan out) issues no fork-join on its concurrency-8
+// runner. The run must not depend on the layout either.
+TEST(HierarchyEquivalenceTest,
+     WideTierTwoAuctionNeverForksAndIsLayoutInvariant) {
   Shape shape;
   shape.num_nodes = 512;
   shape.solicitation = {};  // broadcast
@@ -768,6 +793,9 @@ TEST(HierarchyEquivalenceTest, ParallelTierTwoScanIsByteIdenticalAcrossThreads) 
     RunOutput parallel = RunScenario(plan, shards, /*threads=*/8, shape);
     EXPECT_EQ(parallel.trace, serial.trace) << "shards=" << shards;
     EXPECT_EQ(parallel.metrics, serial.metrics) << "shards=" << shards;
+    if (shards == 1) {
+      EXPECT_EQ(parallel.parallel_fors, 0);
+    }
   }
 
   std::istringstream stream(serial.trace);

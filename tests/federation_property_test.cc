@@ -522,15 +522,11 @@ void WriteFuzzDigests(const std::string& path,
   }
 }
 
-/// Compares one layout's replay against the pinned digests. The metrics
-/// stream is empty when the metrics subsystem is compiled out, so its
-/// digest is only comparable in metrics-enabled builds.
+/// Compares one layout's replay against the pinned digests.
 void ExpectPinned(const CaseDigests& want, const CaseDigests& got) {
   EXPECT_EQ(want.metrics, got.metrics) << "metrics JSON digest";
   EXPECT_EQ(want.trace, got.trace) << "trace bytes digest";
-#ifndef QA_METRICS_DISABLED
   EXPECT_EQ(want.stream, got.stream) << "msample/alarm digest";
-#endif
 }
 
 // The layout contract over the whole fuzz corpus: every scenario — every

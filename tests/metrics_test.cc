@@ -4,9 +4,7 @@
 // trip, steady-state silence, rising-edge latching), the collector's JSONL
 // stream round-tripped through the same reader the tools use, and an
 // end-to-end federation run proving the metrics side channel never
-// perturbs simulation results. The whole file builds in both metrics
-// modes; collector-stream expectations flip under -DQA_METRICS_DISABLED
-// (the null-probe contract: the subsystem writes nothing at all).
+// perturbs simulation results.
 
 #include <gtest/gtest.h>
 
@@ -323,8 +321,6 @@ TEST(WatchdogTest, SnapshotsWithoutAgentsSkipPriceDetectors) {
 // Collector stream <-> reader round trip
 // ---------------------------------------------------------------------------
 
-#ifndef QA_METRICS_DISABLED
-
 TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
   std::ostringstream sink;
   {
@@ -431,17 +427,13 @@ TEST(MetricsReaderTest, UnknownRecordTypeIsAnError) {
   EXPECT_FALSE(parsed.ok());
 }
 
-#endif  // QA_METRICS_DISABLED
-
 // ---------------------------------------------------------------------------
-// Null-probe contract (both build modes)
+// Null-probe contract
 // ---------------------------------------------------------------------------
 
-TEST(MetricsGateTest, NullProbeNeverRunsAndDisabledBuildWritesNothing) {
-  // The QA_METRICS gate: a null collector skips the probe body entirely
-  // (and under -DQA_METRICS_DISABLED the body is not even compiled — the
-  // macro then never reads its argument, hence [[maybe_unused]]).
-  [[maybe_unused]] Collector* null_collector = nullptr;
+TEST(MetricsGateTest, NullProbeNeverRunsAndLiveCollectorWrites) {
+  // The QA_METRICS gate: a null collector skips the probe body entirely.
+  Collector* null_collector = nullptr;
   bool ran = false;
   QA_METRICS(null_collector) { ran = true; }
   EXPECT_FALSE(ran);
@@ -457,12 +449,7 @@ TEST(MetricsGateTest, NullProbeNeverRunsAndDisabledBuildWritesNothing) {
     collector.Sample(row);
     collector.Finish();
   }
-#ifdef QA_METRICS_DISABLED
-  // The whole subsystem compiles away: not a byte reaches the sink.
-  EXPECT_TRUE(sink.str().empty());
-#else
   EXPECT_FALSE(sink.str().empty());
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -506,7 +493,6 @@ TEST(MetricsEndToEndTest, CollectorNeverPerturbsTheSimulation) {
   // The metrics side channel reads sim state; it never feeds it.
   EXPECT_EQ(with_json, without_json);
 
-#ifndef QA_METRICS_DISABLED
   util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ParsedMetrics& m = parsed.value();
@@ -532,7 +518,6 @@ TEST(MetricsEndToEndTest, CollectorNeverPerturbsTheSimulation) {
   const MetricStat* ticks = m.FindStat("qa_ticks_total");
   ASSERT_NE(ticks, nullptr);
   EXPECT_GT(ticks->value, 0);
-#endif
 }
 
 }  // namespace

@@ -186,38 +186,48 @@ TEST(AccountingTest, ValidateAccountingNamesEachBrokenIdentity) {
   }
 }
 
-// --------------------------------------------------------------- SimNode
+// -------------------------------------------------------------- NodePool
 
-TEST(SimNodeTest, SerialExecutionAccounting) {
-  SimNode node(0);
-  EXPECT_TRUE(node.idle());
+TEST(NodePoolTest, SerialExecutionAccounting) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/1, /*shards=*/1, /*shard_of=*/{0});
 
   QueryTask t1;
   t1.query_id = 1;
   t1.exec_time = 100 * kMillisecond;
   t1.work_units = 5.0;
-  EXPECT_TRUE(node.Enqueue(t1, 0));  // was idle
+  EXPECT_TRUE(pool.Enqueue(0, t1));  // was idle
   QueryTask t2 = t1;
   t2.query_id = 2;
-  EXPECT_FALSE(node.Enqueue(t2, 0));  // already has work
+  EXPECT_FALSE(pool.Enqueue(0, t2));  // already has work
 
-  EXPECT_EQ(node.queue_length(), 2u);
-  EXPECT_EQ(node.Backlog(0), 200 * kMillisecond);
-  EXPECT_DOUBLE_EQ(node.QueuedWork(), 10.0);
+  EXPECT_EQ(pool.QueueLength(0), 2);
+  EXPECT_EQ(pool.Backlog(0, 0), 200 * kMillisecond);
+  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 10.0);
 
-  QueryTask running = node.BeginNext(0);
+  QueryTask running = pool.BeginNext(0, 0);
   EXPECT_EQ(running.query_id, 1);
-  EXPECT_FALSE(node.idle());
+  EXPECT_EQ(pool.QueueLength(0), 1);  // the running task left the FIFO
   // Halfway through the first task the backlog is 150 ms.
-  EXPECT_EQ(node.Backlog(50 * kMillisecond), 150 * kMillisecond);
+  EXPECT_EQ(pool.Backlog(0, 50 * kMillisecond), 150 * kMillisecond);
 
-  EXPECT_TRUE(node.CompleteCurrent(100 * kMillisecond));  // more work waits
-  EXPECT_DOUBLE_EQ(node.QueuedWork(), 5.0);
-  node.BeginNext(100 * kMillisecond);
-  EXPECT_FALSE(node.CompleteCurrent(200 * kMillisecond));
-  EXPECT_EQ(node.completed(), 2);
-  EXPECT_EQ(node.busy_time(), 200 * kMillisecond);
-  EXPECT_EQ(node.last_idle_at(), 200 * kMillisecond);
+  EXPECT_TRUE(pool.CompleteCurrent(0, 100 * kMillisecond));  // more waits
+  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 5.0);
+  pool.BeginNext(0, 100 * kMillisecond);
+  EXPECT_FALSE(pool.CompleteCurrent(0, 200 * kMillisecond));
+  EXPECT_EQ(pool.completed(0), 2);
+  EXPECT_EQ(pool.busy_time(0), 200 * kMillisecond);
+  EXPECT_EQ(pool.last_idle_at(0), 200 * kMillisecond);
+
+  // Idle again, the node starts the next enqueue at once; busy with an
+  // empty queue, it does not.
+  QueryTask t3 = t1;
+  t3.query_id = 3;
+  EXPECT_TRUE(pool.Enqueue(0, t3));
+  pool.BeginNext(0, 200 * kMillisecond);
+  QueryTask t4 = t1;
+  t4.query_id = 4;
+  EXPECT_FALSE(pool.Enqueue(0, t4));
 }
 
 // ------------------------------------------------------------ Federation
