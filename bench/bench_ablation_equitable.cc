@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
   }
   bench::Telemetry telemetry(args, "Ablation: equitable allocation");
   telemetry.ReportField("capacity_qps", capacity);
-  // Trace the cheapest-offer (paper) run.
-  if (!specs.empty()) telemetry.Trace(specs.front());
+  // Trace and meter the cheapest-offer (paper) run.
+  if (!specs.empty()) telemetry.Attach(specs.front());
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
 
   util::TableWriter table({"Offer selection", "Mean (ms)", "p95 (ms)",

@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
 
   bench::Telemetry telemetry(args, "Ablation: load information");
   telemetry.ReportField("capacity_qps", capacity);
-  // Trace the QA-NT row (single-writer recorder, one traced run).
+  // Trace and meter the QA-NT row (single-writer sinks).
   for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i].first == "QA-NT") telemetry.Trace(specs[i]);
+    if (labels[i].first == "QA-NT") telemetry.Attach(specs[i]);
   }
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
 

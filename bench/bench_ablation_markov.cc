@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
   }
   bench::Telemetry telemetry(args, "Ablation: Markov");
   telemetry.ReportField("capacity_qps", capacity);
-  // Trace the first QA-NT cell (single-writer recorder, one traced run).
+  // Trace and meter the first QA-NT cell (single-writer sinks).
   for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == "QA-NT") telemetry.Trace(specs[2 * i]);
+    if (names[i] == "QA-NT") telemetry.Attach(specs[2 * i]);
   }
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
 

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
     specs.push_back(bench::MakeSpec(*model, "QA-NT", dynamic_trace,
                                     t_ms * kMillisecond, seed));
   }
-  // Trace the first cell (single-writer recorder, one traced run).
-  if (!specs.empty()) telemetry.Trace(specs.front());
+  // Trace and meter the first cell (single-writer sinks).
+  if (!specs.empty()) telemetry.Attach(specs.front());
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
   for (size_t i = 0; i < periods_ms.size(); ++i) {
     std::string suffix = "@T=" + std::to_string(periods_ms[i]) + "ms";

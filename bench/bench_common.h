@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -38,10 +37,8 @@ namespace qa::bench {
 ///                  run into FILE (analyze with tools/qa_trace)
 ///   --report=FILE  write a structured JSON run report (SimMetrics per run)
 ///   --metrics=FILE stream a JSONL metrics timeseries (per-period samples,
-///                  watchdog alarms, phase wall-time stats) into FILE
-///                  (analyze with tools/qa_perf)
-///   --prom=FILE    write a Prometheus-style text exposition snapshot of
-///                  the final metric values into FILE
+///                  watchdog alarms, phase wall-time stats) of the same
+///                  run into FILE (analyze with tools/qa_perf)
 /// Parsing is strict: an unknown flag, a number that does not parse in
 /// full, or an empty value prints the usage line and exits with status 2,
 /// so a mistyped flag never silently runs the defaults.
@@ -53,7 +50,6 @@ struct BenchArgs {
   std::string trace_path;
   std::string report_path;
   std::string metrics_path;
-  std::string prom_path;
 
   static BenchArgs Parse(int argc, char** argv, uint64_t default_seed = 42) {
     BenchArgs args;
@@ -76,16 +72,13 @@ struct BenchArgs {
         args.report_path = value;
       } else if (Value(arg, "--metrics=", &value)) {
         args.metrics_path = value;
-      } else if (Value(arg, "--prom=", &value)) {
-        args.prom_path = value;
       } else {
         ok = false;
       }
       if (!ok) {
         std::cerr << "error: bad flag '" << arg << "'\nusage: " << argv[0]
                   << " [--quick] [--threads=N] [--shards=N] [--seed=S] "
-                     "[--trace=FILE] [--report=FILE] [--metrics=FILE] "
-                     "[--prom=FILE]\n";
+                     "[--trace=FILE] [--report=FILE] [--metrics=FILE]\n";
         std::exit(2);
       }
     }
@@ -121,9 +114,10 @@ struct BenchArgs {
 };
 
 /// The telemetry outputs of one experiment binary: the optional JSONL
-/// trace recorder (--trace) and the optional JSON run report (--report).
-/// Construct it once near the top of main(); it writes everything out on
-/// destruction. With neither flag set every call is a cheap no-op.
+/// trace recorder (--trace), the optional metrics collector (--metrics)
+/// and the optional JSON run report (--report). Construct it once near
+/// the top of main(); it writes everything out on destruction. With no
+/// flag set every call is a cheap no-op.
 class Telemetry {
  public:
   Telemetry(const BenchArgs& args, const std::string& bench_name)
@@ -148,12 +142,7 @@ class Telemetry {
         std::cerr << "warning: --metrics: " << opened.status()
                   << "; metrics disabled\n";
       }
-    } else if (!args.prom_path.empty()) {
-      // --prom without --metrics still needs a collector; collect-only
-      // (no JSONL sink).
-      collector_ = std::make_unique<obs::metrics::Collector>();
     }
-    prom_path_ = args.prom_path;
   }
 
   Telemetry(const Telemetry&) = delete;
@@ -163,14 +152,6 @@ class Telemetry {
     if (recorder_ != nullptr) recorder_->Finish();
     if (collector_ != nullptr) {
       collector_->Finish();
-      if (!prom_path_.empty()) {
-        std::ofstream prom(prom_path_);
-        if (prom.is_open()) {
-          prom << collector_->ExpositionText();
-        } else {
-          std::cerr << "warning: --prom: cannot open " << prom_path_ << "\n";
-        }
-      }
       // Embed the phase/lane wall-time summary in the run report.
       has_fields_ = true;
       report_.SetField("perf", collector_->PerfJson());
@@ -190,17 +171,15 @@ class Telemetry {
   /// Null when --trace was not given (probes compile to one branch).
   obs::Recorder* recorder() { return recorder_.get(); }
 
-  /// Attaches the trace recorder to `spec`. The recorder is single-writer:
-  /// attach it to exactly one spec per binary (benches trace their QA-NT
-  /// run) so parallel grid execution stays race-free.
-  void Trace(exec::RunSpec& spec) { spec.config.recorder = recorder_.get(); }
-
-  /// Null when neither --metrics nor --prom was given.
+  /// Null when --metrics was not given.
   obs::metrics::Collector* collector() { return collector_.get(); }
 
-  /// Attaches the metrics collector to `spec`. Same single-writer contract
-  /// as Trace: one spec per binary.
-  void Metrics(exec::RunSpec& spec) {
+  /// Attaches the trace recorder and the metrics collector to `spec`, so
+  /// --trace and --metrics describe the same run. Both sinks are
+  /// single-writer: attach them to exactly one spec per binary (benches
+  /// pick their QA-NT run) so parallel grid execution stays race-free.
+  void Attach(exec::RunSpec& spec) {
+    spec.config.recorder = recorder_.get();
     spec.config.metrics = collector_.get();
   }
 
@@ -218,7 +197,6 @@ class Telemetry {
 
  private:
   std::string report_path_;
-  std::string prom_path_;
   obs::RunReport report_;
   bool has_fields_ = false;
   std::unique_ptr<obs::Recorder> recorder_;

@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   std::vector<exec::RunSpec> specs;
   for (const std::string& name : names) {
     specs.push_back(bench::MakeSpec(*model, name, trace, period, seed));
-    // Trace the market mechanism's run (single-writer: QA-NT only).
-    if (name == "QA-NT") telemetry.Trace(specs.back());
+    // Trace and meter QA-NT's run (single-writer sinks).
+    if (name == "QA-NT") telemetry.Attach(specs.back());
   }
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
 

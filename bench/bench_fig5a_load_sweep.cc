@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
     specs.push_back(bench::MakeSpec(*model, "QA-NT", trace, period, seed));
     specs.push_back(bench::MakeSpec(*model, "Greedy", trace, period, seed));
   }
-  // Trace the first QA-NT cell (single-writer recorder, one traced run).
-  if (!specs.empty()) telemetry.Trace(specs.front());
+  // Trace and meter the first QA-NT cell (single-writer sinks).
+  if (!specs.empty()) telemetry.Attach(specs.front());
   std::vector<exec::RunResult> cells = args.MakeRunner().Run(specs);
   for (size_t i = 0; i < loads.size(); ++i) {
     std::string suffix = "@" + std::to_string(loads[i]);

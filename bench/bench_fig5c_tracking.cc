@@ -43,12 +43,12 @@ int main(int argc, char** argv) {
   bench::Telemetry telemetry(args, "Fig. 5c");
   telemetry.ReportField("capacity_qps", capacity);
 
-  // The trace (when requested) follows the QA-NT run: its per-period
-  // price/supply snapshots are what tools/qa_trace turns into the
-  // convergence diagnostics.
+  // The trace and the metrics stream (when requested) follow the QA-NT
+  // run: its per-period price/supply snapshots are what tools/qa_trace
+  // turns into the convergence diagnostics.
   exec::RunSpec qa_spec = bench::MakeSpec(*model, "QA-NT", trace, period,
                                           seed);
-  telemetry.Trace(qa_spec);
+  telemetry.Attach(qa_spec);
   sim::SimMetrics qa_nt = exec::RunSpecOnce(qa_spec).metrics;
   sim::SimMetrics greedy =
       bench::RunMechanism(*model, "Greedy", trace, period, seed);

@@ -401,16 +401,14 @@ int main(int argc, char** argv) {
     bench::Telemetry telemetry(args, "Perf: runner + event queue");
     telemetry.ReportField("events_per_sec_tagged", tagged_eps);
     telemetry.ReportField("events_per_sec_callback", callback_eps);
-    // With --metrics/--prom/--trace, replay the federation cell once more
-    // with the sink-backed collector and/or trace recorder attached
-    // (untimed — the measurements above are already done) so the sidecars
-    // carry a real phase profile and event stream for tools/qa_perf and
-    // `tools/qa_trace --alarms=`.
+    // With --metrics/--trace, replay the federation cell once more with
+    // the sinks attached (untimed — the measurements above are already
+    // done) so the sidecars carry a real phase profile and event stream
+    // for tools/qa_perf and `tools/qa_trace --alarms=`.
     if (telemetry.collector() != nullptr || telemetry.recorder() != nullptr) {
       exec::RunSpec spec =
           bench::MakeSpec(*fed_model, "QA-NT", fed_trace, period, args.seed);
-      telemetry.Metrics(spec);
-      telemetry.Trace(spec);
+      telemetry.Attach(spec);
       exec::RunSpecOnce(spec);
     }
     std::vector<std::string> names = allocation::AllMechanismNames();

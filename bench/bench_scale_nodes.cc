@@ -243,14 +243,17 @@ int main(int argc, char** argv) {
     hier_spec.config.solicitation.fanout = 8;
     hier_spec.config.cluster_plan = allocation::ClusterPlan::Uniform(
         num_nodes, num_clusters, /*top_fanout=*/8);
-    if (!traced && telemetry.recorder() != nullptr) {
-      // Trace the smallest hierarchical cell only: one traced run per
-      // binary (single-writer recorder), and the small cell keeps the
-      // file tractable.
-      telemetry.Trace(hier_spec);
+    auto hier = run_cell("QA-NT/hier-8x8", hier_spec);
+    if (!traced && (telemetry.recorder() != nullptr ||
+                    telemetry.collector() != nullptr)) {
+      // Replay the smallest hierarchical cell once, untimed, with the
+      // sinks attached: one run per binary (single-writer sinks), and the
+      // small cell keeps the files tractable. The timed cell above keeps
+      // its own collector for time-to-equilibrium.
+      telemetry.Attach(hier_spec);
+      exec::RunSpecOnce(hier_spec);
       traced = true;
     }
-    auto hier = run_cell("QA-NT/hier-8x8", hier_spec);
 
     auto random = run_cell(
         "Random", bench::MakeSpec(*model, "Random", trace, period, seed));

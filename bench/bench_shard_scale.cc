@@ -50,7 +50,7 @@ struct Cell {
 
 /// Total milliseconds spent in one phase histogram.
 double PhaseMs(const qa::obs::metrics::Collector& collector, int metric) {
-  return static_cast<double>(collector.registry().histogram(metric).sum) *
+  return static_cast<double>(collector.histogram(metric).sum) *
          1e-6;
 }
 

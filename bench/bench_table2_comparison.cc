@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const std::string& name : allocation::AllMechanismNames()) {
     exec::RunSpec spec = bench::MakeSpec(*model, name, trace, period, seed);
-    // Trace the market mechanism's run (single-writer: QA-NT only).
-    if (name == "QA-NT") telemetry.Trace(spec);
+    // Trace and meter QA-NT's run (single-writer sinks).
+    if (name == "QA-NT") telemetry.Attach(spec);
     sim::SimMetrics metrics = exec::RunSpecOnce(spec).metrics;
     telemetry.Report(name, metrics);
     allocation::AllocatorParams params;

@@ -85,10 +85,10 @@ struct MechanismProperties {
   /// autonomy story of Table 2 made operational for the sharded simulator:
   /// a mechanism that probes internal node state needs that state current
   /// at every allocation, which forces the mediator to synchronize with
-  /// the node shards at zero lookahead — so the federation runs it on the
-  /// inline (unsharded) path. Autonomy-respecting mechanisms (QA-NT) and
-  /// blind ones (Random, RoundRobin) never read it, which is exactly what
-  /// makes their runs shardable.
+  /// the node lanes at zero lookahead — so the federation drains every
+  /// lane behind a fence before each mediator event. Autonomy-respecting
+  /// mechanisms (QA-NT) and blind ones (Random, RoundRobin) never read it,
+  /// so their lanes run ahead to the next market tick.
   bool reads_node_state = false;
 };
 

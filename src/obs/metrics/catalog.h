@@ -1,21 +1,19 @@
 #ifndef QAMARKET_OBS_METRICS_CATALOG_H_
 #define QAMARKET_OBS_METRICS_CATALOG_H_
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
 namespace qa::obs::metrics {
 
-enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
-
-/// One registered metric. Every metric a run can ever emit is declared in
-/// the catalog (catalog.cc) and nowhere else; registries are built from it
-/// at startup so exposition order is deterministic, and lint rule
-/// QA-OBS-003 cross-checks name lookups in code against it.
+/// One registered histogram. Every histogram a collector can ever emit is
+/// declared in the catalog (catalog.cc) and nowhere else, so the metrics
+/// sink's trailing stats block has a fixed order, and lint rule
+/// QA-OBS-003 cross-checks name lookups in code against it. Counts live
+/// in sim::SimMetrics and reach the stream as `msample` rows; the
+/// catalog names only what the collector itself measures.
 struct MetricDef {
   std::string_view name;
-  Kind kind;
   std::string_view help;
 };
 
@@ -23,38 +21,10 @@ struct MetricDef {
 /// order of the table in catalog.cc (unit-tested); hot paths use these
 /// instead of string lookups.
 enum Metric : int {
-  // Counters — deterministic, mirrored from the simulation's own state at
-  // market-tick fences; byte-identical at any shard/thread count.
-  kEventsDispatched = 0,
-  kQueriesAssigned,
-  kQueriesCompleted,
-  kQueriesDropped,
-  kQueriesExpired,
-  kQueriesBounced,
-  kQueriesLost,
-  kRetries,
-  kMessages,
-  kSolicited,
-  kTicks,
-  kAlarms,
-  kQueriesShed,
-  kAdmissionRejects,
-  // Gauges — deterministic market-health signals the watchdogs evaluate
-  // each global period.
-  kLogPriceVariance,
-  kOscFlipRate,
-  kMaxRejectAgeMs,
-  kEarningsCv,
-  kOutstanding,
-  kBrownoutLevel,
-  // Histograms — wall-clock phase timings in nanoseconds (log-bucketed).
-  // Side channel only: these never feed simulation state or trace bytes.
-  // kNodeQueueDepth is the one deterministic histogram: per-node queue
-  // lengths observed at every global period fence (virtual state, so it
-  // stays byte-identical like the counters and gauges). It sits after the
-  // phase block because Collector::PhaseMetric requires the phase
-  // histograms contiguous from kPhaseRunTotal.
-  kPhaseRunTotal,
+  // Wall-clock phase timings in nanoseconds (log-bucketed). Side channel
+  // only: these never feed simulation state or trace bytes. Contiguous
+  // from kPhaseRunTotal in Phase order (Collector::PhaseMetric).
+  kPhaseRunTotal = 0,
   kPhaseLaneDrain,
   kPhaseMerge,
   kPhaseMarketTick,
@@ -63,6 +33,9 @@ enum Metric : int {
   kPhaseBidScan,
   kPhaseSnapshot,
   kPhaseMediatorDispatch,
+  // The one deterministic histogram: per-node queue lengths observed at
+  // every global period fence (virtual state, so it is byte-identical at
+  // any shard/thread count). A count, not a duration.
   kNodeQueueDepth,
   kMetricCount,
 };

@@ -51,31 +51,10 @@ void Collector::RecordLaneDrain(size_t lane, int64_t nanos, uint64_t events) {
 }
 
 void Collector::Sample(const SampleRow& row) {
-  registry_.SetCounter(kEventsDispatched, row.events_dispatched);
-  registry_.SetCounter(kQueriesAssigned, row.assigned);
-  registry_.SetCounter(kQueriesCompleted, row.completed);
-  registry_.SetCounter(kQueriesDropped, row.dropped);
-  registry_.SetCounter(kQueriesExpired, row.expired);
-  registry_.SetCounter(kQueriesBounced, row.bounced);
-  registry_.SetCounter(kQueriesLost, row.lost);
-  registry_.SetCounter(kRetries, row.retries);
-  registry_.SetCounter(kMessages, row.messages);
-  registry_.SetCounter(kSolicited, row.solicited);
-  registry_.SetCounter(kTicks, row.ticks);
-  registry_.SetCounter(kQueriesShed, row.shed);
-  registry_.SetCounter(kAdmissionRejects, row.admission_rejects);
-  registry_.SetGauge(kLogPriceVariance, row.log_price_variance);
-  registry_.SetGauge(kOscFlipRate, row.osc_flip_rate);
-  registry_.SetGauge(kMaxRejectAgeMs, row.max_reject_age_ms);
-  registry_.SetGauge(kEarningsCv, row.earnings_cv);
-  registry_.SetGauge(kOutstanding, static_cast<double>(row.outstanding));
-  registry_.SetGauge(kBrownoutLevel,
-                     static_cast<double>(row.brownout_level));
-
-  // Collect-only collectors (no sink) stop here: building the Json line
-  // costs ~two dozen node allocations per period, which a collector that
-  // exists purely for in-memory phase attribution (bench A/B cells, the
-  // shard bench) must not pay on the measured path.
+  // A collect-only collector (no sink) skips the line: building it costs
+  // ~two dozen node allocations per period, which in-memory phase
+  // attribution (bench A/B cells, the shard bench) must not pay on the
+  // measured path.
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
   line.Set("type", "msample");
@@ -104,7 +83,6 @@ void Collector::Sample(const SampleRow& row) {
 }
 
 void Collector::Alarm(const AlarmRecord& alarm) {
-  registry_.Add(kAlarms, 1);
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
   line.Set("type", "alarm");
@@ -124,38 +102,26 @@ void Collector::Finish() {
   if (sink_ == nullptr) return;
   const std::vector<MetricDef>& catalog = Catalog();
   for (size_t i = 0; i < catalog.size(); ++i) {
-    const MetricDef& def = catalog[i];
+    const Histogram& h = histograms_[i];
     Json line = Json::MakeObject();
     line.Set("type", "mstat");
-    line.Set("name", std::string(def.name));
-    switch (def.kind) {
-      case Kind::kCounter:
-        line.Set("kind", "counter");
-        line.Set("value", registry_.counter(static_cast<int>(i)));
-        break;
-      case Kind::kGauge:
-        line.Set("kind", "gauge");
-        line.Set("value", registry_.gauge(static_cast<int>(i)));
-        break;
-      case Kind::kHistogram: {
-        line.Set("kind", "histogram");
-        const Histogram& h = registry_.histogram(static_cast<int>(i));
-        line.Set("count", h.count);
-        line.Set("sum", h.sum);
-        line.Set("min", h.count > 0 ? h.min : 0);
-        line.Set("max", h.count > 0 ? h.max : 0);
-        Json buckets = Json::MakeArray();
-        for (int b = 0; b < Histogram::kBuckets; ++b) {
-          if (h.buckets[static_cast<size_t>(b)] == 0) continue;
-          Json pair = Json::MakeArray();
-          pair.Append(Histogram::BucketLowerBound(b));
-          pair.Append(h.buckets[static_cast<size_t>(b)]);
-          buckets.Append(std::move(pair));
-        }
-        line.Set("buckets", std::move(buckets));
-        break;
-      }
+    line.Set("name", std::string(catalog[i].name));
+    // Every catalog metric is a histogram; the field stays in the line
+    // format (SCHEMA.md).
+    line.Set("kind", "histogram");
+    line.Set("count", h.count);
+    line.Set("sum", h.sum);
+    line.Set("min", h.count > 0 ? h.min : 0);
+    line.Set("max", h.count > 0 ? h.max : 0);
+    Json buckets = Json::MakeArray();
+    for (int b = 0; b < Histogram::kBuckets; ++b) {
+      if (h.buckets[static_cast<size_t>(b)] == 0) continue;
+      Json pair = Json::MakeArray();
+      pair.Append(Histogram::BucketLowerBound(b));
+      pair.Append(h.buckets[static_cast<size_t>(b)]);
+      buckets.Append(std::move(pair));
     }
+    line.Set("buckets", std::move(buckets));
     Write(line);
   }
   Json shards = Json::MakeObject();
@@ -176,17 +142,25 @@ Json Collector::PerfJson() const {
   Json perf = Json::MakeObject();
   const std::vector<MetricDef>& catalog = Catalog();
   Json phases = Json::MakeObject();
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    if (catalog[i].kind != Kind::kHistogram) continue;
-    const Histogram& h = registry_.histogram(static_cast<int>(i));
+  for (int i = kPhaseRunTotal; i <= kPhaseMediatorDispatch; ++i) {
+    const Histogram& h = histogram(i);
     if (h.count == 0) continue;
     Json phase = Json::MakeObject();
     phase.Set("count", h.count);
     phase.Set("total_ms", static_cast<double>(h.sum) * 1e-6);
     phase.Set("mean_us", h.Mean() * 1e-3);
-    phases.Set(std::string(catalog[i].name), std::move(phase));
+    phases.Set(std::string(catalog[static_cast<size_t>(i)].name),
+               std::move(phase));
   }
   perf.Set("phases", std::move(phases));
+  const Histogram& depth = histogram(kNodeQueueDepth);
+  if (depth.count > 0) {
+    Json row = Json::MakeObject();
+    row.Set("observations", depth.count);
+    row.Set("mean", depth.Mean());
+    row.Set("max", depth.max);
+    perf.Set("queue_depth", std::move(row));
+  }
   if (!lane_nanos_.empty()) {
     Json lanes = Json::MakeArray();
     int64_t max_ns = 0, total_ns = 0;
@@ -204,7 +178,6 @@ Json Collector::PerfJson() const {
     perf.Set("lane_imbalance",
              mean_ns > 0.0 ? static_cast<double>(max_ns) / mean_ns : 0.0);
   }
-  perf.Set("alarms", registry_.counter(kAlarms));
   return perf;
 }
 

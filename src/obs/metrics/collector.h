@@ -1,6 +1,8 @@
 #ifndef QAMARKET_OBS_METRICS_COLLECTOR_H_
 #define QAMARKET_OBS_METRICS_COLLECTOR_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -10,13 +12,63 @@
 
 #include "obs/json.h"
 #include "obs/metrics/catalog.h"
-#include "obs/metrics/registry.h"
 #include "obs/metrics/watchdog.h"
 #include "util/monotonic_clock.h"
 #include "util/status.h"
 #include "util/vtime.h"
 
 namespace qa::obs::metrics {
+
+/// A log-bucketed value/latency histogram: power-of-two buckets, so one
+/// `Record` is a bit_width plus an increment — cheap enough for per-event
+/// use — and the bucket layout needs no configuration.
+///
+/// Bucket b (b >= 1) holds values v with 2^(b-1) <= v <= 2^b - 1;
+/// bucket 0 holds v <= 0. With 48 buckets the top bucket starts at 2^46 ns
+/// (~21 hours), far past any phase this project times.
+struct Histogram {
+  static constexpr int kBuckets = 48;
+
+  std::array<uint64_t, kBuckets> buckets{};
+  uint64_t count = 0;
+  int64_t sum = 0;
+  int64_t min = 0;  // meaningful only when count > 0
+  int64_t max = 0;
+
+  /// The bucket index of `v`: 0 for v <= 0, otherwise bit_width(v)
+  /// clamped to the top bucket. Inline: this is the per-event path.
+  static int BucketOf(int64_t v) {
+    if (v <= 0) return 0;
+    int b = static_cast<int>(std::bit_width(static_cast<uint64_t>(v)));
+    return b < kBuckets - 1 ? b : kBuckets - 1;
+  }
+  /// Smallest value bucket `b` holds (0 for bucket 0).
+  static int64_t BucketLowerBound(int b) {
+    return b <= 0 ? 0 : int64_t{1} << (b - 1);
+  }
+
+  /// Records `v` with statistical weight `weight`: a probe that times one
+  /// in every N occurrences of an event records the measured duration with
+  /// weight N, keeping `count`, `sum` and the bucket mass unbiased
+  /// estimates of the full population (min/max describe sampled values
+  /// only).
+  void Record(int64_t v, uint64_t weight = 1) {
+    buckets[static_cast<size_t>(BucketOf(v))] += weight;
+    if (count == 0) {
+      min = v;
+      max = v;
+    } else {
+      if (v < min) min = v;
+      if (v > max) max = v;
+    }
+    count += weight;
+    sum += v * static_cast<int64_t>(weight);
+  }
+  double Mean() const {
+    return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
+                     : 0.0;
+  }
+};
 
 /// The wall-clock-timed phases of a run. Each maps 1:1 onto one of the
 /// catalog's phase histograms.
@@ -88,17 +140,20 @@ struct SampleRow {
   double earnings_cv = 0.0;
 };
 
-/// Metrics collector: the single owner of a run's Registry, the JSONL
-/// metrics sink, and the per-lane wall-time slots. Mirrors the Recorder's
-/// threading contract — all methods are mediator-thread-only except
-/// RecordLaneDrain, which workers call with distinct lane indices inside a
-/// fence's fork-join section (the join publishes the writes).
+/// Metrics collector: the JSONL metrics sink plus what only it measures —
+/// the catalog histograms (wall-clock phases and the queue depth) and the
+/// per-lane drain slots. Counts are not kept here: `Sample` and `Alarm`
+/// render rows the federation builds from sim::SimMetrics and the
+/// watchdogs, and store nothing. Mirrors the Recorder's threading contract
+/// — all methods are mediator-thread-only except RecordLaneDrain, which
+/// workers call with distinct lane indices inside a fence's fork-join
+/// section (the join publishes the writes).
 ///
 /// Record layout of the sink (one JSON object per line, `type` field):
 ///   mmeta   — once, run metadata
 ///   msample — per global period plus one final row (deterministic)
 ///   alarm   — watchdog alarms (deterministic, rising-edge latched)
-///   mstat   — at Finish, one per catalog metric, in catalog order
+///   mstat   — at Finish, one per catalog histogram, in catalog order
 ///   mshards — at Finish, per-lane wall-time and event totals
 /// Deterministic record *counts*: everything except the histogram values
 /// inside mstat/mshards is byte-identical across shard/thread counts, and
@@ -111,8 +166,8 @@ struct SampleRow {
 /// path is a finding.
 class Collector {
  public:
-  /// A collect-only collector: no sink; counters, gauges, histograms and
-  /// watchdog state still accumulate for ExpositionText()/PerfJson().
+  /// A collect-only collector: no sink; the histograms and lane slots
+  /// still accumulate for PerfJson().
   Collector() = default;
 
   /// Streams metrics records into `sink` (not owned; must outlive this).
@@ -125,20 +180,27 @@ class Collector {
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  Registry& registry() { return registry_; }
-  const Registry& registry() const { return registry_; }
-
-  /// Starts a run: emits the mmeta line and resets per-lane slots.
+  /// Starts a run: emits the mmeta line.
   void BeginRun(const RunMeta& meta);
 
-  /// Sizes the per-lane wall-time slots (mediator lane 0 + node shards).
+  /// Sizes the per-lane wall-time slots (one per node lane).
   void SetNumLanes(size_t lanes);
 
   /// Observes one wall-clock phase duration (nanoseconds). A sampled
   /// probe passes the sampling stride as `weight` so histogram counts and
   /// sums stay unbiased estimates of the full event population.
   void RecordPhase(Phase phase, int64_t nanos, uint64_t weight = 1) {
-    registry_.Observe(PhaseMetric(phase), nanos, weight);
+    histograms_[static_cast<size_t>(PhaseMetric(phase))].Record(nanos,
+                                                               weight);
+  }
+
+  /// Observes one node's waiting-queue length at a period fence.
+  void RecordQueueDepth(int64_t depth) {
+    histograms_[static_cast<size_t>(kNodeQueueDepth)].Record(depth);
+  }
+
+  const Histogram& histogram(int id) const {
+    return histograms_[static_cast<size_t>(id)];
   }
 
   /// Worker-side: accumulates drain wall time and dispatched events for
@@ -160,27 +222,19 @@ class Collector {
     return mark;
   }
 
-  /// Emits one deterministic msample line and syncs the registry's
-  /// counters and gauges to the row.
+  /// Emits one deterministic msample line.
   void Sample(const SampleRow& row);
 
-  /// Emits one alarm line and bumps the alarm counter.
+  /// Emits one alarm line.
   void Alarm(const AlarmRecord& alarm);
 
-  /// Writes the trailing mstat block (one line per catalog metric, catalog
-  /// order) and the mshards line, then flushes. Idempotent.
+  /// Writes the trailing mstat block (one line per catalog histogram,
+  /// catalog order) and the mshards line, then flushes. Idempotent.
   void Finish();
 
-  /// Prometheus-style text exposition of the current registry state.
-  std::string ExpositionText() const { return registry_.ExpositionText(); }
-
-  /// Per-phase and per-lane wall-time summary for embedding in a
-  /// RunReport (`perf` field) or bench row.
+  /// Per-phase and per-lane wall-time summary, plus the queue-depth
+  /// histogram, for embedding in a RunReport (`perf` field) or bench row.
   Json PerfJson() const;
-
-  size_t num_lanes() const { return lane_nanos_.size(); }
-  int64_t lane_nanos(size_t lane) const { return lane_nanos_[lane]; }
-  uint64_t lane_events(size_t lane) const { return lane_events_[lane]; }
 
   /// The catalog histogram id for a phase.
   static int PhaseMetric(Phase phase) {
@@ -195,7 +249,7 @@ class Collector {
   std::ostream* sink_ = nullptr;
   /// Owned sink storage when OpenFile was used.
   std::unique_ptr<std::ofstream> file_;
-  Registry registry_;
+  std::array<Histogram, kMetricCount> histograms_{};
   std::vector<int64_t> lane_nanos_;
   std::vector<uint64_t> lane_events_;
   int64_t phase_mark_ = 0;

@@ -59,17 +59,10 @@ util::StatusOr<ParsedMetrics> ParsedMetrics::Parse(const std::string& text) {
     } else if (type == "mstat") {
       MetricStat stat;
       stat.name = record.GetString("name");
-      stat.kind = record.GetString("kind");
-      if (stat.kind == "gauge") {
-        stat.gauge = record.GetDouble("value");
-      } else if (stat.kind == "histogram") {
-        stat.count = static_cast<uint64_t>(record.GetInt("count"));
-        stat.sum = record.GetInt("sum");
-        stat.min = record.GetInt("min");
-        stat.max = record.GetInt("max");
-      } else {
-        stat.value = record.GetInt("value");
-      }
+      stat.count = static_cast<uint64_t>(record.GetInt("count"));
+      stat.sum = record.GetInt("sum");
+      stat.min = record.GetInt("min");
+      stat.max = record.GetInt("max");
       parsed.stats.push_back(std::move(stat));
     } else if (type == "mshards") {
       if (const Json* nanos = record.Find("lane_drain_ns");

@@ -11,13 +11,10 @@
 
 namespace qa::obs::metrics {
 
-/// One trailing per-metric stat from the `mstat` block.
+/// One trailing per-histogram stat from the `mstat` block.
 struct MetricStat {
   std::string name;
-  std::string kind;  // counter | gauge | histogram
-  int64_t value = 0;     // counters
-  double gauge = 0.0;    // gauges
-  uint64_t count = 0;    // histograms
+  uint64_t count = 0;
   int64_t sum = 0;
   int64_t min = 0;
   int64_t max = 0;
@@ -28,7 +25,7 @@ struct MetricStat {
 /// and readers cannot drift apart silently.
 struct ParsedMetrics {
   Json meta;  // the mmeta line (null when absent)
-  std::vector<Json> samples;
+  std::vector<Json> samples;  // msample rows; the last holds final counts
   std::vector<AlarmRecord> alarms;
   std::vector<MetricStat> stats;
   std::vector<int64_t> lane_drain_ns;

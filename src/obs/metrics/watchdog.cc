@@ -8,6 +8,31 @@ namespace qa::obs::metrics {
 
 namespace {
 
+/// Periods of history each detector keeps before it can fire.
+constexpr size_t kWindow = 6;
+/// Oscillation: alarm when >= this fraction of consecutive per-period
+/// mean-ln(price) deltas flip sign...
+constexpr double kOscFlipThreshold = 0.6;
+/// ...and the mean |delta| is at least this (filters micro-jitter around
+/// a settled price).
+constexpr double kOscMinAmplitude = 0.02;
+/// Starvation: alarm when a rejected query's sojourn exceeds this many
+/// global periods.
+constexpr double kStarvationSlaPeriods = 4.0;
+/// Non-convergence: log-price variances below this floor never alarm.
+constexpr double kNonconvFloor = 1e-3;
+/// Price-detector population cap. Above this many agents the detectors
+/// read a deterministic stride sample (agents 0, s, 2s, ... with
+/// s = ceil(n / cap)) instead of every agent: the per-period eval is
+/// O(agents x classes) with a log() per entry, which at 10k nodes would
+/// dwarf the simulation work it watches. The stride is a pure function of
+/// the population size, so sampled gauge and alarm streams stay
+/// byte-identical across shard/thread layouts.
+constexpr size_t kMaxSampledAgents = 32;
+/// Overload: alarm when at least this many queries were shed in one
+/// global period (or a brownout is in force).
+constexpr int64_t kOverloadMinShed = 1;
+
 std::string FmtDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
@@ -16,8 +41,7 @@ std::string FmtDouble(double v) {
 
 }  // namespace
 
-WatchdogSuite::WatchdogSuite(const WatchdogConfig& config, util::VTime period_us)
-    : config_(config), period_us_(period_us) {}
+WatchdogSuite::WatchdogSuite(util::VTime period_us) : period_us_(period_us) {}
 
 void WatchdogSuite::ObserveRejectSojourn(int class_id, util::VTime sojourn_us) {
   for (auto& [cls, worst] : worst_sojourn_us_) {
@@ -62,8 +86,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
   std::vector<AlarmRecord> alarms;
 
   // --- Starvation: worst reject sojourn this period vs the SLA. ---
-  const double sla_us =
-      config_.starvation_sla_periods * static_cast<double>(period_us_);
+  const double sla_us = kStarvationSlaPeriods * static_cast<double>(period_us_);
   double worst_ms = 0.0;
   std::sort(worst_sojourn_us_.begin(), worst_sojourn_us_.end());
   for (const auto& [class_id, sojourn] : worst_sojourn_us_) {
@@ -95,7 +118,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
   // (Random, RoundRobin) too. Market-wide (class -1). ---
   const int64_t shed_delta = shed_total_ - prev_shed_total_;
   prev_shed_total_ = shed_total_;
-  if (shed_delta >= config_.overload_min_shed || brownout_level_ > 0) {
+  if (shed_delta >= kOverloadMinShed || brownout_level_ > 0) {
     if (TryLatch(kOverload, -1)) {
       AlarmRecord alarm;
       alarm.t_us = now;
@@ -103,7 +126,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
       alarm.watchdog = WatchdogName(kOverload);
       alarm.class_id = -1;
       alarm.value = static_cast<double>(shed_delta);
-      alarm.threshold = static_cast<double>(config_.overload_min_shed);
+      alarm.threshold = static_cast<double>(kOverloadMinShed);
       alarm.detail = "shed " + std::to_string(shed_delta) +
                      " queries this period, brownout level " +
                      std::to_string(brownout_level_);
@@ -121,12 +144,11 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
 
   const size_t classes = static_cast<size_t>(probe.num_classes);
   // Deterministic stride sample of the agent population (see
-  // WatchdogConfig::max_sampled_agents).
-  const size_t cap = config_.max_sampled_agents > 0
-                         ? static_cast<size_t>(config_.max_sampled_agents)
-                         : probe.num_agents();
+  // kMaxSampledAgents).
   const size_t stride =
-      probe.num_agents() > cap ? (probe.num_agents() + cap - 1) / cap : 1;
+      probe.num_agents() > kMaxSampledAgents
+          ? (probe.num_agents() + kMaxSampledAgents - 1) / kMaxSampledAgents
+          : 1;
   for (size_t c = 0; c < classes; ++c) {
     // Cross-node mean and variance of ln(price) for this class.
     double sum = 0.0, sum_sq = 0.0;
@@ -146,12 +168,11 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
 
     ClassHistory& hist = history_[static_cast<int>(c)];
     hist.mean_ln_price.push_back(mean);
-    if (hist.mean_ln_price.size() >
-        static_cast<size_t>(config_.window) + 1) {
+    if (hist.mean_ln_price.size() > kWindow + 1) {
       hist.mean_ln_price.pop_front();
     }
     hist.ln_price_var.push_back(var);
-    if (hist.ln_price_var.size() > static_cast<size_t>(config_.window)) {
+    if (hist.ln_price_var.size() > kWindow) {
       hist.ln_price_var.pop_front();
     }
 
@@ -159,8 +180,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
     // deltas. Requires a full window; a high flip rate alone is not
     // enough — tiny jitter around equilibrium also alternates sign, so
     // an amplitude floor gates the alarm. ---
-    if (hist.mean_ln_price.size() ==
-        static_cast<size_t>(config_.window) + 1) {
+    if (hist.mean_ln_price.size() == kWindow + 1) {
       // Consecutive-delta sign flips and mean amplitude, read straight off
       // the history deque (no materialized delta buffer — this runs every
       // period).
@@ -181,8 +201,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
               : 0.0;
       amp /= static_cast<double>(num_deltas);
       osc_flip_rate_ = std::max(osc_flip_rate_, flip_rate);
-      if (flip_rate >= config_.osc_flip_threshold &&
-          amp >= config_.osc_min_amplitude) {
+      if (flip_rate >= kOscFlipThreshold && amp >= kOscMinAmplitude) {
         if (TryLatch(kOscillation, static_cast<int>(c))) {
           AlarmRecord alarm;
           alarm.t_us = now;
@@ -190,7 +209,7 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
           alarm.watchdog = WatchdogName(kOscillation);
           alarm.class_id = static_cast<int>(c);
           alarm.value = flip_rate;
-          alarm.threshold = config_.osc_flip_threshold;
+          alarm.threshold = kOscFlipThreshold;
           alarm.detail = "class " + std::to_string(c) +
                          " mean-ln(price) flip rate " + FmtDouble(flip_rate) +
                          " amplitude " + FmtDouble(amp);
@@ -203,10 +222,10 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
 
     // --- Non-convergence: over a full window, log-price variance stayed
     // above the floor and did not decrease. ---
-    if (hist.ln_price_var.size() == static_cast<size_t>(config_.window)) {
+    if (hist.ln_price_var.size() == kWindow) {
       const bool all_above = std::all_of(
           hist.ln_price_var.begin(), hist.ln_price_var.end(),
-          [&](double v) { return v > config_.nonconv_floor; });
+          [](double v) { return v > kNonconvFloor; });
       if (all_above && hist.ln_price_var.back() >= hist.ln_price_var.front()) {
         if (TryLatch(kNonconvergence, static_cast<int>(c))) {
           AlarmRecord alarm;
@@ -215,12 +234,12 @@ std::vector<AlarmRecord> WatchdogSuite::EvaluatePeriod(
           alarm.watchdog = WatchdogName(kNonconvergence);
           alarm.class_id = static_cast<int>(c);
           alarm.value = hist.ln_price_var.back();
-          alarm.threshold = config_.nonconv_floor;
+          alarm.threshold = kNonconvFloor;
           alarm.detail = "class " + std::to_string(c) +
                          " ln(price) variance " +
                          FmtDouble(hist.ln_price_var.back()) +
                          " not converging over " +
-                         std::to_string(config_.window) + " periods";
+                         std::to_string(kWindow) + " periods";
           alarms.push_back(std::move(alarm));
         }
       } else {

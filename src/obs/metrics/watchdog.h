@@ -27,33 +27,6 @@ struct AlarmRecord {
   std::string detail;
 };
 
-struct WatchdogConfig {
-  /// Periods of history each detector keeps before it can fire.
-  int window = 6;
-  /// Oscillation: alarm when >= this fraction of consecutive per-period
-  /// mean-ln(price) deltas flip sign...
-  double osc_flip_threshold = 0.6;
-  /// ...and the mean |delta| is at least this (filters micro-jitter around
-  /// a settled price).
-  double osc_min_amplitude = 0.02;
-  /// Starvation: alarm when a rejected query's sojourn exceeds this many
-  /// global periods.
-  double starvation_sla_periods = 4.0;
-  /// Non-convergence: log-price variances below this floor never alarm.
-  double nonconv_floor = 1e-3;
-  /// Price-detector population cap. Above this many agents the detectors
-  /// read a deterministic stride sample (agents 0, s, 2s, ... with
-  /// s = ceil(n / cap)) instead of every agent: the per-period eval is
-  /// O(agents x classes) with a log() per entry, which at 10k nodes
-  /// would dwarf the simulation work it watches. The stride is a pure
-  /// function of the population size, so sampled gauge and alarm streams
-  /// stay byte-identical across shard/thread layouts.
-  int max_sampled_agents = 32;
-  /// Overload: alarm when at least this many queries were shed in one
-  /// global period (or a brownout is in force).
-  int64_t overload_min_shed = 1;
-};
-
 /// Online market-health detectors, evaluated once per global period from
 /// the mediator with the allocator's own market probe. Each alarm is
 /// rising-edge latched: it fires once when its condition becomes true and
@@ -61,7 +34,7 @@ struct WatchdogConfig {
 /// yields one alarm per episode, not one per period.
 class WatchdogSuite {
  public:
-  WatchdogSuite(const WatchdogConfig& config, util::VTime period_us);
+  explicit WatchdogSuite(util::VTime period_us);
 
   /// Feed from the arrival reject path: `sojourn_us` is how long the query
   /// has been waiting since its original arrival.
@@ -92,8 +65,8 @@ class WatchdogSuite {
 
  private:
   struct ClassHistory {
-    std::deque<double> mean_ln_price;  // last `window`+1 period means
-    std::deque<double> ln_price_var;   // last `window` period variances
+    std::deque<double> mean_ln_price;  // last kWindow+1 period means
+    std::deque<double> ln_price_var;   // last kWindow period variances
   };
 
   /// Latch slots, dense-indexed so the per-period latch bookkeeping is an
@@ -114,7 +87,6 @@ class WatchdogSuite {
   bool TryLatch(Watchdog watchdog, int class_id);
   void ClearLatch(Watchdog watchdog, int class_id);
 
-  WatchdogConfig config_;
   util::VTime period_us_;
   std::map<int, ClassHistory> history_;
   /// (class, worst sojourn) this period. A flat vector: the observe side

@@ -240,8 +240,8 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     mmeta.period_us = config_.period;
     config_.metrics->BeginRun(mmeta);
     config_.metrics->SetNumLanes(lanes_.size());
-    watchdogs_ = std::make_unique<obs::metrics::WatchdogSuite>(
-        config_.watchdogs, config_.period);
+    watchdogs_ =
+        std::make_unique<obs::metrics::WatchdogSuite>(config_.period);
   }
   // The allocator's internal phase probes share the run's collector; reset
   // on every run so a collector-less rerun of the same allocator carries no
@@ -1254,8 +1254,7 @@ void Federation::EmitMetricsSample() {
   // fence. Virtual state, so the histogram is as deterministic as the
   // counters (the one histogram that is not a wall-clock side channel).
   for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
-    config_.metrics->registry().Observe(obs::metrics::kNodeQueueDepth,
-                                        pool_.QueueLength(j));
+    config_.metrics->RecordQueueDepth(pool_.QueueLength(j));
   }
   // Watchdogs first: alarms precede the sample that carries the gauges
   // they fired on, so the stream reads cause-before-effect.

@@ -90,9 +90,6 @@ struct FederationConfig {
   /// trace bytes, so attaching a collector cannot perturb a run
   /// (DESIGN.md §9). Null = every probe is a single branch.
   obs::metrics::Collector* metrics = nullptr;
-  /// Watchdog thresholds for the market-health detectors evaluated each
-  /// global period (only when `metrics` is set).
-  obs::metrics::WatchdogConfig watchdogs;
   /// Allocator RNG seed, recorded in the trace meta line for provenance.
   /// Also the default seed of the fault injector's message-loss RNG (see
   /// faults::FaultPlan::seed).

@@ -1,36 +1,6 @@
 #include "stats/series.h"
 
-#include <algorithm>
-
 namespace qa::stats {
-
-double TimeSeries::SumInWindow(util::VTime start, util::VTime end) const {
-  double sum = 0.0;
-  for (const Sample& s : samples_) {
-    if (s.time >= start && s.time < end) sum += s.value;
-  }
-  return sum;
-}
-
-size_t TimeSeries::CountInWindow(util::VTime start, util::VTime end) const {
-  size_t count = 0;
-  for (const Sample& s : samples_) {
-    if (s.time >= start && s.time < end) ++count;
-  }
-  return count;
-}
-
-std::vector<double> TimeSeries::BucketSums(util::VDuration bucket,
-                                           util::VTime horizon) const {
-  size_t n = bucket > 0 ? static_cast<size_t>((horizon + bucket - 1) / bucket)
-                        : 0;
-  std::vector<double> sums(n, 0.0);
-  for (const Sample& s : samples_) {
-    if (s.time < 0 || s.time >= horizon) continue;
-    sums[static_cast<size_t>(s.time / bucket)] += s.value;
-  }
-  return sums;
-}
 
 std::vector<size_t> TimeSeries::BucketCounts(util::VDuration bucket,
                                              util::VTime horizon) const {
@@ -42,22 +12,6 @@ std::vector<size_t> TimeSeries::BucketCounts(util::VDuration bucket,
     ++counts[static_cast<size_t>(s.time / bucket)];
   }
   return counts;
-}
-
-std::vector<double> TimeSeries::BucketMeans(util::VDuration bucket,
-                                            util::VTime horizon) const {
-  std::vector<double> sums = BucketSums(bucket, horizon);
-  std::vector<size_t> counts = BucketCounts(bucket, horizon);
-  for (size_t i = 0; i < sums.size(); ++i) {
-    if (counts[i] > 0) sums[i] /= static_cast<double>(counts[i]);
-  }
-  return sums;
-}
-
-util::VTime TimeSeries::MaxTime() const {
-  util::VTime max_t = 0;
-  for (const Sample& s : samples_) max_t = std::max(max_t, s.time);
-  return max_t;
 }
 
 }  // namespace qa::stats

@@ -25,27 +25,10 @@ class TimeSeries {
   bool empty() const { return samples_.empty(); }
   const std::vector<Sample>& samples() const { return samples_; }
 
-  /// Sum of sample values whose time falls in [start, end).
-  double SumInWindow(util::VTime start, util::VTime end) const;
-
-  /// Count of samples whose time falls in [start, end).
-  size_t CountInWindow(util::VTime start, util::VTime end) const;
-
-  /// Splits [0, horizon) into buckets of width `bucket` and returns the sum
-  /// of values per bucket.
-  std::vector<double> BucketSums(util::VDuration bucket,
-                                 util::VTime horizon) const;
-
-  /// Same bucketing, but returns per-bucket sample counts.
+  /// Splits [0, horizon) into buckets of width `bucket` and returns the
+  /// number of samples per bucket.
   std::vector<size_t> BucketCounts(util::VDuration bucket,
                                    util::VTime horizon) const;
-
-  /// Same bucketing, but returns per-bucket mean values (0 where empty).
-  std::vector<double> BucketMeans(util::VDuration bucket,
-                                  util::VTime horizon) const;
-
-  /// Largest sample time, or 0 when empty.
-  util::VTime MaxTime() const;
 
  private:
   std::vector<Sample> samples_;

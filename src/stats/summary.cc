@@ -7,10 +7,7 @@
 
 namespace qa::stats {
 
-void Summary::Add(double value) {
-  values_.push_back(value);
-  sum_ += value;
-}
+void Summary::Add(double value) { values_.push_back(value); }
 
 double Summary::min() const {
   if (values_.empty()) return 0.0;
@@ -23,8 +20,6 @@ double Summary::max() const {
 }
 
 double Summary::Mean() const { return util::Mean(values_); }
-
-double Summary::StdDev() const { return util::StdDev(values_); }
 
 double Summary::Percentile(double p) const {
   return util::Percentile(values_, p);

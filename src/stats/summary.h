@@ -14,11 +14,9 @@ class Summary {
 
   size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
-  double sum() const { return sum_; }
   double min() const;
   double max() const;
   double Mean() const;
-  double StdDev() const;
   double Percentile(double p) const;
 
   const std::vector<double>& values() const { return values_; }
@@ -28,7 +26,6 @@ class Summary {
 
  private:
   std::vector<double> values_;
-  double sum_ = 0.0;
 };
 
 }  // namespace qa::stats

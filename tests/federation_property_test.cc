@@ -539,7 +539,8 @@ void ExpectPinned(const CaseDigests& want, const CaseDigests& got) {
 // run without lanes, so this is the strongest statement the repo can make
 // that the fenced lane merge reproduces the canonical event order exactly
 // — and that profiling rides along without perturbing it. The wall-clock
-// mstat block only has to keep its record count across layouts.
+// mstat block only has to keep its record count: one line per catalog
+// histogram.
 TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
   constexpr int kCases = 48;
   const std::string path =
@@ -574,11 +575,10 @@ TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
           ReplayCase(c, i, layout.shards, layout.threads, layout.tag);
       if (update && layout.shards == 1) pinned.push_back(DigestOf(run));
       ExpectPinned(pinned[static_cast<size_t>(i)], DigestOf(run));
-      if (layout.shards == 1) {
-        reference = std::move(run);
-      } else {
-        EXPECT_EQ(reference.mstat_lines, run.mstat_lines);
-      }
+      // One mstat line per catalog histogram, at every layout.
+      EXPECT_EQ(run.mstat_lines,
+                static_cast<size_t>(obs::metrics::kMetricCount));
+      if (layout.shards == 1) reference = std::move(run);
     }
 
     // Admission snapshot sanity: the brownout level every msample reports

@@ -354,27 +354,27 @@ TEST(QaObs002Test, NonRecorderObjectsAreNotProbes) {
 TEST(QaObs003Test, FlagsUnregisteredMetricName) {
   Options options;
   options.metrics_catalog =
-      "{\"qa_messages_total\", Kind::kCounter, \"messages\"},\n";
+      "{\"qa_phase_merge_ns\", \"merge\"},\n";
   std::vector<Finding> findings =
       Lint("src/sim/fixture.cc",
            "int Id() {\n"
-           "  return obs::metrics::MetricId(\"qa_msgs_total\");\n"
+           "  return obs::metrics::MetricId(\"qa_phase_merg_ns\");\n"
            "}\n",
            options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "QA-OBS-003");
   EXPECT_EQ(findings[0].line, 2);
-  EXPECT_NE(findings[0].message.find("qa_msgs_total"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("qa_phase_merg_ns"), std::string::npos);
 }
 
 TEST(QaObs003Test, RegisteredNamesVariablesAndCatalogItselfAreClean) {
   Options options;
   options.metrics_catalog =
-      "{\"qa_messages_total\", Kind::kCounter, \"messages\"},\n";
+      "{\"qa_phase_merge_ns\", \"merge\"},\n";
   // A registered literal is clean.
   EXPECT_TRUE(
       Lint("src/sim/fixture.cc",
-           "int Id() { return MetricId(\"qa_messages_total\"); }\n", options)
+           "int Id() { return MetricId(\"qa_phase_merge_ns\"); }\n", options)
           .empty());
   // A runtime name cannot be checked statically.
   EXPECT_TRUE(Lint("src/sim/fixture.cc",

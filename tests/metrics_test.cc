@@ -1,6 +1,5 @@
 // Locks the obs/metrics subsystem: catalog/enum agreement, log-bucketed
-// histogram boundary arithmetic, registry merge semantics, hand-computed
-// watchdog scenarios (oscillation trip, starvation trip, non-convergence
+// histogram boundary arithmetic, hand-computed watchdog scenarios (oscillation trip, starvation trip, non-convergence
 // trip, steady-state silence, rising-edge latching), the collector's JSONL
 // stream round-tripped through the same reader the tools use, and an
 // end-to-end federation run proving the metrics side channel never
@@ -19,7 +18,6 @@
 #include "obs/metrics/catalog.h"
 #include "obs/metrics/collector.h"
 #include "obs/metrics/metrics_reader.h"
-#include "obs/metrics/registry.h"
 #include "obs/metrics/watchdog.h"
 #include "obs/snapshot.h"
 #include "sim/metrics_json.h"
@@ -51,18 +49,10 @@ TEST(CatalogTest, EnumAndTableAgree) {
   EXPECT_EQ(MetricId("qa_not_a_metric"), -1);
 }
 
-TEST(CatalogTest, NamesAreUniqueAndKindsAreGrouped) {
+TEST(CatalogTest, NamesAreUnique) {
   std::set<std::string_view> names;
   for (const MetricDef& def : Catalog()) names.insert(def.name);
   EXPECT_EQ(names.size(), Catalog().size());
-  // The dense layout the hot paths rely on: counters, then gauges, then
-  // the phase histograms.
-  for (int id = 0; id < kMetricCount; ++id) {
-    Kind expect = id < kLogPriceVariance  ? Kind::kCounter
-                  : id < kPhaseRunTotal   ? Kind::kGauge
-                                          : Kind::kHistogram;
-    EXPECT_EQ(Catalog()[static_cast<size_t>(id)].kind, expect) << id;
-  }
 }
 
 TEST(CatalogTest, PhaseMetricMapsEveryPhaseOntoItsHistogram) {
@@ -99,12 +89,12 @@ TEST(HistogramTest, BoundsRoundTripThroughBucketOf) {
   EXPECT_EQ(Histogram::BucketLowerBound(0), 0);
   for (int b = 1; b < Histogram::kBuckets - 1; ++b) {
     EXPECT_EQ(Histogram::BucketLowerBound(b), int64_t{1} << (b - 1)) << b;
-    EXPECT_EQ(Histogram::BucketUpperBound(b), (int64_t{1} << b) - 1) << b;
-    // Both edges of every bucket land back in that bucket.
+    // Both edges of every bucket land back in that bucket: the upper edge
+    // is one below the next bucket's lower bound.
     EXPECT_EQ(Histogram::BucketOf(Histogram::BucketLowerBound(b)), b);
-    EXPECT_EQ(Histogram::BucketOf(Histogram::BucketUpperBound(b)), b);
+    EXPECT_EQ(Histogram::BucketOf(Histogram::BucketLowerBound(b + 1) - 1),
+              b);
   }
-  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kBuckets - 1), INT64_MAX);
 }
 
 TEST(HistogramTest, RecordTracksCountSumMinMaxMean) {
@@ -119,68 +109,6 @@ TEST(HistogramTest, RecordTracksCountSumMinMaxMean) {
   EXPECT_DOUBLE_EQ(h.Mean(), 4.0);
   EXPECT_EQ(h.buckets[1], 1u);  // 1
   EXPECT_EQ(h.buckets[3], 2u);  // 5 and 6
-}
-
-TEST(HistogramTest, MergeFoldsBucketsAndExtremes) {
-  Histogram a, b;
-  a.Record(3);
-  b.Record(100);
-  b.Record(1);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.sum, 104);
-  EXPECT_EQ(a.min, 1);
-  EXPECT_EQ(a.max, 100);
-  Histogram empty;
-  a.MergeFrom(empty);  // merging nothing changes nothing
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.min, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-TEST(RegistryTest, InstrumentsAndMerge) {
-  Registry a, b;
-  a.Add(kMessages, 5);
-  b.Add(kMessages, 7);
-  b.SetGauge(kEarningsCv, 0.25);
-  b.Observe(kPhaseAllocate, 1000);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.counter(kMessages), 12);
-  EXPECT_DOUBLE_EQ(a.gauge(kEarningsCv), 0.25);
-  EXPECT_EQ(a.histogram(kPhaseAllocate).count, 1u);
-  // A never-set gauge in the source does not wipe the destination.
-  Registry c;
-  c.SetGauge(kEarningsCv, 0.5);
-  Registry untouched;
-  c.MergeFrom(untouched);
-  EXPECT_DOUBLE_EQ(c.gauge(kEarningsCv), 0.5);
-}
-
-TEST(RegistryTest, ExpositionTextCoversEveryMetricInCatalogOrder) {
-  Registry r;
-  r.SetCounter(kMessages, 42);
-  r.SetGauge(kLogPriceVariance, 0.125);
-  r.Observe(kPhaseRunTotal, 3);
-  std::string text = r.ExpositionText();
-  EXPECT_NE(text.find("# TYPE qa_messages_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_messages_total 42"), std::string::npos);
-  EXPECT_NE(text.find("qa_market_log_price_variance 0.125"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_bucket{le=\"3\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_bucket{le=\"+Inf\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_count 1"), std::string::npos);
-  // Catalog order: the first counter leads, the last histogram trails.
-  size_t first = text.find("qa_events_dispatched_total");
-  size_t last = text.find("qa_phase_mediator_dispatch_ns");
-  ASSERT_NE(first, std::string::npos);
-  ASSERT_NE(last, std::string::npos);
-  EXPECT_LT(first, last);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +131,7 @@ MarketProbe Snap(const std::vector<double>& prices,
 }
 
 TEST(WatchdogTest, StarvationTripsLatchesAndRearms) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // SLA = 4 periods = 2000ms. A 2500ms sojourn is starvation.
   suite.ObserveRejectSojourn(0, 2500 * kMillisecond);
   std::vector<AlarmRecord> alarms =
@@ -234,8 +162,8 @@ TEST(WatchdogTest, StarvationTripsLatchesAndRearms) {
 }
 
 TEST(WatchdogTest, OscillationTripsAfterAFullWindow) {
-  WatchdogConfig config;  // window 6, flip threshold 0.6, amplitude 0.02
-  WatchdogSuite suite(config, kPeriod);
+  // Window 6, flip threshold 0.6, amplitude 0.02.
+  WatchdogSuite suite(kPeriod);
   // One agent whose price alternates 1.0 <-> 1.5: every consecutive
   // mean-ln(price) delta is +/-ln(1.5) ~= 0.405, so all 5 of 5 delta pairs
   // flip sign (rate 1.0 >= 0.6) with amplitude 0.405 >= 0.02. The detector
@@ -262,7 +190,7 @@ TEST(WatchdogTest, OscillationTripsAfterAFullWindow) {
 }
 
 TEST(WatchdogTest, NonConvergenceTripsWhenVarianceHoldsAboveFloor) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // Two agents stuck at prices 1.0 and 2.0: cross-node ln-price variance
   // is (ln2/2)^2 ~= 0.12 every period — above the 1e-3 floor and never
   // decreasing. After window = 6 periods the detector fires. The means
@@ -289,7 +217,7 @@ TEST(WatchdogTest, NonConvergenceTripsWhenVarianceHoldsAboveFloor) {
 }
 
 TEST(WatchdogTest, SteadyStateNeverTrips) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // A settled market: every node quotes 1.3, rejects age well under the
   // SLA. Ten periods, zero alarms — and the fairness gauge reads the
   // hand-computed CV of earnings {1, 3}: mean 2, stddev 1, CV 0.5.
@@ -307,7 +235,7 @@ TEST(WatchdogTest, SteadyStateNeverTrips) {
 }
 
 TEST(WatchdogTest, SnapshotsWithoutAgentsSkipPriceDetectors) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // Non-market mechanisms expose no agent state: only starvation can fire.
   MarketProbe bare;
   for (int p = 0; p < 10; ++p) {
@@ -335,6 +263,7 @@ TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
     collector.BeginRun(meta);
     collector.SetNumLanes(3);
     collector.RecordPhase(Phase::kAllocate, 1500);
+    collector.RecordQueueDepth(3);
     collector.RecordLaneDrain(1, 2000, 10);
 
     SampleRow row;
@@ -383,14 +312,17 @@ TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
   EXPECT_DOUBLE_EQ(m.alarms[0].value, 0.8);
   EXPECT_EQ(m.alarms[0].detail, "test alarm");
 
-  // Exactly one mstat per catalog metric (double Finish would double it).
+  // Exactly one mstat per catalog histogram, in catalog order (double
+  // Finish would double them). Counts are not among them: the msample row
+  // above is their only rendering.
   ASSERT_EQ(m.stats.size(), static_cast<size_t>(kMetricCount));
-  const MetricStat* messages = m.FindStat("qa_messages_total");
-  ASSERT_NE(messages, nullptr);
-  EXPECT_EQ(messages->value, 40);  // Sample() synced the registry
-  const MetricStat* alarms_total = m.FindStat("qa_alarms_total");
-  ASSERT_NE(alarms_total, nullptr);
-  EXPECT_EQ(alarms_total->value, 1);
+  for (size_t i = 0; i < m.stats.size(); ++i) {
+    EXPECT_EQ(m.stats[i].name, Catalog()[i].name);
+  }
+  const MetricStat* depth = m.FindStat("qa_node_queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->count, 1u);
+  EXPECT_EQ(depth->max, 3);
   const MetricStat* allocate = m.FindStat("qa_phase_allocate_ns");
   ASSERT_NE(allocate, nullptr);
   EXPECT_EQ(allocate->count, 1u);
@@ -405,10 +337,12 @@ TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
   EXPECT_EQ(m.lane_events[1], 10);
 }
 
-TEST(CollectorTest, PerfJsonSummarizesPhasesAndLanes) {
+TEST(CollectorTest, PerfJsonSummarizesPhasesQueueDepthAndLanes) {
   Collector collector;  // collect-only
   collector.SetNumLanes(2);
   collector.RecordPhase(Phase::kRunTotal, 4000);
+  collector.RecordQueueDepth(1);
+  collector.RecordQueueDepth(4);
   collector.RecordLaneDrain(0, 1000, 4);
   collector.RecordLaneDrain(1, 3000, 12);
   Json perf = collector.PerfJson();
@@ -419,6 +353,13 @@ TEST(CollectorTest, PerfJsonSummarizesPhasesAndLanes) {
   const Json* run_total = phases->Find("qa_phase_run_total_ns");
   ASSERT_NE(run_total, nullptr);
   EXPECT_EQ(run_total->GetInt("count", 0), 1);
+  // The queue depth is a count, not a phase: its own row.
+  EXPECT_EQ(phases->Find("qa_node_queue_depth"), nullptr);
+  const Json* depth = perf.Find("queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->GetInt("observations", 0), 2);
+  EXPECT_DOUBLE_EQ(depth->GetDouble("mean", 0.0), 2.5);
+  EXPECT_EQ(depth->GetInt("max", 0), 4);
 }
 
 TEST(MetricsReaderTest, UnknownRecordTypeIsAnError) {
@@ -515,9 +456,11 @@ TEST(MetricsEndToEndTest, CollectorNeverPerturbsTheSimulation) {
   const MetricStat* allocate = m.FindStat("qa_phase_allocate_ns");
   ASSERT_NE(allocate, nullptr);
   EXPECT_GT(allocate->count, 0u);
-  const MetricStat* ticks = m.FindStat("qa_ticks_total");
-  ASSERT_NE(ticks, nullptr);
-  EXPECT_GT(ticks->value, 0);
+  EXPECT_GT(last.GetInt("ticks", 0), 0);
+  // Every sample observes each of the 6 nodes' queue once.
+  const MetricStat* depth = m.FindStat("qa_node_queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->count, 6 * m.samples.size());
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ TEST(SummaryTest, BasicAccumulation) {
   s.Add(20.0);
   s.Add(30.0);
   EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.sum(), 60.0);
   EXPECT_DOUBLE_EQ(s.Mean(), 20.0);
   EXPECT_DOUBLE_EQ(s.min(), 10.0);
   EXPECT_DOUBLE_EQ(s.max(), 30.0);
@@ -43,61 +42,25 @@ TEST(SummaryTest, ToStringMentionsCount) {
   EXPECT_NE(s.ToString().find("n=1"), std::string::npos);
 }
 
-TEST(TimeSeriesTest, WindowQueries) {
-  TimeSeries ts;
-  ts.Add(0, 1.0);
-  ts.Add(100 * kMillisecond, 2.0);
-  ts.Add(200 * kMillisecond, 3.0);
-  EXPECT_DOUBLE_EQ(ts.SumInWindow(0, 150 * kMillisecond), 3.0);
-  EXPECT_EQ(ts.CountInWindow(0, 150 * kMillisecond), 2u);
-  EXPECT_DOUBLE_EQ(ts.SumInWindow(150 * kMillisecond, 300 * kMillisecond),
-                   3.0);
-}
-
-TEST(TimeSeriesTest, BucketSumsAndCounts) {
+TEST(TimeSeriesTest, BucketCounts) {
   TimeSeries ts;
   for (int i = 0; i < 10; ++i) {
     ts.Add(i * 100 * kMillisecond, 1.0);
   }
-  std::vector<double> sums =
-      ts.BucketSums(500 * kMillisecond, 1000 * kMillisecond);
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_DOUBLE_EQ(sums[0], 5.0);
-  EXPECT_DOUBLE_EQ(sums[1], 5.0);
-
   std::vector<size_t> counts =
       ts.BucketCounts(500 * kMillisecond, 1000 * kMillisecond);
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_EQ(counts[0], 5u);
-}
-
-TEST(TimeSeriesTest, BucketMeans) {
-  TimeSeries ts;
-  ts.Add(0, 2.0);
-  ts.Add(1, 4.0);
-  ts.Add(600 * kMillisecond, 10.0);
-  std::vector<double> means =
-      ts.BucketMeans(500 * kMillisecond, 1000 * kMillisecond);
-  ASSERT_EQ(means.size(), 2u);
-  EXPECT_DOUBLE_EQ(means[0], 3.0);
-  EXPECT_DOUBLE_EQ(means[1], 10.0);
+  EXPECT_EQ(counts[1], 5u);
 }
 
 TEST(TimeSeriesTest, SamplesOutsideHorizonIgnored) {
   TimeSeries ts;
   ts.Add(2000 * kMillisecond, 1.0);
-  std::vector<double> sums =
-      ts.BucketSums(500 * kMillisecond, 1000 * kMillisecond);
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_DOUBLE_EQ(sums[0] + sums[1], 0.0);
-}
-
-TEST(TimeSeriesTest, MaxTime) {
-  TimeSeries ts;
-  EXPECT_EQ(ts.MaxTime(), 0);
-  ts.Add(5, 1.0);
-  ts.Add(3, 1.0);
-  EXPECT_EQ(ts.MaxTime(), 5);
+  std::vector<size_t> counts =
+      ts.BucketCounts(500 * kMillisecond, 1000 * kMillisecond);
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts[0] + counts[1], 0u);
 }
 
 }  // namespace

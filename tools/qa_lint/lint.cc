@@ -65,7 +65,7 @@ const Rule kRules[] = {
     {"QA-OBS-003", "unregistered metric name at a MetricId() call site",
      "every metric a run can emit is declared once in "
      "src/obs/metrics/catalog.cc; a name looked up anywhere else that is "
-     "not in the catalog is a typo the registry can only report at runtime"},
+     "not in the catalog is a typo MetricId() can only report at runtime"},
     {"QA-SHD-001", "mutable namespace-scope / static state in sharded code",
      "src/sim and src/allocation run on the sharded core's worker threads; "
      "a mutable global or static is shared across shards — a data race "

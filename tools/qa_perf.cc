@@ -8,14 +8,19 @@
 //     (lane drain, cross-shard merge, mediator dispatch, market tick,
 //     allocate, QA-NT rollover + bid scan, snapshot) and each phase's
 //     share of the measured run total;
+//   * the per-node queue depth sampled at period fences: observations,
+//     mean and max depth;
 //   * per-lane drain time and the lane-imbalance factor (max/mean) for
 //     sharded runs;
-//   * final deterministic counters and market-health gauges;
+//   * final deterministic counters and market-health gauges, read from
+//     the stream's last msample row;
 //   * the watchdog alarm table (price oscillation, starvation,
-//     non-convergence), when any alarm latched.
+//     non-convergence, overload), when any alarm latched.
 //
 // All parsing goes through obs::metrics::ParsedMetrics — the same reader
-// the tests use — so anything this tool prints is schema-checked.
+// the tests use — so anything this tool prints is schema-checked. A
+// stream without any msample row (no run attached to the collector) is
+// an error: exit 1.
 //
 // Usage:
 //   qa_perf METRICS.jsonl [--csv]
@@ -88,6 +93,11 @@ int Run(const Options& opts) {
     return 1;
   }
   const ParsedMetrics& metrics = loaded.value();
+  if (metrics.samples.empty()) {
+    std::cerr << "error: " << opts.metrics_path
+              << " holds no msample row: no run was metered\n";
+    return 1;
+  }
 
   // ---- Header: what this run was.
   std::cout << "metrics: " << opts.metrics_path << "\n";
@@ -103,22 +113,23 @@ int Run(const Options& opts) {
             << " final stat(s)\n\n";
 
   // ---- Phase wall-time table, in catalog order, with share of run total.
-  const obs::metrics::MetricStat* run_total =
-      metrics.FindStat("qa_phase_run_total_ns");
+  using obs::metrics::MetricStat;
+  const MetricStat* run_total = metrics.FindStat("qa_phase_run_total_ns");
   double total_ns =
       run_total != nullptr ? static_cast<double>(run_total->sum) : 0.0;
   util::TableWriter phase_table(
       {"Phase", "Count", "Total (ms)", "Mean (us)", "% of run"});
   bool any_phase = false;
-  for (const obs::metrics::MetricDef& def : obs::metrics::Catalog()) {
-    if (def.kind != obs::metrics::Kind::kHistogram) continue;
-    const obs::metrics::MetricStat* stat =
-        metrics.FindStat(std::string(def.name));
+  for (int id = obs::metrics::kPhaseRunTotal;
+       id <= obs::metrics::kPhaseMediatorDispatch; ++id) {
+    const std::string name(
+        obs::metrics::Catalog()[static_cast<size_t>(id)].name);
+    const MetricStat* stat = metrics.FindStat(name);
     if (stat == nullptr || stat->count == 0) continue;
     any_phase = true;
     double ns = static_cast<double>(stat->sum);
     phase_table.BeginRow();
-    phase_table.AddCell(std::string(def.name));
+    phase_table.AddCell(name);
     phase_table.AddCell(static_cast<int64_t>(stat->count));
     phase_table.AddCell(Fmt(ns * 1e-6));
     phase_table.AddCell(
@@ -129,8 +140,19 @@ int Run(const Options& opts) {
   if (any_phase) {
     Emit(phase_table, opts.csv);
   } else {
-    std::cout << "no phase timings recorded (metrics disabled build, or no "
-                 "final mstat block)\n\n";
+    std::cout << "no phase timings recorded (no final mstat block)\n\n";
+  }
+
+  // ---- Queue depth: a count observed at period fences, not a duration.
+  const MetricStat* depth = metrics.FindStat("qa_node_queue_depth");
+  if (depth != nullptr && depth->count > 0) {
+    util::TableWriter depth_table(
+        {"Metric", "Observations", "Mean depth", "Max depth"});
+    depth_table.AddRow(depth->name, static_cast<int64_t>(depth->count),
+                       Fmt(static_cast<double>(depth->sum) /
+                           static_cast<double>(depth->count)),
+                       depth->max);
+    Emit(depth_table, opts.csv);
   }
 
   // ---- Per-lane drain (sharded runs).
@@ -156,15 +178,16 @@ int Run(const Options& opts) {
     }
   }
 
-  // ---- Final deterministic counters and market-health gauges.
-  util::TableWriter stat_table({"Metric", "Kind", "Value"});
-  for (const obs::metrics::MetricStat& stat : metrics.stats) {
-    if (stat.kind == "histogram") continue;
-    stat_table.BeginRow();
-    stat_table.AddCell(stat.name);
-    stat_table.AddCell(stat.kind);
-    stat_table.AddCell(stat.kind == "counter" ? std::to_string(stat.value)
-                                              : Fmt(stat.gauge));
+  // ---- Final deterministic counters and market-health gauges: the last
+  // msample row is the run's final count (SimMetrics rendered at exit).
+  const obs::Json& last = metrics.samples.back();
+  std::cout << "final sample: period " << last.GetInt("period") << " at "
+            << last.GetInt("t_us") / util::kMillisecond << " ms\n";
+  util::TableWriter stat_table({"Field", "Value"});
+  for (const auto& [field, value] : last.object()) {
+    if (field == "type" || field == "t_us" || field == "period") continue;
+    stat_table.AddRow(field, value.is_int() ? std::to_string(value.AsInt())
+                                            : Fmt(value.AsDouble()));
   }
   Emit(stat_table, opts.csv);
 
