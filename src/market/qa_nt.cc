@@ -109,6 +109,51 @@ bool QaNtAgent::OnRequest(int k) {
   return false;
 }
 
+bool QaNtAgent::BudgetBars(int k) const {
+  if (remaining_budget_ <= 0) return true;
+  util::VDuration cost = supply_set_.unit_cost(k);
+  return cost > remaining_budget_ &&
+         (!config_.allow_min_one_offer || cost <= supply_set_.budget());
+}
+
+bool QaNtAgent::PriceAtFixedPoint(int k) const {
+  double price = prices_[k];
+  // Exact compare on purpose: the claim is that BumpPriceUp's own
+  // expression maps the price to itself bit for bit.
+  // qa-lint: allow(QA-NUM-001)
+  return std::min(price * (1.0 + config_.lambda), config_.price_cap) == price;
+}
+
+bool QaNtAgent::DeclineSticks(int k) const {
+  if (!CanEvaluate(k) || !SupplyRestrictionActive()) return false;
+  // Restriction stays on: bumps move prices toward the cap, so the top
+  // price stays at or above the threshold unless the cap lies below it.
+  if (config_.price_cap < config_.activation_threshold) return false;
+  // The budget only falls.
+  if (BudgetBars(k)) return true;
+  // Otherwise only the density gate can bar k. Its bar only rises, and
+  // once it is positive, k's density can rise no more at the fixed point.
+  return !WouldAccept(k) && max_density_ > 0.0 && PriceAtFixedPoint(k);
+}
+
+bool QaNtAgent::OnRepeatedRequests(int k, int64_t n) {
+  assert(WouldAccept(k) || DeclineSticks(k));
+  stats_.requests_seen += n;
+  if (WouldAccept(k)) {
+    stats_.offers_made += n;
+    return true;
+  }
+  stats_.declines_no_supply += n;
+  // The first bump from the fixed point may still raise max_density_;
+  // every later one repeats it exactly.
+  for (int64_t i = 0; i < n; ++i) {
+    bool fixed = PriceAtFixedPoint(k);
+    BumpPriceUp(k);
+    if (fixed) break;
+  }
+  return false;
+}
+
 void QaNtAgent::OnOfferAccepted(int k) {
   assert(CanEvaluate(k));
   ++stats_.offers_accepted;

@@ -147,6 +147,33 @@ class QaNtAgent {
   /// Whether a request for class `k` would currently be offered.
   bool WouldAccept(int k) const;
 
+  // Repeated answers. Within a period, budgets only fall, decline bumps
+  // only move prices toward the cap and the density gate's bar only rises,
+  // so some answers cannot change until something of this agent's own
+  // moves. The synchronous market (MarketSimulator) polls an agent only
+  // when its answer can change, and replays the rest with
+  // OnRepeatedRequests. Each claim below holds until the next BeginPeriod,
+  // SetPrices or UpdateUnitCost.
+
+  /// Whether every OnRequest(k) of the rest of the period declines,
+  /// whatever requests and accepted offers for other classes come between:
+  /// supply restriction is active for good and either the remaining budget
+  /// can no longer cover `k`, or the density gate bars `k` (max density
+  /// positive) while its price sits at the bump's fixed point. (A
+  /// WouldAccept(k) offer repeats too, but only until this agent accepts a
+  /// query or its max density moves.)
+  bool DeclineSticks(int k) const;
+
+  /// Whether a decline leaves the price of class `k` where it is:
+  /// min(p * (1 + lambda), price_cap) == p.
+  bool PriceAtFixedPoint(int k) const;
+
+  /// Answers `n` requests for class `k` at once, exactly as `n` OnRequest(k)
+  /// calls in a row would, and returns that answer. Requires WouldAccept(k)
+  /// (`n` offers, which move only the tallies) or DeclineSticks(k) (`n`
+  /// declines, whose price bumps stop at the fixed point).
+  bool OnRepeatedRequests(int k, int64_t n);
+
   /// Cumulative virtual value earned by this node: the sum over accepted
   /// queries of their price at acceptance time. This is the node's utility
   /// in the market; the equitable-allocation extension (paper §6) selects
@@ -168,6 +195,9 @@ class QaNtAgent {
 
  private:
   void BumpPriceUp(int k);
+  /// WouldAccept's budget clauses: true when the remaining budget cannot
+  /// cover class `k` (no overshoot allowed for it).
+  bool BudgetBars(int k) const;
   /// Best price-per-cost density over the currently evaluable classes.
   double MaxDensity() const;
 

@@ -1288,20 +1288,42 @@ void Federation::ScheduleNodeEvent(util::VTime when, uint64_t stamp,
       when, stamp, event);
 }
 
+namespace {
+
+/// A capacity mix gives every class a share, and the shares sum to a
+/// positive, finite total.
+util::Status ValidateMix(const std::vector<double>& mix, int num_classes) {
+  if (static_cast<int>(mix.size()) != num_classes) {
+    return util::Status::InvalidArgument(
+        "mix has " + std::to_string(mix.size()) + " entries for " +
+        std::to_string(num_classes) + " query classes");
+  }
+  double sum = 0.0;
+  for (double m : mix) sum += m;
+  if (!(sum > 0.0) || !std::isfinite(sum)) {
+    return util::Status::InvalidArgument(
+        "mix sums to " + std::to_string(sum) +
+        "; it must be positive and finite");
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
 double EstimateCapacityQps(const query::CostModel& cost_model,
                            const std::vector<double>& mix,
                            util::VDuration period, int periods) {
-  assert(static_cast<int>(mix.size()) == cost_model.num_classes());
+  int num_classes = cost_model.num_classes();
+  AbortUnlessOk(ValidateMix(mix, num_classes), "EstimateCapacityQps");
   double mix_sum = 0.0;
   for (double m : mix) mix_sum += m;
-  assert(mix_sum > 0.0);
 
   // Upper bound on per-period throughput: every node runs its cheapest
   // class back to back.
   double max_per_period = 0.0;
   for (catalog::NodeId j = 0; j < cost_model.num_nodes(); ++j) {
     util::VDuration cheapest = query::kInfeasibleCost;
-    for (int k = 0; k < cost_model.num_classes(); ++k) {
+    for (int k = 0; k < num_classes; ++k) {
       cheapest = std::min(cheapest, cost_model.Cost(k, j));
     }
     if (cheapest != query::kInfeasibleCost && cheapest > 0) {
@@ -1310,25 +1332,27 @@ double EstimateCapacityQps(const query::CostModel& cost_model,
     }
   }
 
+  if (cost_model.num_nodes() == 0) return 0.0;  // nothing is ever served
   market::MarketSimConfig sim_config;
   sim_config.period = period;
   market::MarketSimulator sim(&cost_model, sim_config);
 
   // Keep each class's pending queue topped up to ~2x its mix share of the
   // throughput bound so servers are always saturated without letting the
-  // queues (and the per-period cost) grow unboundedly.
-  auto top_up = [&]() {
-    std::vector<market::QuantityVector> demand(
-        static_cast<size_t>(cost_model.num_nodes()),
-        market::QuantityVector(cost_model.num_classes()));
-    for (int k = 0; k < cost_model.num_classes(); ++k) {
+  // queues (and the per-period cost) grow unboundedly. Node 0 is the one
+  // client; the buffer is reused across periods.
+  std::vector<market::QuantityVector> demand(
+      static_cast<size_t>(cost_model.num_nodes()),
+      market::QuantityVector(num_classes));
+  auto top_up = [&]() -> const std::vector<market::QuantityVector>& {
+    for (int k = 0; k < num_classes; ++k) {
       double want = 2.0 * max_per_period *
                     (mix[static_cast<size_t>(k)] / mix_sum);
       market::Quantity have = 0;
       for (const auto& p : sim.pending()) have += p[k];
       market::Quantity need =
           static_cast<market::Quantity>(std::ceil(want)) - have;
-      if (need > 0) demand[0][k] = need;
+      demand[0][k] = std::max<market::Quantity>(need, 0);
     }
     return demand;
   };

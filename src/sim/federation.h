@@ -521,6 +521,13 @@ class Federation : public allocation::AllocationContext {
 /// `mix[k]` is the relative arrival share of class k. The paper could not
 /// compute exact optima either (§5.1); this estimate is used to express
 /// workloads as a percentage of system capacity (Figs. 4-5).
+///
+/// Cost: `periods` synchronous periods of about twice the federation's
+/// per-period throughput in requests, each O(requests·log N + N·K)
+/// (DESIGN.md §13): about 0.015 s at 1,000 nodes and 0.2 s at 10,000 on
+/// the two-class models (4-vCPU Xeon VM, Release build).
+/// Aborts with a FATAL message unless `mix` has one entry per class and a
+/// positive, finite sum.
 double EstimateCapacityQps(const query::CostModel& cost_model,
                            const std::vector<double>& mix,
                            util::VDuration period, int periods = 40);

@@ -218,5 +218,15 @@ TEST(MarketSimTest, ThroughputMaximizedUnderOverload) {
   EXPECT_GT(per_period, 5.0);
 }
 
+TEST(MarketSimDeathTest, RunPeriodAbortsOnDemandMismatch) {
+  auto model = Fig1Model();
+  MarketSimulator sim(model.get(), MarketSimConfig{});
+  // One demand vector for two nodes, then two vectors of the wrong width.
+  EXPECT_DEATH(sim.RunPeriod({QuantityVector({1, 0})}),
+               "FATAL: MarketSimulator::RunPeriod");
+  EXPECT_DEATH(sim.RunPeriod({QuantityVector(3), QuantityVector(3)}),
+               "one 2-class vector per node");
+}
+
 }  // namespace
 }  // namespace qa::market

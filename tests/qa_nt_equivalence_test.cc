@@ -4,7 +4,9 @@
 // every per-class loop runs over all K classes, and the eq.-4 knapsack
 // sorts a fresh candidate list into a fresh supply vector each period.
 // Seeded op sequences drive both and compare every observable bit for bit
-// after every op. The last test pins the rollover allocation-free.
+// after every op; whenever the agent says an answer repeats, one batched
+// call must equal that many single requests to the reference. The last
+// test pins the rollover allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -111,14 +113,24 @@ class DenseAgent {
   }
 
   bool OnRequest(int k) {
+    ++stats_.requests_seen;
     if (!CanEvaluate(k)) return false;
-    if (WouldAccept(k)) return true;
+    if (WouldAccept(k)) {
+      ++stats_.offers_made;
+      return true;
+    }
     bool restricting = SupplyRestrictionActive();
     BumpPriceUp(k);
+    if (restricting) {
+      ++stats_.declines_no_supply;
+    } else {
+      ++stats_.offers_made;
+    }
     return !restricting;
   }
 
   void OnOfferAccepted(int k) {
+    ++stats_.offers_accepted;
     earnings_ += prices_[k];
     accepted_ += cost(k);
     remaining_budget_ -= cost(k);
@@ -160,6 +172,7 @@ class DenseAgent {
   util::VDuration remaining_budget() const { return remaining_budget_; }
   double earnings() const { return earnings_; }
   bool density_gate_active() const { return density_gate_active_; }
+  const QaNtAgentStats& stats() const { return stats_; }
 
  private:
   void BumpPriceUp(int k) {
@@ -207,6 +220,8 @@ class DenseAgent {
   double earnings_ = 0.0;
   bool first_period_ = true;
   bool density_gate_active_ = false;
+  /// Request tallies (periods stays 0: not compared).
+  QaNtAgentStats stats_;
 };
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
@@ -232,6 +247,13 @@ std::string Diff(const QaNtAgent& sparse, const DenseAgent& dense) {
   if (Bits(sparse.earnings()) != Bits(dense.earnings())) return "earnings";
   if (sparse.density_gate_active() != dense.density_gate_active()) {
     return "density gate";
+  }
+  const QaNtAgentStats& a = sparse.stats();
+  const QaNtAgentStats& b = dense.stats();
+  if (a.requests_seen != b.requests_seen || a.offers_made != b.offers_made ||
+      a.offers_accepted != b.offers_accepted ||
+      a.declines_no_supply != b.declines_no_supply) {
+    return "stats";
   }
   return "";
 }
@@ -289,7 +311,15 @@ struct Case {
   int config;
 };
 
-void RunCase(const Case& c, uint64_t seed) {
+/// How often the batched op ran, per answer; `to_fixed_point` counts the
+/// batched declines that ended with the price at its fixed point.
+struct RepeatCounts {
+  int offers = 0;
+  int declines = 0;
+  int to_fixed_point = 0;
+};
+
+void RunCase(const Case& c, uint64_t seed, RepeatCounts* counts) {
   util::Rng rng(seed);
   std::vector<util::VDuration> costs(static_cast<size_t>(c.num_classes),
                                      kCannot);
@@ -316,7 +346,25 @@ void RunCase(const Case& c, uint64_t seed) {
     int64_t draw = rng.UniformInt(0, 99);
     int k = static_cast<int>(rng.UniformInt(0, c.num_classes - 1));
     std::string name;
-    if (draw < 60) {
+    if (draw < 6) {
+      // Batched answers, sometimes far past the price's fixed point (from
+      // the 1e-6 floor, lambda = 0.05 reaches the 1e12 cap in ~850 bumps).
+      static constexpr int64_t kRepeats[] = {1, 2, 5, 40, 1200};
+      if (!sparse.WouldAccept(k) && !sparse.DeclineSticks(k)) continue;
+      name = "repeated requests";
+      int64_t n = kRepeats[rng.UniformInt(0, 4)];
+      bool answer = sparse.OnRepeatedRequests(k, n);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(dense.OnRequest(k), answer)
+            << label << " op " << op << " request " << i << " of " << n;
+      }
+      if (answer) {
+        ++counts->offers;
+      } else {
+        ++counts->declines;
+        if (sparse.PriceAtFixedPoint(k)) ++counts->to_fixed_point;
+      }
+    } else if (draw < 60) {
       name = "request";
       bool offered = sparse.OnRequest(k);
       ASSERT_EQ(offered, dense.OnRequest(k)) << label << " op " << op;
@@ -353,17 +401,22 @@ void RunCase(const Case& c, uint64_t seed) {
 
 TEST(QaNtEquivalenceTest, SparseRolloverMatchesDenseReference) {
   uint64_t seed = 1;
+  RepeatCounts counts;
   for (int num_classes : {1, 2, 7, 100}) {
     for (int mask = 0; mask < static_cast<int>(std::size(kMaskDensity));
          ++mask) {
       for (int config = 0; config < kNumConfigs; ++config) {
         for (int rep = 0; rep < 3; ++rep) {
-          RunCase({num_classes, mask, config}, seed++);
+          RunCase({num_classes, mask, config}, seed++, &counts);
           if (HasFatalFailure()) return;
         }
       }
     }
   }
+  // The batched op met both answers, and declines that hit the cap.
+  EXPECT_GT(counts.offers, 100);
+  EXPECT_GT(counts.declines, 100);
+  EXPECT_GT(counts.to_fixed_point, 20);
 }
 
 TEST(QaNtEquivalenceTest, RolloverMakesNoHeapAllocation) {

@@ -496,6 +496,17 @@ TEST(ScenarioTest, Table3ScenarioBuilds) {
   EXPECT_NEAR(sum / 20.0, 2000.0 * kMillisecond, 20.0 * kMillisecond);
 }
 
+TEST(CapacityDeathTest, EstimateAbortsOnBadMix) {
+  TwoClassConfig config;
+  config.num_nodes = 4;
+  util::Rng rng(42);
+  auto model = BuildTwoClassCostModel(config, rng);
+  EXPECT_DEATH(EstimateCapacityQps(*model, {1.0}, 500 * kMillisecond),
+               "FATAL: EstimateCapacityQps: .*mix has 1 entries for 2");
+  EXPECT_DEATH(EstimateCapacityQps(*model, {0.0, 0.0}, 500 * kMillisecond),
+               "FATAL: EstimateCapacityQps: .*mix sums to 0");
+}
+
 TEST(CapacityTest, EstimateIsPositiveAndBounded) {
   TwoClassConfig config;
   config.num_nodes = 10;
