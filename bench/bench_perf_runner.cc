@@ -1,8 +1,9 @@
-// Perf tracking for the execution layer, from this PR onward:
-//   (1) events/sec through the discrete-event queue — the tagged-event
-//       EventQueue<SimEvent> versus the previous std::function-callback
-//       design (reproduced locally below), isolating the win from removing
-//       the per-event heap allocation + indirect call;
+// Perf tracking for the execution layer:
+//   (1) events/sec through the discrete-event queue — EventQueue over a
+//       bench-local 72-byte tagged event versus the previous
+//       std::function-callback design (reproduced locally below),
+//       isolating the win from removing the per-event heap allocation +
+//       indirect call;
 //   (2) wall-clock of a fig4-style experiment grid, serial versus the
 //       parallel ExperimentRunner, with a cell-by-cell determinism check;
 //   (3) metrics-collection overhead: the same federation run with and
@@ -36,7 +37,7 @@ double SecondsSince(int64_t start_nanos) {
 
 /// The seed's event queue, reproduced verbatim as the baseline: a
 /// priority_queue of std::function callbacks, one heap allocation per
-/// event (the captured SimEvent-sized payload exceeds every std::function
+/// event (the captured task-sized payload exceeds every std::function
 /// small-buffer) and one indirect call per dispatch.
 class CallbackEventQueue {
  public:
@@ -94,31 +95,80 @@ struct PendingLike {
   int attempts = 0;
 };
 
+/// A 64-byte query-task record: the task the federation's events carried
+/// when the committed BENCH_runner.json baseline was taken.
+struct TaskLike {
+  query::QueryId query_id = 0;
+  query::QueryClassId class_id = 0;
+  catalog::NodeId origin = 0;
+  util::VTime arrival = 0;
+  util::VDuration exec_time = 0;
+  double work_units = 0.0;
+  int attempts = 0;
+  double cost_jitter = 1.0;
+  int64_t epoch = 0;
+};
+
+/// The tagged payload of the tagged-queue variant, shaped like the
+/// federation's event of that baseline: three kinds, a target node and a
+/// union of the pending query and the whole task, 72 bytes. Keeping this
+/// shape, whatever the federation queues, keeps event_queue_speedup
+/// measuring what the baseline measured.
+struct TaggedEvent {
+  enum class Kind : uint8_t { kArrival, kDeliver, kComplete };
+  Kind kind;
+  catalog::NodeId node;
+  union {
+    PendingLike pending;  // kArrival
+    TaskLike task;        // kDeliver / kComplete
+  };
+
+  static TaggedEvent MakeArrival(const PendingLike& pending) {
+    return TaggedEvent(pending);
+  }
+  static TaggedEvent MakeDeliver(catalog::NodeId node, const TaskLike& task) {
+    return TaggedEvent(Kind::kDeliver, node, task);
+  }
+  static TaggedEvent MakeComplete(catalog::NodeId node,
+                                  const TaskLike& task) {
+    return TaggedEvent(Kind::kComplete, node, task);
+  }
+
+ private:
+  // The active union member starts its lifetime in a mem-initializer;
+  // both members are trivially copyable.
+  explicit TaggedEvent(const PendingLike& p)
+      : kind(Kind::kArrival), node(-1), pending(p) {}
+  TaggedEvent(Kind k, catalog::NodeId n, const TaskLike& t)
+      : kind(k), node(n), task(t) {}
+};
+static_assert(sizeof(TaggedEvent) == 72, "the baseline's payload size");
+
 double MeasureCallbackQueue(uint64_t total, int width) {
   CallbackEventQueue q;
   uint64_t fired = 0;
   // qa-lint: allow(QA-HOT-001) — baseline half of the A/B measurement
   std::function<void(const PendingLike&)> on_arrival;
   // qa-lint: allow(QA-HOT-001)
-  std::function<void(catalog::NodeId, const sim::QueryTask&)> on_deliver;
+  std::function<void(catalog::NodeId, const TaskLike&)> on_deliver;
   // qa-lint: allow(QA-HOT-001)
-  std::function<void(catalog::NodeId, const sim::QueryTask&)> on_complete;
+  std::function<void(catalog::NodeId, const TaskLike&)> on_complete;
   on_arrival = [&](const PendingLike& pending) {
     ++fired;
     if (fired + static_cast<uint64_t>(width) > total) return;
-    sim::QueryTask task;
+    TaskLike task;
     task.query_id = pending.id;
     task.class_id = pending.arrival.class_id;
     q.Schedule(q.now() + 7, [&on_deliver, task]() { on_deliver(3, task); });
   };
-  on_deliver = [&](catalog::NodeId node, const sim::QueryTask& task) {
+  on_deliver = [&](catalog::NodeId node, const TaskLike& task) {
     ++fired;
-    sim::QueryTask done = task;
+    TaskLike done = task;
     done.exec_time += 1;
     q.Schedule(q.now() + 9,
                [&on_complete, node, done]() { on_complete(node, done); });
   };
-  on_complete = [&](catalog::NodeId node, const sim::QueryTask& task) {
+  on_complete = [&](catalog::NodeId node, const TaskLike& task) {
     ++fired;
     (void)node;
     PendingLike next;
@@ -137,41 +187,38 @@ double MeasureCallbackQueue(uint64_t total, int width) {
 }
 
 double MeasureTaggedQueue(uint64_t total, int width) {
-  sim::EventQueue<sim::SimEvent> q;
+  sim::EventQueue<TaggedEvent> q;
   q.Reserve(static_cast<size_t>(width) + 1);
   uint64_t fired = 0;
   int64_t start = util::MonotonicClock::NowNanos();
   for (int i = 0; i < width; ++i) {
-    sim::SimEvent::Pending pending{};
+    PendingLike pending;
     pending.id = i;
-    q.Schedule(i, sim::SimEvent::MakeArrival(pending));
+    q.Schedule(i, TaggedEvent::MakeArrival(pending));
   }
-  q.RunAll([&](const sim::SimEvent& event) {
+  q.RunAll([&](const TaggedEvent& event) {
     ++fired;
     switch (event.kind) {
-      case sim::SimEvent::Kind::kArrival: {
+      case TaggedEvent::Kind::kArrival: {
         if (fired + static_cast<uint64_t>(width) > total) return;
-        sim::QueryTask task;
+        TaskLike task;
         task.query_id = event.pending.id;
         task.class_id = event.pending.arrival.class_id;
-        q.Schedule(q.now() + 7, sim::SimEvent::MakeDeliver(3, task));
+        q.Schedule(q.now() + 7, TaggedEvent::MakeDeliver(3, task));
         break;
       }
-      case sim::SimEvent::Kind::kDeliver: {
-        sim::QueryTask done = event.task;
+      case TaggedEvent::Kind::kDeliver: {
+        TaskLike done = event.task;
         done.exec_time += 1;
-        q.Schedule(q.now() + 9,
-                   sim::SimEvent::MakeComplete(event.node, done));
+        q.Schedule(q.now() + 9, TaggedEvent::MakeComplete(event.node, done));
         break;
       }
-      case sim::SimEvent::Kind::kComplete: {
-        sim::SimEvent::Pending next{};
+      case TaggedEvent::Kind::kComplete: {
+        PendingLike next;
         next.id = event.task.query_id;
-        q.Schedule(q.now() + 5, sim::SimEvent::MakeArrival(next));
+        q.Schedule(q.now() + 5, TaggedEvent::MakeArrival(next));
         break;
       }
-      default:
-        break;
     }
   });
   double seconds = SecondsSince(start);
@@ -235,7 +282,7 @@ int main(int argc, char** argv) {
   double queue_speedup = callback_eps > 0 ? tagged_eps / callback_eps : 0.0;
   std::cout << "Event queue, " << total_events << " events:\n"
             << "  std::function callbacks : " << callback_eps << " ev/s\n"
-            << "  tagged SimEvent structs : " << tagged_eps << " ev/s\n"
+            << "  tagged event structs    : " << tagged_eps << " ev/s\n"
             << "  speedup                 : " << queue_speedup << "x\n\n";
 
   // ---- (2) Grid wall-clock, serial vs parallel.

@@ -12,7 +12,7 @@ DefaultPlanScratch::DefaultPlanScratch(int num_classes,
                      static_cast<size_t>(num_classes),
                      CapacitySupplySet::kCannotEvaluate),
                  period_budget),
-      prices(num_classes, std::max(config.initial_price, config.price_floor)),
+      prices(num_classes, ClampPrice(config.initial_price, config)),
       plan(num_classes) {
   classes.reserve(static_cast<size_t>(num_classes));
 }

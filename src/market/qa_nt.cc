@@ -12,7 +12,7 @@ QaNtAgent::QaNtAgent(catalog::NodeId node,
       supply_set_(std::move(unit_costs), period_budget),
       config_(config),
       prices_(supply_set_.num_classes(),
-              std::max(config.initial_price, config.price_floor)),
+              ClampPrice(config.initial_price, config)),
       planned_supply_(supply_set_.num_classes()),
       remaining_supply_(supply_set_.num_classes()) {
   for (int k = 0; k < supply_set_.num_classes(); ++k) {
@@ -125,10 +125,10 @@ bool QaNtAgent::PriceAtFixedPoint(int k) const {
 }
 
 bool QaNtAgent::DeclineSticks(int k) const {
+  // Restriction stays on: bumps only raise prices (every price already
+  // lies at or under the cap), so the top price stays at or above the
+  // threshold.
   if (!CanEvaluate(k) || !SupplyRestrictionActive()) return false;
-  // Restriction stays on: bumps move prices toward the cap, so the top
-  // price stays at or above the threshold unless the cap lies below it.
-  if (config_.price_cap < config_.activation_threshold) return false;
   // The budget only falls.
   if (BudgetBars(k)) return true;
   // Otherwise only the density gate can bar k. Its bar only rises, and
@@ -206,7 +206,9 @@ void QaNtAgent::BumpPriceUp(int k) {
 void QaNtAgent::SetPrices(PriceVector prices) {
   assert(prices.num_classes() == prices_.num_classes());
   prices_ = std::move(prices);
-  prices_.ClampFloor(config_.price_floor);
+  for (int k = 0; k < prices_.num_classes(); ++k) {
+    prices_[k] = ClampPrice(prices_[k], config_);
+  }
   max_density_ = MaxDensity();
 }
 

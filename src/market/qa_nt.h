@@ -1,6 +1,7 @@
 #ifndef QAMARKET_MARKET_QA_NT_H_
 #define QAMARKET_MARKET_QA_NT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,13 +18,15 @@ struct QaNtConfig {
   /// price by a factor (1 +/- lambda-ish); larger values react faster but
   /// estimate equilibrium prices less accurately.
   double lambda = 0.05;
-  /// Every class's starting price, raised to price_floor when below it.
-  /// A class the node has never been able to evaluate keeps this price
-  /// unless SetPrices overrides it: the rollover skips such a class, floor
-  /// clamp included.
+  /// Every class's starting price, moved into [price_floor, price_cap]
+  /// when outside it. A class the node has never been able to evaluate
+  /// keeps this price unless SetPrices overrides it: the rollover skips
+  /// such a class, floor clamp included.
   double initial_price = 1.0;
   /// Prices stay within [price_floor, price_cap] (R_+ with guards against
-  /// collapse to zero and runaway growth during long overloads).
+  /// collapse to zero and runaway growth during long overloads): every
+  /// place that sets a price clamps both ends (ClampPrice), a decline bump
+  /// clamps at the cap and the period-end decay at the floor.
   double price_floor = 1e-6;
   double price_cap = 1e12;
   /// Optional overload-activation threshold (§5.1 closing remark): when the
@@ -71,6 +74,13 @@ struct QaNtConfig {
   /// sets (some tests and the Pareto oracle need that).
   bool bank_leftover_capacity = true;
 };
+
+/// `price` moved into [config.price_floor, config.price_cap]. Construction
+/// and SetPrices set prices through it, so a decline bump never lowers a
+/// price and the period-end decay never raises one.
+inline double ClampPrice(double price, const QaNtConfig& config) {
+  return std::min(std::max(price, config.price_floor), config.price_cap);
+}
 
 /// Counters exposed for the experiments (autonomy/message accounting).
 struct QaNtAgentStats {
@@ -184,7 +194,8 @@ class QaNtAgent {
   /// was contended in the previous period).
   bool density_gate_active() const { return density_gate_active_; }
 
-  /// Overrides the current prices (tests / warm starts).
+  /// Overrides the current prices (tests / warm starts), each moved into
+  /// [price_floor, price_cap].
   void SetPrices(PriceVector prices);
 
   /// Revises this node's own execution-time belief for class `k` (fed by

@@ -32,20 +32,31 @@ std::string DescribeEvent(const Event& /*event*/) {
 ///  - Schedule(when, event): the stamp is a monotonically increasing
 ///    internal sequence number, i.e. classic FIFO tie-breaking —
 ///    simultaneous events run in the order they were scheduled.
-///  - Schedule(when, stamp, event): the caller supplies the stamp. The
-///    sharded federation uses this with *placement-independent* stamps
-///    (a canonical (lane, node, counter) encoding, see sim/shard.h) so
-///    that the global event order is a pure function of the scenario and
-///    never of how nodes are partitioned onto shards or threads.
+///  - Schedule(when, stamp, event) and Append(when, stamp, event): the
+///    caller supplies the stamp. The sharded federation uses this with
+///    *placement-independent* stamps (a canonical (lane, node, counter)
+///    encoding, see sim/shard.h) so that the global event order is a pure
+///    function of the scenario and never of how nodes are partitioned onto
+///    shards or threads.
 /// The two modes must not be mixed on one queue instance: relative order
 /// of internal and external stamps would depend on call history.
 ///
-/// `Event` is a by-value payload (for the federation: a small tagged
-/// struct, see SimEvent) handed back to the dispatcher passed to
-/// RunOne/RunAll/RunWhileBefore. Storing plain structs instead of
-/// type-erased std::function callbacks keeps the hot path allocation-free:
-/// the only memory the queue ever touches is its own heap vector, which
-/// Reserve() can size up front.
+/// Events live in two structures, merged by (time, stamp) on every read:
+/// a binary heap for events scheduled as the run goes, and an append-only
+/// *stream* for events that arrive already in key order (a time-sorted
+/// trace), read through a cursor. A streamed event costs one vector slot
+/// and no sifting, and it never makes a heap operation deeper. Append
+/// sends an event that would break the stream's order (or lies in the
+/// past) to the heap instead, so the dispatch order is the (time, stamp)
+/// order whichever structure an event sits in; on an exactly equal key
+/// the streamed event runs first.
+///
+/// `Event` is a by-value payload (for the federation: small tagged
+/// structs, see SimEvent and LaneEvent) handed back to the dispatcher
+/// passed to RunOne/RunAll/RunWhileBefore. Storing plain structs instead
+/// of type-erased std::function callbacks keeps the hot path
+/// allocation-free: the only memory the queue ever touches is its own two
+/// vectors, which Reserve() and ReserveStream() can size up front.
 template <typename Event>
 class EventQueue {
  public:
@@ -79,27 +90,47 @@ class EventQueue {
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
-  /// Pre-sizes the underlying heap so steady-state scheduling never
-  /// reallocates (e.g. every trace arrival is scheduled up front).
+  /// Adds `event` to the stream when its (when, stamp) key follows every
+  /// stream entry still pending; otherwise — out of key order, or in the
+  /// past — it is Schedule()d into the heap, past-timestamp diagnostic
+  /// included. Either way it fires at its (time, stamp) position.
+  void Append(util::VTime when, uint64_t stamp, Event event) {
+    if (cursor_ == stream_.size()) {
+      // Everything streamed so far has fired: start over in place.
+      stream_.clear();
+      cursor_ = 0;
+    }
+    bool in_order = stream_.empty() || when > stream_.back().time ||
+                    (when == stream_.back().time &&
+                     stamp > stream_.back().stamp);
+    if (!in_order || when < now_) {
+      Schedule(when, stamp, std::move(event));
+      return;
+    }
+    stream_.push_back(Entry{when, stamp, std::move(event)});
+  }
+
+  /// Pre-sizes the heap, for callers that know how many events will be
+  /// pending at once.
   void Reserve(size_t events) { heap_.reserve(events); }
+  /// Pre-sizes the stream, e.g. for every arrival of a trace.
+  void ReserveStream(size_t events) { stream_.reserve(events); }
 
   util::VTime now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && cursor_ == stream_.size(); }
+  size_t size() const { return heap_.size() + (stream_.size() - cursor_); }
 
   /// The next event to fire (undefined when empty()); it stays queued.
-  const Event& Peek() const { return heap_.front().event; }
-  util::VTime PeekTime() const { return heap_.front().time; }
-  uint64_t PeekStamp() const { return heap_.front().stamp; }
+  const Event& Peek() const { return Next().event; }
+  util::VTime PeekTime() const { return Next().time; }
+  uint64_t PeekStamp() const { return Next().stamp; }
 
   /// Pops and dispatches the next event; returns false when the queue is
   /// empty. `dispatch` may schedule further events.
   template <typename Dispatch>
   bool RunOne(Dispatch&& dispatch) {
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = std::move(heap_.back());
-    heap_.pop_back();
+    if (empty()) return false;
+    Entry entry = Pop();
     now_ = entry.time;
     dispatch(entry.event);
     return true;
@@ -128,13 +159,13 @@ class EventQueue {
   uint64_t RunWhileBefore(util::VTime fence_time, uint64_t fence_stamp,
                           Dispatch&& dispatch) {
     uint64_t ran = 0;
-    while (!heap_.empty() &&
-           (heap_.front().time < fence_time ||
-            (heap_.front().time == fence_time &&
-             heap_.front().stamp < fence_stamp))) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Entry entry = std::move(heap_.back());
-      heap_.pop_back();
+    while (!empty()) {
+      const Entry& next = Next();
+      if (next.time > fence_time ||
+          (next.time == fence_time && next.stamp >= fence_stamp)) {
+        break;
+      }
+      Entry entry = Pop();
       now_ = entry.time;
       dispatch(entry.event, entry.time, entry.stamp);
       ++ran;
@@ -155,10 +186,32 @@ class EventQueue {
     }
   };
 
+  /// True when the next event is the stream's: its head sorts before the
+  /// heap's top, or ties it.
+  bool StreamNext() const {
+    if (cursor_ == stream_.size()) return false;
+    return heap_.empty() || !Later{}(stream_[cursor_], heap_.front());
+  }
+  /// The entry to fire next. Requires !empty().
+  const Entry& Next() const {
+    return StreamNext() ? stream_[cursor_] : heap_.front();
+  }
+  /// Removes and returns the next entry. Requires !empty().
+  Entry Pop() {
+    if (StreamNext()) return stream_[cursor_++];
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    return entry;
+  }
+
   // A std::push_heap/pop_heap max-heap over a plain vector (rather than
   // std::priority_queue) so Reserve() is possible and the popped entry can
   // be moved out without const_cast.
   std::vector<Entry> heap_;
+  // Key-sorted from cursor_ on; entries before cursor_ have fired.
+  std::vector<Entry> stream_;
+  size_t cursor_ = 0;
   util::VTime now_ = 0;
   uint64_t next_seq_ = 0;
 };

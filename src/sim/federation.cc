@@ -101,41 +101,26 @@ std::string DescribeEvent(const SimEvent& event) {
       return "arrival query=" + std::to_string(event.pending.id) +
              " class=" + std::to_string(event.pending.arrival.class_id) +
              " attempts=" + std::to_string(event.pending.attempts);
-    case SimEvent::Kind::kDeliver:
-      return "deliver node=" + std::to_string(event.node) +
-             " query=" + std::to_string(event.task.query_id);
-    case SimEvent::Kind::kComplete:
-      return "complete node=" + std::to_string(event.node) +
-             " query=" + std::to_string(event.task.query_id);
     case SimEvent::Kind::kMarketTick:
       return "market-tick";
-    case SimEvent::Kind::kFault: {
-      using Kind = faults::FaultInjector::Transition::Kind;
-      const char* what = "fault";
-      switch (event.transition.kind) {
-        case Kind::kCrash:
-          what = "fault-crash";
-          break;
-        case Kind::kRestart:
-          what = "fault-restart";
-          break;
-        case Kind::kDegradeStart:
-          what = "fault-degrade-start";
-          break;
-        case Kind::kDegradeEnd:
-          what = "fault-degrade-end";
-          break;
-        case Kind::kSurgeStart:
-          return "fault-surge-start class=" +
-                 std::to_string(event.transition.class_id);
-        case Kind::kSurgeEnd:
-          return "fault-surge-end class=" +
-                 std::to_string(event.transition.class_id);
-      }
-      return std::string(what) + " node=" + std::to_string(event.node);
-    }
+    case SimEvent::Kind::kFault:
+      return "fault transition=" + std::to_string(event.transition);
   }
   return "(unknown SimEvent kind)";
+}
+
+std::string DescribeEvent(const LaneEvent& event) {
+  std::string node = " node=" + std::to_string(event.node);
+  std::string arg = std::to_string(event.arg);
+  switch (event.kind) {
+    case LaneEvent::Kind::kDeliver:
+      return "deliver" + node + " slot=" + arg;
+    case LaneEvent::Kind::kComplete:
+      return "complete" + node + " epoch=" + arg;
+    case LaneEvent::Kind::kFault:
+      return "fault" + node + " transition=" + arg;
+  }
+  return "(unknown LaneEvent kind)";
 }
 
 Federation::Federation(const query::CostModel* cost_model,
@@ -252,12 +237,17 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     run_start = util::MonotonicClock::NowNanos();
   }
 
-  // All arrivals live in the mediator heap at once, plus the market tick
-  // and the mediator-lane fault transitions: reserving here makes
-  // steady-state scheduling allocation-free. Every event carries a
-  // canonical placement-independent stamp (sim/shard.h), so the dispatch
-  // order is the same at every lane count.
-  events_.Reserve(trace.size() + 1 + injector_.transitions().size());
+  // The trace's arrivals go on the mediator's stream, not its heap, so the
+  // heap holds only what the run schedules as it goes (market ticks,
+  // retries, resubmissions) plus the mediator-lane fault transitions.
+  // Streaming is exact because the arrivals come in key order: the trace
+  // is time-sorted and they take the first mediator stamps, in trace
+  // order, surge copies consecutively. An arrival out of that order (a
+  // hand-built trace never sorted) lands in the heap, where it fires at
+  // its key all the same. Every event carries a canonical
+  // placement-independent stamp (sim/shard.h), so the dispatch order is
+  // the same at every lane count.
+  events_.ReserveStream(trace.size());
   // Surge windows expand (or thin) the trace at schedule time: each
   // matching arrival is scheduled `multiplier` times — the integer part
   // guaranteed, the fractional part by one seeded Bernoulli draw per
@@ -284,7 +274,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
       }
     }
     for (int c = 0; c < copies; ++c) {
-      events_.Schedule(
+      events_.Append(
           arrival.time, NextMediatorStamp(),
           SimEvent::MakeArrival({arrival, next_query_id_++, /*attempts=*/0,
                                  /*admitted=*/false}));
@@ -294,20 +284,23 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   metrics_.arrivals = arrivals_scheduled;
   admitted_in_flight_ = 0;
   admission_load_ = 0;
-  for (const auto& [when, transition] : injector_.transitions()) {
+  const auto& transitions = injector_.transitions();
+  for (size_t index = 0; index < transitions.size(); ++index) {
     // Restarts are mediator-lane (the allocator re-learns the node), and
     // so are the node-less surge edges (informational trace markers);
     // crash and degrade edges act on node state and belong to the node's
-    // own lane. Stamps are allocated in the injector's transition order.
+    // own lane. Stamps are allocated in the injector's transition order;
+    // the events carry the transition's index.
+    const auto& [when, transition] = transitions[index];
     using TKind = faults::FaultInjector::Transition::Kind;
     if (transition.kind == TKind::kRestart ||
         transition.kind == TKind::kSurgeStart ||
         transition.kind == TKind::kSurgeEnd) {
-      events_.Schedule(when, NextMediatorStamp(),
-                       SimEvent::MakeFault(transition));
+      events_.Schedule(when, NextMediatorStamp(), SimEvent::MakeFault(index));
     } else {
       uint64_t stamp = NextNodeStampFromMediator(transition.node);
-      ScheduleNodeEvent(when, stamp, SimEvent::MakeFault(transition));
+      ScheduleNodeEvent(when, stamp,
+                        LaneEvent::MakeFault(transition.node, index));
     }
   }
   events_.Schedule(TickInterval(), NextMediatorStamp(),
@@ -431,7 +424,7 @@ void Federation::FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp,
       }
       lane.dispatched = lane.queue.RunWhileBefore(
           fence_time, fence_stamp,
-          [this, &lane](const SimEvent& event, util::VTime when,
+          [this, &lane](const LaneEvent& event, util::VTime when,
                         uint64_t stamp) {
             DispatchShard(lane, event, when, stamp);
           });
@@ -543,36 +536,35 @@ void Federation::Dispatch(const SimEvent& event) {
     case SimEvent::Kind::kMarketTick:
       MarketTick();
       break;
-    case SimEvent::Kind::kFault:
-      if (event.transition.kind ==
+    case SimEvent::Kind::kFault: {
+      const faults::FaultInjector::Transition& transition =
+          injector_.transitions()[event.transition].second;
+      if (transition.kind ==
           faults::FaultInjector::Transition::Kind::kRestart) {
-        HandleRestart(event.transition);
+        HandleRestart(transition);
       } else {
-        HandleSurge(event.transition);
+        HandleSurge(transition);
       }
       break;
-    case SimEvent::Kind::kDeliver:
-    case SimEvent::Kind::kComplete:
-      assert(false && "node-lane event on the mediator lane");
-      break;
+    }
   }
 }
 
-void Federation::DispatchShard(ShardLane& lane, const SimEvent& event,
+void Federation::DispatchShard(ShardLane& lane, const LaneEvent& event,
                                util::VTime now, uint64_t stamp) {
   switch (event.kind) {
-    case SimEvent::Kind::kDeliver:
-      DeliverTask(lane, event.node, event.task, now, stamp);
+    case LaneEvent::Kind::kDeliver:
+      DeliverTask(lane, event.node, static_cast<int32_t>(event.arg), now,
+                  stamp);
       break;
-    case SimEvent::Kind::kComplete:
-      CompleteTask(lane, event.node, event.task, now, stamp);
+    case LaneEvent::Kind::kComplete:
+      CompleteTask(lane, event.node, event.arg, now, stamp);
       break;
-    case SimEvent::Kind::kFault:
-      HandleShardFault(lane, event.transition, now, stamp);
-      break;
-    case SimEvent::Kind::kArrival:
-    case SimEvent::Kind::kMarketTick:
-      assert(false && "mediator-lane event in a node lane");
+    case LaneEvent::Kind::kFault:
+      HandleShardFault(
+          lane,
+          injector_.transitions()[static_cast<size_t>(event.arg)].second,
+          now, stamp);
       break;
   }
 }
@@ -832,9 +824,11 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
   if (link_faults) {
     delay += injector_.ExtraLatency(decision.node, events_.now());
   }
-  ScheduleNodeEvent(events_.now() + delay,
-                    NextNodeStampFromMediator(decision.node),
-                    SimEvent::MakeDeliver(decision.node, task));
+  // The task record travels in the target lane's arena; the delivery
+  // event only names its slot.
+  ScheduleNodeEvent(
+      events_.now() + delay, NextNodeStampFromMediator(decision.node),
+      LaneEvent::MakeDeliver(decision.node, pool_.Ship(decision.node, task)));
 }
 
 void Federation::RecordFate(const obs::EventRecord& record, Sink sink) {
@@ -919,16 +913,16 @@ void Federation::LoseTask(const QueryTask& task, catalog::NodeId node_id,
 }
 
 void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
-                             const QueryTask& task, util::VTime now,
-                             uint64_t stamp) {
+                             int32_t slot, util::VTime now, uint64_t stamp) {
+  QueryTask& delivered = pool_.Shipped(node_id, slot);
   // The node crashed while the query was on the wire: the shipment reaches
   // a dead machine and is lost (the negotiation happened before the
   // crash). The client resubmits at the next market tick.
   if (injector_.Crashed(node_id, now)) {
-    Emit(lane, ShardOutcome::Kind::kLost, node_id, now, stamp, task);
+    Emit(lane, ShardOutcome::Kind::kLost, node_id, now, stamp, delivered);
+    pool_.Discard(node_id, slot);
     return;
   }
-  QueryTask delivered = task;
   // Degraded capacity: the node executes at a fraction of its advertised
   // speed, so the execution time fixed at allocation stretches. The
   // mechanism is not told — its learned costs/prices are now stale, which
@@ -956,6 +950,7 @@ void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
       Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, victim);
     } else {
       Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, delivered);
+      pool_.Discard(node_id, slot);
       return;
     }
   }
@@ -963,27 +958,28 @@ void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
     Emit(lane, ShardOutcome::Kind::kDeliverRecord, node_id, now, stamp,
          delivered);
   }
-  if (pool_.Enqueue(node_id, delivered)) {
+  if (pool_.Enqueue(node_id, slot)) {
     StartTask(node_id, now);
   }
 }
 
 void Federation::StartTask(catalog::NodeId node_id, util::VTime now) {
-  QueryTask task = pool_.BeginNext(node_id, now);
+  const QueryTask& task = pool_.BeginNext(node_id, now);
   // Stamp the node's incarnation so this completion event can be
   // recognized as stale if a crash wipes the task before it fires.
-  task.epoch = pool_.epoch(node_id);
   ScheduleNodeEvent(now + task.exec_time, NextNodeStamp(node_id),
-                    SimEvent::MakeComplete(node_id, task));
+                    LaneEvent::MakeComplete(node_id, pool_.epoch(node_id)));
 }
 
 void Federation::CompleteTask(ShardLane& lane, catalog::NodeId node_id,
-                              const QueryTask& task, util::VTime now,
+                              int64_t epoch, util::VTime now,
                               uint64_t stamp) {
   // A crash bumped the node's epoch after this completion was scheduled:
   // the task it announces was wiped (and resubmitted by its client), so
   // the event is a ghost of the previous incarnation. Ignore it.
-  if (task.epoch != pool_.epoch(node_id)) return;
+  if (epoch != pool_.epoch(node_id)) return;
+  // The running record stays put until the next BeginNext.
+  const QueryTask& task = pool_.Running(node_id);
   bool more = pool_.CompleteCurrent(node_id, now);
   // The result arrived after the client's deadline: nobody is waiting for
   // it. The node's work is already spent (wasted capacity — the real cost
@@ -1283,7 +1279,7 @@ util::VTime Federation::NextMarketTick(util::VTime t) const {
 }
 
 void Federation::ScheduleNodeEvent(util::VTime when, uint64_t stamp,
-                                   SimEvent event) {
+                                   LaneEvent event) {
   lanes_[static_cast<size_t>(plan_.shard_of(event.node))].queue.Schedule(
       when, stamp, event);
 }

@@ -129,25 +129,21 @@ struct FederationConfig {
 /// surface the Status.
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes);
 
-/// The tagged event payload of the federation's discrete-event loop.
+/// The tagged event payload of the federation's mediator lane.
 ///
-/// A small POD dispatched by Federation::Dispatch on its kind, replacing
-/// the previous per-event heap-allocated std::function closure: millions
-/// of arrivals/deliveries/completions per run now cost zero allocations
-/// and no indirect calls. The two payload variants never coexist, so they
-/// share storage in a union (both are trivially copyable).
+/// A small POD dispatched by Federation::Dispatch on its kind: millions of
+/// arrivals per run cost zero allocations and no indirect calls. It holds
+/// only the mediator's kinds; node-lane events are LaneEvents. The
+/// payload variants never coexist, so they share storage in a union (both
+/// are trivially copyable).
 struct SimEvent {
   enum class Kind : uint8_t {
     /// A query arrives at (or is resubmitted to) the client's mediator.
     kArrival,
-    /// An assigned query reaches its server after the network delay.
-    kDeliver,
-    /// The task running on `node` finishes.
-    kComplete,
     /// Periodic market driver (allocator period hooks, retry clock).
     kMarketTick,
-    /// A fault-plan transition fires (crash / restart / degrade or surge
-    /// edge).
+    /// A mediator-lane fault-plan transition fires: a restart or a surge
+    /// edge.
     kFault,
   };
 
@@ -164,44 +160,66 @@ struct SimEvent {
   };
 
   Kind kind;
-  /// Target server of kDeliver/kComplete.
-  catalog::NodeId node;
   union {
-    Pending pending;                             // kArrival
-    QueryTask task;                              // kDeliver / kComplete
-    faults::FaultInjector::Transition transition;  // kFault
+    Pending pending;    // kArrival
+    size_t transition;  // kFault: index into FaultInjector::transitions()
   };
 
   static SimEvent MakeArrival(const Pending& pending) {
     return SimEvent(pending);
   }
-  static SimEvent MakeDeliver(catalog::NodeId node, const QueryTask& task) {
-    return SimEvent(Kind::kDeliver, node, task);
-  }
-  static SimEvent MakeComplete(catalog::NodeId node, const QueryTask& task) {
-    return SimEvent(Kind::kComplete, node, task);
-  }
-  static SimEvent MakeMarketTick() { return SimEvent(); }
-  static SimEvent MakeFault(const faults::FaultInjector::Transition& t) {
-    return SimEvent(t);
+  static SimEvent MakeMarketTick() { return SimEvent(Kind::kMarketTick, 0); }
+  static SimEvent MakeFault(size_t transition) {
+    return SimEvent(Kind::kFault, transition);
   }
 
  private:
   // The active union member is chosen in a mem-initializer so its lifetime
   // starts in a well-defined way; all variants are trivially copyable, so
   // the implicit copy/assign/destroy of the union are trivial.
-  SimEvent() : kind(Kind::kMarketTick), node(-1), task() {}
-  explicit SimEvent(const Pending& p)
-      : kind(Kind::kArrival), node(-1), pending(p) {}
-  SimEvent(Kind k, catalog::NodeId n, const QueryTask& t)
-      : kind(k), node(n), task(t) {}
-  explicit SimEvent(const faults::FaultInjector::Transition& t)
-      : kind(Kind::kFault), node(t.node), transition(t) {}
+  explicit SimEvent(const Pending& p) : kind(Kind::kArrival), pending(p) {}
+  SimEvent(Kind k, size_t t) : kind(k), transition(t) {}
 };
+// A mediator queue entry is this payload plus a 16-byte key; a field added
+// here grows every pending arrival.
+static_assert(sizeof(SimEvent) <= 48, "SimEvent outgrew 48 bytes");
 
-/// EventQueue's past-timestamp diagnostic hook: names the offending
-/// event's kind plus the node/query it targets (see EventQueue::Schedule).
+/// The tagged event payload of a node lane. It names records instead of
+/// carrying them, so a lane queue entry is 32 bytes.
+struct LaneEvent {
+  enum class Kind : uint8_t {
+    /// A shipped query reaches `node`; `arg` is its slot in the arena of
+    /// the node's lane (NodePool::Ship).
+    kDeliver,
+    /// The task running on `node` finishes; `arg` is the node epoch it
+    /// started under (a crash bumps the epoch, which makes the event
+    /// stale).
+    kComplete,
+    /// A crash or degrade edge of `node`; `arg` is its index into
+    /// FaultInjector::transitions().
+    kFault,
+  };
+  Kind kind;
+  catalog::NodeId node;
+  int64_t arg;
+
+  static LaneEvent MakeDeliver(catalog::NodeId node, int32_t slot) {
+    return {Kind::kDeliver, node, slot};
+  }
+  static LaneEvent MakeComplete(catalog::NodeId node, int64_t epoch) {
+    return {Kind::kComplete, node, epoch};
+  }
+  static LaneEvent MakeFault(catalog::NodeId node, size_t transition) {
+    return {Kind::kFault, node, static_cast<int64_t>(transition)};
+  }
+};
+static_assert(sizeof(LaneEvent) <= 16, "LaneEvent outgrew 16 bytes");
+
+/// EventQueue's past-timestamp diagnostic hooks: name the offending
+/// event's kind plus the node/query/transition it targets (see
+/// EventQueue::Schedule).
 std::string DescribeEvent(const SimEvent& event);
+std::string DescribeEvent(const LaneEvent& event);
 
 /// The discrete-event simulator of a federation of autonomous RDBMSs:
 /// arrivals from a workload trace are placed by an allocation mechanism
@@ -294,7 +312,7 @@ class Federation : public allocation::AllocationContext {
   /// One node lane: its own queue over its own nodes, plus the effects
   /// buffered since the last fence, drained only inside fences.
   struct ShardLane {
-    EventQueue<SimEvent> queue;
+    EventQueue<LaneEvent> queue;
     std::vector<ShardOutcome> outcomes;
     /// Merge cursor into `outcomes` (reset with it after every merge).
     size_t merged = 0;
@@ -339,14 +357,17 @@ class Federation : public allocation::AllocationContext {
   void FenceAndMerge(util::VTime fence_time, uint64_t fence_stamp,
                      bool tick_fence, uint64_t probe_weight);
   void Dispatch(const SimEvent& event);
-  void DispatchShard(ShardLane& lane, const SimEvent& event, util::VTime now,
+  void DispatchShard(ShardLane& lane, const LaneEvent& event, util::VTime now,
                      uint64_t stamp);
   void HandleQuery(SimEvent::Pending pending);
-  void DeliverTask(ShardLane& lane, catalog::NodeId node_id,
-                   const QueryTask& task, util::VTime now, uint64_t stamp);
+  /// Links the shipment in arena slot `slot` into the node's queue (or
+  /// sheds or loses it, releasing the slot).
+  void DeliverTask(ShardLane& lane, catalog::NodeId node_id, int32_t slot,
+                   util::VTime now, uint64_t stamp);
   void StartTask(catalog::NodeId node_id, util::VTime now);
-  void CompleteTask(ShardLane& lane, catalog::NodeId node_id,
-                    const QueryTask& task, util::VTime now, uint64_t stamp);
+  /// Finishes the node's running task, unless `epoch` is stale.
+  void CompleteTask(ShardLane& lane, catalog::NodeId node_id, int64_t epoch,
+                    util::VTime now, uint64_t stamp);
   void MarketTick();
   /// Mediator-side fault transition (restart: allocator re-learns).
   void HandleRestart(const faults::FaultInjector::Transition& transition);
@@ -404,7 +425,7 @@ class Federation : public allocation::AllocationContext {
                             node_seq_[static_cast<size_t>(node)]++);
   }
   /// Schedules a node-lane event into the owning lane's queue.
-  void ScheduleNodeEvent(util::VTime when, uint64_t stamp, SimEvent event);
+  void ScheduleNodeEvent(util::VTime when, uint64_t stamp, LaneEvent event);
 
   /// Evaluates the market-health watchdogs against the allocator snapshot
   /// and emits one deterministic msample (plus any alarms) into the
@@ -438,7 +459,8 @@ class Federation : public allocation::AllocationContext {
   /// Compiled fault schedule (config_.faults).
   faults::FaultInjector injector_;
   int num_nodes_ = 0;
-  /// The mediator lane.
+  /// The mediator lane: the trace's arrivals on its stream, everything
+  /// scheduled during the run in its heap.
   EventQueue<SimEvent> events_;
   /// Struct-of-arrays node state (see NodePool).
   NodePool pool_;

@@ -44,12 +44,18 @@ void NodePool::ReleaseSlot(int shard, int32_t index) {
   arena.free_head = index;
 }
 
-bool NodePool::Enqueue(catalog::NodeId node, const QueryTask& task) {
-  size_t i = static_cast<size_t>(node);
-  int shard = shard_of_[i];
+int32_t NodePool::Ship(catalog::NodeId node, const QueryTask& task) {
+  int shard = shard_of_[static_cast<size_t>(node)];
   int32_t slot = AcquireSlot(shard);
-  Arena& arena = arenas_[static_cast<size_t>(shard)];
-  arena.slots[static_cast<size_t>(slot)].task = task;
+  arenas_[static_cast<size_t>(shard)].slots[static_cast<size_t>(slot)].task =
+      task;
+  return slot;
+}
+
+bool NodePool::Enqueue(catalog::NodeId node, int32_t slot) {
+  size_t i = static_cast<size_t>(node);
+  Arena& arena = arenas_[static_cast<size_t>(shard_of_[i])];
+  const QueryTask& task = arena.slots[static_cast<size_t>(slot)].task;
   arena.slots[static_cast<size_t>(slot)].next = -1;
   if (queue_tail_[i] >= 0) {
     arena.slots[static_cast<size_t>(queue_tail_[i])].next = slot;
@@ -66,7 +72,7 @@ bool NodePool::Enqueue(catalog::NodeId node, const QueryTask& task) {
   return running_[i] == 0 && queue_len_[i] == 1;
 }
 
-QueryTask NodePool::BeginNext(catalog::NodeId node, util::VTime now) {
+const QueryTask& NodePool::BeginNext(catalog::NodeId node, util::VTime now) {
   size_t i = static_cast<size_t>(node);
   assert(running_[i] == 0);
   assert(queue_head_[i] >= 0);

@@ -27,10 +27,6 @@ struct QueryTask {
   /// The per-query execution-time jitter drawn at first allocation, kept so
   /// a resubmitted query re-prices deterministically.
   double cost_jitter = 1.0;
-  /// The node incarnation this task was started under. A crash bumps the
-  /// node's epoch, so completions of tasks wiped by the crash can be
-  /// recognized as stale and ignored.
-  int64_t epoch = 0;
 };
 
 /// The federation's server nodes. Each node is one autonomous RDBMS: a
@@ -48,9 +44,12 @@ struct QueryTask {
 ///
 /// Sharding contract: a node's state (including its queue links) is only
 /// ever touched by the lane that owns its shard, and each arena belongs to
-/// exactly one shard — so concurrent lanes never share a free list. Arena
-/// slot indices are an allocation detail: they never influence event
-/// order or results.
+/// exactly one shard — so concurrent lanes never share a free list. The
+/// one exception is Ship(): between fences the mediator may fill a slot in
+/// the target lane's arena, which is safe because the mediator and the
+/// lanes never run at once; the lane takes the slot over when the delivery
+/// fires. Arena slot indices are an allocation detail: they never
+/// influence event order or results.
 class NodePool {
  public:
   /// Sizes the pool for `num_nodes` nodes partitioned into `shards`
@@ -60,16 +59,41 @@ class NodePool {
 
   int num_nodes() const { return static_cast<int>(busy_until_.size()); }
 
-  /// Adds a task to the node's queue. Returns true when the node was idle
-  /// with an empty queue (the caller should begin the task now); a caller
-  /// that has not yet called BeginNext for an earlier enqueue is not told
-  /// to start twice.
-  bool Enqueue(catalog::NodeId node, const QueryTask& task);
+  /// Stores `task` in a free slot of the arena that owns `node` and
+  /// returns the slot: the in-flight record of a shipment, which the
+  /// delivery event names. The mediator calls this between fences (see
+  /// the sharding contract); the slot then belongs to the node's lane,
+  /// which either Enqueue()s or Discard()s it.
+  int32_t Ship(catalog::NodeId node, const QueryTask& task);
+  /// The record in a shipped slot; the lane may edit it (a degraded node
+  /// stretches its execution time) before it enqueues the slot.
+  QueryTask& Shipped(catalog::NodeId node, int32_t slot) {
+    return arenas_[static_cast<size_t>(shard_of_[static_cast<size_t>(node)])]
+        .slots[static_cast<size_t>(slot)]
+        .task;
+  }
+  /// Frees a shipped slot that never joins the queue (a shed or lost
+  /// delivery).
+  void Discard(catalog::NodeId node, int32_t slot) {
+    ReleaseSlot(shard_of_[static_cast<size_t>(node)], slot);
+  }
+
+  /// Links shipped `slot` into the node's queue, without copying its
+  /// record. Returns true when the node was idle with an empty queue (the
+  /// caller should begin the task now); a caller that has not yet called
+  /// BeginNext for an earlier enqueue is not told to start twice.
+  bool Enqueue(catalog::NodeId node, int32_t slot);
 
   /// Pops the task to run next and marks the node busy until
   /// now + task.exec_time, charging that time to the busy ledger up front.
-  /// Requires a non-empty queue and an idle node.
-  QueryTask BeginNext(catalog::NodeId node, util::VTime now);
+  /// Returns the running record (see Running). Requires a non-empty queue
+  /// and an idle node.
+  const QueryTask& BeginNext(catalog::NodeId node, util::VTime now);
+  /// The task the node runs, from BeginNext until CompleteCurrent or Crash
+  /// (the next BeginNext overwrites it).
+  const QueryTask& Running(catalog::NodeId node) const {
+    return current_[static_cast<size_t>(node)];
+  }
 
   /// Marks the running task finished. Returns true if more tasks wait.
   bool CompleteCurrent(catalog::NodeId node, util::VTime now);

@@ -295,8 +295,8 @@ TEST(NodePoolCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
   t1.work_units = 5.0;
   QueryTask t2 = t1;
   t2.query_id = 2;
-  pool.Enqueue(0, t1);
-  pool.Enqueue(0, t2);
+  pool.Enqueue(0, pool.Ship(0, t1));
+  pool.Enqueue(0, pool.Ship(0, t2));
   pool.BeginNext(0, 0);  // t1 running, would finish at 100 ms
   ASSERT_EQ(pool.epoch(0), 0);
 
@@ -313,7 +313,7 @@ TEST(NodePoolCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
   EXPECT_EQ(pool.epoch(0), 1);
   EXPECT_EQ(pool.completed(0), 0);
   // The crash left the node idle: the next enqueue starts at once.
-  EXPECT_TRUE(pool.Enqueue(0, t1));
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1)));
 }
 
 // ----------------------------------------------------- Crash and restart

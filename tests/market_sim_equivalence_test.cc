@@ -237,11 +237,11 @@ QaNtConfig MakeConfig(int variant) {
       config.price_cap = 2.0;
       break;
     case 7:
-      config.initial_price = 5.0;  // above the cap: the first bump lowers it
+      config.initial_price = 5.0;  // above the cap: clamped to it
       config.price_cap = 3.0;
       break;
     case 8:
-      // Bumps pull prices under the threshold: restriction switches off.
+      // The cap lies under the threshold: restriction never switches on.
       config.initial_price = 4.0;
       config.price_cap = 2.0;
       config.activation_threshold = 2.5;

@@ -91,6 +91,28 @@ TEST(QaNtAgentTest, PriceCapHolds) {
   EXPECT_LE(agent.prices()[0], config.price_cap);
 }
 
+TEST(QaNtAgentTest, InitialPriceAboveTheCapStartsAtTheCap) {
+  QaNtConfig config;
+  config.initial_price = 5.0;
+  config.price_cap = 3.0;
+  QaNtAgent agent = MakeFig1N1Agent(config);
+  EXPECT_EQ(agent.prices()[0], 3.0);
+  EXPECT_EQ(agent.prices()[1], 3.0);
+  agent.BeginPeriod();
+  // Sell the whole planned q2 supply: the next q2 request is declined, and
+  // its bump cannot lower the price.
+  for (int i = 0; i < agent.planned_supply()[1]; ++i) {
+    ASSERT_TRUE(agent.OnRequest(1)) << "offer " << i;
+    agent.OnOfferAccepted(1);
+  }
+  EXPECT_FALSE(agent.OnRequest(1));
+  EXPECT_EQ(agent.prices()[1], 3.0);
+  // SetPrices clamps both ends too.
+  agent.SetPrices(PriceVector({7.0, 1e-9}));
+  EXPECT_EQ(agent.prices()[0], 3.0);
+  EXPECT_EQ(agent.prices()[1], config.price_floor);
+}
+
 TEST(QaNtAgentTest, PersistentDemandShiftsSupplyToScarceClass) {
   // The paper's §3.3 narrative: demand for q1 cannot be satisfied, its
   // price rises until N1 starts supplying q1 too.

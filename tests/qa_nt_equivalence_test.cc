@@ -47,9 +47,8 @@ using util::kMillisecond;
 constexpr util::VDuration kCannot = CapacitySupplySet::kCannotEvaluate;
 
 /// The dense reference agent: the QA-NT listing with every per-class loop
-/// over all K classes. Prices start at config.initial_price unclamped, so
-/// configs here keep initial_price >= price_floor (QaNtConfig documents
-/// the clamp the production agent applies).
+/// over all K classes. Wherever a price is set (construction, SetPrices)
+/// it is moved into [price_floor, price_cap], as QaNtConfig documents.
 class DenseAgent {
  public:
   DenseAgent(std::vector<util::VDuration> unit_costs,
@@ -57,7 +56,9 @@ class DenseAgent {
       : costs_(std::move(unit_costs)),
         budget_(budget),
         config_(config),
-        prices_(num_classes(), config.initial_price),
+        prices_(num_classes(),
+                std::min(std::max(config.initial_price, config.price_floor),
+                         config.price_cap)),
         planned_(num_classes()),
         remaining_(num_classes()) {}
 
@@ -152,7 +153,10 @@ class DenseAgent {
 
   void SetPrices(PriceVector prices) {
     prices_ = std::move(prices);
-    prices_.ClampFloor(config_.price_floor);
+    for (int k = 0; k < num_classes(); ++k) {
+      prices_[k] = std::min(std::max(prices_[k], config_.price_floor),
+                            config_.price_cap);
+    }
     max_density_ = 0.0;
     for (int k = 0; k < num_classes(); ++k) {
       if (!CanEvaluate(k)) continue;

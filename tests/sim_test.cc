@@ -8,8 +8,10 @@
 #include "allocation/factory.h"
 #include "sim/event_queue.h"
 #include "sim/federation.h"
+#include "sim/metrics_json.h"
 #include "sim/node.h"
 #include "sim/scenario.h"
+#include "util/rng.h"
 #include "workload/uniform.h"
 
 namespace qa::sim {
@@ -82,13 +84,14 @@ TEST(EventQueueTest, SchedulingIntoThePastAssertsAndClamps) {
 }
 
 TEST(EventQueueTest, DescribeEventNamesKindAndTarget) {
-  QueryTask task;
-  task.query_id = 77;
-  EXPECT_EQ(DescribeEvent(SimEvent::MakeDeliver(5, task)),
-            "deliver node=5 query=77");
-  EXPECT_EQ(DescribeEvent(SimEvent::MakeComplete(3, task)),
-            "complete node=3 query=77");
+  EXPECT_EQ(DescribeEvent(LaneEvent::MakeDeliver(5, 77)),
+            "deliver node=5 slot=77");
+  EXPECT_EQ(DescribeEvent(LaneEvent::MakeComplete(3, 2)),
+            "complete node=3 epoch=2");
+  EXPECT_EQ(DescribeEvent(LaneEvent::MakeFault(4, 1)),
+            "fault node=4 transition=1");
   EXPECT_EQ(DescribeEvent(SimEvent::MakeMarketTick()), "market-tick");
+  EXPECT_EQ(DescribeEvent(SimEvent::MakeFault(6)), "fault transition=6");
   // Payload types without an overload get the honest fallback, never a
   // compile error — the diagnostic must not constrain what a queue holds.
   EXPECT_EQ(DescribeEvent(42), "(event type has no DescribeEvent overload)");
@@ -96,16 +99,14 @@ TEST(EventQueueTest, DescribeEventNamesKindAndTarget) {
 
 TEST(EventQueueTest, PastTimestampDiagnosticNamesTheOffendingEvent) {
   // The report must identify *which* event time-traveled (kind, node,
-  // query) in every build — under NDEBUG the assert compiles away and a
+  // record) in every build — under NDEBUG the assert compiles away and a
   // bare clamp would hide exactly the shard-merge ordering bugs this
   // diagnostic exists to catch.
-  EventQueue<SimEvent> q;
-  q.Schedule(10, 1, SimEvent::MakeMarketTick());
-  q.RunAll([](const SimEvent&) {});
+  EventQueue<LaneEvent> q;
+  q.Schedule(10, 1, LaneEvent::MakeFault(2, 0));
+  q.RunAll([](const LaneEvent&) {});
   ASSERT_EQ(q.now(), 10);
-  QueryTask task;
-  task.query_id = 77;
-  SimEvent late = SimEvent::MakeDeliver(5, task);
+  LaneEvent late = LaneEvent::MakeDeliver(5, 77);
 #ifdef NDEBUG
   ::testing::internal::CaptureStderr();
   q.Schedule(4, 2, late);
@@ -113,20 +114,184 @@ TEST(EventQueueTest, PastTimestampDiagnosticNamesTheOffendingEvent) {
   EXPECT_NE(report.find("scheduling into the past"), std::string::npos)
       << report;
   EXPECT_NE(report.find("when=4us < now=10us"), std::string::npos) << report;
-  EXPECT_NE(report.find("deliver node=5 query=77"), std::string::npos)
+  EXPECT_NE(report.find("deliver node=5 slot=77"), std::string::npos)
       << report;
   // ... and the event still fires, clamped to now().
   int fired = 0;
-  q.RunAll([&](const SimEvent& event) {
+  q.RunAll([&](const LaneEvent& event) {
     ++fired;
-    EXPECT_EQ(event.kind, SimEvent::Kind::kDeliver);
+    EXPECT_EQ(event.kind, LaneEvent::Kind::kDeliver);
     EXPECT_EQ(q.now(), 10);
   });
   EXPECT_EQ(fired, 1);
 #else
   // Debug builds die on the assert, with the description in the report.
-  EXPECT_DEATH(q.Schedule(4, 2, late), "deliver node=5 query=77");
+  EXPECT_DEATH(q.Schedule(4, 2, late), "deliver node=5 slot=77");
 #endif
+}
+
+// ------------------------------------------- EventQueue: stream and heap
+
+/// Drains `q` and returns the (time, payload) of every event in dispatch
+/// order.
+std::vector<std::pair<util::VTime, int>> Drain(EventQueue<int>& q) {
+  std::vector<std::pair<util::VTime, int>> fired;
+  q.RunAll([&](int tag) { fired.emplace_back(q.now(), tag); });
+  return fired;
+}
+
+TEST(EventQueueStreamTest, EqualTimesOrderByStampAcrossStreamAndHeap) {
+  // The lower stamp sits in the stream ...
+  EventQueue<int> q;
+  q.Append(10, 1, 1);
+  q.Append(10, 3, 3);
+  q.Schedule(10, 2, 2);
+  q.Schedule(10, 4, 4);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.Peek(), 1);
+  EXPECT_EQ(Drain(q), (std::vector<std::pair<util::VTime, int>>{
+                          {10, 1}, {10, 2}, {10, 3}, {10, 4}}));
+  // ... and in the heap.
+  EventQueue<int> r;
+  r.Schedule(10, 1, 1);
+  r.Append(10, 2, 2);
+  r.Schedule(10, 3, 3);
+  r.Append(10, 4, 4);
+  EXPECT_EQ(r.Peek(), 1);
+  EXPECT_EQ(Drain(r), (std::vector<std::pair<util::VTime, int>>{
+                          {10, 1}, {10, 2}, {10, 3}, {10, 4}}));
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.size(), 0u);
+}
+
+TEST(EventQueueStreamTest, EqualKeysRunTheStreamedEventFirst) {
+  EventQueue<int> q;
+  q.Schedule(10, 5, 2);
+  q.Append(10, 5, 1);
+  EXPECT_EQ(Drain(q), (std::vector<std::pair<util::VTime, int>>{
+                          {10, 1}, {10, 2}}));
+}
+
+TEST(EventQueueStreamTest, OutOfOrderAppendFallsBackToTheHeap) {
+  EventQueue<int> q;
+  q.Append(20, 0, 20);
+  q.Append(10, 1, 10);  // earlier time than the stream's tail
+  q.Append(20, 0, 21);  // equal key: not strictly after the tail
+  q.Append(30, 2, 30);
+  q.Append(30, 1, 31);  // equal time, lower stamp
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(Drain(q), (std::vector<std::pair<util::VTime, int>>{
+                          {10, 10}, {20, 20}, {20, 21}, {30, 31}, {30, 30}}));
+}
+
+TEST(EventQueueStreamTest, PastTimestampInEitherPathDiagnosesAndClamps) {
+  for (bool append : {false, true}) {
+    SCOPED_TRACE(append ? "Append" : "Schedule");
+    EventQueue<int> q;
+    q.Append(10, 0, 1);
+    q.Schedule(40, 5, 4);
+    q.RunOne([](int) {});
+    ASSERT_EQ(q.now(), 10);
+    // The stream is drained, so a late Append is in key order; only its
+    // time sends it to the heap's diagnostic.
+    auto late = [&] {
+      if (append) {
+        q.Append(5, 1, 2);
+      } else {
+        q.Schedule(5, 1, 2);
+      }
+    };
+    EXPECT_DEBUG_DEATH(late(), "cannot schedule into the past");
+#ifdef NDEBUG
+    ::testing::internal::CaptureStderr();
+    late();
+    std::string report = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(report.find("when=5us < now=10us, stamp=1"), std::string::npos)
+        << report;
+    // The first late() call already queued one copy, clamped to now().
+    EXPECT_EQ(Drain(q), (std::vector<std::pair<util::VTime, int>>{
+                            {10, 2}, {10, 2}, {40, 4}}));
+#endif
+  }
+}
+
+TEST(EventQueueStreamTest, RunWhileBeforeStopsBetweenStreamAndHeap) {
+  EventQueue<int> q;
+  q.Append(10, 1, 1);
+  q.Append(10, 4, 4);
+  q.Schedule(10, 2, 2);
+  q.Schedule(10, 5, 5);
+  // The fence key (10, 3) falls between stream entry (10, 1) and heap
+  // entry (10, 2) on one side and (10, 4) / (10, 5) on the other.
+  std::vector<std::pair<int, uint64_t>> ran;
+  uint64_t n = q.RunWhileBefore(10, 3, [&](int tag, util::VTime when,
+                                           uint64_t stamp) {
+    EXPECT_EQ(when, 10);
+    ran.emplace_back(tag, stamp);
+  });
+  EXPECT_EQ(n, 2u);
+  EXPECT_EQ(ran, (std::vector<std::pair<int, uint64_t>>{{1, 1}, {2, 2}}));
+  EXPECT_EQ(q.PeekStamp(), 4u);
+  // A fence at the head's own key runs nothing: strictly before.
+  EXPECT_EQ(q.RunWhileBefore(10, 4, [](int, util::VTime, uint64_t) {}), 0u);
+  EXPECT_EQ(q.RunWhileBefore(11, 0, [&](int tag, util::VTime, uint64_t) {
+    ran.emplace_back(tag, 0);
+  }), 2u);
+  EXPECT_EQ(ran.back().first, 5);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueStreamTest, RandomInterleavingMatchesAHeapOnlyQueue) {
+  // Any interleaving of appends, schedules and dispatches runs in the
+  // (time, stamp) order a heap-only queue fed the same triples runs.
+  constexpr uint64_t kInOrder = uint64_t{1} << 40;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    EventQueue<int> mixed;
+    EventQueue<int> heap_only;
+    std::vector<int> mixed_order;
+    std::vector<int> heap_order;
+    uint64_t stamp = 0;
+    int tag = 0;
+    // Mostly sorted appends with bursts of disorder, like a trace whose
+    // arrivals are streamed while the run schedules retries.
+    util::VTime append_time = 0;
+    for (int step = 0; step < 400; ++step) {
+      double dice = rng.UniformReal(0.0, 1.0);
+      if (dice < 0.45) {
+        append_time += rng.UniformInt(0, 3);
+        util::VTime when = rng.Bernoulli(0.1)
+                               ? mixed.now() + rng.UniformInt(0, 20)
+                               : std::max(append_time, mixed.now());
+        // Stamps stay unique (the low bits count); a random high part
+        // sometimes breaks the order.
+        uint64_t s =
+            rng.Bernoulli(0.2)
+                ? (static_cast<uint64_t>(rng.UniformInt(0, 1 << 19)) << 20) |
+                      stamp++
+                : kInOrder + stamp++;
+        mixed.Append(when, s, tag);
+        heap_only.Schedule(when, s, tag);
+        ++tag;
+      } else if (dice < 0.75) {
+        util::VTime when = mixed.now() + rng.UniformInt(0, 12);
+        uint64_t s = kInOrder + stamp++;
+        mixed.Schedule(when, s, tag);
+        heap_only.Schedule(when, s, tag);
+        ++tag;
+      } else {
+        mixed.RunOne([&](int t) { mixed_order.push_back(t); });
+        heap_only.RunOne([&](int t) { heap_order.push_back(t); });
+        ASSERT_EQ(mixed.now(), heap_only.now());
+      }
+      ASSERT_EQ(mixed.size(), heap_only.size());
+    }
+    mixed.RunAll([&](int t) { mixed_order.push_back(t); });
+    heap_only.RunAll([&](int t) { heap_order.push_back(t); });
+    EXPECT_EQ(mixed_order, heap_order);
+    EXPECT_EQ(static_cast<int>(mixed_order.size()), tag);
+  }
 }
 
 // ------------------------------------------------------------ Accounting
@@ -196,10 +361,10 @@ TEST(NodePoolTest, SerialExecutionAccounting) {
   t1.query_id = 1;
   t1.exec_time = 100 * kMillisecond;
   t1.work_units = 5.0;
-  EXPECT_TRUE(pool.Enqueue(0, t1));  // was idle
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1)));  // was idle
   QueryTask t2 = t1;
   t2.query_id = 2;
-  EXPECT_FALSE(pool.Enqueue(0, t2));  // already has work
+  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t2)));  // already has work
 
   EXPECT_EQ(pool.QueueLength(0), 2);
   EXPECT_EQ(pool.Backlog(0, 0), 200 * kMillisecond);
@@ -223,11 +388,35 @@ TEST(NodePoolTest, SerialExecutionAccounting) {
   // empty queue, it does not.
   QueryTask t3 = t1;
   t3.query_id = 3;
-  EXPECT_TRUE(pool.Enqueue(0, t3));
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t3)));
   pool.BeginNext(0, 200 * kMillisecond);
+  EXPECT_EQ(pool.Running(0).query_id, 3);
   QueryTask t4 = t1;
   t4.query_id = 4;
-  EXPECT_FALSE(pool.Enqueue(0, t4));
+  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t4)));
+}
+
+TEST(NodePoolTest, ShippedSlotsAreLinkedNotCopiedAndDiscardFreesThem) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/2, /*shards=*/2, /*shard_of=*/{0, 1});
+  QueryTask t;
+  t.query_id = 1;
+  t.exec_time = 100 * kMillisecond;
+  int32_t first = pool.Ship(0, t);
+  // The lane edits the record in place before it enqueues the slot.
+  pool.Shipped(0, first).exec_time = 300 * kMillisecond;
+  EXPECT_TRUE(pool.Enqueue(0, first));
+  EXPECT_EQ(pool.Backlog(0, 0), 300 * kMillisecond);
+  EXPECT_EQ(pool.BeginNext(0, 0).exec_time, 300 * kMillisecond);
+  // A discarded shipment never reaches the queue, and its slot is reused.
+  t.query_id = 2;
+  int32_t shed = pool.Ship(0, t);
+  pool.Discard(0, shed);
+  EXPECT_EQ(pool.QueueLength(0), 0);
+  t.query_id = 3;
+  EXPECT_EQ(pool.Ship(0, t), shed);
+  // Node 1's lane has its own arena.
+  EXPECT_EQ(pool.Ship(1, t), 0);
 }
 
 // ------------------------------------------------------------ Federation
@@ -266,6 +455,66 @@ TEST_F(FederationTest, AllQueriesCompleteUnderLightLoad) {
   // small network delays.
   EXPECT_LT(m.MeanResponseMs(), 600.0);
   EXPECT_GT(m.MeanResponseMs(), 300.0);
+}
+
+TEST_F(FederationTest, UnsortedTraceRunsInKeyOrder) {
+  // A hand-built trace, never sorted: the arrivals that break the
+  // mediator stream's key order go to its heap, and every arrival still
+  // fires at its (time, stamp) key. The pinned metrics are what the
+  // heap-only mediator queue produced for this trace, at a market and a
+  // zero-lookahead fence, with a crash whose edges ride the node lane.
+  struct Row {
+    int ms;
+    query::QueryClassId k;
+    catalog::NodeId origin;
+  };
+  const Row rows[] = {{700, 0, 0},  {0, 1, 1},    {0, 0, 0},   {1500, 1, 0},
+                      {200, 1, 1},  {200, 0, 1},  {90, 1, 0},  {3000, 0, 0},
+                      {1100, 1, 1}, {2500, 0, 1}, {400, 1, 0}, {50, 0, 0}};
+  workload::Trace trace;
+  for (const Row& row : rows) {
+    workload::Arrival a;
+    a.time = row.ms * kMillisecond;
+    a.class_id = row.k;
+    a.origin = row.origin;
+    trace.Add(a);
+  }
+  const std::pair<const char*, const char*> expected[] = {
+      {"QA-NT",
+       R"({"arrivals":12,"completed":12,"assigned":13,"dropped":0,)"
+       R"("expired":0,"shed":0,"admission_rejects":0,"retries":10,)"
+       R"("bounced":0,"lost":1,"messages":105,"solicited":46,)"
+       R"("events_dispatched":106,"end_time_us":3437500,)"
+       R"("total_busy_us":3159500,"mean_ms":491.3333333333333,)"
+       R"("p50_ms":403.0,"p95_ms":1203.4999999999993,)"
+       R"("p99_ms":1683.1000000000006,"min_ms":103.0,"max_ms":1803.0,)"
+       R"("throughput_qps":3.4909090909090907,"dropped_per_class":[0,0],)"
+       R"("retries_per_class":[6,4],"completed_per_class":[6,6]})"},
+      {"Greedy",
+       R"({"arrivals":12,"completed":12,"assigned":13,"dropped":0,)"
+       R"("expired":0,"shed":0,"admission_rejects":0,"retries":0,)"
+       R"("bounced":0,"lost":1,"messages":65,"solicited":0,)"
+       R"("events_dispatched":96,"end_time_us":3437500,)"
+       R"("total_busy_us":3347000,"mean_ms":508.0,"p50_ms":478.0,)"
+       R"("p95_ms":962.9999999999994,"p99_ms":1315.0000000000005,)"
+       R"("min_ms":103.0,"max_ms":1403.0,)"
+       R"("throughput_qps":3.4909090909090907,"dropped_per_class":[0,0],)"
+       R"("retries_per_class":[0,0],"completed_per_class":[6,6]})"},
+  };
+  for (const auto& [mechanism, json] : expected) {
+    SCOPED_TRACE(mechanism);
+    auto model = BuildFig1CostModel();
+    allocation::AllocatorParams params;
+    params.cost_model = model.get();
+    params.period = 500 * kMillisecond;
+    auto alloc = allocation::CreateAllocator(mechanism, params);
+    FederationConfig config;
+    config.period = 500 * kMillisecond;
+    config.faults.crashes.push_back(
+        {1, 800 * kMillisecond, 1600 * kMillisecond});
+    Federation fed(model.get(), alloc.get(), config);
+    EXPECT_EQ(MetricsToJson(fed.Run(trace)).Dump(), json);
+  }
 }
 
 TEST_F(FederationTest, BacklogGrowsUnderOverload) {
