@@ -20,6 +20,7 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
       solicitation_(solicitation),
       seed_(seed) {
   assert(cost_model_ != nullptr);
+  util::AbortUnlessOk(config_.Validate(), "QaNtAllocator: invalid QaNtConfig");
   agents_.resize(static_cast<size_t>(cost_model_->num_nodes()));
   // A single-cluster plan is structurally the flat market, so it runs the
   // flat code path — that degenerate identity is exactly what the
@@ -217,14 +218,14 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
   *asked_out = asked;
   if (offers_.empty()) return kNoNode;  // resubmitted next period
 
+  // An offer carries its agent's own unit cost; ties go to the earliest.
   catalog::NodeId best = offers_[0];
   for (catalog::NodeId j : offers_) {
-    if (selection_ == OfferSelection::kEquitable) {
-      if (agents_[static_cast<size_t>(j)]->earnings() <
-          agents_[static_cast<size_t>(best)]->earnings()) {
-        best = j;
-      }
-    } else if (cost_model_->Cost(k, j) < cost_model_->Cost(k, best)) {
+    const market::QaNtAgent& offer = *agents_[static_cast<size_t>(j)];
+    const market::QaNtAgent& leader = *agents_[static_cast<size_t>(best)];
+    if (selection_ == OfferSelection::kEquitable
+            ? offer.earnings() < leader.earnings()
+            : offer.unit_cost(k) < leader.unit_cost(k)) {
       best = j;
     }
   }

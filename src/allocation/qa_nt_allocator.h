@@ -20,8 +20,9 @@ namespace qa::allocation {
 /// paper's broadcast protocol, a bounded random fanout under the sampled
 /// policies), each agent independently offers or declines per its private
 /// prices/supply, and the client accepts the offer with the lowest
-/// estimated execution time. If every agent declines, the query is
-/// resubmitted in the next time period (decision.node == kNoNode).
+/// estimated execution time: the unit cost the offering agent holds. If
+/// every agent declines, the query is resubmitted in the next time period
+/// (decision.node == kNoNode).
 class QaNtAllocator : public Allocator {
  public:
   /// How the client picks among the offering nodes.
@@ -46,6 +47,7 @@ class QaNtAllocator : public Allocator {
   /// cluster's members with the ordinary QA-NT protocol. A disabled or
   /// single-cluster plan is the flat market: the same member auction over
   /// the whole federation, with no top-tier draw and no ledger publish.
+  /// Aborts with a FATAL message unless `config` validates.
   QaNtAllocator(const query::CostModel* cost_model, util::VDuration period,
                 market::QaNtConfig config = {},
                 OfferSelection selection = OfferSelection::kCheapest,

@@ -8,6 +8,8 @@ namespace qa::dbms {
 
 DbmsFederation::DbmsFederation(DbmsFederationConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
+  util::AbortUnlessOk(config_.qa_nt.Validate(),
+                      "DbmsFederation: invalid QaNtConfig");
   dataset_ = BuildFig7Dataset(config_.dataset, rng_);
   BuildNodes();
   Calibrate();

@@ -67,6 +67,7 @@ struct DbmsRunResult {
 /// (Greedy or QA-NT), execute, and measure assign/total times.
 class DbmsFederation {
  public:
+  /// Aborts with a FATAL message unless `config.qa_nt` validates.
   explicit DbmsFederation(DbmsFederationConfig config);
 
   /// Runs `num_queries` queries with uniform inter-arrival times of mean

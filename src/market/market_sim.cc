@@ -11,6 +11,8 @@ namespace qa::market {
 MarketSimulator::MarketSimulator(const query::CostModel* cost_model,
                                  MarketSimConfig config) {
   assert(cost_model != nullptr);
+  util::AbortUnlessOk(config.agent.Validate(),
+                      "MarketSimulator: invalid QaNtConfig");
   int num_nodes = cost_model->num_nodes();
   num_classes_ = cost_model->num_classes();
   agents_.reserve(static_cast<size_t>(num_nodes));

@@ -36,7 +36,8 @@ class MarketSimulator {
  public:
   /// One node per cost-model column; node i's agent prices all K classes
   /// and can evaluate class k iff cost_model->CanEvaluate(k, i). The costs
-  /// are read here, once.
+  /// are read here, once. Aborts with a FATAL message unless
+  /// `config.agent` validates.
   MarketSimulator(const query::CostModel* cost_model, MarketSimConfig config);
 
   struct PeriodResult {

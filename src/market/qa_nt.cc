@@ -2,8 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <string>
 
 namespace qa::market {
+
+util::Status QaNtConfig::Validate() const {
+  const double unbounded = std::numeric_limits<double>::max();
+  const struct {
+    const char* name;
+    double value;
+    double max;
+  } fields[] = {
+      {"lambda", lambda, unbounded},
+      {"initial_price", initial_price, unbounded},
+      {"price_cap", price_cap, unbounded},
+      {"price_floor", price_floor, price_cap},
+      {"activation_threshold", activation_threshold, unbounded},
+      {"supply_density_tolerance", supply_density_tolerance, 1.0},
+      {"max_leftover_decay_units",
+       static_cast<double>(max_leftover_decay_units), unbounded},
+  };
+  for (const auto& field : fields) {
+    // NaN fails both bounds, and infinity the upper one.
+    if (!(field.value >= 0.0 && field.value <= field.max)) {
+      std::string bound = field.max < unbounded
+                              ? ", at most " + std::to_string(field.max)
+                              : "";
+      return util::Status::InvalidArgument(
+          std::string(field.name) + " is " + std::to_string(field.value) +
+          "; it must be finite and non-negative" + bound);
+    }
+  }
+  return util::Status::OK();
+}
 
 QaNtAgent::QaNtAgent(catalog::NodeId node,
                      std::vector<util::VDuration> unit_costs,
@@ -15,6 +47,7 @@ QaNtAgent::QaNtAgent(catalog::NodeId node,
               ClampPrice(config.initial_price, config)),
       planned_supply_(supply_set_.num_classes()),
       remaining_supply_(supply_set_.num_classes()) {
+  assert(config_.Validate().ok());
   for (int k = 0; k < supply_set_.num_classes(); ++k) {
     if (CanEvaluate(k)) classes_.push_back(k);
   }

@@ -8,6 +8,7 @@
 #include "catalog/catalog.h"
 #include "market/supply_set.h"
 #include "market/vectors.h"
+#include "util/status.h"
 #include "util/vtime.h"
 
 namespace qa::market {
@@ -73,6 +74,11 @@ struct QaNtConfig {
   /// systematically under-supplies. Disable for strict per-period supply
   /// sets (some tests and the Pareto oracle need that).
   bool bank_leftover_capacity = true;
+
+  /// OK, or InvalidArgument naming the first field out of range: every
+  /// numeric field must be finite and non-negative, price_floor at most
+  /// price_cap and supply_density_tolerance at most 1.
+  util::Status Validate() const;
 };
 
 /// `price` moved into [config.price_floor, config.price_cap]. Construction
@@ -104,6 +110,7 @@ class QaNtAgent {
   /// `unit_costs[k]` is this node's execution time for one k-class query or
   /// CapacitySupplySet::kCannotEvaluate; `period_budget` is the length T of
   /// a time period (the node's serial execution capacity per period).
+  /// Requires a `config` that validates (its owner checks it).
   QaNtAgent(catalog::NodeId node, std::vector<util::VDuration> unit_costs,
             util::VDuration period_budget, QaNtConfig config = {});
 

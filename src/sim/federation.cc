@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -16,14 +14,14 @@ namespace qa::sim {
 
 namespace {
 
-/// A run that cannot be trusted stops the process: a config that would
-/// silently simulate nonsense, or a finished run whose counts break an
-/// accounting identity (a drift bug fails the run that caused it).
-void AbortUnlessOk(const util::Status& status, const char* what) {
-  if (status.ok()) return;
-  std::fprintf(stderr, "FATAL: %s: %s\n", what, status.ToString().c_str());
-  std::abort();
-}
+/// One-way network latency per message hop.
+constexpr util::VDuration kMessageLatency = 1 * util::kMillisecond;
+/// Market ticks per period T: allocator period hooks run at every tick, so
+/// staggered QA-NT periods refresh supply continuously and retries need
+/// not wait a whole period.
+constexpr int kTicksPerPeriod = 8;
+/// Cap of the mediator's escalating retry backoff, in whole periods.
+constexpr int kMaxBackoffPeriods = 4;
 
 /// The client's pending query behind a task: original arrival time (a
 /// loss inflates the response time, which is the point) and retry count;
@@ -47,25 +45,10 @@ util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
     return util::Status::InvalidArgument(
         "period must be positive, got " + std::to_string(config.period));
   }
-  if (config.market_tick_divisor < 1) {
-    return util::Status::InvalidArgument(
-        "market_tick_divisor must be >= 1, got " +
-        std::to_string(config.market_tick_divisor));
-  }
-  if (config.message_latency < 0) {
-    return util::Status::InvalidArgument(
-        "message_latency must be non-negative, got " +
-        std::to_string(config.message_latency));
-  }
   if (config.max_retries < 0) {
     return util::Status::InvalidArgument(
         "max_retries must be non-negative, got " +
         std::to_string(config.max_retries));
-  }
-  if (config.max_backoff_periods < 1) {
-    return util::Status::InvalidArgument(
-        "max_backoff_periods must be >= 1, got " +
-        std::to_string(config.max_backoff_periods));
   }
   if (config.query_deadline < 0) {
     return util::Status::InvalidArgument(
@@ -132,33 +115,16 @@ Federation::Federation(const query::CostModel* cost_model,
       injector_(config.faults, static_cast<uint64_t>(config.seed)) {
   assert(cost_model_ != nullptr);
   assert(allocator_ != nullptr);
-  num_nodes_ = cost_model_->num_nodes();
+  pool_.Init(cost_model_->num_nodes(), config_.shards);
+  lanes_ = std::vector<ShardLane>(static_cast<size_t>(pool_.shards()));
+  node_seq_.assign(static_cast<size_t>(pool_.num_nodes()), 0);
 
-  plan_ = ShardPlan(num_nodes_, config_.shards);
-  std::vector<int> shard_of;
-  shard_of.reserve(static_cast<size_t>(num_nodes_));
-  for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
-    shard_of.push_back(plan_.shard_of(j));
-  }
-  pool_.Init(num_nodes_, plan_.shards(), shard_of);
-  lanes_ = std::vector<ShardLane>(static_cast<size_t>(plan_.shards()));
-  node_seq_.assign(static_cast<size_t>(num_nodes_), 0);
-
-  link_down_.assign(static_cast<size_t>(num_nodes_), 0);
+  link_down_.assign(static_cast<size_t>(pool_.num_nodes()), 0);
   best_cost_.resize(static_cast<size_t>(cost_model_->num_classes()), 0.0);
   for (int k = 0; k < cost_model_->num_classes(); ++k) {
     util::VDuration best = cost_model_->BestCost(k);
     best_cost_[static_cast<size_t>(k)] =
         best == query::kInfeasibleCost ? 0.0 : static_cast<double>(best);
-  }
-  cost_cache_.resize(static_cast<size_t>(cost_model_->num_classes()) *
-                     static_cast<size_t>(num_nodes_));
-  for (int k = 0; k < cost_model_->num_classes(); ++k) {
-    for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
-      cost_cache_[static_cast<size_t>(k) *
-                      static_cast<size_t>(num_nodes_) +
-                  static_cast<size_t>(j)] = cost_model_->Cost(k, j);
-    }
   }
 }
 
@@ -166,15 +132,17 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   // A malformed config (zero period, inverted fault window...) would not
   // crash — it would silently simulate nonsense. Fail fast instead, like
   // the experiment runner does for an unknown mechanism name.
-  AbortUnlessOk(ValidateConfig(config_, num_nodes()),
-                "invalid FederationConfig");
+  util::AbortUnlessOk(ValidateConfig(config_, num_nodes()),
+                      "invalid FederationConfig");
+  util::AbortUnlessOk(ran_ ? util::Status::InvalidArgument(
+                                 "a federation runs one trace")
+                           : util::Status::OK(),
+                      "Federation::Run called twice");
+  ran_ = true;
 
-  metrics_ = SimMetrics();
   size_t num_classes = static_cast<size_t>(cost_model_->num_classes());
   metrics_.dropped_per_class.resize(num_classes);
   metrics_.retries_per_class.resize(num_classes);
-  ticks_ = 0;
-  retry_backlog_ = 0;
   admission_ = AdmissionController(config_.admission, best_cost_);
 
   // While this run is active, log lines on this thread carry the current
@@ -192,7 +160,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     meta.nodes = num_nodes();
     meta.classes = cost_model_->num_classes();
     meta.period_us = config_.period;
-    meta.ticks_per_period = config_.market_tick_divisor;
+    meta.ticks_per_period = kTicksPerPeriod;
     meta.seed = config_.seed;
     meta.solicitation = std::string(
         allocation::SolicitationPolicyName(config_.solicitation.policy));
@@ -213,12 +181,11 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     config_.recorder->RecordSnapshot(0, allocator_->Snapshot());
   }
 
-  watchdogs_.reset();
   QA_METRICS(config_.metrics) {
     obs::metrics::RunMeta mmeta;
     mmeta.mechanism = allocator_->name();
     mmeta.nodes = num_nodes();
-    mmeta.shards = plan_.shards();
+    mmeta.shards = pool_.shards();
     mmeta.threads =
         config_.runner != nullptr ? config_.runner->concurrency() : 1;
     mmeta.seed = static_cast<uint64_t>(config_.seed);
@@ -282,8 +249,6 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     arrivals_scheduled += copies;
   }
   metrics_.arrivals = arrivals_scheduled;
-  admitted_in_flight_ = 0;
-  admission_load_ = 0;
   const auto& transitions = injector_.transitions();
   for (size_t index = 0; index < transitions.size(); ++index) {
     // Restarts are mediator-lane (the allocator re-learns the node), and
@@ -312,7 +277,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   for (const ShardLane& lane : lanes_) {
     metrics_.end_time = std::max(metrics_.end_time, lane.queue.now());
   }
-  for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
+  for (catalog::NodeId j = 0; j < pool_.num_nodes(); ++j) {
     metrics_.total_busy_time += pool_.busy_time(j);
     metrics_.node_last_idle.push_back(pool_.last_idle_at(j));
     metrics_.node_completed.push_back(pool_.completed(j));
@@ -324,7 +289,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     config_.metrics->RecordPhase(obs::metrics::Phase::kRunTotal,
                                  util::MonotonicClock::NowNanos() - run_start);
   }
-  AbortUnlessOk(ValidateAccounting(metrics_), "run accounting");
+  util::AbortUnlessOk(ValidateAccounting(metrics_), "run accounting");
   // The run's totals close its trace: the one counter store, rendered.
   QA_OBS(config_.recorder) {
     config_.recorder->Record(obs::RunRecord{MetricsToJson(metrics_)});
@@ -754,17 +719,15 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     // per period instead of O(backlog * ticks). The tick event is already
     // scheduled and sorts ahead of the retry (mediator stamps issued
     // earlier are smaller), so the market refreshes before the retry runs.
-    int wait_ticks = std::min(pending.attempts,
-                              std::max(config_.market_tick_divisor, 1));
+    int wait_ticks = std::min(pending.attempts, kTicksPerPeriod);
     // Market-protocol hardening: when whole market rounds go by with every
     // attempt declined (a dead market — mass crash, partition, or hard
     // overload), the mediators escalate exponentially instead of hammering
-    // the market in lockstep, capped at max_backoff_periods whole periods.
+    // the market in lockstep, capped at kMaxBackoffPeriods whole periods.
     if (consecutive_decline_rounds_ > 2) {
       int shift = std::min(consecutive_decline_rounds_ - 2, 3);
-      int cap = config_.max_backoff_periods *
-                std::max(config_.market_tick_divisor, 1);
-      wait_ticks = std::min(wait_ticks << shift, cap);
+      wait_ticks =
+          std::min(wait_ticks << shift, kMaxBackoffPeriods * kTicksPerPeriod);
     }
     events_.Schedule(
         NextMarketTick(events_.now()) + (wait_ticks - 1) * TickInterval(),
@@ -794,7 +757,7 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
   task.origin = pending.arrival.origin;
   task.arrival = pending.arrival.time;
   util::VDuration base =
-      CachedCost(pending.arrival.class_id, decision.node);
+      cost_model_->Cost(pending.arrival.class_id, decision.node);
   task.exec_time = std::max<util::VDuration>(
       static_cast<util::VDuration>(static_cast<double>(base) *
                                    pending.arrival.cost_jitter),
@@ -818,9 +781,8 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
   // placement pays one more round trip — the top-tier cluster
   // negotiation precedes (and cannot overlap) the member negotiation.
   util::VDuration delay =
-      decision.messages >= 2 ? 3 * config_.message_latency
-                             : config_.message_latency;
-  if (decision.cluster >= 0) delay += 2 * config_.message_latency;
+      decision.messages >= 2 ? 3 * kMessageLatency : kMessageLatency;
+  if (decision.cluster >= 0) delay += 2 * kMessageLatency;
   if (link_faults) {
     delay += injector_.ExtraLatency(decision.node, events_.now());
   }
@@ -978,18 +940,17 @@ void Federation::CompleteTask(ShardLane& lane, catalog::NodeId node_id,
   // the task it announces was wiped (and resubmitted by its client), so
   // the event is a ghost of the previous incarnation. Ignore it.
   if (epoch != pool_.epoch(node_id)) return;
-  // The running record stays put until the next BeginNext.
   const QueryTask& task = pool_.Running(node_id);
-  bool more = pool_.CompleteCurrent(node_id, now);
   // The result arrived after the client's deadline: nobody is waiting for
   // it. The node's work is already spent (wasted capacity — the real cost
   // of serving a client that gave up); the query counts as expired.
   bool late = config_.query_deadline > 0 &&
               now - task.arrival > config_.query_deadline;
+  // The outcome copies the task before CompleteCurrent frees its slot.
   Emit(lane,
        late ? ShardOutcome::Kind::kExpired : ShardOutcome::Kind::kComplete,
        node_id, now, stamp, task);
-  if (more) StartTask(node_id, now);
+  if (pool_.CompleteCurrent(node_id, now)) StartTask(node_id, now);
 }
 
 void Federation::HandleRestart(
@@ -1171,7 +1132,7 @@ void Federation::MarketTick() {
     // admitted_in_flight_ is exact here: resync the gate's view so
     // node-side completions since the last tick free admission slots.
     admission_load_ = admitted_in_flight_;
-    if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
+    if (ticks_ % kTicksPerPeriod == 0) {
       if (admission_.wants_probe()) {
         allocator_->FillMarketProbe(&admission_probe_);
       }
@@ -1187,7 +1148,7 @@ void Federation::MarketTick() {
     // period hooks ran: post-rollover prices are what convergence analysis
     // wants to see. Materialized eagerly: by the time the fence flushes
     // the item the allocator has moved on.
-    if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
+    if (ticks_ % kTicksPerPeriod == 0) {
       med_items_.push_back({current_time_, current_stamp_,
                             /*is_snapshot=*/true, {},
                             allocator_->Snapshot()});
@@ -1206,7 +1167,7 @@ void Federation::MarketTick() {
     // period hooks: the fence before this tick applied every outcome with
     // an earlier key, so the cumulative counters here are the canonical
     // order's counters byte for byte, at every layout.
-    if (ticks_ % std::max(config_.market_tick_divisor, 1) == 0) {
+    if (ticks_ % kTicksPerPeriod == 0) {
       obs::metrics::ScopedPhaseTimer timer(config_.metrics,
                                            obs::metrics::Phase::kSnapshot);
       EmitMetricsSample();
@@ -1227,10 +1188,9 @@ void Federation::EmitRecord(const obs::EventRecord& record) {
 }
 
 void Federation::EmitMetricsSample() {
-  int divisor = std::max(config_.market_tick_divisor, 1);
   obs::metrics::SampleRow row;
   row.t_us = events_.now();
-  row.period = ticks_ / divisor;
+  row.period = ticks_ / kTicksPerPeriod;
   row.ticks = ticks_;
   row.events_dispatched = metrics_.events_dispatched;
   row.assigned = metrics_.assigned;
@@ -1249,7 +1209,7 @@ void Federation::EmitMetricsSample() {
   // Queue-depth histogram: per-node waiting-queue lengths at the period
   // fence. Virtual state, so the histogram is as deterministic as the
   // counters (the one histogram that is not a wall-clock side channel).
-  for (catalog::NodeId j = 0; j < num_nodes_; ++j) {
+  for (catalog::NodeId j = 0; j < pool_.num_nodes(); ++j) {
     config_.metrics->RecordQueueDepth(pool_.QueueLength(j));
   }
   // Watchdogs first: alarms precede the sample that carries the gauges
@@ -1269,8 +1229,7 @@ void Federation::EmitMetricsSample() {
 }
 
 util::VDuration Federation::TickInterval() const {
-  return std::max<util::VDuration>(
-      config_.period / std::max(config_.market_tick_divisor, 1), 1);
+  return std::max<util::VDuration>(config_.period / kTicksPerPeriod, 1);
 }
 
 util::VTime Federation::NextMarketTick(util::VTime t) const {
@@ -1280,7 +1239,7 @@ util::VTime Federation::NextMarketTick(util::VTime t) const {
 
 void Federation::ScheduleNodeEvent(util::VTime when, uint64_t stamp,
                                    LaneEvent event) {
-  lanes_[static_cast<size_t>(plan_.shard_of(event.node))].queue.Schedule(
+  lanes_[static_cast<size_t>(pool_.shard_of(event.node))].queue.Schedule(
       when, stamp, event);
 }
 
@@ -1310,7 +1269,7 @@ double EstimateCapacityQps(const query::CostModel& cost_model,
                            const std::vector<double>& mix,
                            util::VDuration period, int periods) {
   int num_classes = cost_model.num_classes();
-  AbortUnlessOk(ValidateMix(mix, num_classes), "EstimateCapacityQps");
+  util::AbortUnlessOk(ValidateMix(mix, num_classes), "EstimateCapacityQps");
   double mix_sum = 0.0;
   for (double m : mix) mix_sum += m;
 

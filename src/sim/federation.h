@@ -29,28 +29,17 @@ namespace qa::sim {
 
 /// Timing and policy knobs of a federation run.
 struct FederationConfig {
-  /// Market time period T (drives the allocator's period hooks).
+  /// Market time period T; the market ticks eight times per period.
   util::VDuration period = 500 * util::kMillisecond;
-  /// One-way network latency per message hop.
-  util::VDuration message_latency = 1 * util::kMillisecond;
   /// Queries declined by every server are resubmitted at the next market
   /// tick, at most this many times before being dropped.
   int max_retries = 200;
-  /// The market-driver granularity: allocator period hooks run every
-  /// period / market_tick_divisor, so the staggered per-node periods of
-  /// QA-NT refresh supply continuously and rejected queries retry without
-  /// waiting a whole global period.
-  int market_tick_divisor = 8;
   /// Declarative fault schedule (crashes with state loss, degraded
   /// capacity, lossy/delayed links, partitions, surges). A partitioned
   /// node keeps its state; mechanisms that negotiate or probe get no reply
   /// from it (a decline) and route around it, while blind ones (Random,
   /// RoundRobin) bounce off it and resubmit.
   faults::FaultPlan faults;
-  /// Mediator retry backoff cap: after sustained all-decline market rounds
-  /// the per-query retry interval escalates exponentially, but never past
-  /// this many whole market periods.
-  int max_backoff_periods = 4;
   /// Client response deadline (0 = none, the default). When set, a query
   /// whose sojourn (now - arrival) reaches the deadline is abandoned by
   /// its client: pending resubmissions stop, and a result completing after
@@ -107,7 +96,7 @@ struct FederationConfig {
   /// runner. Mechanisms other than QA-NT ignore it.
   allocation::ClusterPlan cluster_plan;
   /// Node-lane count of the simulator core: nodes are split into this many
-  /// lanes (stable id-hash, see ShardPlan), each draining its own event
+  /// lanes (stable id-hash, see HashShard), each draining its own event
   /// queue up to the fences the mechanism's fence policy sets (see
   /// Federation). Every run uses lanes, one by default. Results are
   /// byte-identical at every (shards, runner) combination — the lane count
@@ -121,9 +110,9 @@ struct FederationConfig {
 };
 
 /// Rejects misconfigured runs before they produce silent nonsense:
-/// non-positive period, market_tick_divisor < 1, negative message latency
-/// or retry budget, max_backoff_periods < 1, shards < 1, shed bounds < 1,
-/// malformed admission bands, and anything FaultPlan::Validate rejects.
+/// non-positive period, negative retry budget or deadline, shards < 1,
+/// shed bounds < 1, malformed admission bands, and anything
+/// FaultPlan::Validate rejects.
 /// Federation::Run calls this at entry and aborts on error; callers
 /// building configs from external input should call it themselves and
 /// surface the Status.
@@ -265,10 +254,13 @@ class Federation : public allocation::AllocationContext {
   /// Runs the whole trace to completion and returns the metrics. The run
   /// ends when all queries completed or were dropped; a run whose metrics
   /// then fail ValidateAccounting aborts, like an invalid config.
+  /// Single use: a federation runs one trace. Its clocks, nodes and the
+  /// allocator's learned state carry over, so a rerun could never
+  /// reproduce the first run; a second Run aborts with a FATAL message.
   SimMetrics Run(const workload::Trace& trace);
 
   // ---- AllocationContext ----
-  int num_nodes() const override { return num_nodes_; }
+  int num_nodes() const override { return pool_.num_nodes(); }
   const query::CostModel& cost_model() const override { return *cost_model_; }
   util::VDuration NodeBacklog(catalog::NodeId node) const override {
     // Only mechanisms with reads_node_state consult this; their
@@ -437,20 +429,12 @@ class Federation : public allocation::AllocationContext {
   /// event clock, the mediator its own).
   util::VTime NextMarketTick(util::VTime t) const;
   util::VDuration TickInterval() const;
-  /// Cached cost_model_->Cost(k, node): one flat-array load instead of a
-  /// virtual call per placement on the hot path.
-  util::VDuration CachedCost(query::QueryClassId k,
-                             catalog::NodeId node) const {
-    return cost_cache_[static_cast<size_t>(k) *
-                           static_cast<size_t>(num_nodes_) +
-                       static_cast<size_t>(node)];
-  }
 
   // Lane partition of the members below (DESIGN.md §8, machine-checked
   // by qa_lint QA-SHD-002): node-lane code — DispatchShard and the
-  // RunWhileBefore drain lambdas — may touch only lane-local state
-  // (pool_, lanes_, node_seq_, plan_) and read-only-shared inputs
-  // (config_, cost_model_, injector_, best_cost_, num_nodes_).
+  // RunWhileBefore drain lambdas — may touch only its own lane's state
+  // (its nodes in pool_, its entry of lanes_, its nodes' node_seq_) and
+  // read-only-shared inputs (config_, cost_model_, injector_, best_cost_).
   // Everything else is mediator-owned, mutated only between fences or
   // inside the canonical barrier merge.
   const query::CostModel* cost_model_;
@@ -458,13 +442,12 @@ class Federation : public allocation::AllocationContext {
   FederationConfig config_;
   /// Compiled fault schedule (config_.faults).
   faults::FaultInjector injector_;
-  int num_nodes_ = 0;
   /// The mediator lane: the trace's arrivals on its stream, everything
   /// scheduled during the run in its heap.
   EventQueue<SimEvent> events_;
-  /// Struct-of-arrays node state (see NodePool).
+  /// Struct-of-arrays node state and the node -> lane map (see NodePool).
   NodePool pool_;
-  ShardPlan plan_;
+  /// One per lane, indexed like pool_'s arenas.
   std::vector<ShardLane> lanes_;
   /// Canonical stamp counters: the mediator's scheduling counter and each
   /// node's own (sublane 1) counter. See sim/shard.h for why the two
@@ -532,9 +515,8 @@ class Federation : public allocation::AllocationContext {
   uint64_t tick_probe_seq_ = 0;
   /// Best-case cost per class, precomputed for work-unit accounting.
   std::vector<double> best_cost_;
-  /// Flattened (class x node) execution-cost matrix, precomputed once so
-  /// HandleQuery never pays the CostModel virtual dispatch.
-  std::vector<util::VDuration> cost_cache_;
+  /// Set by the one Run this federation may perform.
+  bool ran_ = false;
 };
 
 /// Estimates the federation's saturation throughput (queries/second) for a

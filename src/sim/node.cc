@@ -1,14 +1,15 @@
 #include "sim/node.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "sim/shard.h"
 
 namespace qa::sim {
 
-void NodePool::Init(int num_nodes, int shards,
-                    const std::vector<int>& shard_of) {
+void NodePool::Init(int num_nodes, int shards) {
   assert(num_nodes >= 0);
-  assert(shards >= 1);
-  assert(shard_of.size() == static_cast<size_t>(num_nodes));
+  shards = std::max(shards, 1);
   size_t n = static_cast<size_t>(num_nodes);
   busy_until_.assign(n, 0);
   queued_work_.assign(n, 0.0);
@@ -17,12 +18,14 @@ void NodePool::Init(int num_nodes, int shards,
   completed_.assign(n, 0);
   last_idle_.assign(n, 0);
   epoch_.assign(n, 0);
-  running_.assign(n, 0);
-  current_.assign(n, QueryTask{});
+  running_slot_.assign(n, -1);
   queue_head_.assign(n, -1);
   queue_tail_.assign(n, -1);
   queue_len_.assign(n, 0);
-  shard_of_ = shard_of;
+  shard_of_.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    shard_of_[j] = HashShard(static_cast<catalog::NodeId>(j), shards);
+  }
   arenas_.clear();
   arenas_.resize(static_cast<size_t>(shards));
 }
@@ -45,16 +48,14 @@ void NodePool::ReleaseSlot(int shard, int32_t index) {
 }
 
 int32_t NodePool::Ship(catalog::NodeId node, const QueryTask& task) {
-  int shard = shard_of_[static_cast<size_t>(node)];
-  int32_t slot = AcquireSlot(shard);
-  arenas_[static_cast<size_t>(shard)].slots[static_cast<size_t>(slot)].task =
-      task;
+  int32_t slot = AcquireSlot(shard_of(node));
+  SlotOf(node, slot).task = task;
   return slot;
 }
 
 bool NodePool::Enqueue(catalog::NodeId node, int32_t slot) {
   size_t i = static_cast<size_t>(node);
-  Arena& arena = arenas_[static_cast<size_t>(shard_of_[i])];
+  Arena& arena = arenas_[static_cast<size_t>(shard_of(node))];
   const QueryTask& task = arena.slots[static_cast<size_t>(slot)].task;
   arena.slots[static_cast<size_t>(slot)].next = -1;
   if (queue_tail_[i] >= 0) {
@@ -69,33 +70,31 @@ bool NodePool::Enqueue(catalog::NodeId node, int32_t slot) {
   // Start immediately only when the executor is idle and this is the only
   // queued task (a caller that has not yet called BeginNext for an earlier
   // enqueue must not be told to start twice).
-  return running_[i] == 0 && queue_len_[i] == 1;
+  return running_slot_[i] < 0 && queue_len_[i] == 1;
 }
 
 const QueryTask& NodePool::BeginNext(catalog::NodeId node, util::VTime now) {
   size_t i = static_cast<size_t>(node);
-  assert(running_[i] == 0);
+  assert(running_slot_[i] < 0);
   assert(queue_head_[i] >= 0);
-  int shard = shard_of_[i];
-  Arena& arena = arenas_[static_cast<size_t>(shard)];
   int32_t slot = queue_head_[i];
-  current_[i] = arena.slots[static_cast<size_t>(slot)].task;
-  queue_head_[i] = arena.slots[static_cast<size_t>(slot)].next;
+  const Slot& running = SlotOf(node, slot);
+  queue_head_[i] = running.next;
   if (queue_head_[i] < 0) queue_tail_[i] = -1;
   --queue_len_[i];
-  ReleaseSlot(shard, slot);
-  running_[i] = 1;
-  busy_until_[i] = now + current_[i].exec_time;
-  busy_time_[i] += current_[i].exec_time;
-  return current_[i];
+  running_slot_[i] = slot;
+  busy_until_[i] = now + running.task.exec_time;
+  busy_time_[i] += running.task.exec_time;
+  return running.task;
 }
 
 bool NodePool::CompleteCurrent(catalog::NodeId node, util::VTime now) {
   size_t i = static_cast<size_t>(node);
-  assert(running_[i] != 0);
-  running_[i] = 0;
-  queued_work_[i] -= current_[i].work_units;
+  assert(running_slot_[i] >= 0);
+  queued_work_[i] -= Running(node).work_units;
   if (queued_work_[i] < 0.0) queued_work_[i] = 0.0;
+  ReleaseSlot(shard_of(node), running_slot_[i]);
+  running_slot_[i] = -1;
   ++completed_[i];
   if (queue_len_[i] == 0) last_idle_[i] = now;
   return queue_len_[i] > 0;
@@ -104,14 +103,15 @@ bool NodePool::CompleteCurrent(catalog::NodeId node, util::VTime now) {
 void NodePool::Crash(catalog::NodeId node, util::VTime now,
                      std::vector<QueryTask>* lost) {
   size_t i = static_cast<size_t>(node);
-  int shard = shard_of_[i];
+  int shard = shard_of(node);
   Arena& arena = arenas_[static_cast<size_t>(shard)];
-  if (running_[i] != 0) {
+  if (running_slot_[i] >= 0) {
     // BeginNext charged the full exec_time to the busy ledger up front;
     // give back the part that will now never run.
     if (busy_until_[i] > now) busy_time_[i] -= busy_until_[i] - now;
-    lost->push_back(current_[i]);
-    running_[i] = 0;
+    lost->push_back(Running(node));
+    ReleaseSlot(shard, running_slot_[i]);
+    running_slot_[i] = -1;
   }
   int32_t slot = queue_head_[i];
   while (slot >= 0) {
@@ -132,7 +132,7 @@ bool NodePool::EvictWorseQueued(catalog::NodeId node,
                                 const std::vector<double>& class_cost,
                                 double incoming_cost, QueryTask* victim) {
   size_t i = static_cast<size_t>(node);
-  int shard = shard_of_[i];
+  int shard = shard_of(node);
   Arena& arena = arenas_[static_cast<size_t>(shard)];
   int32_t best = -1;
   int32_t best_prev = -1;
@@ -172,10 +172,10 @@ util::VDuration NodePool::Backlog(catalog::NodeId node,
                                   util::VTime now) const {
   size_t i = static_cast<size_t>(node);
   util::VDuration backlog = 0;
-  if (running_[i] != 0 && busy_until_[i] > now) {
+  if (running_slot_[i] >= 0 && busy_until_[i] > now) {
     backlog += busy_until_[i] - now;
   }
-  const Arena& arena = arenas_[static_cast<size_t>(shard_of_[i])];
+  const Arena& arena = arenas_[static_cast<size_t>(shard_of(node))];
   for (int32_t slot = queue_head_[i]; slot >= 0;
        slot = arena.slots[static_cast<size_t>(slot)].next) {
     backlog += arena.slots[static_cast<size_t>(slot)].task.exec_time;

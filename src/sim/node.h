@@ -35,29 +35,32 @@ struct QueryTask {
 /// exposes those to mechanisms that (legitimately or not) probe node load.
 ///
 /// The layout is struct-of-arrays for the federation's hot path: every
-/// per-node field lives in a flat parallel array indexed by node id, and
-/// the FIFO task queues draw their storage from per-shard arena free lists
-/// instead of one std::deque per node. Federation::Dispatch touches two or
-/// three of these arrays per event; with 10k+ nodes that is a handful of
-/// contiguous cache lines instead of a pointer chase through 10k deque
-/// headers.
+/// per-node field lives in a flat parallel array indexed by node id, and a
+/// task's one record is a slot of its lane's arena from shipment to
+/// completion (the FIFO links slots, the running task keeps its slot).
+/// Federation::Dispatch touches two or three of these arrays per event;
+/// with 10k+ nodes that is a handful of contiguous cache lines instead of
+/// a pointer chase through 10k deque headers.
 ///
-/// Sharding contract: a node's state (including its queue links) is only
-/// ever touched by the lane that owns its shard, and each arena belongs to
-/// exactly one shard — so concurrent lanes never share a free list. The
-/// one exception is Ship(): between fences the mediator may fill a slot in
-/// the target lane's arena, which is safe because the mediator and the
-/// lanes never run at once; the lane takes the slot over when the delivery
-/// fires. Arena slot indices are an allocation detail: they never
-/// influence event order or results.
+/// The pool owns the node -> lane map (HashShard). Sharding contract: a
+/// node's state (including its queue links and running slot) is only ever
+/// touched by its lane, and each arena belongs to exactly one lane — so
+/// concurrent lanes never share a free list. The one exception is Ship():
+/// between fences the mediator may fill a slot in the target lane's arena,
+/// which is safe because the mediator and the lanes never run at once; the
+/// lane takes the slot over when the delivery fires. Arena slot indices
+/// are an allocation detail: they never influence event order or results.
 class NodePool {
  public:
-  /// Sizes the pool for `num_nodes` nodes partitioned into `shards`
-  /// arenas by `shard_of` (node -> shard, values in [0, shards)).
-  void Init(int num_nodes, int shards,
-            const std::vector<int>& shard_of);
+  /// Sizes the pool for `num_nodes` nodes split into `shards` lanes, one
+  /// arena each, by HashShard (a count below 1 is taken as 1).
+  void Init(int num_nodes, int shards);
 
   int num_nodes() const { return static_cast<int>(busy_until_.size()); }
+  int shards() const { return static_cast<int>(arenas_.size()); }
+  int shard_of(catalog::NodeId node) const {
+    return shard_of_[static_cast<size_t>(node)];
+  }
 
   /// Stores `task` in a free slot of the arena that owns `node` and
   /// returns the slot: the in-flight record of a shipment, which the
@@ -68,14 +71,12 @@ class NodePool {
   /// The record in a shipped slot; the lane may edit it (a degraded node
   /// stretches its execution time) before it enqueues the slot.
   QueryTask& Shipped(catalog::NodeId node, int32_t slot) {
-    return arenas_[static_cast<size_t>(shard_of_[static_cast<size_t>(node)])]
-        .slots[static_cast<size_t>(slot)]
-        .task;
+    return SlotOf(node, slot).task;
   }
   /// Frees a shipped slot that never joins the queue (a shed or lost
   /// delivery).
   void Discard(catalog::NodeId node, int32_t slot) {
-    ReleaseSlot(shard_of_[static_cast<size_t>(node)], slot);
+    ReleaseSlot(shard_of(node), slot);
   }
 
   /// Links shipped `slot` into the node's queue, without copying its
@@ -84,26 +85,27 @@ class NodePool {
   /// BeginNext for an earlier enqueue is not told to start twice.
   bool Enqueue(catalog::NodeId node, int32_t slot);
 
-  /// Pops the task to run next and marks the node busy until
-  /// now + task.exec_time, charging that time to the busy ledger up front.
-  /// Returns the running record (see Running). Requires a non-empty queue
-  /// and an idle node.
+  /// Unlinks the queue's head as the running task, which keeps its slot,
+  /// and marks the node busy until now + task.exec_time, charging that time
+  /// to the busy ledger up front. Returns the running record (see
+  /// Running). Requires a non-empty queue and an idle node.
   const QueryTask& BeginNext(catalog::NodeId node, util::VTime now);
-  /// The task the node runs, from BeginNext until CompleteCurrent or Crash
-  /// (the next BeginNext overwrites it).
+  /// The task the node runs, from BeginNext until CompleteCurrent or Crash.
+  /// The reference is valid until the next Ship into the node's lane: the
+  /// mediator may grow the arena between fences.
   const QueryTask& Running(catalog::NodeId node) const {
-    return current_[static_cast<size_t>(node)];
+    return SlotOf(node, running_slot_[static_cast<size_t>(node)]).task;
   }
 
-  /// Marks the running task finished. Returns true if more tasks wait.
+  /// Finishes the running task and frees its slot; true if more tasks wait.
   bool CompleteCurrent(catalog::NodeId node, util::VTime now);
 
-  /// Crash with loss of volatile state: wipes the queue and the running
-  /// task into `lost` (appended in run-queue order, running task first) so
-  /// the simulator can account them as lost and resubmit them, gives back
-  /// the un-run remainder of the running task's busy time, and bumps the
-  /// node's epoch so in-flight completion events of wiped tasks become
-  /// stale.
+  /// Crash with loss of volatile state: copies the running task and the
+  /// queue into `lost` (running task first, then run-queue order) and frees
+  /// their slots, so the simulator can account them as lost and resubmit
+  /// them; gives back the un-run remainder of the running task's busy
+  /// time, and bumps the node's epoch so in-flight completion events of
+  /// wiped tasks become stale.
   void Crash(catalog::NodeId node, util::VTime now,
              std::vector<QueryTask>* lost);
 
@@ -149,9 +151,9 @@ class NodePool {
                         double incoming_cost, QueryTask* victim);
 
  private:
-  /// One arena slot: a queued task plus the intrusive FIFO link (index of
-  /// the next slot in the same node's queue, -1 at the tail). Free slots
-  /// reuse `next` as the free-list link.
+  /// One arena slot: a shipped, queued or running task plus the intrusive
+  /// FIFO link (index of the next slot in the same node's queue, -1 at the
+  /// tail). Free slots reuse `next` as the free-list link.
   struct Slot {
     QueryTask task;
     int32_t next = -1;
@@ -163,6 +165,14 @@ class NodePool {
 
   int32_t AcquireSlot(int shard);
   void ReleaseSlot(int shard, int32_t index);
+  Slot& SlotOf(catalog::NodeId node, int32_t slot) {
+    return arenas_[static_cast<size_t>(shard_of(node))]
+        .slots[static_cast<size_t>(slot)];
+  }
+  const Slot& SlotOf(catalog::NodeId node, int32_t slot) const {
+    return arenas_[static_cast<size_t>(shard_of(node))]
+        .slots[static_cast<size_t>(slot)];
+  }
 
   // ---- hot per-node state (parallel arrays indexed by node id) ----
   std::vector<util::VTime> busy_until_;
@@ -172,12 +182,13 @@ class NodePool {
   std::vector<int64_t> completed_;
   std::vector<util::VTime> last_idle_;
   std::vector<int64_t> epoch_;
-  std::vector<uint8_t> running_;
-  std::vector<QueryTask> current_;
+  /// Arena slot of the running task; -1 while the node is idle.
+  std::vector<int32_t> running_slot_;
   // FIFO queue per node: arena slot indices into the owning shard's arena.
   std::vector<int32_t> queue_head_;
   std::vector<int32_t> queue_tail_;
   std::vector<int32_t> queue_len_;
+  /// Node -> lane (HashShard); lane s owns arenas_[s].
   std::vector<int> shard_of_;
   std::vector<Arena> arenas_;
 };

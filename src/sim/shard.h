@@ -3,7 +3,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "catalog/catalog.h"
 #include "util/rng.h"
@@ -66,42 +65,22 @@ struct EventStamp {
   }
 };
 
-/// The stable node -> shard partition of one federation run.
+/// The stable node -> lane partition of one federation run: node `node`'s
+/// lane among `shards`.
 ///
 /// The assignment hashes the node id (SplitMix64 finalizer) rather than
 /// taking id % shards, so structured id ranges (e.g. a workload whose hot
-/// origins are the low ids) still spread across shards. The hash is a pure
+/// origins are the low ids) still spread across lanes. The hash is a pure
 /// function of (node, shards): re-running a scenario always partitions the
 /// same way, and the partition never feeds into event *ordering* — only
 /// into which worker drains which lane — so results are independent of it
-/// by construction.
-class ShardPlan {
- public:
-  ShardPlan() : shards_(1) {}
-  ShardPlan(int num_nodes, int shards)
-      : shards_(shards < 1 ? 1 : shards) {
-    shard_of_.reserve(static_cast<size_t>(num_nodes));
-    for (catalog::NodeId node = 0; node < num_nodes; ++node) {
-      shard_of_.push_back(HashShard(node, shards_));
-    }
-  }
-
-  int shards() const { return shards_; }
-  int shard_of(catalog::NodeId node) const {
-    return shard_of_[static_cast<size_t>(node)];
-  }
-
-  static int HashShard(catalog::NodeId node, int shards) {
-    if (shards <= 1) return 0;
-    return static_cast<int>(
-        util::SplitMix64(static_cast<uint64_t>(node)).Next() %
-        static_cast<uint64_t>(shards));
-  }
-
- private:
-  int shards_;
-  std::vector<int> shard_of_;
-};
+/// by construction. NodePool::Init stores the map.
+inline int HashShard(catalog::NodeId node, int shards) {
+  if (shards <= 1) return 0;
+  return static_cast<int>(
+      util::SplitMix64(static_cast<uint64_t>(node)).Next() %
+      static_cast<uint64_t>(shards));
+}
 
 }  // namespace qa::sim
 

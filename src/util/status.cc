@@ -1,5 +1,8 @@
 #include "util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace qa::util {
 
 const char* StatusCodeName(StatusCode code) {
@@ -36,6 +39,12 @@ std::string Status::ToString() const {
 
 std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
+}
+
+void AbortUnlessOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "FATAL: %s: %s\n", what, status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace qa::util

@@ -82,6 +82,11 @@ class Status {
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
+/// Stops the process with "FATAL: <what>: <status>" unless `status` is OK:
+/// the fate of a config that would silently simulate nonsense, or of a
+/// finished run whose counts cannot be trusted.
+void AbortUnlessOk(const Status& status, const char* what);
+
 /// Either a value of type T or an error Status.
 ///
 /// Accessing the value of a non-OK StatusOr is a programming error and

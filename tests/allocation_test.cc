@@ -266,6 +266,26 @@ TEST(QaNtAllocatorTest, EquitableSelectionSpreadsEarnings) {
   EXPECT_LE(cv(equitable), cv(cheapest) + 1e-9);
 }
 
+TEST(QaNtAllocatorTest, OffersRankByTheAgentsOwnQuote) {
+  // The model rates node 0 cheapest for class 0 (100 ms against 200 ms),
+  // but node 1's agent has revised its own estimate down to 50 ms: that
+  // is the cost its offer carries, so node 1 wins.
+  auto model = ThreeNodeModel();
+  FakeContext ctx(model.get());
+  QaNtAllocator alloc(model.get(), 500 * kMillisecond);
+  alloc.mutable_agent(1).UpdateUnitCost(0, 50 * kMillisecond);
+  EXPECT_EQ(alloc.Allocate(MakeArrival(0), ctx).node, 1);
+}
+
+TEST(QaNtAllocatorDeathTest, InvalidConfigAborts) {
+  auto model = ThreeNodeModel();
+  market::QaNtConfig config;
+  config.price_floor = 5.0;
+  config.price_cap = 3.0;
+  EXPECT_DEATH(QaNtAllocator(model.get(), 500 * kMillisecond, config),
+               "FATAL: QaNtAllocator: invalid QaNtConfig: .*price_floor");
+}
+
 TEST(QaNtAllocatorTest, PropertiesRespectAutonomy) {
   auto model = ThreeNodeModel();
   QaNtAllocator alloc(model.get(), 500 * kMillisecond);

@@ -102,21 +102,9 @@ TEST(ValidateConfigTest, RejectsMisconfiguredRuns) {
             util::StatusCode::kInvalidArgument);
   config.period = 500 * kMillisecond;
 
-  config.market_tick_divisor = 0;
-  EXPECT_FALSE(ValidateConfig(config, 2).ok());
-  config.market_tick_divisor = 8;
-
-  config.message_latency = -1;
-  EXPECT_FALSE(ValidateConfig(config, 2).ok());
-  config.message_latency = kMillisecond;
-
   config.max_retries = -1;
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
   config.max_retries = 200;
-
-  config.max_backoff_periods = 0;
-  EXPECT_FALSE(ValidateConfig(config, 2).ok());
-  config.max_backoff_periods = 4;
 
   config.query_deadline = -1;
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
@@ -288,7 +276,7 @@ TEST(ValidateConfigDeathTest, RunAbortsOnInvalidConfig) {
 
 TEST(NodePoolCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
   NodePool pool;
-  pool.Init(/*num_nodes=*/1, /*shards=*/1, /*shard_of=*/{0});
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
   QueryTask t1;
   t1.query_id = 1;
   t1.exec_time = 100 * kMillisecond;
@@ -536,30 +524,46 @@ TEST(PartitionTest, QaNtRoutesAroundPartitionWithoutBounces) {
 
 TEST(BackoffTest, SustainedAllDeclineRoundsEscalateRetrySpacing) {
   // One query no node can evaluate: every attempt is declined, so the
-  // mediator's decline streak builds and the retry spacing escalates up to
-  // max_backoff_periods whole periods.
-  auto run_with_backoff = [](int max_backoff_periods) {
-    auto model = std::make_unique<query::MatrixCostModel>(1, 1);
-    allocation::AllocatorParams params;
-    params.cost_model = model.get();
-    auto alloc = allocation::CreateAllocator("Random", params);
-    FederationConfig config;
-    config.max_retries = 12;
-    config.max_backoff_periods = max_backoff_periods;
-    Federation fed(model.get(), alloc.get(), config);
-    workload::Trace trace;
-    workload::Arrival a;
-    trace.Add(a);
-    return fed.Run(trace);
-  };
-  // max_backoff_periods=1 caps escalation at the legacy one-period wait.
-  SimMetrics legacy = run_with_backoff(1);
-  SimMetrics escalated = run_with_backoff(4);
-  EXPECT_EQ(legacy.dropped, 1);
-  EXPECT_EQ(escalated.dropped, 1);
-  EXPECT_EQ(legacy.retries, escalated.retries);  // same retry budget spent
-  // Escalated spacing stretches the same retries over more virtual time.
-  EXPECT_GT(escalated.end_time, legacy.end_time);
+  // mediator's decline streak builds and the retry spacing escalates from
+  // one market tick up to the cap of four whole periods.
+  auto model = std::make_unique<query::MatrixCostModel>(1, 1);
+  allocation::AllocatorParams params;
+  params.cost_model = model.get();
+  auto alloc = allocation::CreateAllocator("Random", params);
+  std::ostringstream sink;
+  obs::Recorder recorder(&sink);
+  FederationConfig config;
+  config.max_retries = 12;
+  config.recorder = &recorder;
+  Federation fed(model.get(), alloc.get(), config);
+  workload::Trace trace;
+  trace.Add(workload::Arrival());
+  SimMetrics m = fed.Run(trace);
+  EXPECT_EQ(m.dropped, 1);
+  EXPECT_EQ(m.retries, 12);
+
+  // The query's attempts: one reject per retry, then the drop.
+  std::istringstream in(sink.str());
+  util::StatusOr<obs::ParsedTrace> parsed = obs::ParsedTrace::Parse(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  std::vector<util::VTime> attempts;
+  for (const obs::EventRecord& e : parsed->events) {
+    if (e.kind == obs::EventRecord::Kind::kReject ||
+        e.kind == obs::EventRecord::Kind::kDrop) {
+      attempts.push_back(e.t_us);
+    }
+  }
+  ASSERT_EQ(attempts.size(), 13u);
+  const util::VDuration tick = config.period / 8;
+  const util::VDuration cap = 4 * config.period;
+  EXPECT_EQ(attempts[1] - attempts[0], tick);
+  for (size_t i = 2; i < attempts.size(); ++i) {
+    util::VDuration gap = attempts[i] - attempts[i - 1];
+    EXPECT_GE(gap, attempts[i - 1] - attempts[i - 2]) << "attempt " << i;
+    EXPECT_LE(gap, cap) << "attempt " << i;
+  }
+  // The spacing reaches the cap and holds it to the end.
+  EXPECT_EQ(attempts[12] - attempts[11], cap);
 }
 
 // ------------------------------------------------------------- Chaos soak

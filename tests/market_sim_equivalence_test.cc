@@ -321,6 +321,12 @@ TEST(MarketSimEquivalenceTest, LazyClearingMatchesBroadcastReference) {
   }
 }
 
+TEST(MarketSimEquivalenceTest, EveryConfigValidates) {
+  for (int variant = 0; variant < kNumConfigs; ++variant) {
+    EXPECT_TRUE(MakeConfig(variant).Validate().ok()) << "config " << variant;
+  }
+}
+
 TEST(MarketSimEquivalenceTest, CapacityEstimatesArePinned) {
   // The seed-42 two-class federations at 500 ms, mix 2:1, as the benches
   // build them. The broadcast market gave exactly these values.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "market/qa_nt.h"
 #include "util/vtime.h"
 
@@ -306,6 +310,53 @@ TEST(QaNtAgentTest, SetPricesOverrides) {
   agent.BeginPeriod();
   // q1 now denser (10/400 > 1/100): supply shifts to q1.
   EXPECT_GE(agent.planned_supply()[0], 1);
+}
+
+TEST(QaNtConfigTest, FloorAboveCapIsRejected) {
+  // Unchecked, this config starts the agent at the cap (3), the period-end
+  // floor clamp lifts the price to 5 and the next decline drops it to 3.
+  QaNtConfig config;
+  config.price_floor = 5.0;
+  config.price_cap = 3.0;
+  util::Status status = config.Validate();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("price_floor"), std::string::npos)
+      << status;
+  config.price_floor = 3.0;  // a floor equal to the cap pins every price
+  EXPECT_TRUE(config.Validate().ok()) << config.Validate();
+}
+
+TEST(QaNtConfigTest, EachOutOfRangeFieldIsNamed) {
+  EXPECT_TRUE(QaNtConfig().Validate().ok());
+  struct Case {
+    const char* field;
+    void (*set)(QaNtConfig&);
+  };
+  const Case cases[] = {
+      {"lambda", [](QaNtConfig& c) { c.lambda = -0.1; }},
+      {"lambda", [](QaNtConfig& c) { c.lambda = std::nan(""); }},
+      {"initial_price", [](QaNtConfig& c) { c.initial_price = -1.0; }},
+      {"price_floor", [](QaNtConfig& c) { c.price_floor = -1e-6; }},
+      {"price_cap",
+       [](QaNtConfig& c) {
+         c.price_cap = std::numeric_limits<double>::infinity();
+       }},
+      {"activation_threshold",
+       [](QaNtConfig& c) { c.activation_threshold = -2.0; }},
+      {"supply_density_tolerance",
+       [](QaNtConfig& c) { c.supply_density_tolerance = 1.5; }},
+      {"supply_density_tolerance",
+       [](QaNtConfig& c) { c.supply_density_tolerance = -0.5; }},
+      {"max_leftover_decay_units",
+       [](QaNtConfig& c) { c.max_leftover_decay_units = -1; }},
+  };
+  for (const Case& c : cases) {
+    QaNtConfig config;
+    c.set(config);
+    util::Status status = config.Validate();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(status.message().find(c.field), std::string::npos) << status;
+  }
 }
 
 }  // namespace

@@ -423,6 +423,12 @@ TEST(QaNtEquivalenceTest, SparseRolloverMatchesDenseReference) {
   EXPECT_GT(counts.to_fixed_point, 20);
 }
 
+TEST(QaNtEquivalenceTest, EveryConfigValidates) {
+  for (int variant = 0; variant < kNumConfigs; ++variant) {
+    EXPECT_TRUE(MakeConfig(variant).Validate().ok()) << "config " << variant;
+  }
+}
+
 TEST(QaNtEquivalenceTest, RolloverMakesNoHeapAllocation) {
   std::vector<util::VDuration> costs(100, kCannot);
   for (int k = 0; k < 100; k += 9) costs[static_cast<size_t>(k)] = 200 + k;

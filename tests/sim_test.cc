@@ -11,6 +11,7 @@
 #include "sim/metrics_json.h"
 #include "sim/node.h"
 #include "sim/scenario.h"
+#include "sim/shard.h"
 #include "util/rng.h"
 #include "workload/uniform.h"
 
@@ -355,7 +356,7 @@ TEST(AccountingTest, ValidateAccountingNamesEachBrokenIdentity) {
 
 TEST(NodePoolTest, SerialExecutionAccounting) {
   NodePool pool;
-  pool.Init(/*num_nodes=*/1, /*shards=*/1, /*shard_of=*/{0});
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
 
   QueryTask t1;
   t1.query_id = 1;
@@ -396,9 +397,19 @@ TEST(NodePoolTest, SerialExecutionAccounting) {
   EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t4)));
 }
 
+/// A node the id hash places on another lane than node 0.
+catalog::NodeId NodeApartFromZero(const NodePool& pool) {
+  for (catalog::NodeId j = 1; j < pool.num_nodes(); ++j) {
+    if (pool.shard_of(j) != pool.shard_of(0)) return j;
+  }
+  return -1;
+}
+
 TEST(NodePoolTest, ShippedSlotsAreLinkedNotCopiedAndDiscardFreesThem) {
   NodePool pool;
-  pool.Init(/*num_nodes=*/2, /*shards=*/2, /*shard_of=*/{0, 1});
+  pool.Init(/*num_nodes=*/8, /*shards=*/2);
+  catalog::NodeId apart = NodeApartFromZero(pool);
+  ASSERT_GE(apart, 0);
   QueryTask t;
   t.query_id = 1;
   t.exec_time = 100 * kMillisecond;
@@ -415,8 +426,113 @@ TEST(NodePoolTest, ShippedSlotsAreLinkedNotCopiedAndDiscardFreesThem) {
   EXPECT_EQ(pool.QueueLength(0), 0);
   t.query_id = 3;
   EXPECT_EQ(pool.Ship(0, t), shed);
-  // Node 1's lane has its own arena.
-  EXPECT_EQ(pool.Ship(1, t), 0);
+  // The other lane has its own arena.
+  EXPECT_EQ(pool.Ship(apart, t), 0);
+}
+
+TEST(NodePoolTest, LanesPartitionNodesByTheIdHash) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/64, /*shards=*/4);
+  EXPECT_EQ(pool.shards(), 4);
+  for (catalog::NodeId j = 0; j < pool.num_nodes(); ++j) {
+    EXPECT_EQ(pool.shard_of(j), HashShard(j, 4));
+  }
+  // A lane count below one runs as one lane.
+  pool.Init(/*num_nodes=*/3, /*shards=*/0);
+  EXPECT_EQ(pool.shards(), 1);
+  EXPECT_EQ(pool.shard_of(2), 0);
+}
+
+TEST(NodePoolTest, RunningTaskKeepsItsSlotUntilCompleteCurrent) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
+  QueryTask t;
+  t.query_id = 1;
+  t.exec_time = 100 * kMillisecond;
+  int32_t running = pool.Ship(0, t);
+  ASSERT_TRUE(pool.Enqueue(0, running));
+  pool.BeginNext(0, 0);
+  // Shipments while the task runs never take its slot.
+  t.query_id = 2;
+  int32_t queued = pool.Ship(0, t);
+  EXPECT_NE(queued, running);
+  EXPECT_FALSE(pool.Enqueue(0, queued));
+  t.query_id = 3;
+  int32_t shed = pool.Ship(0, t);
+  EXPECT_NE(shed, running);
+  pool.Discard(0, shed);
+  EXPECT_EQ(pool.Running(0).query_id, 1);
+  // Completion frees the slot, and the next shipment reuses it.
+  EXPECT_TRUE(pool.CompleteCurrent(0, 100 * kMillisecond));
+  EXPECT_EQ(pool.Ship(0, t), running);
+}
+
+TEST(NodePoolTest, CrashReturnsTheRunningTaskFirstAndFreesEverySlot) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
+  std::vector<int32_t> shipped;
+  for (int q = 1; q <= 3; ++q) {
+    QueryTask t;
+    t.query_id = q;
+    t.exec_time = 100 * kMillisecond;
+    shipped.push_back(pool.Ship(0, t));
+    pool.Enqueue(0, shipped.back());
+  }
+  pool.BeginNext(0, 0);
+  std::vector<QueryTask> lost;
+  pool.Crash(0, 30 * kMillisecond, &lost);
+  ASSERT_EQ(lost.size(), 3u);
+  EXPECT_EQ(lost[0].query_id, 1);  // the running task first
+  EXPECT_EQ(lost[1].query_id, 2);
+  EXPECT_EQ(lost[2].query_id, 3);
+  // The next three shipments reuse exactly the freed slots, the running
+  // one included; only a fourth grows the arena.
+  std::vector<int32_t> reused;
+  for (int i = 0; i < 3; ++i) reused.push_back(pool.Ship(0, QueryTask()));
+  std::sort(shipped.begin(), shipped.end());
+  std::sort(reused.begin(), reused.end());
+  EXPECT_EQ(reused, shipped);
+  EXPECT_EQ(pool.Ship(0, QueryTask()), 3);
+}
+
+TEST(NodePoolTest, EvictWorseQueuedNeverEvictsTheRunningTask) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
+  const std::vector<double> class_cost = {1.0, 9.0};
+  QueryTask expensive;
+  expensive.query_id = 1;
+  expensive.class_id = 1;
+  expensive.exec_time = 100 * kMillisecond;
+  QueryTask cheap = expensive;
+  cheap.query_id = 2;
+  cheap.class_id = 0;
+  pool.Enqueue(0, pool.Ship(0, expensive));
+  pool.BeginNext(0, 0);
+  pool.Enqueue(0, pool.Ship(0, cheap));
+  QueryTask victim;
+  ASSERT_TRUE(pool.EvictWorseQueued(0, class_cost, 0.5, &victim));
+  EXPECT_EQ(victim.query_id, 2);  // the queued task, though cheaper
+  EXPECT_EQ(pool.QueueLength(0), 0);
+  // Only the running task is left, and it is never a victim.
+  EXPECT_FALSE(pool.EvictWorseQueued(0, class_cost, 0.5, &victim));
+  EXPECT_EQ(pool.Running(0).query_id, 1);
+}
+
+TEST(NodePoolTest, BacklogCountsTheRunningTasksRemainder) {
+  NodePool pool;
+  pool.Init(/*num_nodes=*/1, /*shards=*/1);
+  QueryTask t;
+  t.exec_time = 100 * kMillisecond;
+  pool.Enqueue(0, pool.Ship(0, t));
+  pool.BeginNext(0, 0);
+  t.exec_time = 50 * kMillisecond;
+  pool.Enqueue(0, pool.Ship(0, t));
+  // 70 ms left of the running task plus the queued 50 ms.
+  EXPECT_EQ(pool.Backlog(0, 30 * kMillisecond), 120 * kMillisecond);
+  // Past its end the running task adds nothing.
+  EXPECT_EQ(pool.Backlog(0, 100 * kMillisecond), 50 * kMillisecond);
+  pool.CompleteCurrent(0, 100 * kMillisecond);
+  EXPECT_EQ(pool.Backlog(0, 100 * kMillisecond), 50 * kMillisecond);
 }
 
 // ------------------------------------------------------------ Federation
@@ -576,6 +692,19 @@ TEST_F(FederationTest, InfeasibleQueriesDroppedAfterRetries) {
   SimMetrics m = fed.Run(MakeTrace(2, 0, 0));
   EXPECT_EQ(m.completed, 0);
   EXPECT_EQ(m.dropped, 2);
+}
+
+using FederationDeathTest = FederationTest;
+
+TEST_F(FederationDeathTest, SecondRunAborts) {
+  auto model = BuildFig1CostModel();
+  allocation::AllocatorParams params;
+  params.cost_model = model.get();
+  auto alloc = allocation::CreateAllocator("Greedy", params);
+  Federation fed(model.get(), alloc.get(), FederationConfig());
+  workload::Trace trace = MakeTrace(3, 1 * kSecond, 0);
+  EXPECT_EQ(fed.Run(trace).completed, 3);
+  EXPECT_DEATH(fed.Run(trace), "FATAL: Federation::Run called twice");
 }
 
 TEST_F(FederationTest, DeterministicAcrossRuns) {

@@ -1127,7 +1127,7 @@ class ShardPass {
         "admission_load_", "admission_",       "admission_probe_",
         "next_query_id_",  "ticks_",           "watchdogs_",
         "market_probe_",   "alloc_probe_seq_", "tick_probe_seq_",
-        "cost_cache_",     "allocator_"};
+        "ran_",            "allocator_"};
     static const std::set<std::string> kQaNtChunkBanned = {
         "total_messages_", "arrival_seq_", "metrics_", "cluster_market_"};
     const FileModel& fm = files_[n.first];
