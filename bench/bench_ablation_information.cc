@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
     params.seed = seed;
     return allocation::CreateAllocator("QA-NT", params);
   });
-  add("Greedy (informed)", "all fresh backlogs", [seed]() {
-    return std::make_unique<allocation::GreedyAllocator>(seed);
+  add("Greedy (informed)", "all fresh backlogs", []() {
+    return std::make_unique<allocation::GreedyAllocator>();
   });
 
   bench::Telemetry telemetry(args, "Ablation: load information");

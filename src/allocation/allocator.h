@@ -24,9 +24,9 @@ inline constexpr catalog::NodeId kNoNode = -1;
 ///
 /// Which parts a mechanism actually touches is the autonomy story of
 /// Table 2: QA-NT only uses the cost model entries of the *offering* nodes
-/// (public information exchanged in the offers), whereas Greedy/BNQRD/
-/// two-probes read NodeBacklog — internal node state that a truly
-/// autonomous node would not disclose.
+/// (public information exchanged in the offers), whereas Greedy and
+/// two-probes read NodeBacklog and BNQRD reads NodeCumulativeWork —
+/// internal node state that a truly autonomous node would not disclose.
 class AllocationContext {
  public:
   virtual ~AllocationContext() = default;
@@ -36,13 +36,11 @@ class AllocationContext {
   /// Total remaining execution time queued at `node` (its backlog), in
   /// microseconds. Disclosing this violates node autonomy.
   virtual util::VDuration NodeBacklog(catalog::NodeId node) const = 0;
-  /// Outstanding work queued at `node` in node-independent units (the sum
-  /// of each queued query's best-case cost over all nodes).
-  virtual double NodeQueuedWork(catalog::NodeId node) const = 0;
-  /// Cumulative work ever assigned to `node`, in the same units. This is
-  /// the "CPU and I/O usage" notion BNQRD's unbalance factor spreads
-  /// evenly — blind to how fast the node drains it. Autonomy-violating
-  /// (central usage collection).
+  /// Cumulative work ever assigned to `node`, in node-independent units
+  /// (the sum of each assigned query's best-case cost over all nodes).
+  /// This is the "CPU and I/O usage" notion BNQRD's unbalance factor
+  /// spreads evenly — blind to how fast the node drains it.
+  /// Autonomy-violating (central usage collection).
   virtual double NodeCumulativeWork(catalog::NodeId node) const = 0;
   virtual util::VTime now() const = 0;
   /// Whether `node` is currently reachable. Mechanisms that negotiate or
@@ -81,12 +79,12 @@ struct MechanismProperties {
   bool conflicts_with_query_optimization = false;
   bool respects_autonomy = false;
   /// Whether Allocate reads live node execution state from the context
-  /// (NodeBacklog / NodeQueuedWork / NodeCumulativeWork). This is the
-  /// autonomy story of Table 2 made operational for the sharded simulator:
-  /// a mechanism that probes internal node state needs that state current
-  /// at every allocation, which forces the mediator to synchronize with
-  /// the node lanes at zero lookahead — so the federation drains every
-  /// lane behind a fence before each mediator event. Autonomy-respecting
+  /// (NodeBacklog / NodeCumulativeWork). This is the autonomy story of
+  /// Table 2 made operational for the sharded simulator: a mechanism that
+  /// probes internal node state needs that state current at every
+  /// allocation, which forces the mediator to synchronize with the node
+  /// lanes at zero lookahead — so the federation drains every lane behind
+  /// a fence before each mediator event. Autonomy-respecting
   /// mechanisms (QA-NT) and blind ones (Random, RoundRobin) never read it,
   /// so their lanes run ahead to the next market tick.
   bool reads_node_state = false;
@@ -157,19 +155,14 @@ class Allocator {
   /// Introspection for the telemetry layer: what this mechanism can show
   /// of its internal market state. QA-NT overrides this with the full
   /// per-agent private price/supply vectors; the default (all baselines)
-  /// reports the mechanism name and cumulative probe/message spend.
+  /// reports the mechanism name only. Message spend is not kept here: the
+  /// federation sums AllocationDecision::messages into SimMetrics.
   /// Called off the allocation fast path (market-period cadence).
   virtual obs::AllocatorSnapshot Snapshot() const {
     obs::AllocatorSnapshot snapshot;
     snapshot.mechanism = name();
-    snapshot.probe_messages = total_messages_;
     return snapshot;
   }
-
- protected:
-  /// Implementations add every AllocationDecision::messages here so
-  /// Snapshot() can report cumulative message spend.
-  int64_t total_messages_ = 0;
 };
 
 }  // namespace qa::allocation

@@ -43,7 +43,6 @@ AllocationDecision RandomAllocator::Allocate(
   decision.node = nodes[static_cast<size_t>(
       rng_.UniformInt(0, static_cast<int64_t>(nodes.size()) - 1))];
   decision.messages = 1;  // send the query to the chosen node
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -69,7 +68,6 @@ AllocationDecision RoundRobinAllocator::Allocate(
   decision.node = nodes[next_index_[k] % nodes.size()];
   next_index_[k] = (next_index_[k] + 1) % nodes.size();
   decision.messages = 1;
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -98,10 +96,6 @@ AllocationDecision GreedyAllocator::Allocate(
     double completion =
         static_cast<double>(context.NodeBacklog(j)) +
         static_cast<double>(context.cost_model().Cost(arrival.class_id, j));
-    if (randomization_ > 0.0) {
-      completion *=
-          rng_.UniformReal(1.0 - randomization_, 1.0 + randomization_);
-    }
     if (completion < best_completion) {
       best_completion = completion;
       decision.node = j;
@@ -109,7 +103,6 @@ AllocationDecision GreedyAllocator::Allocate(
   }
   // One probe round-trip per feasible node plus the final assignment.
   decision.messages = 2 * static_cast<int>(nodes.size()) + 1;
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -147,7 +140,6 @@ AllocationDecision BlindGreedyAllocator::Allocate(
   }
   // One estimate round-trip per feasible node plus the final assignment.
   decision.messages = 2 * static_cast<int>(nodes.size()) + 1;
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -186,7 +178,6 @@ AllocationDecision TwoRandomProbesAllocator::Allocate(
   if (nodes.size() == 1) {
     decision.node = nodes[0];
     decision.messages = 1;
-    total_messages_ += decision.messages;
     return decision;
   }
   int n = static_cast<int>(nodes.size());
@@ -198,7 +189,6 @@ AllocationDecision TwoRandomProbesAllocator::Allocate(
                       ? a
                       : b;
   decision.messages = 2 * 2 + 1;  // two probe round-trips + assignment
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -238,7 +228,6 @@ AllocationDecision BnqrdAllocator::Allocate(
   // Every node periodically reports its load to the coordinator; charge
   // one report per feasible node plus the assignment message.
   decision.messages = static_cast<int>(nodes.size()) + 1;
-  total_messages_ += decision.messages;
   return decision;
 }
 
@@ -282,7 +271,6 @@ AllocationDecision LeastImbalanceAllocator::Allocate(
     }
   }
   decision.messages = 2 * context.num_nodes() + 1;
-  total_messages_ += decision.messages;
   return decision;
 }
 

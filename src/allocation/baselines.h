@@ -44,14 +44,13 @@ class RoundRobinAllocator : public Allocator {
 
 /// Greedy (§4): "immediately assign queries to server nodes that can
 /// evaluate them in the least time" — the node with the smallest estimated
-/// *completion* time (current backlog + execution estimate), optionally
-/// perturbed by randomization (the paper: "a small amount of randomization
-/// may also be used to further improve performance"). Violates node
-/// autonomy: clients unilaterally assign queries and read node backlogs.
+/// *completion* time (current backlog + execution estimate). The paper
+/// allows "a small amount of randomization" on top; no experiment here
+/// uses it, so the choice is deterministic. Violates node autonomy:
+/// clients unilaterally assign queries and read node backlogs.
 class GreedyAllocator : public Allocator {
  public:
-  GreedyAllocator(uint64_t seed, double randomization = 0.0)
-      : rng_(seed), randomization_(randomization) {}
+  GreedyAllocator() = default;
 
   std::string name() const override { return "Greedy"; }
   MechanismProperties properties() const override;
@@ -59,8 +58,6 @@ class GreedyAllocator : public Allocator {
                               const AllocationContext& context) override;
 
  private:
-  util::Rng rng_;
-  double randomization_;
   CandidateIndex candidates_;
 };
 
@@ -71,6 +68,10 @@ class GreedyAllocator : public Allocator {
 /// capacity unless heavily randomized (see bench_ablation_information).
 class BlindGreedyAllocator : public Allocator {
  public:
+  /// Execution-time estimates are perturbed by +/- `randomization` so load
+  /// spreads over near-fastest nodes. The default minimizes GreedyBlind's
+  /// own response time in the Fig. 4 conditions (swept in
+  /// bench_ablation_information): the baseline gets its best setting.
   BlindGreedyAllocator(uint64_t seed, double randomization = 1.0)
       : rng_(seed), randomization_(randomization) {}
 

@@ -14,11 +14,10 @@ std::unique_ptr<Allocator> CreateAllocator(const std::string& name,
         params.seed, params.cluster_plan);
   }
   if (name == "Greedy") {
-    return std::make_unique<GreedyAllocator>(params.seed);
+    return std::make_unique<GreedyAllocator>();
   }
   if (name == "GreedyBlind") {
-    return std::make_unique<BlindGreedyAllocator>(
-        params.seed, params.greedy_randomization);
+    return std::make_unique<BlindGreedyAllocator>(params.seed);
   }
   if (name == "Random") {
     return std::make_unique<RandomAllocator>(params.seed);

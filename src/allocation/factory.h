@@ -24,13 +24,6 @@ struct AllocatorParams {
   /// Hierarchical two-tier market plan (QA-NT only). Disabled = flat.
   ClusterPlan cluster_plan;
   uint64_t seed = 1;
-  /// GreedyBlind randomization fraction: execution-time estimates are
-  /// perturbed by +/- this fraction so load spreads over near-fastest
-  /// nodes instead of piling on one node. The default is the value that
-  /// minimizes GreedyBlind's own response time in the Fig. 4 conditions
-  /// (swept in bench_ablation_information) — the baseline gets its best
-  /// setting.
-  double greedy_randomization = 1.0;
 };
 
 /// Creates an allocator by name: "QA-NT", "Greedy", "Random", "RoundRobin",

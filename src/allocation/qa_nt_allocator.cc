@@ -159,7 +159,6 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
     if (decision.cluster < 0) {
       // No solicited cluster can evaluate this class at all; the client
       // resubmits next period, like an all-decline member auction.
-      total_messages_ += decision.messages;
       return decision;
     }
     universe = &cluster_market_->member_candidates(decision.cluster);
@@ -172,7 +171,6 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
   decision.node = ScanAndSettle(context, k, &asked);
   // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
-  total_messages_ += decision.messages;
   if (decision.cluster >= 0) {
     market::ClusterSupplyAgent& seat = cluster_market_->agent(decision.cluster);
     if (decision.node == kNoNode) {
@@ -242,7 +240,6 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
 obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
   obs::AllocatorSnapshot snapshot;
   snapshot.mechanism = name();
-  snapshot.probe_messages = total_messages_;
   for (const auto& agent : agents_) {
     if (agent == nullptr) continue;  // never contacted: no market state yet
     obs::AgentStateSnapshot state;
@@ -271,17 +268,9 @@ obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
       const market::ClusterSupplyAgent& seat = cluster_market_->agent(c);
       obs::ClusterStateSnapshot state;
       state.cluster = c;
-      state.members = static_cast<int>(
-          cluster_market_->plan().clusters[static_cast<size_t>(c)].size());
       state.published = seat.published().values();
       state.remaining = seat.remaining().values();
       state.sold = seat.sold();
-      const market::ClusterSupplyStats& stats = seat.stats();
-      state.publishes = stats.publishes;
-      state.top_requests = stats.top_requests;
-      state.top_offers = stats.top_offers;
-      state.top_declines = stats.top_declines;
-      state.exhausted_marks = stats.exhausted_marks;
       snapshot.clusters.push_back(std::move(state));
     }
   }

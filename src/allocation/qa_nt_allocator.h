@@ -102,7 +102,6 @@ class QaNtAllocator : public Allocator {
   }
 
   int num_nodes() const { return static_cast<int>(agents_.size()); }
-  const SolicitationConfig& solicitation() const { return solicitation_; }
   /// Accessing an agent instantiates it (caught up to the market tick) if
   /// no solicitation has reached it yet.
   const market::QaNtAgent& agent(catalog::NodeId node) const {

@@ -143,7 +143,6 @@ class QaNtAgent {
   const QuantityVector& planned_supply() const { return planned_supply_; }
   /// Remaining (not yet accepted) part of the planned supply.
   const QuantityVector& remaining_supply() const { return remaining_supply_; }
-  const CapacitySupplySet& supply_set() const { return supply_set_; }
   const QaNtAgentStats& stats() const { return stats_; }
 
   bool CanEvaluate(int k) const { return supply_set_.CanEvaluateClass(k); }

@@ -31,20 +31,14 @@ struct AgentStateSnapshot {
 
 /// One cluster's seat at the hierarchical top market at snapshot time:
 /// the aggregate supply its sub-mediator last published, the ledger's
-/// remaining estimate, cumulative units sold through the cluster, and the
-/// seat's top-tier trading counters. Only *activated* clusters (ever
-/// solicited by the top tier) appear in snapshots.
+/// remaining estimate and cumulative units sold through the cluster — the
+/// per-class series a trace's `cluster` records carry. Only *activated*
+/// clusters (ever solicited by the top tier) appear in snapshots.
 struct ClusterStateSnapshot {
   int cluster = -1;
-  int members = 0;
   std::vector<int64_t> published;  // per query class
   std::vector<int64_t> remaining;  // per query class
   std::vector<int64_t> sold;       // per query class, cumulative
-  int64_t publishes = 0;
-  int64_t top_requests = 0;
-  int64_t top_offers = 0;
-  int64_t top_declines = 0;
-  int64_t exhausted_marks = 0;
 };
 
 /// What Allocator::Snapshot() exposes for telemetry. Mechanisms fill the
@@ -54,15 +48,14 @@ struct ClusterStateSnapshot {
 ///   - hierarchical QA-NT additionally: one ClusterStateSnapshot per
 ///     activated cluster (the top tier's per-tier view);
 ///   - the tâtonnement reference: umpire prices and excess demand;
-///   - baselines: probe/message counts only.
+///   - baselines: the mechanism name only (message spend is
+///     sim::SimMetrics::messages).
 struct AllocatorSnapshot {
   std::string mechanism;
   std::vector<AgentStateSnapshot> agents;
   std::vector<ClusterStateSnapshot> clusters;
   std::vector<double> umpire_prices;   // per query class
   std::vector<double> excess_demand;   // per query class
-  /// Cumulative messages the mechanism has charged for its decisions.
-  int64_t probe_messages = 0;
 
   bool has_agents() const { return !agents.empty(); }
   bool has_umpire() const { return !umpire_prices.empty(); }

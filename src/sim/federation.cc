@@ -23,21 +23,6 @@ constexpr int kTicksPerPeriod = 8;
 /// Cap of the mediator's escalating retry backoff, in whole periods.
 constexpr int kMaxBackoffPeriods = 4;
 
-/// The client's pending query behind a task: original arrival time (a
-/// loss inflates the response time, which is the point) and retry count;
-/// a task is past the admission gate by construction.
-SimEvent::Pending PendingOf(const QueryTask& task) {
-  SimEvent::Pending pending;
-  pending.arrival.time = task.arrival;
-  pending.arrival.class_id = task.class_id;
-  pending.arrival.origin = task.origin;
-  pending.arrival.cost_jitter = task.cost_jitter;
-  pending.id = task.query_id;
-  pending.attempts = task.attempts;
-  pending.admitted = true;
-  return pending;
-}
-
 }  // namespace
 
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
@@ -545,7 +530,7 @@ bool Federation::NodeOnline(catalog::NodeId node) const {
   return true;
 }
 
-void Federation::HandleQuery(SimEvent::Pending pending) {
+void Federation::HandleQuery(PendingQuery pending) {
   QA_OBS(config_.recorder) {
     if (pending.attempts == 0) {
       obs::EventRecord event;
@@ -589,22 +574,10 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       return;
     }
     if (fate == AdmissionController::Decision::kDefer) {
-      ++pending.attempts;
-      if (pending.attempts > config_.max_retries) {
-        DropQuery(pending, /*expired=*/false, MediatorSink());
-        return;
+      if (SpendRetry(&pending, /*admission=*/true)) {
+        events_.Schedule(NextMarketTick(events_.now()), NextMediatorStamp(),
+                         SimEvent::MakeArrival(pending));
       }
-      if (retry_backlog_ >= config_.max_retry_backlog) {
-        ShedQuery(pending, /*node_id=*/-1, /*admission=*/true,
-                  MediatorSink());
-        return;
-      }
-      ++retry_backlog_;
-      ++metrics_.retries;
-      ++metrics_.retries_per_class[static_cast<size_t>(
-          pending.arrival.class_id)];
-      events_.Schedule(NextMarketTick(events_.now()), NextMediatorStamp(),
-                       SimEvent::MakeArrival(pending));
       return;
     }
     pending.admitted = true;
@@ -682,23 +655,7 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       watchdogs_->ObserveRejectSojourn(pending.arrival.class_id,
                                        events_.now() - pending.arrival.time);
     }
-    ++pending.attempts;
-    if (pending.attempts > config_.max_retries) {
-      DropQuery(pending, /*expired=*/false, MediatorSink());
-      return;
-    }
-    // Bounded retry backlog: the escalating backoff below caps each
-    // query's *delay*, but only this bound caps how many queries can sit
-    // backed off at once — past it, overflow is shed instead of queued,
-    // so a long outage costs O(bound) retry state, not O(arrivals).
-    if (retry_backlog_ >= config_.max_retry_backlog) {
-      ShedQuery(pending, /*node_id=*/-1, /*admission=*/false, MediatorSink());
-      return;
-    }
-    ++retry_backlog_;
-    ++metrics_.retries;
-    ++metrics_.retries_per_class[static_cast<size_t>(
-        pending.arrival.class_id)];
+    if (!SpendRetry(&pending, /*admission=*/false)) return;
     QA_OBS(config_.recorder) {
       obs::EventRecord event;
       event.kind = obs::EventRecord::Kind::kReject;
@@ -751,20 +708,13 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     event.attempts = pending.attempts;
     EmitRecord(event);
   }
-  QueryTask task;
-  task.query_id = pending.id;
-  task.class_id = pending.arrival.class_id;
-  task.origin = pending.arrival.origin;
-  task.arrival = pending.arrival.time;
   util::VDuration base =
       cost_model_->Cost(pending.arrival.class_id, decision.node);
-  task.exec_time = std::max<util::VDuration>(
+  util::VDuration exec_time = std::max<util::VDuration>(
       static_cast<util::VDuration>(static_cast<double>(base) *
                                    pending.arrival.cost_jitter),
       1);
-  task.work_units = best_cost_[static_cast<size_t>(task.class_id)];
-  task.attempts = pending.attempts;
-  task.cost_jitter = pending.arrival.cost_jitter;
+  const QueryTask task{pending, exec_time};
 
   // The shipment hop draws its own fate under an active link fault: a
   // dropped shipment loses the (already accepted) query in flight; the
@@ -793,6 +743,26 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
       LaneEvent::MakeDeliver(decision.node, pool_.Ship(decision.node, task)));
 }
 
+bool Federation::SpendRetry(PendingQuery* query, bool admission) {
+  ++query->attempts;
+  if (query->attempts > config_.max_retries) {
+    DropQuery(*query, /*expired=*/false, MediatorSink());
+    return false;
+  }
+  // Bounded retry backlog: the escalating backoff caps each query's
+  // *delay*, but only this bound caps how many queries can sit backed off
+  // at once — past it, overflow is shed instead of queued, so a long
+  // outage costs O(bound) retry state, not O(arrivals).
+  if (retry_backlog_ >= config_.max_retry_backlog) {
+    ShedQuery(*query, /*node_id=*/-1, admission, MediatorSink());
+    return false;
+  }
+  ++retry_backlog_;
+  ++metrics_.retries;
+  ++metrics_.retries_per_class[static_cast<size_t>(query->arrival.class_id)];
+  return true;
+}
+
 void Federation::RecordFate(const obs::EventRecord& record, Sink sink) {
   QA_OBS(config_.recorder) {
     if (sink.merge) {
@@ -803,7 +773,7 @@ void Federation::RecordFate(const obs::EventRecord& record, Sink sink) {
   }
 }
 
-void Federation::CountDrop(const SimEvent::Pending& query, Sink sink) {
+void Federation::CountDrop(const PendingQuery& query, Sink sink) {
   ++metrics_.dropped;
   ++metrics_.dropped_per_class[static_cast<size_t>(query.arrival.class_id)];
   if (query.admitted && admission_.enabled()) {
@@ -812,7 +782,7 @@ void Federation::CountDrop(const SimEvent::Pending& query, Sink sink) {
   }
 }
 
-void Federation::DropQuery(const SimEvent::Pending& query, bool expired,
+void Federation::DropQuery(const PendingQuery& query, bool expired,
                            Sink sink) {
   CountDrop(query, sink);
   if (expired) ++metrics_.expired;
@@ -827,7 +797,7 @@ void Federation::DropQuery(const SimEvent::Pending& query, bool expired,
   }
 }
 
-void Federation::ShedQuery(const SimEvent::Pending& query,
+void Federation::ShedQuery(const PendingQuery& query,
                            catalog::NodeId node_id, bool admission,
                            Sink sink) {
   ++metrics_.shed;
@@ -853,13 +823,13 @@ void Federation::LoseTask(const QueryTask& task, catalog::NodeId node_id,
     obs::EventRecord event;
     event.kind = obs::EventRecord::Kind::kLost;
     event.t_us = sink.time;
-    event.query = task.query_id;
-    event.class_id = task.class_id;
+    event.query = task.id;
+    event.class_id = task.arrival.class_id;
     event.node = node_id;
     event.attempts = task.attempts;
     RecordFate(event, sink);
   }
-  SimEvent::Pending pending = PendingOf(task);
+  PendingQuery pending = task;
   ++pending.attempts;
   // A resubmission is retry backlog like any other; past the bound the
   // client gives up instead of queueing (accounted as shed, not retried).
@@ -896,6 +866,10 @@ void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
             static_cast<double>(delivered.exec_time) / speed),
         1);
   }
+  // The class's node-independent best-case cost: its shedding priority,
+  // and the work the node's cumulative ledger is charged on enqueue.
+  const double work =
+      best_cost_[static_cast<size_t>(delivered.arrival.class_id)];
   // Bounded node queue: a delivery that would leave more than
   // max_node_queue tasks waiting sheds one task instead of growing the
   // queue. Newest-first sheds the arriving task; lowest-priority-first
@@ -906,9 +880,7 @@ void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
   if (pool_.QueueLength(node_id) >= config_.max_node_queue) {
     QueryTask victim;
     if (config_.shed_policy == ShedPolicy::kLowestPriorityFirst &&
-        pool_.EvictWorseQueued(
-            node_id, best_cost_,
-            best_cost_[static_cast<size_t>(delivered.class_id)], &victim)) {
+        pool_.EvictWorseQueued(node_id, best_cost_, work, &victim)) {
       Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, victim);
     } else {
       Emit(lane, ShardOutcome::Kind::kShed, node_id, now, stamp, delivered);
@@ -920,7 +892,7 @@ void Federation::DeliverTask(ShardLane& lane, catalog::NodeId node_id,
     Emit(lane, ShardOutcome::Kind::kDeliverRecord, node_id, now, stamp,
          delivered);
   }
-  if (pool_.Enqueue(node_id, slot)) {
+  if (pool_.Enqueue(node_id, slot, work)) {
     StartTask(node_id, now);
   }
 }
@@ -945,7 +917,7 @@ void Federation::CompleteTask(ShardLane& lane, catalog::NodeId node_id,
   // it. The node's work is already spent (wasted capacity — the real cost
   // of serving a client that gave up); the query counts as expired.
   bool late = config_.query_deadline > 0 &&
-              now - task.arrival > config_.query_deadline;
+              now - task.arrival.time > config_.query_deadline;
   // The outcome copies the task before CompleteCurrent frees its slot.
   Emit(lane,
        late ? ShardOutcome::Kind::kExpired : ShardOutcome::Kind::kComplete,
@@ -1059,17 +1031,17 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
       break;
     case ShardOutcome::Kind::kComplete:
       kind = obs::EventRecord::Kind::kComplete;
-      response_ms = util::ToMillis(outcome.time - outcome.task.arrival);
+      response_ms = util::ToMillis(outcome.time - outcome.task.arrival.time);
       metrics_.response_time_ms.Add(response_ms);
-      metrics_.completions.Add(outcome.time,
-                               static_cast<double>(outcome.task.class_id));
+      metrics_.completions.Add(
+          outcome.time, static_cast<double>(outcome.task.arrival.class_id));
       ++metrics_.completed;
       // Node-side terminations update only the exact in-flight count, not
       // the gate's view, which resyncs at the tick (see admission_load_).
       if (admission_.enabled()) --admitted_in_flight_;
       break;
     case ShardOutcome::Kind::kExpired:
-      DropQuery(PendingOf(outcome.task), /*expired=*/true, sink);
+      DropQuery(outcome.task, /*expired=*/true, sink);
       return;
     case ShardOutcome::Kind::kLost:
       LoseTask(outcome.task, outcome.node, sink, outcome.resubmit_time,
@@ -1077,19 +1049,21 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
       return;
     case ShardOutcome::Kind::kShed:
       // A bounded node queue turned the task away (or evicted it).
-      ShedQuery(PendingOf(outcome.task), outcome.node, /*admission=*/false,
-                sink);
+      ShedQuery(outcome.task, outcome.node, /*admission=*/false, sink);
       return;
   }
   // The trace record of a completion or a trace-only outcome; fields an
-  // outcome does not carry (a crash's task, a delivery's factor) hold the
-  // record's omitted defaults.
+  // outcome does not carry (a crash's or degrade's query, a delivery's
+  // factor) hold the record's omitted defaults.
   QA_OBS(config_.recorder) {
     obs::EventRecord event;
     event.kind = kind;
     event.t_us = outcome.time;
-    event.query = outcome.task.query_id;
-    event.class_id = outcome.task.class_id;
+    if (kind == obs::EventRecord::Kind::kDeliver ||
+        kind == obs::EventRecord::Kind::kComplete) {
+      event.query = outcome.task.id;
+      event.class_id = outcome.task.arrival.class_id;
+    }
     event.node = outcome.node;
     event.response_ms = response_ms;
     event.factor = outcome.factor;

@@ -136,25 +136,13 @@ struct SimEvent {
     kFault,
   };
 
-  /// Arrival payload: the pending query a mediator must (re)place.
-  struct Pending {
-    workload::Arrival arrival;
-    query::QueryId id;
-    int attempts;
-    /// True once the query passed the admission gate (or was reconstructed
-    /// from a lost task — tasks exist only past the gate). Admitted queries
-    /// skip the gate on retries: admission decides who *enters* the market,
-    /// not who may finish. Union member — every creation site must set it.
-    bool admitted;
-  };
-
   Kind kind;
   union {
-    Pending pending;    // kArrival
-    size_t transition;  // kFault: index into FaultInjector::transitions()
+    PendingQuery pending;  // kArrival: the query a mediator must (re)place
+    size_t transition;     // kFault: index into FaultInjector::transitions()
   };
 
-  static SimEvent MakeArrival(const Pending& pending) {
+  static SimEvent MakeArrival(const PendingQuery& pending) {
     return SimEvent(pending);
   }
   static SimEvent MakeMarketTick() { return SimEvent(Kind::kMarketTick, 0); }
@@ -166,7 +154,8 @@ struct SimEvent {
   // The active union member is chosen in a mem-initializer so its lifetime
   // starts in a well-defined way; all variants are trivially copyable, so
   // the implicit copy/assign/destroy of the union are trivial.
-  explicit SimEvent(const Pending& p) : kind(Kind::kArrival), pending(p) {}
+  explicit SimEvent(const PendingQuery& p)
+      : kind(Kind::kArrival), pending(p) {}
   SimEvent(Kind k, size_t t) : kind(k), transition(t) {}
 };
 // A mediator queue entry is this payload plus a 16-byte key; a field added
@@ -268,9 +257,6 @@ class Federation : public allocation::AllocationContext {
     // event, so node state is current at every allocation.
     return pool_.Backlog(node, events_.now());
   }
-  double NodeQueuedWork(catalog::NodeId node) const override {
-    return pool_.QueuedWork(node);
-  }
   double NodeCumulativeWork(catalog::NodeId node) const override {
     return pool_.CumulativeWork(node);
   }
@@ -351,7 +337,13 @@ class Federation : public allocation::AllocationContext {
   void Dispatch(const SimEvent& event);
   void DispatchShard(ShardLane& lane, const LaneEvent& event, util::VTime now,
                      uint64_t stamp);
-  void HandleQuery(SimEvent::Pending pending);
+  void HandleQuery(PendingQuery pending);
+  /// Spends one retry of `query`'s budget: bumps its attempts, then drops
+  /// it past max_retries or sheds it past max_retry_backlog (`admission`:
+  /// the admission gate turned it away), else takes a retry-backlog slot
+  /// and counts the retry. Returns whether the query is still in the
+  /// system, for the caller to reschedule.
+  bool SpendRetry(PendingQuery* query, bool admission);
   /// Links the shipment in arena slot `slot` into the node's queue (or
   /// sheds or loses it, releasing the slot).
   void DeliverTask(ShardLane& lane, catalog::NodeId node_id, int32_t slot,
@@ -380,14 +372,14 @@ class Federation : public allocation::AllocationContext {
   /// Accounts one query as shed (SimMetrics::shed ⊆ dropped, plus
   /// admission_rejects when the admission gate did it) with the schema-v4
   /// `shed` record; `node_id` names the node that turned it away, or -1.
-  void ShedQuery(const SimEvent::Pending& query, catalog::NodeId node_id,
+  void ShedQuery(const PendingQuery& query, catalog::NodeId node_id,
                  bool admission, Sink sink);
   /// Accounts one query as abandoned — retry budget exhausted, or
   /// `expired` (client deadline passed) — and emits the drop record.
-  void DropQuery(const SimEvent::Pending& query, bool expired, Sink sink);
+  void DropQuery(const PendingQuery& query, bool expired, Sink sink);
   /// The part every dropped query shares: conservation counters and the
   /// admission slot it held.
-  void CountDrop(const SimEvent::Pending& query, Sink sink);
+  void CountDrop(const PendingQuery& query, Sink sink);
   /// Writes a fate's trace record where `sink` says.
   void RecordFate(const obs::EventRecord& record, Sink sink);
 
@@ -513,7 +505,9 @@ class Federation : public allocation::AllocationContext {
   /// Tick sequence number driving the sampled tick/rollover phase probes
   /// (see obs::metrics::kTickProbeStride).
   uint64_t tick_probe_seq_ = 0;
-  /// Best-case cost per class, precomputed for work-unit accounting.
+  /// Best-case cost per class (0 for a class no node evaluates): the work
+  /// a task charges its node's cumulative ledger, the shedding and
+  /// brownout priority. The one home of that per-class fact.
   std::vector<double> best_cost_;
   /// Set by the one Run this federation may perform.
   bool ran_ = false;

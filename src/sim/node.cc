@@ -12,7 +12,6 @@ void NodePool::Init(int num_nodes, int shards) {
   shards = std::max(shards, 1);
   size_t n = static_cast<size_t>(num_nodes);
   busy_until_.assign(n, 0);
-  queued_work_.assign(n, 0.0);
   cumulative_work_.assign(n, 0.0);
   busy_time_.assign(n, 0);
   completed_.assign(n, 0);
@@ -53,10 +52,9 @@ int32_t NodePool::Ship(catalog::NodeId node, const QueryTask& task) {
   return slot;
 }
 
-bool NodePool::Enqueue(catalog::NodeId node, int32_t slot) {
+bool NodePool::Enqueue(catalog::NodeId node, int32_t slot, double work) {
   size_t i = static_cast<size_t>(node);
   Arena& arena = arenas_[static_cast<size_t>(shard_of(node))];
-  const QueryTask& task = arena.slots[static_cast<size_t>(slot)].task;
   arena.slots[static_cast<size_t>(slot)].next = -1;
   if (queue_tail_[i] >= 0) {
     arena.slots[static_cast<size_t>(queue_tail_[i])].next = slot;
@@ -65,8 +63,7 @@ bool NodePool::Enqueue(catalog::NodeId node, int32_t slot) {
   }
   queue_tail_[i] = slot;
   ++queue_len_[i];
-  queued_work_[i] += task.work_units;
-  cumulative_work_[i] += task.work_units;
+  cumulative_work_[i] += work;
   // Start immediately only when the executor is idle and this is the only
   // queued task (a caller that has not yet called BeginNext for an earlier
   // enqueue must not be told to start twice).
@@ -91,8 +88,6 @@ const QueryTask& NodePool::BeginNext(catalog::NodeId node, util::VTime now) {
 bool NodePool::CompleteCurrent(catalog::NodeId node, util::VTime now) {
   size_t i = static_cast<size_t>(node);
   assert(running_slot_[i] >= 0);
-  queued_work_[i] -= Running(node).work_units;
-  if (queued_work_[i] < 0.0) queued_work_[i] = 0.0;
   ReleaseSlot(shard_of(node), running_slot_[i]);
   running_slot_[i] = -1;
   ++completed_[i];
@@ -123,7 +118,6 @@ void NodePool::Crash(catalog::NodeId node, util::VTime now,
   queue_head_[i] = -1;
   queue_tail_[i] = -1;
   queue_len_[i] = 0;
-  queued_work_[i] = 0.0;
   last_idle_[i] = now;
   ++epoch_[i];
 }
@@ -141,7 +135,7 @@ bool NodePool::EvictWorseQueued(catalog::NodeId node,
   for (int32_t slot = queue_head_[i]; slot >= 0;
        prev = slot, slot = arena.slots[static_cast<size_t>(slot)].next) {
     const QueryTask& task = arena.slots[static_cast<size_t>(slot)].task;
-    double cost = class_cost[static_cast<size_t>(task.class_id)];
+    double cost = class_cost[static_cast<size_t>(task.arrival.class_id)];
     // `>=` so the newest among equally expensive queued tasks loses;
     // strictly `>` against the incoming cost (seeded via best_cost).
     if (cost > incoming_cost && cost >= best_cost) {
@@ -161,10 +155,6 @@ bool NodePool::EvictWorseQueued(catalog::NodeId node,
   if (queue_tail_[i] == best) queue_tail_[i] = best_prev;
   ReleaseSlot(shard, best);
   --queue_len_[i];
-  queued_work_[i] -= victim->work_units;
-  if (queued_work_[i] < 0.0) queued_work_[i] = 0.0;
-  // cumulative_work_ deliberately keeps the shed task's units, matching
-  // Crash(): it tracks work ever assigned here, not work retained.
   return true;
 }
 

@@ -7,32 +7,44 @@
 #include "catalog/catalog.h"
 #include "query/query.h"
 #include "util/vtime.h"
+#include "workload/trace.h"
 
 namespace qa::sim {
 
-/// A query waiting at or running on a node.
-struct QueryTask {
-  query::QueryId query_id = -1;
-  query::QueryClassId class_id = -1;
-  catalog::NodeId origin = -1;
-  /// First arrival into the system (response time is measured from here).
-  util::VTime arrival = 0;
-  /// Actual execution time on the node this task was assigned to.
-  util::VDuration exec_time = 0;
-  /// Node-independent work units (best-case cost), for BNQRD bookkeeping.
-  double work_units = 0.0;
+/// A query in the federation, from its arrival at the client's mediator
+/// until it completes or is dropped: the payload of an arrival event, and
+/// the record every QueryTask extends.
+struct PendingQuery {
+  /// The client's arrival: original arrival time (response time is
+  /// measured from here, so a retry or a loss inflates it), class, origin
+  /// and the execution-time jitter drawn for this query, which a
+  /// resubmitted query keeps so it re-prices deterministically.
+  workload::Arrival arrival;
+  query::QueryId id = -1;
   /// Allocation attempts spent so far; carried on the task so a query lost
-  /// to a fault can be resubmitted with its retry budget intact.
+  /// to a fault is resubmitted with its retry budget intact.
   int attempts = 0;
-  /// The per-query execution-time jitter drawn at first allocation, kept so
-  /// a resubmitted query re-prices deterministically.
-  double cost_jitter = 1.0;
+  /// True once the query passed the admission gate. Admitted queries skip
+  /// the gate on retries: admission decides who *enters* the market, not
+  /// who may finish.
+  bool admitted = false;
 };
+
+/// A query waiting at or running on a node: the pending query plus the
+/// execution time fixed at allocation on the node it was assigned to (a
+/// degraded node stretches it on delivery).
+struct QueryTask : PendingQuery {
+  util::VDuration exec_time = 0;
+};
+// Every arena slot, lane outcome and crash loss holds one; a field added
+// here (or to PendingQuery) grows them all.
+static_assert(sizeof(QueryTask) <= 48, "QueryTask outgrew 48 bytes");
 
 /// The federation's server nodes. Each node is one autonomous RDBMS: a
 /// serial executor draining a FIFO queue of assigned queries, tracking its
-/// backlog in time units and in node-independent work units; the simulator
-/// exposes those to mechanisms that (legitimately or not) probe node load.
+/// backlog in time units and the node-independent work ever assigned to
+/// it; the simulator exposes those to mechanisms that (legitimately or
+/// not) probe node load.
 ///
 /// The layout is struct-of-arrays for the federation's hot path: every
 /// per-node field lives in a flat parallel array indexed by node id, and a
@@ -80,10 +92,12 @@ class NodePool {
   }
 
   /// Links shipped `slot` into the node's queue, without copying its
-  /// record. Returns true when the node was idle with an empty queue (the
-  /// caller should begin the task now); a caller that has not yet called
-  /// BeginNext for an earlier enqueue is not told to start twice.
-  bool Enqueue(catalog::NodeId node, int32_t slot);
+  /// record, and charges `work` (the class's node-independent best-case
+  /// cost) to the node's cumulative work. Returns true when the node was
+  /// idle with an empty queue (the caller should begin the task now); a
+  /// caller that has not yet called BeginNext for an earlier enqueue is
+  /// not told to start twice.
+  bool Enqueue(catalog::NodeId node, int32_t slot, double work);
 
   /// Unlinks the queue's head as the running task, which keeps its slot,
   /// and marks the node busy until now + task.exec_time, charging that time
@@ -112,11 +126,9 @@ class NodePool {
   /// Remaining execution time of everything assigned to the node (running
   /// task remainder + queued tasks), in microseconds.
   util::VDuration Backlog(catalog::NodeId node, util::VTime now) const;
-  /// Outstanding work in node-independent units.
-  double QueuedWork(catalog::NodeId node) const {
-    return queued_work_[static_cast<size_t>(node)];
-  }
-  /// Cumulative work ever assigned to the node, in node-independent units.
+  /// Cumulative work ever enqueued at the node, in node-independent units:
+  /// a task's units stay charged when it completes, is evicted or is lost
+  /// to a crash.
   double CumulativeWork(catalog::NodeId node) const {
     return cumulative_work_[static_cast<size_t>(node)];
   }
@@ -176,7 +188,6 @@ class NodePool {
 
   // ---- hot per-node state (parallel arrays indexed by node id) ----
   std::vector<util::VTime> busy_until_;
-  std::vector<double> queued_work_;
   std::vector<double> cumulative_work_;
   std::vector<util::VDuration> busy_time_;
   std::vector<int64_t> completed_;

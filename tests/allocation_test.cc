@@ -21,7 +21,6 @@ class FakeContext : public AllocationContext {
  public:
   FakeContext(const query::CostModel* model) : model_(model) {
     backlog_.resize(static_cast<size_t>(model->num_nodes()), 0);
-    work_.resize(static_cast<size_t>(model->num_nodes()), 0.0);
     cumulative_.resize(static_cast<size_t>(model->num_nodes()), 0.0);
   }
 
@@ -29,9 +28,6 @@ class FakeContext : public AllocationContext {
   const query::CostModel& cost_model() const override { return *model_; }
   util::VDuration NodeBacklog(catalog::NodeId node) const override {
     return backlog_[static_cast<size_t>(node)];
-  }
-  double NodeQueuedWork(catalog::NodeId node) const override {
-    return work_[static_cast<size_t>(node)];
   }
   double NodeCumulativeWork(catalog::NodeId node) const override {
     return cumulative_[static_cast<size_t>(node)];
@@ -41,9 +37,6 @@ class FakeContext : public AllocationContext {
   void SetBacklog(catalog::NodeId node, util::VDuration backlog) {
     backlog_[static_cast<size_t>(node)] = backlog;
   }
-  void SetWork(catalog::NodeId node, double work) {
-    work_[static_cast<size_t>(node)] = work;
-  }
   void SetCumulativeWork(catalog::NodeId node, double work) {
     cumulative_[static_cast<size_t>(node)] = work;
   }
@@ -51,7 +44,6 @@ class FakeContext : public AllocationContext {
  private:
   const query::CostModel* model_;
   std::vector<util::VDuration> backlog_;
-  std::vector<double> work_;
   std::vector<double> cumulative_;
 };
 
@@ -120,7 +112,7 @@ TEST(RoundRobinAllocatorTest, PerClassCursors) {
 TEST(GreedyAllocatorTest, PicksLeastCompletionTime) {
   auto model = ThreeNodeModel();
   FakeContext ctx(model.get());
-  GreedyAllocator alloc(42);
+  GreedyAllocator alloc;
   // Idle: node 0 is fastest for class 0.
   EXPECT_EQ(alloc.Allocate(MakeArrival(0), ctx).node, 0);
   // Give node 0 a big backlog: node 1 becomes best (200 < 1000+100).
@@ -155,7 +147,7 @@ TEST(BlindGreedyAllocatorTest, RandomizationSpreadsChoices) {
 TEST(GreedyAllocatorTest, MessageCostCountsProbes) {
   auto model = ThreeNodeModel();
   FakeContext ctx(model.get());
-  GreedyAllocator alloc(42);
+  GreedyAllocator alloc;
   AllocationDecision d = alloc.Allocate(MakeArrival(0), ctx);
   EXPECT_EQ(d.messages, 2 * 3 + 1);
 }
@@ -331,7 +323,7 @@ TEST(AllocatorTest, NoFeasibleNodeReturnsNoNode) {
   FakeContext ctx(model.get());
   RandomAllocator random(42);
   EXPECT_EQ(random.Allocate(MakeArrival(0), ctx).node, kNoNode);
-  GreedyAllocator greedy(42);
+  GreedyAllocator greedy;
   EXPECT_EQ(greedy.Allocate(MakeArrival(0), ctx).node, kNoNode);
   BnqrdAllocator bnqrd;
   EXPECT_EQ(bnqrd.Allocate(MakeArrival(0), ctx).node, kNoNode);
@@ -404,7 +396,7 @@ TEST(OfflineNodeTest, MechanismsRouteAroundOfflineNodes) {
   };
   auto model = ThreeNodeModel();
   OfflineContext ctx(model.get());
-  GreedyAllocator greedy(42);
+  GreedyAllocator greedy;
   EXPECT_EQ(greedy.Allocate(MakeArrival(0), ctx).node, 1);
   QaNtAllocator qa_nt(model.get(), 500 * kMillisecond);
   EXPECT_EQ(qa_nt.Allocate(MakeArrival(0), ctx).node, 1);

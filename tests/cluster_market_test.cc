@@ -278,7 +278,6 @@ class IdleContext : public AllocationContext {
   int num_nodes() const override { return model_->num_nodes(); }
   const query::CostModel& cost_model() const override { return *model_; }
   util::VDuration NodeBacklog(catalog::NodeId) const override { return 0; }
-  double NodeQueuedWork(catalog::NodeId) const override { return 0.0; }
   double NodeCumulativeWork(catalog::NodeId) const override { return 0.0; }
   util::VTime now() const override { return 0; }
 

@@ -278,30 +278,31 @@ TEST(NodePoolCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
   NodePool pool;
   pool.Init(/*num_nodes=*/1, /*shards=*/1);
   QueryTask t1;
-  t1.query_id = 1;
+  t1.id = 1;
   t1.exec_time = 100 * kMillisecond;
-  t1.work_units = 5.0;
   QueryTask t2 = t1;
-  t2.query_id = 2;
-  pool.Enqueue(0, pool.Ship(0, t1));
-  pool.Enqueue(0, pool.Ship(0, t2));
+  t2.id = 2;
+  pool.Enqueue(0, pool.Ship(0, t1), /*work=*/5.0);
+  pool.Enqueue(0, pool.Ship(0, t2), /*work=*/5.0);
   pool.BeginNext(0, 0);  // t1 running, would finish at 100 ms
   ASSERT_EQ(pool.epoch(0), 0);
 
   std::vector<QueryTask> lost;
   pool.Crash(0, 30 * kMillisecond, &lost);
   ASSERT_EQ(lost.size(), 2u);
-  EXPECT_EQ(lost[0].query_id, 1);  // the running task first
-  EXPECT_EQ(lost[1].query_id, 2);
+  EXPECT_EQ(lost[0].id, 1);  // the running task first
+  EXPECT_EQ(lost[1].id, 2);
   // BeginNext charged 100 ms up front; only 30 ms actually ran.
   EXPECT_EQ(pool.busy_time(0), 30 * kMillisecond);
   EXPECT_EQ(pool.QueueLength(0), 0);
-  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 0.0);
+  // Work ever assigned survives the crash that wiped it.
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 10.0);
   EXPECT_EQ(pool.last_idle_at(0), 30 * kMillisecond);
   EXPECT_EQ(pool.epoch(0), 1);
   EXPECT_EQ(pool.completed(0), 0);
   // The crash left the node idle: the next enqueue starts at once.
-  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1)));
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1), /*work=*/5.0));
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 15.0);
 }
 
 // ----------------------------------------------------- Crash and restart

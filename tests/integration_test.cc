@@ -28,10 +28,6 @@ class SpyContext : public allocation::AllocationContext {
     ++backlog_reads_;
     return inner_->NodeBacklog(node);
   }
-  double NodeQueuedWork(catalog::NodeId node) const override {
-    ++work_reads_;
-    return inner_->NodeQueuedWork(node);
-  }
   double NodeCumulativeWork(catalog::NodeId node) const override {
     ++work_reads_;
     return inner_->NodeCumulativeWork(node);
@@ -54,7 +50,6 @@ class IdleContext : public allocation::AllocationContext {
   int num_nodes() const override { return model_->num_nodes(); }
   const query::CostModel& cost_model() const override { return *model_; }
   util::VDuration NodeBacklog(catalog::NodeId) const override { return 0; }
-  double NodeQueuedWork(catalog::NodeId) const override { return 0.0; }
   double NodeCumulativeWork(catalog::NodeId) const override { return 0.0; }
   util::VTime now() const override { return 0; }
 

@@ -359,28 +359,31 @@ TEST(NodePoolTest, SerialExecutionAccounting) {
   pool.Init(/*num_nodes=*/1, /*shards=*/1);
 
   QueryTask t1;
-  t1.query_id = 1;
+  t1.id = 1;
   t1.exec_time = 100 * kMillisecond;
-  t1.work_units = 5.0;
-  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1)));  // was idle
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t1), /*work=*/5.0));  // was idle
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 5.0);
   QueryTask t2 = t1;
-  t2.query_id = 2;
-  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t2)));  // already has work
+  t2.id = 2;
+  // Already has work.
+  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t2), /*work=*/3.0));
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 8.0);
 
   EXPECT_EQ(pool.QueueLength(0), 2);
   EXPECT_EQ(pool.Backlog(0, 0), 200 * kMillisecond);
-  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 10.0);
 
   QueryTask running = pool.BeginNext(0, 0);
-  EXPECT_EQ(running.query_id, 1);
+  EXPECT_EQ(running.id, 1);
   EXPECT_EQ(pool.QueueLength(0), 1);  // the running task left the FIFO
   // Halfway through the first task the backlog is 150 ms.
   EXPECT_EQ(pool.Backlog(0, 50 * kMillisecond), 150 * kMillisecond);
 
   EXPECT_TRUE(pool.CompleteCurrent(0, 100 * kMillisecond));  // more waits
-  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 5.0);
+  // Cumulative work counts what was ever assigned, finished or not.
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 8.0);
   pool.BeginNext(0, 100 * kMillisecond);
   EXPECT_FALSE(pool.CompleteCurrent(0, 200 * kMillisecond));
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 8.0);
   EXPECT_EQ(pool.completed(0), 2);
   EXPECT_EQ(pool.busy_time(0), 200 * kMillisecond);
   EXPECT_EQ(pool.last_idle_at(0), 200 * kMillisecond);
@@ -388,13 +391,14 @@ TEST(NodePoolTest, SerialExecutionAccounting) {
   // Idle again, the node starts the next enqueue at once; busy with an
   // empty queue, it does not.
   QueryTask t3 = t1;
-  t3.query_id = 3;
-  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t3)));
+  t3.id = 3;
+  EXPECT_TRUE(pool.Enqueue(0, pool.Ship(0, t3), /*work=*/5.0));
   pool.BeginNext(0, 200 * kMillisecond);
-  EXPECT_EQ(pool.Running(0).query_id, 3);
+  EXPECT_EQ(pool.Running(0).id, 3);
   QueryTask t4 = t1;
-  t4.query_id = 4;
-  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t4)));
+  t4.id = 4;
+  EXPECT_FALSE(pool.Enqueue(0, pool.Ship(0, t4), /*work=*/5.0));
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 18.0);
 }
 
 /// A node the id hash places on another lane than node 0.
@@ -411,20 +415,20 @@ TEST(NodePoolTest, ShippedSlotsAreLinkedNotCopiedAndDiscardFreesThem) {
   catalog::NodeId apart = NodeApartFromZero(pool);
   ASSERT_GE(apart, 0);
   QueryTask t;
-  t.query_id = 1;
+  t.id = 1;
   t.exec_time = 100 * kMillisecond;
   int32_t first = pool.Ship(0, t);
   // The lane edits the record in place before it enqueues the slot.
   pool.Shipped(0, first).exec_time = 300 * kMillisecond;
-  EXPECT_TRUE(pool.Enqueue(0, first));
+  EXPECT_TRUE(pool.Enqueue(0, first, /*work=*/0.0));
   EXPECT_EQ(pool.Backlog(0, 0), 300 * kMillisecond);
   EXPECT_EQ(pool.BeginNext(0, 0).exec_time, 300 * kMillisecond);
   // A discarded shipment never reaches the queue, and its slot is reused.
-  t.query_id = 2;
+  t.id = 2;
   int32_t shed = pool.Ship(0, t);
   pool.Discard(0, shed);
   EXPECT_EQ(pool.QueueLength(0), 0);
-  t.query_id = 3;
+  t.id = 3;
   EXPECT_EQ(pool.Ship(0, t), shed);
   // The other lane has its own arena.
   EXPECT_EQ(pool.Ship(apart, t), 0);
@@ -447,21 +451,21 @@ TEST(NodePoolTest, RunningTaskKeepsItsSlotUntilCompleteCurrent) {
   NodePool pool;
   pool.Init(/*num_nodes=*/1, /*shards=*/1);
   QueryTask t;
-  t.query_id = 1;
+  t.id = 1;
   t.exec_time = 100 * kMillisecond;
   int32_t running = pool.Ship(0, t);
-  ASSERT_TRUE(pool.Enqueue(0, running));
+  ASSERT_TRUE(pool.Enqueue(0, running, /*work=*/0.0));
   pool.BeginNext(0, 0);
   // Shipments while the task runs never take its slot.
-  t.query_id = 2;
+  t.id = 2;
   int32_t queued = pool.Ship(0, t);
   EXPECT_NE(queued, running);
-  EXPECT_FALSE(pool.Enqueue(0, queued));
-  t.query_id = 3;
+  EXPECT_FALSE(pool.Enqueue(0, queued, /*work=*/0.0));
+  t.id = 3;
   int32_t shed = pool.Ship(0, t);
   EXPECT_NE(shed, running);
   pool.Discard(0, shed);
-  EXPECT_EQ(pool.Running(0).query_id, 1);
+  EXPECT_EQ(pool.Running(0).id, 1);
   // Completion frees the slot, and the next shipment reuses it.
   EXPECT_TRUE(pool.CompleteCurrent(0, 100 * kMillisecond));
   EXPECT_EQ(pool.Ship(0, t), running);
@@ -473,18 +477,18 @@ TEST(NodePoolTest, CrashReturnsTheRunningTaskFirstAndFreesEverySlot) {
   std::vector<int32_t> shipped;
   for (int q = 1; q <= 3; ++q) {
     QueryTask t;
-    t.query_id = q;
+    t.id = q;
     t.exec_time = 100 * kMillisecond;
     shipped.push_back(pool.Ship(0, t));
-    pool.Enqueue(0, shipped.back());
+    pool.Enqueue(0, shipped.back(), /*work=*/0.0);
   }
   pool.BeginNext(0, 0);
   std::vector<QueryTask> lost;
   pool.Crash(0, 30 * kMillisecond, &lost);
   ASSERT_EQ(lost.size(), 3u);
-  EXPECT_EQ(lost[0].query_id, 1);  // the running task first
-  EXPECT_EQ(lost[1].query_id, 2);
-  EXPECT_EQ(lost[2].query_id, 3);
+  EXPECT_EQ(lost[0].id, 1);  // the running task first
+  EXPECT_EQ(lost[1].id, 2);
+  EXPECT_EQ(lost[2].id, 3);
   // The next three shipments reuse exactly the freed slots, the running
   // one included; only a fourth grows the arena.
   std::vector<int32_t> reused;
@@ -500,22 +504,24 @@ TEST(NodePoolTest, EvictWorseQueuedNeverEvictsTheRunningTask) {
   pool.Init(/*num_nodes=*/1, /*shards=*/1);
   const std::vector<double> class_cost = {1.0, 9.0};
   QueryTask expensive;
-  expensive.query_id = 1;
-  expensive.class_id = 1;
+  expensive.id = 1;
+  expensive.arrival.class_id = 1;
   expensive.exec_time = 100 * kMillisecond;
   QueryTask cheap = expensive;
-  cheap.query_id = 2;
-  cheap.class_id = 0;
-  pool.Enqueue(0, pool.Ship(0, expensive));
+  cheap.id = 2;
+  cheap.arrival.class_id = 0;
+  pool.Enqueue(0, pool.Ship(0, expensive), class_cost[1]);
   pool.BeginNext(0, 0);
-  pool.Enqueue(0, pool.Ship(0, cheap));
+  pool.Enqueue(0, pool.Ship(0, cheap), class_cost[0]);
   QueryTask victim;
   ASSERT_TRUE(pool.EvictWorseQueued(0, class_cost, 0.5, &victim));
-  EXPECT_EQ(victim.query_id, 2);  // the queued task, though cheaper
+  EXPECT_EQ(victim.id, 2);  // the queued task, though cheaper
   EXPECT_EQ(pool.QueueLength(0), 0);
+  // The evicted task's units stay charged.
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 10.0);
   // Only the running task is left, and it is never a victim.
   EXPECT_FALSE(pool.EvictWorseQueued(0, class_cost, 0.5, &victim));
-  EXPECT_EQ(pool.Running(0).query_id, 1);
+  EXPECT_EQ(pool.Running(0).id, 1);
 }
 
 TEST(NodePoolTest, BacklogCountsTheRunningTasksRemainder) {
@@ -523,10 +529,10 @@ TEST(NodePoolTest, BacklogCountsTheRunningTasksRemainder) {
   pool.Init(/*num_nodes=*/1, /*shards=*/1);
   QueryTask t;
   t.exec_time = 100 * kMillisecond;
-  pool.Enqueue(0, pool.Ship(0, t));
+  pool.Enqueue(0, pool.Ship(0, t), /*work=*/0.0);
   pool.BeginNext(0, 0);
   t.exec_time = 50 * kMillisecond;
-  pool.Enqueue(0, pool.Ship(0, t));
+  pool.Enqueue(0, pool.Ship(0, t), /*work=*/0.0);
   // 70 ms left of the running task plus the queued 50 ms.
   EXPECT_EQ(pool.Backlog(0, 30 * kMillisecond), 120 * kMillisecond);
   // Past its end the running task adds nothing.
