@@ -48,6 +48,10 @@ class AllocationContext {
   /// blind mechanisms (Random/RoundRobin) do not consult this and their
   /// assignments to dead nodes bounce at the network layer instead.
   virtual bool NodeOnline(catalog::NodeId /*node*/) const { return true; }
+  /// True only when NodeOnline holds for every node for the rest of this
+  /// allocation attempt. A mechanism may then skip asking about each
+  /// node; false (the default) promises nothing.
+  virtual bool EveryNodeOnline() const { return false; }
 };
 
 /// The outcome of one allocation attempt.

@@ -33,6 +33,19 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
     // Only the flat market solicits from the whole federation; the
     // two-tier one reads each active cluster's member index instead.
     candidates_ = CandidateIndex(*cost_model_);
+    if (!solicitation_.sampled() && selection_ == OfferSelection::kCheapest) {
+      // A class with one candidate stays off the book: standing answers
+      // would save it no poll, yet cost a reclassification per request.
+      std::vector<std::vector<catalog::NodeId>> members(
+          static_cast<size_t>(candidates_.num_classes()));
+      for (int k = 0; k < candidates_.num_classes(); ++k) {
+        if (candidates_.ById(k).size() > 1) {
+          members[static_cast<size_t>(k)] = candidates_.ById(k);
+        }
+      }
+      book_ = std::make_unique<market::ClearingBook>(
+          cost_model_->num_nodes(), members);
+    }
   }
 }
 
@@ -79,8 +92,22 @@ market::QaNtAgent& QaNtAllocator::EnsureAgent(catalog::NodeId node) {
     }
     roster_.push_back(entry);
     if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);
+    if (book_ != nullptr) book_->Attach(node, agents_[i].get());
   }
   return *agents_[i];
+}
+
+const market::QaNtAgent& QaNtAllocator::agent(catalog::NodeId node) const {
+  market::QaNtAgent& agent =
+      const_cast<QaNtAllocator*>(this)->EnsureAgent(node);
+  if (book_ != nullptr) book_->Settle(node);
+  return agent;
+}
+
+market::QaNtAgent& QaNtAllocator::mutable_agent(catalog::NodeId node) {
+  market::QaNtAgent& agent = EnsureAgent(node);
+  if (book_ != nullptr) book_->Release(node);
+  return agent;
 }
 
 MechanismProperties QaNtAllocator::properties() const {
@@ -164,11 +191,35 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
     universe = &cluster_market_->member_candidates(decision.cluster);
   }
 
-  decision.solicited = SolicitNodes(
-      solicitation_, *universe, k,
-      util::SplitMix64(util::MixSeed(seed_, seq)), &solicited_);
   int asked = 0;
-  decision.node = ScanAndSettle(context, k, &asked);
+  [[maybe_unused]] int64_t scan_start = 0;
+  QA_METRICS(metrics_) {
+    // Chain from the federation's allocate-start reading (the routing and
+    // solicitation sampling then count as part of the scan — they are the
+    // fan-out decision of the same stage). An absent mark means this
+    // allocation fell outside the deterministic probe sample (see
+    // kAllocProbeStride) and the scan goes untimed.
+    scan_start = metrics_->TakePhaseMark();
+  }
+  if (Booked(k, context)) {
+    // Every candidate is online and hears the request; the book asks only
+    // those whose answer can change. Its "no winner" is kNoNode (-1).
+    decision.solicited = static_cast<int>(candidates_.ById(k).size());
+    asked = decision.solicited;
+    decision.node = book_->Clear(k);
+  } else {
+    decision.solicited = SolicitNodes(
+        solicitation_, *universe, k,
+        util::SplitMix64(util::MixSeed(seed_, seq)), &solicited_);
+    decision.node = ScanAndSettle(context, k, &asked);
+  }
+  QA_METRICS(metrics_) {
+    if (scan_start != 0) {
+      metrics_->RecordPhase(obs::metrics::Phase::kBidScan,
+                            util::MonotonicClock::NowNanos() - scan_start,
+                            obs::metrics::kAllocProbeStride);
+    }
+  }
   // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
   if (decision.cluster >= 0) {
@@ -185,39 +236,37 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
   return decision;
 }
 
+bool QaNtAllocator::Booked(int k, const AllocationContext& context) {
+  if (book_ == nullptr || candidates_.ById(k).size() < 2 ||
+      !context.EveryNodeOnline()) {
+    return false;
+  }
+  if (!book_->Ready(k)) {
+    // A broadcast reaches every candidate: build those no earlier request
+    // reached before the book asks any of them.
+    for (catalog::NodeId j : candidates_.ById(k)) EnsureAgent(j);
+  }
+  return true;
+}
+
 catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
                                              int k, int* asked_out) {
   offers_.clear();
   int asked = 0;
-  [[maybe_unused]] int64_t scan_start = 0;
-  QA_METRICS(metrics_) {
-    // Chain from the federation's allocate-start reading (the routing and
-    // solicitation sampling above then count as part of the scan — they
-    // are the fan-out decision of the same stage). An absent mark means
-    // this allocation fell outside the deterministic probe sample (see
-    // kAllocProbeStride) and the scan goes untimed.
-    scan_start = metrics_->TakePhaseMark();
-  }
   for (catalog::NodeId j : solicited_) {
     // An offline node's agent is simply unreachable: the request times
     // out and no offer (or price move) happens. Autonomy makes failure
     // handling free — the market routes around dead nodes by itself.
     if (!context.NodeOnline(j)) continue;
-    ++asked;
-    if (EnsureAgent(j).OnRequest(k)) offers_.push_back(j);
-  }
-  QA_METRICS(metrics_) {
-    if (scan_start != 0) {
-      metrics_->RecordPhase(obs::metrics::Phase::kBidScan,
-                            util::MonotonicClock::NowNanos() - scan_start,
-                            obs::metrics::kAllocProbeStride);
-    }
+    solicited_[static_cast<size_t>(asked++)] = j;
+    market::QaNtAgent& agent = EnsureAgent(j);
+    if (book_ != nullptr) book_->Settle(j);
+    if (agent.OnRequest(k)) offers_.push_back(j);
   }
   *asked_out = asked;
-  if (offers_.empty()) return kNoNode;  // resubmitted next period
 
   // An offer carries its agent's own unit cost; ties go to the earliest.
-  catalog::NodeId best = offers_[0];
+  catalog::NodeId best = offers_.empty() ? kNoNode : offers_[0];
   for (catalog::NodeId j : offers_) {
     const market::QaNtAgent& offer = *agents_[static_cast<size_t>(j)];
     const market::QaNtAgent& leader = *agents_[static_cast<size_t>(best)];
@@ -227,11 +276,15 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
       best = j;
     }
   }
-  for (catalog::NodeId j : offers_) {
-    if (j == best) {
-      agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-    } else {
-      agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
+  // The listing moves prices only on trading failures (a decline, or
+  // supply left at period end): losing to another offer is neither, so
+  // only the winner hears back. Without an offer the query is resubmitted
+  // next period.
+  if (best != kNoNode) agents_[static_cast<size_t>(best)]->OnOfferAccepted(k);
+  if (book_ != nullptr) {
+    // The asked agents' states moved, so their standing answers may not.
+    for (int i = 0; i < asked; ++i) {
+      book_->Review(solicited_[static_cast<size_t>(i)]);
     }
   }
   return best;
@@ -242,6 +295,7 @@ obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
   snapshot.mechanism = name();
   for (const auto& agent : agents_) {
     if (agent == nullptr) continue;  // never contacted: no market state yet
+    if (book_ != nullptr) book_->Settle(agent->node());
     obs::AgentStateSnapshot state;
     state.node = agent->node();
     state.prices = agent->prices().values();
@@ -282,6 +336,9 @@ void QaNtAllocator::FillMarketProbe(obs::metrics::MarketProbe* probe) const {
   probe->num_classes = cost_model_->num_classes();
   for (const auto& agent : agents_) {
     if (agent == nullptr) continue;  // never contacted: no market state yet
+    // Quiet offers and inert declines owe only tallies; replay the
+    // declines that still move a price before reading it.
+    if (book_ != nullptr) book_->SettleMover(agent->node());
     const auto& prices = agent->prices().values();
     probe->prices.insert(probe->prices.end(), prices.begin(), prices.end());
     probe->earnings.push_back(agent->earnings());
@@ -301,11 +358,15 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   for (RosterEntry& entry : roster_) {
     if (entry.next_refresh > now) continue;
     market::QaNtAgent& agent = *agents_[static_cast<size_t>(entry.node)];
+    // The owed answers belong to the period that ends here; the new one
+    // starts with every answer open.
+    if (book_ != nullptr) book_->Settle(entry.node);
     do {
       agent.EndPeriod();
       agent.BeginPeriod();
       entry.next_refresh += period_;
     } while (entry.next_refresh <= now);
+    if (book_ != nullptr) book_->Repoll(entry.node);
   }
   if (cluster_market_ != nullptr) {
     // Sub-mediators publish after their members rolled: the aggregate a
@@ -332,8 +393,10 @@ void QaNtAllocator::OnNodeRestart(catalog::NodeId node, util::VTime now) {
   bool was_built = agents_[i] != nullptr;
   // A restart instantiates the agent even if it was never contacted — the
   // rebuilt process is running from its configuration file either way, and
-  // this matches the eager protocol's post-restart state exactly.
+  // this matches the eager protocol's post-restart state exactly. What the
+  // old agent owed is gone with its state.
   agents_[i] = MakeAgent(node);
+  if (book_ != nullptr) book_->Attach(node, agents_[i].get());
   // Keep the agent's staggered phase: its next boundary is the first one
   // of its original schedule that lies strictly after the restart.
   util::VTime phase = Phase(node);

@@ -10,6 +10,7 @@
 #include "allocation/cluster_market.h"
 #include "allocation/cluster_plan.h"
 #include "allocation/solicitation.h"
+#include "market/clearing_book.h"
 #include "market/qa_nt.h"
 
 namespace qa::allocation {
@@ -23,6 +24,12 @@ namespace qa::allocation {
 /// estimated execution time: the unit cost the offering agent holds. If
 /// every agent declines, the query is resubmitted in the next time period
 /// (decision.node == kNoNode).
+///
+/// The flat broadcast market under kCheapest clears through a
+/// market::ClearingBook, which asks only the agents whose answer can
+/// change (DESIGN.md §13): an arrival of a class with more than one
+/// candidate uses it whenever the context reports every node online.
+/// Every other attempt polls each solicited agent.
 class QaNtAllocator : public Allocator {
  public:
   /// How the client picks among the offering nodes.
@@ -64,14 +71,15 @@ class QaNtAllocator : public Allocator {
   /// Market introspection over every *instantiated* agent (O(contacted),
   /// not O(N)): each agent's private price vector, the supply it planned
   /// at its last period rollover, the unsold leftover, and its cumulative
-  /// request/offer/decline counters.
+  /// request/offer/decline counters. Settles every agent first.
   obs::AllocatorSnapshot Snapshot() const override;
 
   /// Watchdog feed: prices and earnings of every instantiated agent, in
   /// node-id order (the population Snapshot() reports, minus the clones
   /// of the supply vectors that make Snapshot() too heavy for a
   /// per-period cadence). Steady-state allocation-free: the probe's
-  /// buffers are cleared and refilled in place.
+  /// buffers are cleared and refilled in place. Settles only the agents
+  /// whose owed declines still move a price.
   void FillMarketProbe(obs::metrics::MarketProbe* probe) const override;
 
   /// Market refresh hook. The nodes are autonomous, so their periods are
@@ -103,13 +111,12 @@ class QaNtAllocator : public Allocator {
 
   int num_nodes() const { return static_cast<int>(agents_.size()); }
   /// Accessing an agent instantiates it (caught up to the market tick) if
-  /// no solicitation has reached it yet.
-  const market::QaNtAgent& agent(catalog::NodeId node) const {
-    return const_cast<QaNtAllocator*>(this)->EnsureAgent(node);
-  }
-  market::QaNtAgent& mutable_agent(catalog::NodeId node) {
-    return EnsureAgent(node);
-  }
+  /// no solicitation has reached it yet, and settles what it owes.
+  const market::QaNtAgent& agent(catalog::NodeId node) const;
+  /// As agent(), and the book drops the agent's standing answers (it is
+  /// asked afresh on its next request), so the caller may change anything
+  /// about it, unit costs included, before the allocator's next call.
+  market::QaNtAgent& mutable_agent(catalog::NodeId node);
 
   /// Null unless the plan passed at construction is hierarchical.
   const ClusterMarket* cluster_market() const {
@@ -127,10 +134,15 @@ class QaNtAllocator : public Allocator {
   /// receives the number of clusters solicited.
   int RouteToCluster(int k, uint64_t seq, int* asked);
 
-  /// The member auction: scans solicited_ (bids via OnRequest), picks the
-  /// best offer, sends accept/reject notifications, and returns the
-  /// winner (kNoNode when everyone declined). `*asked` receives the
-  /// number of online nodes actually contacted.
+  /// Whether this class-`k` attempt clears through the book: the book
+  /// lists the class and every node is online. Builds the class's
+  /// candidates on its first booked request.
+  bool Booked(int k, const AllocationContext& context);
+
+  /// The member auction without the book: asks each online node of
+  /// solicited_ (bids via OnRequest), picks the best offer, notifies the
+  /// winner, and returns it (kNoNode when everyone declined). `*asked`
+  /// receives the number of online nodes actually contacted.
   catalog::NodeId ScanAndSettle(const AllocationContext& context, int k,
                                 int* asked);
 
@@ -179,7 +191,13 @@ class QaNtAllocator : public Allocator {
   obs::metrics::Collector* metrics_ = nullptr;
   /// Top tier of the two-tier market; null when the plan is flat.
   std::unique_ptr<ClusterMarket> cluster_market_;
+  /// The flat broadcast market's standing answers, listing every class
+  /// with more than one candidate; null under a cluster plan, a sampled
+  /// solicitation or equitable selection. Settling replays answers
+  /// already given, so the const readers settle through it too.
+  std::unique_ptr<market::ClearingBook> book_;
   /// Scratch buffers reused across arrivals (no hot-path allocation).
+  /// ScanAndSettle moves the nodes it asks to the front of solicited_.
   std::vector<catalog::NodeId> solicited_;
   std::vector<catalog::NodeId> top_solicited_;
   std::vector<catalog::NodeId> offers_;

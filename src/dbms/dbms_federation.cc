@@ -213,13 +213,9 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
             chosen = i;
           }
         }
-        for (int i : offers) {
-          if (i == chosen) {
-            agents[static_cast<size_t>(i)]->OnOfferAccepted(tmpl);
-          } else {
-            agents[static_cast<size_t>(i)]->OnOfferRejected(tmpl);
-          }
-        }
+        // The listing moves no price when an offer loses: only the
+        // winner hears back.
+        agents[static_cast<size_t>(chosen)]->OnOfferAccepted(tmpl);
         break;
       }
       // All declined: resubmit at the next period boundary *after this

@@ -1,0 +1,224 @@
+#include "market/clearing_book.h"
+
+#include <algorithm>
+#include <cassert>
+#include <functional>
+
+namespace qa::market {
+
+ClearingBook::ClearingBook(
+    int num_nodes, const std::vector<std::vector<catalog::NodeId>>& members)
+    : nodes_(static_cast<size_t>(num_nodes)), books_(members.size()) {
+  // Count each node's lanes, then lay the slots out node-major. Walking
+  // the classes in order puts each node's slots in class order.
+  for (const std::vector<catalog::NodeId>& listed : members) {
+    for (catalog::NodeId j : listed) ++nodes_[static_cast<size_t>(j)].end;
+  }
+  int32_t next = 0;
+  size_t widest = 0;
+  for (NodeLanes& n : nodes_) {
+    widest = std::max(widest, static_cast<size_t>(n.end));
+    n.begin = next;
+    next += n.end;
+    n.end = n.begin;
+  }
+  slots_.resize(static_cast<size_t>(next));
+  lanes_.resize(widest);
+  for (size_t k = 0; k < members.size(); ++k) {
+    ClassBook& book = books_[k];
+    book.detached = static_cast<int32_t>(members[k].size());
+    book.polled.reserve(members[k].size());
+    for (catalog::NodeId j : members[k]) {
+      int32_t i = nodes_[static_cast<size_t>(j)].end++;
+      Slot& s = slots_[static_cast<size_t>(i)];
+      s.node = j;
+      s.k = static_cast<int32_t>(k);
+      s.polled_at = static_cast<int32_t>(book.polled.size());
+      book.polled.push_back(i);
+    }
+  }
+}
+
+bool ClearingBook::Ready(int k) const {
+  return books_[static_cast<size_t>(k)].detached == 0;
+}
+
+catalog::NodeId ClearingBook::Clear(int k) {
+  // Only the polled agents answer now; the lazy lanes owe this answer from
+  // here on.
+  ClassBook& book = books_[static_cast<size_t>(k)];
+  assert(book.detached == 0);
+  ++book.requests;
+  asked_.assign(book.polled.begin(), book.polled.end());
+  Offer best{0, -1, -1};
+  for (int32_t i : asked_) {
+    catalog::NodeId j = slots_[static_cast<size_t>(i)].node;
+    Settle(j);
+    QaNtAgent& asked = agent(j);
+    if (asked.OnRequest(k)) {
+      Offer offer{asked.unit_cost(k), j, i};
+      if (best.node < 0 || offer < best) best = offer;
+    }
+  }
+  // The asked agents keep their lanes until the request is settled: one
+  // that turns quiet now offers from the next request on, not this one.
+  Offer quiet = CheapestQuiet(k);
+  if (quiet.node >= 0 && (best.node < 0 || quiet < best)) best = quiet;
+  if (best.node >= 0) {
+    // The listing moves prices only on trading failures (a decline, or
+    // supply left at period end): losing to a cheaper offer is neither,
+    // so only the winner hears back.
+    Settle(best.node);
+    agent(best.node).OnOfferAccepted(k);
+    Reclassify(best.node);
+  }
+  for (int32_t i : asked_) Reclassify(slots_[static_cast<size_t>(i)].node);
+  return best.node;
+}
+
+void ClearingBook::Attach(catalog::NodeId node, QaNtAgent* agent) {
+  NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  if (n.agent == nullptr) {
+    for (int32_t i = n.begin; i < n.end; ++i) {
+      --books_[static_cast<size_t>(slots_[static_cast<size_t>(i)].k)]
+            .detached;
+    }
+  }
+  n.agent = agent;
+  Unlist(node);
+}
+
+void ClearingBook::Replay(catalog::NodeId node) {
+  NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  for (int32_t i = n.begin; i < n.end; ++i) {
+    Slot& s = slots_[static_cast<size_t>(i)];
+    if (s.lane == Lane::kPolled) continue;
+    int64_t owed = books_[static_cast<size_t>(s.k)].requests - s.seen;
+    if (owed > 0) n.agent->OnRepeatedRequests(s.k, owed);
+    s.seen += owed;
+  }
+}
+
+void ClearingBook::PollAll(catalog::NodeId node) {
+  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  for (int32_t i = n.begin; i < n.end; ++i) SetLane(i, Lane::kPolled, false);
+}
+
+void ClearingBook::Release(catalog::NodeId node) {
+  Settle(node);
+  Unlist(node);
+}
+
+void ClearingBook::Unlist(catalog::NodeId node) {
+  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  for (int32_t i = n.begin; i < n.end; ++i) {
+    Slot& s = slots_[static_cast<size_t>(i)];
+    if (s.in_heap) {
+      // Rare (restarts, direct agent access): a linear erase keeps the
+      // heap free of keys whose cost may no longer be the agent's.
+      std::vector<Offer>& heap = books_[static_cast<size_t>(s.k)].quiet;
+      std::erase_if(heap, [i](const Offer& o) { return o.slot == i; });
+      std::make_heap(heap.begin(), heap.end(), std::greater<>());
+      s.in_heap = false;
+    }
+    SetLane(i, Lane::kPolled, false);
+  }
+}
+
+void ClearingBook::Reclassify(catalog::NodeId node) {
+  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  const QaNtAgent& state = *n.agent;
+  bool quiet = false;
+  for (int32_t i = n.begin; i < n.end; ++i) {
+    int k = slots_[static_cast<size_t>(i)].k;
+    Lane& lane = lanes_[static_cast<size_t>(i - n.begin)];
+    if (state.DeclineSticks(k)) {
+      lane = Lane::kSticky;
+    } else if (state.WouldAccept(k)) {
+      lane = Lane::kQuiet;
+      quiet = true;
+    } else {
+      lane = Lane::kPolled;
+    }
+  }
+  for (int32_t i = n.begin; i < n.end; ++i) {
+    int k = slots_[static_cast<size_t>(i)].k;
+    Lane lane = lanes_[static_cast<size_t>(i - n.begin)];
+    // A quiet offer repeats only while max density stays put, and a
+    // decline that is not inert raises it or the class's price. Beside a
+    // quiet offer such a class is polled, so each of its bumps lands when
+    // it happens (and moves its price toward the fixed point).
+    bool moves = lane == Lane::kSticky && !state.DeclineIsInert(k);
+    if (moves && quiet) {
+      lane = Lane::kPolled;
+      moves = false;
+    }
+    SetLane(i, lane, moves);
+  }
+}
+
+void ClearingBook::Reset() {
+  for (ClassBook& book : books_) {
+    book.requests = 0;
+    book.polled.clear();
+    book.quiet.clear();
+  }
+  for (NodeLanes& n : nodes_) {
+    n.lazy = 0;
+    n.moving = 0;
+  }
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    std::vector<int32_t>& polled = books_[static_cast<size_t>(s.k)].polled;
+    s.seen = 0;
+    s.polled_at = static_cast<int32_t>(polled.size());
+    s.lane = Lane::kPolled;
+    s.in_heap = false;
+    s.moves = false;
+    polled.push_back(static_cast<int32_t>(i));
+  }
+}
+
+void ClearingBook::SetLane(int32_t slot, Lane lane, bool moves) {
+  Slot& s = slots_[static_cast<size_t>(slot)];
+  NodeLanes& n = nodes_[static_cast<size_t>(s.node)];
+  ClassBook& book = books_[static_cast<size_t>(s.k)];
+  s.seen = book.requests;
+  n.moving += static_cast<int32_t>(moves) - static_cast<int32_t>(s.moves);
+  s.moves = moves;
+  if (s.lane == lane) return;
+  if (s.lane == Lane::kPolled) {
+    int32_t moved = book.polled.back();
+    book.polled[static_cast<size_t>(s.polled_at)] = moved;
+    slots_[static_cast<size_t>(moved)].polled_at = s.polled_at;
+    book.polled.pop_back();
+    s.polled_at = -1;
+    ++n.lazy;
+  } else if (lane == Lane::kPolled) {
+    --n.lazy;
+  }
+  if (lane == Lane::kPolled) {
+    s.polled_at = static_cast<int32_t>(book.polled.size());
+    book.polled.push_back(slot);
+  }
+  if (lane == Lane::kQuiet && !s.in_heap) {
+    book.quiet.push_back({n.agent->unit_cost(s.k), s.node, slot});
+    std::push_heap(book.quiet.begin(), book.quiet.end(), std::greater<>());
+    s.in_heap = true;
+  }
+  s.lane = lane;
+}
+
+ClearingBook::Offer ClearingBook::CheapestQuiet(int k) {
+  std::vector<Offer>& heap = books_[static_cast<size_t>(k)].quiet;
+  while (!heap.empty()) {
+    Slot& s = slots_[static_cast<size_t>(heap.front().slot)];
+    if (s.lane == Lane::kQuiet) return heap.front();
+    s.in_heap = false;
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    heap.pop_back();
+  }
+  return {0, -1, -1};
+}
+
+}  // namespace qa::market

@@ -1,10 +1,10 @@
 #ifndef QAMARKET_MARKET_MARKET_SIM_H_
 #define QAMARKET_MARKET_MARKET_SIM_H_
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "market/clearing_book.h"
 #include "market/qa_nt.h"
 #include "market/vectors.h"
 #include "query/cost_model.h"
@@ -28,10 +28,10 @@ struct MarketSimConfig {
 /// into a full timing model. The synchronous loop is what the convergence
 /// tests (Proposition 3.1) and the equilibrium experiments run on.
 ///
-/// Every request goes to every node able to evaluate its class, but only
-/// the agents whose answer can still change are asked; the answers that
-/// repeat are replayed the next time the agent's state is read (DESIGN.md
-/// §13). The results are those of asking every agent, bit for bit.
+/// Every request goes to every node able to evaluate its class and clears
+/// through a ClearingBook, which asks only the agents whose answer can
+/// still change (DESIGN.md §13). The results are those of asking every
+/// agent, bit for bit.
 class MarketSimulator {
  public:
   /// One node per cost-model column; node i's agent prices all K classes
@@ -39,6 +39,10 @@ class MarketSimulator {
   /// are read here, once. Aborts with a FATAL message unless
   /// `config.agent` validates.
   MarketSimulator(const query::CostModel* cost_model, MarketSimConfig config);
+  /// The book points into agents_, so a copy would clear the original's
+  /// agents.
+  MarketSimulator(const MarketSimulator&) = delete;
+  MarketSimulator& operator=(const MarketSimulator&) = delete;
 
   struct PeriodResult {
     /// Demand faced this period (new arrivals + carryover), per node.
@@ -74,78 +78,21 @@ class MarketSimulator {
   }
 
  private:
-  /// How a period reaches one agent for one class.
-  enum class Lane : uint8_t {
-    kCannot,  // the node cannot evaluate the class: never asked
-    kPolled,  // the answer can change: asked on every request
-    kSticky,  // declines for the rest of the period (DeclineSticks)
-    kQuiet,   // offers until its own state moves (WouldAccept)
-  };
-  struct Slot {
-    /// Class requests this agent has answered this period; a lazy lane owes
-    /// the rest of the class's count.
-    int64_t seen = 0;
-    /// Index in the class's polled list while kPolled.
-    int32_t polled_at = -1;
-    Lane lane = Lane::kCannot;
-    /// Whether the class's quiet heap holds an entry for this agent.
-    bool in_heap = false;
-  };
-  /// An offer's rank: the cheapest execution time wins, ties go to the
-  /// lowest node id.
-  struct Offer {
-    util::VDuration cost;
-    int node;
-    friend bool operator<(const Offer& a, const Offer& b) {
-      return a.cost != b.cost ? a.cost < b.cost : a.node < b.node;
-    }
-    friend bool operator>(const Offer& a, const Offer& b) { return b < a; }
-  };
-  /// One class's requests within the running period.
-  struct ClassBook {
-    int64_t requests = 0;
-    std::vector<int> polled;
-    /// Min-heap of the quiet offerers; entries whose agent left kQuiet are
-    /// dropped when they surface.
-    std::vector<Offer> quiet;
-  };
-
-  Slot& slot(int node, int k) {
-    return slots_[static_cast<size_t>(node) *
-                      static_cast<size_t>(num_classes_) +
-                  static_cast<size_t>(k)];
-  }
-  Offer OfferOf(int node, int k) const {
-    return {agents_[static_cast<size_t>(node)].unit_cost(k), node};
-  }
-
-  /// Places one class-`k` query of `client`: asks the polled agents, picks
-  /// the cheapest offer and settles it.
+  /// Places one class-`k` query of `client` through the book and records
+  /// its placement.
   void Clear(int client, int k, PeriodResult* result);
-  /// Replays the answers `node` owes on its lazy lanes.
-  void Sync(int node);
-  /// Puts every class of `node` on the lane its current state allows.
-  /// Requires Sync first: the lanes start owing nothing.
-  void Reclassify(int node);
-  void SetLane(int node, int k, Lane lane);
-  /// The cheapest quiet offerer of class `k`, or -1.
-  int CheapestQuiet(int k);
 
   int num_classes_ = 0;
   std::vector<QaNtAgent> agents_;
   std::vector<QuantityVector> pending_;
-  /// Node-major (node x class).
-  std::vector<Slot> slots_;
-  std::vector<ClassBook> books_;
+  /// Holds a pointer to every agent: agents_ never grows after
+  /// construction.
+  ClearingBook book_;
   /// Per-period scratch: queries each client has still to place, the
   /// lowest class it may still hold, and the clients with any left.
   std::vector<QuantityVector> to_place_;
   std::vector<int> next_class_;
   std::vector<int> clients_;
-  /// Per-request scratch: the agents a request polls; Reclassify's
-  /// scratch: one lane per class.
-  std::vector<int> asked_;
-  std::vector<Lane> lanes_;
 };
 
 }  // namespace qa::market

@@ -157,6 +157,13 @@ bool QaNtAgent::PriceAtFixedPoint(int k) const {
   return std::min(price * (1.0 + config_.lambda), config_.price_cap) == price;
 }
 
+bool QaNtAgent::DeclineIsInert(int k) const {
+  return PriceAtFixedPoint(k) &&
+         (!CanEvaluate(k) ||
+          prices_[k] / static_cast<double>(supply_set_.unit_cost(k)) <=
+              max_density_);
+}
+
 bool QaNtAgent::DeclineSticks(int k) const {
   // Restriction stays on: bumps only raise prices (every price already
   // lies at or under the cap), so the top price stays at or above the
@@ -197,13 +204,6 @@ void QaNtAgent::OnOfferAccepted(int k) {
   if (remaining_supply_[k] > 0) {
     remaining_supply_[k] -= 1;
   }
-}
-
-void QaNtAgent::OnOfferRejected(int k) {
-  // The algorithm listing adjusts prices only on trading *failures* (a
-  // request the node could not serve, or leftover supply at period end).
-  // Losing one offer to a competitor is neither, so nothing happens here.
-  (void)k;
 }
 
 void QaNtAgent::EndPeriod() {

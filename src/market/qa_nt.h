@@ -127,11 +127,10 @@ class QaNtAgent {
   bool OnRequest(int k);
 
   /// Step 6: the client accepted our offer; one unit of supply is consumed.
+  /// An offer the client turns down needs no call: the listing moves no
+  /// price when an offer loses, and the unused unit is caught by the
+  /// end-of-period decay.
   void OnOfferAccepted(int k);
-
-  /// The client chose another node's offer. The algorithm listing makes no
-  /// price move here; the unused unit is caught by the end-of-period decay.
-  void OnOfferRejected(int k);
 
   /// Steps 12-14: for every class with leftover planned supply, decay the
   /// price: p_k -= s_ik * lambda * p_k (clamped to the floor).
@@ -166,10 +165,10 @@ class QaNtAgent {
   // Repeated answers. Within a period, budgets only fall, decline bumps
   // only move prices toward the cap and the density gate's bar only rises,
   // so some answers cannot change until something of this agent's own
-  // moves. The synchronous market (MarketSimulator) polls an agent only
-  // when its answer can change, and replays the rest with
-  // OnRepeatedRequests. Each claim below holds until the next BeginPeriod,
-  // SetPrices or UpdateUnitCost.
+  // moves. The clearing book (ClearingBook) polls an agent only when its
+  // answer can change, and replays the rest with OnRepeatedRequests. Each
+  // claim below holds until the next BeginPeriod, SetPrices or
+  // UpdateUnitCost.
 
   /// Whether every OnRequest(k) of the rest of the period declines,
   /// whatever requests and accepted offers for other classes come between:
@@ -183,6 +182,13 @@ class QaNtAgent {
   /// Whether a decline leaves the price of class `k` where it is:
   /// min(p * (1 + lambda), price_cap) == p.
   bool PriceAtFixedPoint(int k) const;
+
+  /// Whether a decline of class `k` moves nothing but tallies: its price
+  /// sits at the fixed point and its density is no higher than max
+  /// density. (Only an UpdateUnitCost that cuts a cost mid-period can put
+  /// a fixed-point price's density above max density, and its first
+  /// decline then raises max density.)
+  bool DeclineIsInert(int k) const;
 
   /// Answers `n` requests for class `k` at once, exactly as `n` OnRequest(k)
   /// calls in a row would, and returns that answer. Requires WouldAccept(k)

@@ -59,6 +59,16 @@ bool FaultInjector::Partitioned(catalog::NodeId node, util::VTime now) const {
   return false;
 }
 
+bool FaultInjector::AnyNodeDown(util::VTime now) const {
+  for (const CrashFault& f : plan_.crashes) {
+    if (InWindow(f.at, f.restart_at, now)) return true;
+  }
+  for (const PartitionFault& f : plan_.partitions) {
+    if (InWindow(f.from, f.until, now)) return true;
+  }
+  return false;
+}
+
 double FaultInjector::SpeedFactor(catalog::NodeId node,
                                   util::VTime now) const {
   double factor = 1.0;

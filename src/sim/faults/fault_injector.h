@@ -60,6 +60,9 @@ class FaultInjector {
   bool Unreachable(catalog::NodeId node, util::VTime now) const {
     return Crashed(node, now) || Partitioned(node, now);
   }
+  /// True when some crash or partition window covers `now`: false
+  /// promises that no node is Unreachable.
+  bool AnyNodeDown(util::VTime now) const;
 
   /// Execution speed multiplier in (0, 1]; 1.0 = full speed. Overlapping
   /// degrade windows compound.

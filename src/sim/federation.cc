@@ -530,6 +530,10 @@ bool Federation::NodeOnline(catalog::NodeId node) const {
   return true;
 }
 
+bool Federation::EveryNodeOnline() const {
+  return !link_mask_active_ && !injector_.AnyNodeDown(events_.now());
+}
+
 void Federation::HandleQuery(PendingQuery pending) {
   QA_OBS(config_.recorder) {
     if (pending.attempts == 0) {

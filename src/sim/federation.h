@@ -262,6 +262,8 @@ class Federation : public allocation::AllocationContext {
   }
   util::VTime now() const override { return events_.now(); }
   bool NodeOnline(catalog::NodeId node) const override;
+  /// No link mask is set and no crash or partition window is open.
+  bool EveryNodeOnline() const override;
 
  private:
   /// A node-lane effect, buffered during the drain and applied by the

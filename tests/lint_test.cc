@@ -792,13 +792,13 @@ TEST(QaShd002Test, ChunkedAllocatorCallbackIsFlagged) {
       {{"src/allocation/fixture.cc",
         "void QaNtAllocator::Scan() {\n"
         "  runner_->ParallelFor(4, [&](int chunk) {\n"
-        "    total_messages_ += 1;\n"
+        "    book_->Settle(chunk);\n"
         "  });\n"
         "}\n"}},
       options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("total_messages_"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("book_"), std::string::npos);
 }
 
 // Building an agent goes live in the cluster market, so a chunk that

@@ -112,19 +112,13 @@ class BroadcastMarket {
         }
         if (offers.empty()) continue;  // resubmitted next period
 
-        // Accept the cheapest offer (best estimated execution time), reject
-        // the rest.
+        // Accept the cheapest offer (best estimated execution time); a
+        // losing offer moves no price, so the rest hear nothing.
         int best = offers[0];
         for (int j : offers) {
           if (cost_model_->Cost(k, j) < cost_model_->Cost(k, best)) best = j;
         }
-        for (int j : offers) {
-          if (j == best) {
-            agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-          } else {
-            agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
-          }
-        }
+        agents_[static_cast<size_t>(best)]->OnOfferAccepted(k);
         result.consumptions[static_cast<size_t>(i)][k] += 1;
         result.supplies[static_cast<size_t>(best)][k] += 1;
         pending_[static_cast<size_t>(i)][k] -= 1;

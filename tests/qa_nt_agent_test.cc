@@ -312,6 +312,35 @@ TEST(QaNtAgentTest, SetPricesOverrides) {
   EXPECT_GE(agent.planned_supply()[0], 1);
 }
 
+TEST(QaNtAgentTest, DeclineIsInertOnlyWhileMaxDensityStaysPut) {
+  QaNtConfig config;
+  config.initial_price = 2.0;
+  config.price_cap = 2.0;
+  QaNtAgent agent = MakeFig1N1Agent(config);
+  agent.BeginPeriod();
+  // Both prices sit at the cap; q1's density (2/400 ms) is under q2's.
+  EXPECT_TRUE(agent.PriceAtFixedPoint(0));
+  EXPECT_TRUE(agent.DeclineIsInert(0));
+  // A cost cut puts q1's density (2/50 ms) above max density: the price
+  // stays put, but a decline would still raise max density.
+  agent.UpdateUnitCost(0, 50 * kMillisecond);
+  EXPECT_TRUE(agent.PriceAtFixedPoint(0));
+  EXPECT_FALSE(agent.DeclineIsInert(0));
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(agent.OnRequest(1));
+    agent.OnOfferAccepted(1);
+  }
+  ASSERT_FALSE(agent.OnRequest(0));  // budget spent: a decline
+  EXPECT_DOUBLE_EQ(agent.prices()[0], 2.0);
+  EXPECT_TRUE(agent.DeclineIsInert(0));
+
+  QaNtConfig below_cap;
+  below_cap.price_cap = 2.0;
+  QaNtAgent moving = MakeFig1N1Agent(below_cap);
+  moving.BeginPeriod();
+  EXPECT_FALSE(moving.DeclineIsInert(0));  // price 1 still climbs
+}
+
 TEST(QaNtConfigTest, FloorAboveCapIsRejected) {
   // Unchecked, this config starts the agent at the cap (3), the period-end
   // floor clamp lifts the price to 5 and the next decline drops it to 3.

@@ -32,13 +32,18 @@ std::atomic<int64_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, the malloc() behind new or
+// the free() behind delete meets its partner's name at a call site, and
+// GCC 12's -Wmismatched-new-delete reports a mismatch that is not there.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace qa::market {
 namespace {
@@ -372,13 +377,12 @@ void RunCase(const Case& c, uint64_t seed, RepeatCounts* counts) {
       name = "request";
       bool offered = sparse.OnRequest(k);
       ASSERT_EQ(offered, dense.OnRequest(k)) << label << " op " << op;
-      if (offered) {
-        if (rng.Bernoulli(0.6)) {
-          sparse.OnOfferAccepted(k);
-          dense.OnOfferAccepted(k);
-        } else {
-          sparse.OnOfferRejected(k);
-        }
+      // An offer the client turns down needs no call (the listing moves
+      // no price when an offer loses); the draw stays, so the op stream
+      // is the same either way.
+      if (offered && rng.Bernoulli(0.6)) {
+        sparse.OnOfferAccepted(k);
+        dense.OnOfferAccepted(k);
       }
     } else if (draw < 82) {
       name = "rollover";

@@ -1129,7 +1129,7 @@ class ShardPass {
         "market_probe_",   "alloc_probe_seq_", "tick_probe_seq_",
         "ran_",            "allocator_"};
     static const std::set<std::string> kQaNtChunkBanned = {
-        "total_messages_", "arrival_seq_", "metrics_", "cluster_market_"};
+        "book_", "arrival_seq_", "metrics_", "cluster_market_"};
     const FileModel& fm = files_[n.first];
     const FuncInfo& fn = fm.funcs[n.second];
     const auto& t = fm.lexed.tokens;
