@@ -77,7 +77,8 @@ ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
   }
 }
 
-void ClusterMarket::EnsureActive(int cluster, const AgentSlots& agents) {
+void ClusterMarket::EnsureActive(int cluster,
+                                 const market::ClearingBook& book) {
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
   if (state.active) return;
   const std::vector<catalog::NodeId>& members =
@@ -85,14 +86,14 @@ void ClusterMarket::EnsureActive(int cluster, const AgentSlots& agents) {
   state.members = CandidateIndex(*cost_model_, members);
   state.idle_sum = market::QuantityVector(cost_model_->num_classes());
   for (catalog::NodeId node : members) {
-    if (agents[static_cast<size_t>(node)] != nullptr) {
+    if (book.built(node)) {
       state.live.push_back(node);
     } else {
       state.idle_sum += DefaultPlan(node);
     }
   }
   state.active = true;
-  PublishCluster(cluster, agents);
+  PublishCluster(cluster, book);
 }
 
 void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
@@ -102,11 +103,12 @@ void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
   state.live.push_back(node);
 }
 
-void ClusterMarket::OnTick(util::VTime now, const AgentSlots& agents) {
+void ClusterMarket::OnTick(util::VTime now,
+                           const market::ClearingBook& book) {
   if (now < next_publish_) return;
   for (int c = 0; c < num_clusters(); ++c) {
     if (clusters_[static_cast<size_t>(c)].active) {
-      PublishCluster(c, agents);
+      PublishCluster(c, book);
     }
   }
   while (next_publish_ <= now) next_publish_ += period_;
@@ -124,13 +126,14 @@ const market::QuantityVector& ClusterMarket::DefaultPlan(
   return market::DefaultPlannedSupply(unit_costs_, &plan_scratch_);
 }
 
-void ClusterMarket::PublishCluster(int cluster, const AgentSlots& agents) {
+void ClusterMarket::PublishCluster(int cluster,
+                                   const market::ClearingBook& book) {
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
   // Exact, not an estimate: quantities are integers, so the sum does not
   // depend on the order members went live in.
   publish_ = state.idle_sum;
   for (catalog::NodeId node : state.live) {
-    publish_ += agents[static_cast<size_t>(node)]->remaining_supply();
+    publish_ += book.agent(node).remaining_supply();
   }
   state.agent.Publish(publish_);
 }

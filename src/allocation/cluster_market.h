@@ -1,11 +1,11 @@
 #ifndef QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 #define QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 
-#include <memory>
 #include <vector>
 
 #include "allocation/cluster_plan.h"
 #include "allocation/solicitation.h"
+#include "market/clearing_book.h"
 #include "market/cluster_supply.h"
 #include "market/qa_nt.h"
 #include "query/cost_model.h"
@@ -25,16 +25,13 @@ namespace qa::allocation {
 /// published aggregate — so a million-node federation where a sampled top
 /// tier only ever touches a few hundred clusters never pays for the rest.
 /// An active cluster's upkeep follows its traded members, not its size:
-/// a publish walks only the members whose agents exist. Everything here
-/// runs on the mediator lane (Allocate / OnPeriodStart): strictly
-/// sequential, no cross-shard state.
+/// a publish walks only the members whose agents exist. It reads the
+/// members' agents from the allocator's book (built / agent): only
+/// activation asks every member whether it is built; publishes read only
+/// the live ones. Everything here runs on the mediator lane (Allocate /
+/// OnPeriodStart): strictly sequential, no cross-shard state.
 class ClusterMarket {
  public:
-  /// The allocator's member agents, one slot per node id; null for
-  /// members whose agent was never instantiated. Only activation reads
-  /// every member's slot; publishes read only the live ones.
-  using AgentSlots = std::vector<std::unique_ptr<market::QaNtAgent>>;
-
   /// The plan must have passed Validate(cost_model->num_nodes()). The
   /// cost model must outlive the market.
   ClusterMarket(const query::CostModel* cost_model, ClusterPlan plan,
@@ -81,7 +78,7 @@ class ClusterMarket {
   /// index, splits its members into live ones (agent instantiated) and
   /// idle ones (summed as their default plans), and publishes the first
   /// aggregate. O(members * K) with no per-member allocation. Idempotent.
-  void EnsureActive(int cluster, const AgentSlots& agents);
+  void EnsureActive(int cluster, const market::ClearingBook& book);
 
   /// A member's agent was just instantiated. If its cluster is active, the
   /// member leaves the idle sum (minus exactly the default plan activation
@@ -93,7 +90,7 @@ class ClusterMarket {
   /// active cluster's sub-mediator re-publishes its aggregate from the
   /// members' post-rollover supply. Call after the member rollover of the
   /// same tick.
-  void OnTick(util::VTime now, const AgentSlots& agents);
+  void OnTick(util::VTime now, const market::ClearingBook& book);
 
  private:
   struct Cluster {
@@ -115,7 +112,7 @@ class ClusterMarket {
   const market::QuantityVector& DefaultPlan(catalog::NodeId node);
   /// Sums idle_sum and the live members' remaining supply into publish_
   /// and publishes it: O(live members * K), allocation-free.
-  void PublishCluster(int cluster, const AgentSlots& agents);
+  void PublishCluster(int cluster, const market::ClearingBook& book);
 
   const query::CostModel* cost_model_;
   ClusterPlan plan_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "obs/metrics/collector.h"
 
@@ -21,7 +22,8 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
       seed_(seed) {
   assert(cost_model_ != nullptr);
   util::AbortUnlessOk(config_.Validate(), "QaNtAllocator: invalid QaNtConfig");
-  agents_.resize(static_cast<size_t>(cost_model_->num_nodes()));
+  // The broadcast auction's listing: empty unless the market is flat.
+  std::vector<std::vector<catalog::NodeId>> members;
   // A single-cluster plan is structurally the flat market, so it runs the
   // flat code path — that degenerate identity is exactly what the
   // hierarchy equivalence tests pin down, and it means enabling the plan
@@ -34,25 +36,22 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
     // two-tier one reads each active cluster's member index instead.
     candidates_ = CandidateIndex(*cost_model_);
     if (!solicitation_.sampled() && selection_ == OfferSelection::kCheapest) {
-      // A class with one candidate stays off the book: standing answers
+      // A class with one candidate stays off the listing: standing answers
       // would save it no poll, yet cost a reclassification per request.
-      std::vector<std::vector<catalog::NodeId>> members(
-          static_cast<size_t>(candidates_.num_classes()));
+      members.resize(static_cast<size_t>(candidates_.num_classes()));
       for (int k = 0; k < candidates_.num_classes(); ++k) {
         if (candidates_.ById(k).size() > 1) {
           members[static_cast<size_t>(k)] = candidates_.ById(k);
         }
       }
-      book_ = std::make_unique<market::ClearingBook>(
-          cost_model_->num_nodes(), members);
     }
   }
+  book_ = market::ClearingBook(cost_model_->num_nodes(), members);
 }
 
 QaNtAllocator::~QaNtAllocator() = default;
 
-std::unique_ptr<market::QaNtAgent> QaNtAllocator::MakeAgent(
-    catalog::NodeId node) const {
+market::QaNtAgent QaNtAllocator::MakeAgent(catalog::NodeId node) const {
   int num_classes = cost_model_->num_classes();
   std::vector<util::VDuration> unit_costs(static_cast<size_t>(num_classes));
   for (int k = 0; k < num_classes; ++k) {
@@ -62,9 +61,8 @@ std::unique_ptr<market::QaNtAgent> QaNtAllocator::MakeAgent(
             ? market::CapacitySupplySet::kCannotEvaluate
             : c;
   }
-  auto agent = std::make_unique<market::QaNtAgent>(
-      node, std::move(unit_costs), period_, config_);
-  agent->BeginPeriod();
+  market::QaNtAgent agent(node, std::move(unit_costs), period_, config_);
+  agent.BeginPeriod();
   return agent;
 }
 
@@ -74,40 +72,35 @@ util::VTime QaNtAllocator::Phase(catalog::NodeId node) const {
   return period_ * (node + 1) / std::max(num_nodes(), 1);
 }
 
-market::QaNtAgent& QaNtAllocator::EnsureAgent(catalog::NodeId node) {
-  size_t i = static_cast<size_t>(node);
-  assert(i < agents_.size());
-  if (agents_[i] == nullptr) {
-    agents_[i] = MakeAgent(node);
-    RosterEntry entry{node, Phase(node)};
-    // Replay the rollovers the agent would have performed had it existed
-    // since t=0. Only boundaries up to the last market *tick* are rolled
-    // (not up to the current arrival time): an eagerly built agent also
-    // rolls exclusively at tick times, and matching that exactly is what
-    // keeps lazy instantiation byte-identical to the eager protocol.
-    while (entry.next_refresh <= last_rollover_now_) {
-      agents_[i]->EndPeriod();
-      agents_[i]->BeginPeriod();
-      entry.next_refresh += period_;
-    }
-    roster_.push_back(entry);
-    if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);
-    if (book_ != nullptr) book_->Attach(node, agents_[i].get());
-  }
-  return *agents_[i];
+int64_t QaNtAllocator::Advance(util::VTime* boundary, util::VTime now) const {
+  int64_t periods = 0;
+  for (; *boundary <= now; *boundary += period_) ++periods;
+  return periods;
+}
+
+void QaNtAllocator::EnsureAgent(catalog::NodeId node) {
+  assert(node >= 0 && node < num_nodes());
+  if (book_.built(node)) return;
+  book_.Put(node, MakeAgent(node));
+  RosterEntry entry{node, Phase(node)};
+  // Replay the rollovers the agent would have performed had it existed
+  // since t=0. Only boundaries up to the last market *tick* are rolled
+  // (not up to the current arrival time): an eagerly built agent also
+  // rolls exclusively at tick times, and matching that exactly is what
+  // keeps lazy instantiation byte-identical to the eager protocol.
+  book_.Roll(node, Advance(&entry.next_refresh, last_rollover_now_));
+  roster_.push_back(entry);
+  if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);
 }
 
 const market::QaNtAgent& QaNtAllocator::agent(catalog::NodeId node) const {
-  market::QaNtAgent& agent =
-      const_cast<QaNtAllocator*>(this)->EnsureAgent(node);
-  if (book_ != nullptr) book_->Settle(node);
-  return agent;
+  const_cast<QaNtAllocator*>(this)->EnsureAgent(node);
+  return book_.agent(node);
 }
 
 market::QaNtAgent& QaNtAllocator::mutable_agent(catalog::NodeId node) {
-  market::QaNtAgent& agent = EnsureAgent(node);
-  if (book_ != nullptr) book_->Release(node);
-  return agent;
+  EnsureAgent(node);
+  return book_.mutable_agent(node);
 }
 
 MechanismProperties QaNtAllocator::properties() const {
@@ -146,7 +139,7 @@ int QaNtAllocator::RouteToCluster(int k, uint64_t seq, int* asked) {
   double best_density = 0.0;
   int fallback_cluster = -1;
   for (catalog::NodeId c : top_solicited_) {
-    cluster_market_->EnsureActive(c, agents_);
+    cluster_market_->EnsureActive(c, book_);
     if (!cluster_market_->agent(c).OnSolicited(k)) {
       // An empty ledger is a worst-possible offer, not a refusal: the
       // first feasible decliner (solicitation order — a fresh uniform
@@ -206,7 +199,7 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
     // those whose answer can change. Its "no winner" is kNoNode (-1).
     decision.solicited = static_cast<int>(candidates_.ById(k).size());
     asked = decision.solicited;
-    decision.node = book_->Clear(k);
+    decision.node = book_.Clear(k);
   } else {
     decision.solicited = SolicitNodes(
         solicitation_, *universe, k,
@@ -237,11 +230,8 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
 }
 
 bool QaNtAllocator::Booked(int k, const AllocationContext& context) {
-  if (book_ == nullptr || candidates_.ById(k).size() < 2 ||
-      !context.EveryNodeOnline()) {
-    return false;
-  }
-  if (!book_->Ready(k)) {
+  if (!book_.Lists(k) || !context.EveryNodeOnline()) return false;
+  if (!book_.Ready(k)) {
     // A broadcast reaches every candidate: build those no earlier request
     // reached before the book asks any of them.
     for (catalog::NodeId j : candidates_.ById(k)) EnsureAgent(j);
@@ -251,7 +241,6 @@ bool QaNtAllocator::Booked(int k, const AllocationContext& context) {
 
 catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
                                              int k, int* asked_out) {
-  offers_.clear();
   int asked = 0;
   for (catalog::NodeId j : solicited_) {
     // An offline node's agent is simply unreachable: the request times
@@ -259,59 +248,38 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
     // handling free — the market routes around dead nodes by itself.
     if (!context.NodeOnline(j)) continue;
     solicited_[static_cast<size_t>(asked++)] = j;
-    market::QaNtAgent& agent = EnsureAgent(j);
-    if (book_ != nullptr) book_->Settle(j);
-    if (agent.OnRequest(k)) offers_.push_back(j);
+    EnsureAgent(j);
   }
   *asked_out = asked;
-
-  // An offer carries its agent's own unit cost; ties go to the earliest.
-  catalog::NodeId best = offers_.empty() ? kNoNode : offers_[0];
-  for (catalog::NodeId j : offers_) {
-    const market::QaNtAgent& offer = *agents_[static_cast<size_t>(j)];
-    const market::QaNtAgent& leader = *agents_[static_cast<size_t>(best)];
-    if (selection_ == OfferSelection::kEquitable
-            ? offer.earnings() < leader.earnings()
-            : offer.unit_cost(k) < leader.unit_cost(k)) {
-      best = j;
-    }
-  }
-  // The listing moves prices only on trading failures (a decline, or
-  // supply left at period end): losing to another offer is neither, so
-  // only the winner hears back. Without an offer the query is resubmitted
-  // next period.
-  if (best != kNoNode) agents_[static_cast<size_t>(best)]->OnOfferAccepted(k);
-  if (book_ != nullptr) {
-    // The asked agents' states moved, so their standing answers may not.
-    for (int i = 0; i < asked; ++i) {
-      book_->Review(solicited_[static_cast<size_t>(i)]);
-    }
-  }
-  return best;
+  // Without an offer the query is resubmitted next period.
+  return book_.Poll(
+      k, std::span<const catalog::NodeId>(solicited_.data(),
+                                          static_cast<size_t>(asked)),
+      selection_);
 }
 
 obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
   obs::AllocatorSnapshot snapshot;
   snapshot.mechanism = name();
-  for (const auto& agent : agents_) {
-    if (agent == nullptr) continue;  // never contacted: no market state yet
-    if (book_ != nullptr) book_->Settle(agent->node());
+  for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
+    if (!book_.built(j)) continue;  // never contacted: no market state yet
+    const market::QaNtAgent& agent = book_.agent(j);
     obs::AgentStateSnapshot state;
-    state.node = agent->node();
-    state.prices = agent->prices().values();
-    const auto& planned = agent->planned_supply().values();
-    const auto& remaining = agent->remaining_supply().values();
+    state.node = j;
+    state.prices = agent.prices().values();
+    const auto& planned = agent.planned_supply().values();
+    const auto& remaining = agent.remaining_supply().values();
     state.planned_supply.assign(planned.begin(), planned.end());
     state.remaining_supply.assign(remaining.begin(), remaining.end());
-    const market::QaNtAgentStats& stats = agent->stats();
+    const market::QaNtAgentStats& stats = agent.stats();
     state.requests_seen = stats.requests_seen;
     state.offers_made = stats.offers_made;
     state.offers_accepted = stats.offers_accepted;
     state.declines_no_supply = stats.declines_no_supply;
     state.periods = stats.periods;
-    state.debt_us = agent->debt();
-    state.remaining_budget_us = agent->remaining_budget();
-    state.earnings = agent->earnings();
+    state.debt_us = agent.debt();
+    state.remaining_budget_us = agent.remaining_budget();
+    state.earnings = agent.earnings();
     snapshot.agents.push_back(std::move(state));
   }
   if (cluster_market_ != nullptr) {
@@ -334,22 +302,21 @@ obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
 void QaNtAllocator::FillMarketProbe(obs::metrics::MarketProbe* probe) const {
   probe->Clear();
   probe->num_classes = cost_model_->num_classes();
-  for (const auto& agent : agents_) {
-    if (agent == nullptr) continue;  // never contacted: no market state yet
-    // Quiet offers and inert declines owe only tallies; replay the
-    // declines that still move a price before reading it.
-    if (book_ != nullptr) book_->SettleMover(agent->node());
-    const auto& prices = agent->prices().values();
+  for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
+    if (!book_.built(j)) continue;  // never contacted: no market state yet
+    const market::QaNtAgent& agent = book_.priced_agent(j);
+    const auto& prices = agent.prices().values();
     probe->prices.insert(probe->prices.end(), prices.begin(), prices.end());
-    probe->earnings.push_back(agent->earnings());
+    probe->earnings.push_back(agent.earnings());
   }
 }
 
 void QaNtAllocator::OnPeriodStart(util::VTime now) {
   // Chain from the federation's tick-start reading; an absent mark means
   // this tick fell outside the deterministic probe sample (see
-  // kTickProbeStride) and the rollover goes untimed. OnPeriodEnd is a
-  // no-op, so the chained start matches the rollover's real start.
+  // kTickProbeStride) and the rollover goes untimed. OnPeriodEnd is the
+  // base class's no-op, so the chained start matches the rollover's real
+  // start.
   [[maybe_unused]] int64_t roll_start = 0;
   QA_METRICS(metrics_) { roll_start = metrics_->TakePhaseMark(); }
   // Record the tick *before* rolling: EnsureAgent replays rollovers for
@@ -357,21 +324,12 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   last_rollover_now_ = now;
   for (RosterEntry& entry : roster_) {
     if (entry.next_refresh > now) continue;
-    market::QaNtAgent& agent = *agents_[static_cast<size_t>(entry.node)];
-    // The owed answers belong to the period that ends here; the new one
-    // starts with every answer open.
-    if (book_ != nullptr) book_->Settle(entry.node);
-    do {
-      agent.EndPeriod();
-      agent.BeginPeriod();
-      entry.next_refresh += period_;
-    } while (entry.next_refresh <= now);
-    if (book_ != nullptr) book_->Repoll(entry.node);
+    book_.Roll(entry.node, Advance(&entry.next_refresh, now));
   }
   if (cluster_market_ != nullptr) {
     // Sub-mediators publish after their members rolled: the aggregate a
     // cluster trades this period is the members' post-rollover supply.
-    cluster_market_->OnTick(now, agents_);
+    cluster_market_->OnTick(now, book_);
   }
   QA_METRICS(metrics_) {
     if (roll_start != 0) {
@@ -382,28 +340,18 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   }
 }
 
-void QaNtAllocator::OnPeriodEnd(util::VTime now) {
-  // Rollovers are driven entirely by OnPeriodStart (staggered per agent).
-  (void)now;
-}
-
 void QaNtAllocator::OnNodeRestart(catalog::NodeId node, util::VTime now) {
-  size_t i = static_cast<size_t>(node);
-  assert(i < agents_.size());
-  bool was_built = agents_[i] != nullptr;
+  assert(node >= 0 && node < num_nodes());
+  bool was_built = book_.built(node);
   // A restart instantiates the agent even if it was never contacted — the
   // rebuilt process is running from its configuration file either way, and
   // this matches the eager protocol's post-restart state exactly. What the
   // old agent owed is gone with its state.
-  agents_[i] = MakeAgent(node);
-  if (book_ != nullptr) book_->Attach(node, agents_[i].get());
+  book_.Put(node, MakeAgent(node));
   // Keep the agent's staggered phase: its next boundary is the first one
   // of its original schedule that lies strictly after the restart.
-  util::VTime phase = Phase(node);
-  util::VTime next = phase;
-  if (now >= phase) {
-    next = phase + ((now - phase) / period_ + 1) * period_;
-  }
+  util::VTime next = Phase(node);
+  Advance(&next, now);
   if (!was_built) {
     roster_.push_back({node, next});
     if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node);

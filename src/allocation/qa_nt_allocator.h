@@ -25,22 +25,16 @@ namespace qa::allocation {
 /// every agent declines, the query is resubmitted in the next time period
 /// (decision.node == kNoNode).
 ///
-/// The flat broadcast market under kCheapest clears through a
-/// market::ClearingBook, which asks only the agents whose answer can
-/// change (DESIGN.md §13): an arrival of a class with more than one
-/// candidate uses it whenever the context reports every node online.
-/// Every other attempt polls each solicited agent.
+/// The agents live in a market::ClearingBook, and every auction clears
+/// there (DESIGN.md §13). The flat broadcast market under kCheapest lists
+/// each class with more than one candidate, and an arrival of such a class
+/// clears through the book's broadcast auction, which asks only the agents
+/// whose answer can change, whenever the context reports every node
+/// online. Every other attempt polls each solicited online agent.
 class QaNtAllocator : public Allocator {
  public:
   /// How the client picks among the offering nodes.
-  enum class OfferSelection {
-    /// Best estimated execution time (the paper's §3.3 semantics).
-    kCheapest,
-    /// The offering node with the least cumulative earnings — the
-    /// "equitable allocation" extension of the paper's future work (§6):
-    /// equalize the utility (virtual value earned) of all nodes.
-    kEquitable,
-  };
+  using OfferSelection = market::OfferSelection;
 
   /// Prepares one agent slot per node of `cost_model` with period budget
   /// `period`. Agents are instantiated lazily on first contact, so a
@@ -89,10 +83,8 @@ class QaNtAllocator : public Allocator {
   /// eq. 4), which makes fresh supply appear continuously instead of in
   /// one synchronized burst. The walk covers the roster of instantiated
   /// agents only, so a tick costs O(contacted nodes), not O(N). Call this
-  /// at a granularity finer than T (the federation's market tick);
-  /// OnPeriodEnd is a no-op.
+  /// at a granularity finer than T (the federation's market tick).
   void OnPeriodStart(util::VTime now) override;
-  void OnPeriodEnd(util::VTime now) override;
 
   /// Crash-with-state-loss recovery: the node's agent is rebuilt from the
   /// cost model and the configured QaNtConfig defaults — its learned price
@@ -109,9 +101,9 @@ class QaNtAllocator : public Allocator {
     metrics_ = collector;
   }
 
-  int num_nodes() const { return static_cast<int>(agents_.size()); }
+  int num_nodes() const { return book_.num_nodes(); }
   /// Accessing an agent instantiates it (caught up to the market tick) if
-  /// no solicitation has reached it yet, and settles what it owes.
+  /// no solicitation has reached it yet; the book settles what it owes.
   const market::QaNtAgent& agent(catalog::NodeId node) const;
   /// As agent(), and the book drops the agent's standing answers (it is
   /// asked afresh on its next request), so the caller may change anything
@@ -126,7 +118,7 @@ class QaNtAllocator : public Allocator {
  private:
   /// Builds a fresh default-state agent for `node` (instantiation and
   /// crash/restart recovery share this).
-  std::unique_ptr<market::QaNtAgent> MakeAgent(catalog::NodeId node) const;
+  market::QaNtAgent MakeAgent(catalog::NodeId node) const;
 
   /// Tier 1 of the two-tier market: solicits cluster sub-mediators for
   /// arrival `seq` of class `k` and returns the cluster the arrival routes
@@ -134,30 +126,33 @@ class QaNtAllocator : public Allocator {
   /// receives the number of clusters solicited.
   int RouteToCluster(int k, uint64_t seq, int* asked);
 
-  /// Whether this class-`k` attempt clears through the book: the book
-  /// lists the class and every node is online. Builds the class's
-  /// candidates on its first booked request.
+  /// Whether this class-`k` attempt clears through the book's broadcast
+  /// auction: the book lists the class and every node is online. Builds
+  /// the class's candidates on its first booked request.
   bool Booked(int k, const AllocationContext& context);
 
-  /// The member auction without the book: asks each online node of
-  /// solicited_ (bids via OnRequest), picks the best offer, notifies the
-  /// winner, and returns it (kNoNode when everyone declined). `*asked`
+  /// The solicited member auction: builds each online node of solicited_
+  /// not built yet, moves them to its front and polls them through the
+  /// book. Returns the winner (kNoNode when everyone declined); `*asked`
   /// receives the number of online nodes actually contacted.
   catalog::NodeId ScanAndSettle(const AllocationContext& context, int k,
                                 int* asked);
 
-  /// Returns the agent of `node`, instantiating it on first contact and
-  /// replaying every period rollover up to the last market tick — which
-  /// leaves it byte-identical to an agent that had existed (idle) since
-  /// t=0, because an uncontacted agent's state is a pure function of its
+  /// Instantiates the agent of `node` on first contact, replaying every
+  /// period rollover up to the last market tick — which leaves it
+  /// byte-identical to an agent that had existed (idle) since t=0,
+  /// because an uncontacted agent's state is a pure function of its
   /// rollover count. A new agent joins the roster and, under a cluster
   /// plan, goes live in its cluster's ledger. Mediator lane only.
-  market::QaNtAgent& EnsureAgent(catalog::NodeId node);
+  void EnsureAgent(catalog::NodeId node);
 
   /// First boundary of `node`'s staggered period: ((node+1)/N)*T. The
   /// schedule exists for every node from t=0 even though the agent itself
   /// is built lazily.
   util::VTime Phase(catalog::NodeId node) const;
+  /// Moves `*boundary` past `now` period by period; returns how many
+  /// periods it moved.
+  int64_t Advance(util::VTime* boundary, util::VTime now) const;
 
   /// An instantiated agent's place in the rollover.
   struct RosterEntry {
@@ -181,8 +176,11 @@ class QaNtAllocator : public Allocator {
   /// Federation-wide candidate lists: the flat market's auction universe.
   /// Empty when the plan is hierarchical.
   CandidateIndex candidates_;
-  /// One slot per node; null until the node is first contacted.
-  std::vector<std::unique_ptr<market::QaNtAgent>> agents_;
+  /// Every agent, one slot per node (empty until the node is first
+  /// contacted), and every auction. Under broadcast and kCheapest it lists
+  /// each flat class with more than one candidate; under a cluster plan, a
+  /// sampled solicitation or equitable selection it lists nothing.
+  market::ClearingBook book_;
   /// Every instantiated agent, in instantiation order: what the rollover
   /// walks. The order is free — each agent's rollover is a pure function
   /// of its own state.
@@ -191,16 +189,10 @@ class QaNtAllocator : public Allocator {
   obs::metrics::Collector* metrics_ = nullptr;
   /// Top tier of the two-tier market; null when the plan is flat.
   std::unique_ptr<ClusterMarket> cluster_market_;
-  /// The flat broadcast market's standing answers, listing every class
-  /// with more than one candidate; null under a cluster plan, a sampled
-  /// solicitation or equitable selection. Settling replays answers
-  /// already given, so the const readers settle through it too.
-  std::unique_ptr<market::ClearingBook> book_;
   /// Scratch buffers reused across arrivals (no hot-path allocation).
   /// ScanAndSettle moves the nodes it asks to the front of solicited_.
   std::vector<catalog::NodeId> solicited_;
   std::vector<catalog::NodeId> top_solicited_;
-  std::vector<catalog::NodeId> offers_;
 };
 
 }  // namespace qa::allocation

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "market/clearing_book.h"
+
 namespace qa::dbms {
 
 DbmsFederation::DbmsFederation(DbmsFederationConfig config)
@@ -100,9 +102,11 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
   int num_t = num_templates();
   std::vector<util::VTime> busy_until(static_cast<size_t>(n), 0);
 
-  // QA-NT agents: unit costs = static template-cost matrix.
-  std::vector<std::unique_ptr<market::QaNtAgent>> agents;
-  if (mechanism == "QA-NT") {
+  // QA-NT agents: unit costs = static template-cost matrix. Their book
+  // lists nothing: a client asks the template's eligible nodes (Poll).
+  const bool qa_nt = mechanism == "QA-NT";
+  market::ClearingBook book(n, {});
+  if (qa_nt) {
     for (int i = 0; i < n; ++i) {
       std::vector<util::VDuration> costs(static_cast<size_t>(num_t));
       for (int t = 0; t < num_t; ++t) {
@@ -110,20 +114,20 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
         costs[static_cast<size_t>(t)] =
             c > 0 ? c : market::CapacitySupplySet::kCannotEvaluate;
       }
-      agents.push_back(std::make_unique<market::QaNtAgent>(
-          i, std::move(costs), config_.period, config_.qa_nt));
-      agents.back()->BeginPeriod();
+      market::QaNtAgent agent(i, std::move(costs), config_.period,
+                              config_.qa_nt);
+      agent.BeginPeriod();
+      book.Put(i, std::move(agent));
     }
   }
   util::VTime next_boundary = config_.period;
   auto advance_periods = [&](util::VTime t) {
+    int64_t periods = 0;
     while (next_boundary <= t) {
-      for (auto& agent : agents) {
-        agent->EndPeriod();
-        agent->BeginPeriod();
-      }
+      ++periods;
       next_boundary += config_.period;
     }
+    for (int i = 0; i < n; ++i) book.Roll(i, periods);
   };
 
   // QA-NT converts overload into boundary retries rather than node-side
@@ -145,7 +149,7 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
     util::VTime t_dec = 0;
     int attempts = 0;
     while (chosen < 0) {
-      if (!agents.empty()) advance_periods(t_now);
+      if (qa_nt) advance_periods(t_now);
 
       // Broadcast estimate requests and wait for every reply (this is the
       // behavior the paper measured: both algorithms waited for all nodes,
@@ -163,10 +167,7 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
         // The node's own estimate also refreshes its market agent's
         // execution-time belief (history-corrected once the plan shape has
         // run before) so the agent prices capacity realistically.
-        if (!agents.empty()) {
-          agents[static_cast<size_t>(i)]->UpdateUnitCost(tmpl,
-                                                         reply->est_exec);
-        }
+        if (qa_nt) book.mutable_agent(i).UpdateUnitCost(tmpl, reply->est_exec);
       }
       t_dec = t_now + slowest_reply;
 
@@ -198,26 +199,11 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
         break;
       }
 
-      // QA-NT: collect offers at decision time.
-      if (!agents.empty()) advance_periods(t_dec);
-      std::vector<int> offers;
-      for (int i : eligible) {
-        if (agents[static_cast<size_t>(i)]->OnRequest(tmpl)) {
-          offers.push_back(i);
-        }
-      }
-      if (!offers.empty()) {
-        for (int i : offers) {
-          if (chosen < 0 || est[static_cast<size_t>(i)] <
-                                est[static_cast<size_t>(chosen)]) {
-            chosen = i;
-          }
-        }
-        // The listing moves no price when an offer loses: only the
-        // winner hears back.
-        agents[static_cast<size_t>(chosen)]->OnOfferAccepted(tmpl);
-        break;
-      }
+      // QA-NT: collect offers at decision time. The cheapest offer is
+      // the least estimate just revised, the offering agent's unit cost.
+      if (qa_nt) advance_periods(t_dec);
+      chosen = book.Poll(tmpl, eligible, market::OfferSelection::kCheapest);
+      if (chosen >= 0) break;
       // All declined: resubmit at the next period boundary *after this
       // query's own clock* (next_boundary is a global cursor that earlier
       // queries may already have pushed far ahead).

@@ -3,14 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 namespace qa::market {
 
 ClearingBook::ClearingBook(
     int num_nodes, const std::vector<std::vector<catalog::NodeId>>& members)
-    : nodes_(static_cast<size_t>(num_nodes)), books_(members.size()) {
-  // Count each node's lanes, then lay the slots out node-major. Walking
-  // the classes in order puts each node's slots in class order.
+    : agents_(static_cast<size_t>(num_nodes)), books_(members.size()) {
+  // Count each listed node's lanes, then lay the slots out node-major.
+  // Walking the classes in order puts each node's slots in class order.
+  size_t span = 0;
+  for (const std::vector<catalog::NodeId>& listed : members) {
+    if (!listed.empty()) {
+      span = std::max(span, static_cast<size_t>(listed.back()) + 1);
+    }
+  }
+  nodes_.resize(span);
   for (const std::vector<catalog::NodeId>& listed : members) {
     for (catalog::NodeId j : listed) ++nodes_[static_cast<size_t>(j)].end;
   }
@@ -26,7 +34,8 @@ ClearingBook::ClearingBook(
   lanes_.resize(widest);
   for (size_t k = 0; k < members.size(); ++k) {
     ClassBook& book = books_[k];
-    book.detached = static_cast<int32_t>(members[k].size());
+    book.listed = static_cast<int32_t>(members[k].size());
+    book.detached = book.listed;
     book.polled.reserve(members[k].size());
     for (catalog::NodeId j : members[k]) {
       int32_t i = nodes_[static_cast<size_t>(j)].end++;
@@ -37,6 +46,37 @@ ClearingBook::ClearingBook(
       book.polled.push_back(i);
     }
   }
+}
+
+void ClearingBook::Put(catalog::NodeId node, QaNtAgent agent) {
+  std::unique_ptr<QaNtAgent>& slot = agents_[static_cast<size_t>(node)];
+  NodeLanes n = lanes_of(node);
+  if (slot == nullptr) {
+    for (int32_t i = n.begin; i < n.end; ++i) {
+      --books_[static_cast<size_t>(slots_[static_cast<size_t>(i)].k)]
+            .detached;
+    }
+  }
+  slot = std::make_unique<QaNtAgent>(std::move(agent));
+  Unlist(node);
+}
+
+QaNtAgent& ClearingBook::mutable_agent(catalog::NodeId node) {
+  Settle(node);
+  Unlist(node);
+  return held(node);
+}
+
+void ClearingBook::Roll(catalog::NodeId node, int64_t periods) {
+  Settle(node);
+  QaNtAgent& agent = held(node);
+  for (int64_t i = 0; i < periods; ++i) {
+    agent.EndPeriod();
+    agent.BeginPeriod();
+  }
+  if (lazy(node) == 0) return;
+  NodeLanes n = lanes_of(node);
+  for (int32_t i = n.begin; i < n.end; ++i) SetLane(i, Lane::kPolled, false);
 }
 
 bool ClearingBook::Ready(int k) const {
@@ -54,7 +94,7 @@ catalog::NodeId ClearingBook::Clear(int k) {
   for (int32_t i : asked_) {
     catalog::NodeId j = slots_[static_cast<size_t>(i)].node;
     Settle(j);
-    QaNtAgent& asked = agent(j);
+    QaNtAgent& asked = held(j);
     if (asked.OnRequest(k)) {
       Offer offer{asked.unit_cost(k), j, i};
       if (best.node < 0 || offer < best) best = offer;
@@ -69,48 +109,86 @@ catalog::NodeId ClearingBook::Clear(int k) {
     // supply left at period end): losing to a cheaper offer is neither,
     // so only the winner hears back.
     Settle(best.node);
-    agent(best.node).OnOfferAccepted(k);
+    held(best.node).OnOfferAccepted(k);
     Reclassify(best.node);
   }
   for (int32_t i : asked_) Reclassify(slots_[static_cast<size_t>(i)].node);
   return best.node;
 }
 
-void ClearingBook::Attach(catalog::NodeId node, QaNtAgent* agent) {
-  NodeLanes& n = nodes_[static_cast<size_t>(node)];
-  if (n.agent == nullptr) {
-    for (int32_t i = n.begin; i < n.end; ++i) {
-      --books_[static_cast<size_t>(slots_[static_cast<size_t>(i)].k)]
-            .detached;
+catalog::NodeId ClearingBook::Poll(int k,
+                                   std::span<const catalog::NodeId> nodes,
+                                   OfferSelection selection) {
+  // An offer carries its agent's own unit cost; ties go to the earliest.
+  // Asking one agent moves no other's cost or earnings, so ranking each
+  // offer as it comes equals ranking them all at the end.
+  catalog::NodeId best = -1;
+  for (catalog::NodeId j : nodes) {
+    Settle(j);
+    QaNtAgent& asked = held(j);
+    if (!asked.OnRequest(k)) continue;
+    if (best < 0 || (selection == OfferSelection::kEquitable
+                         ? asked.earnings() < held(best).earnings()
+                         : asked.unit_cost(k) < held(best).unit_cost(k))) {
+      best = j;
     }
   }
-  n.agent = agent;
-  Unlist(node);
+  // A losing offer moves no price, so only the winner hears back.
+  if (best >= 0) held(best).OnOfferAccepted(k);
+  // The asked agents' states moved, so their standing answers may not.
+  for (catalog::NodeId j : nodes) {
+    if (lazy(j) > 0) Reclassify(j);
+  }
+  return best;
 }
 
-void ClearingBook::Replay(catalog::NodeId node) {
-  NodeLanes& n = nodes_[static_cast<size_t>(node)];
+void ClearingBook::BeginPeriod() {
+  for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
+    held(j).BeginPeriod();
+    Reclassify(j);
+  }
+}
+
+void ClearingBook::EndPeriod() {
+  for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
+    Settle(j);
+    held(j).EndPeriod();
+  }
+  for (ClassBook& book : books_) {
+    book.requests = 0;
+    book.polled.clear();
+    book.quiet.clear();
+  }
+  for (NodeLanes& n : nodes_) {
+    n.lazy = 0;
+    n.moving = 0;
+  }
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    std::vector<int32_t>& polled = books_[static_cast<size_t>(s.k)].polled;
+    s.seen = 0;
+    s.polled_at = static_cast<int32_t>(polled.size());
+    s.lane = Lane::kPolled;
+    s.in_heap = false;
+    s.moves = false;
+    polled.push_back(static_cast<int32_t>(i));
+  }
+}
+
+void ClearingBook::Replay(catalog::NodeId node) const {
+  NodeLanes n = nodes_[static_cast<size_t>(node)];
+  QaNtAgent& agent = held(node);
   for (int32_t i = n.begin; i < n.end; ++i) {
     Slot& s = slots_[static_cast<size_t>(i)];
     if (s.lane == Lane::kPolled) continue;
     int64_t owed = books_[static_cast<size_t>(s.k)].requests - s.seen;
-    if (owed > 0) n.agent->OnRepeatedRequests(s.k, owed);
+    if (owed > 0) agent.OnRepeatedRequests(s.k, owed);
     s.seen += owed;
   }
 }
 
-void ClearingBook::PollAll(catalog::NodeId node) {
-  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
-  for (int32_t i = n.begin; i < n.end; ++i) SetLane(i, Lane::kPolled, false);
-}
-
-void ClearingBook::Release(catalog::NodeId node) {
-  Settle(node);
-  Unlist(node);
-}
-
 void ClearingBook::Unlist(catalog::NodeId node) {
-  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
+  NodeLanes n = lanes_of(node);
   for (int32_t i = n.begin; i < n.end; ++i) {
     Slot& s = slots_[static_cast<size_t>(i)];
     if (s.in_heap) {
@@ -126,8 +204,8 @@ void ClearingBook::Unlist(catalog::NodeId node) {
 }
 
 void ClearingBook::Reclassify(catalog::NodeId node) {
-  const NodeLanes& n = nodes_[static_cast<size_t>(node)];
-  const QaNtAgent& state = *n.agent;
+  NodeLanes n = lanes_of(node);
+  const QaNtAgent& state = held(node);
   bool quiet = false;
   for (int32_t i = n.begin; i < n.end; ++i) {
     int k = slots_[static_cast<size_t>(i)].k;
@@ -157,28 +235,6 @@ void ClearingBook::Reclassify(catalog::NodeId node) {
   }
 }
 
-void ClearingBook::Reset() {
-  for (ClassBook& book : books_) {
-    book.requests = 0;
-    book.polled.clear();
-    book.quiet.clear();
-  }
-  for (NodeLanes& n : nodes_) {
-    n.lazy = 0;
-    n.moving = 0;
-  }
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    std::vector<int32_t>& polled = books_[static_cast<size_t>(s.k)].polled;
-    s.seen = 0;
-    s.polled_at = static_cast<int32_t>(polled.size());
-    s.lane = Lane::kPolled;
-    s.in_heap = false;
-    s.moves = false;
-    polled.push_back(static_cast<int32_t>(i));
-  }
-}
-
 void ClearingBook::SetLane(int32_t slot, Lane lane, bool moves) {
   Slot& s = slots_[static_cast<size_t>(slot)];
   NodeLanes& n = nodes_[static_cast<size_t>(s.node)];
@@ -202,7 +258,7 @@ void ClearingBook::SetLane(int32_t slot, Lane lane, bool moves) {
     book.polled.push_back(slot);
   }
   if (lane == Lane::kQuiet && !s.in_heap) {
-    book.quiet.push_back({n.agent->unit_cost(s.k), s.node, slot});
+    book.quiet.push_back({held(s.node).unit_cost(s.k), s.node, slot});
     std::push_heap(book.quiet.begin(), book.quiet.end(), std::greater<>());
     s.in_heap = true;
   }

@@ -12,19 +12,6 @@
 
 namespace qa::market {
 
-/// Counters of one cluster's trading on the top-level market.
-struct ClusterSupplyStats {
-  /// Aggregate-supply refreshes (one per global period once active).
-  int64_t publishes = 0;
-  /// Top-tier solicitations received, per outcome.
-  int64_t top_requests = 0;
-  int64_t top_offers = 0;
-  int64_t top_declines = 0;
-  /// Times the tier-2 market declined after the ledger said supply
-  /// remained (the published aggregate had gone stale mid-period).
-  int64_t exhausted_marks = 0;
-};
-
 /// One cluster's seat at the top-level market. The commodity traded there
 /// is the cluster's *aggregate supply vector*: the eq.-4 supply of every
 /// member summed per class, published by the sub-mediator at each global
@@ -44,20 +31,11 @@ class ClusterSupplyAgent {
   void Publish(const QuantityVector& aggregate) {
     published_ = aggregate;
     remaining_ = aggregate;
-    ++stats_.publishes;
   }
 
   /// Top-tier solicitation for one k-class query: offer iff the ledger
   /// still shows remaining aggregate supply for the class.
-  bool OnSolicited(int k) {
-    ++stats_.top_requests;
-    if (remaining_[k] > 0) {
-      ++stats_.top_offers;
-      return true;
-    }
-    ++stats_.top_declines;
-    return false;
-  }
+  bool OnSolicited(int k) const { return remaining_[k] > 0; }
 
   /// A member of this cluster won the tier-2 auction: one unit of the
   /// published aggregate is consumed.
@@ -71,24 +49,19 @@ class ClusterSupplyAgent {
   /// Zeroing the class keeps the top market from re-routing follow-up
   /// queries into a cluster that just proved empty; the next publish
   /// restores whatever supply the members actually replan.
-  void MarkExhausted(int k) {
-    remaining_[k] = 0;
-    ++stats_.exhausted_marks;
-  }
+  void MarkExhausted(int k) { remaining_[k] = 0; }
 
   int cluster() const { return cluster_; }
   const QuantityVector& published() const { return published_; }
   const QuantityVector& remaining() const { return remaining_; }
   /// Cumulative units sold through this cluster, per class.
   const std::vector<int64_t>& sold() const { return sold_; }
-  const ClusterSupplyStats& stats() const { return stats_; }
 
  private:
   int cluster_;
   QuantityVector published_;
   QuantityVector remaining_;
   std::vector<int64_t> sold_;
-  ClusterSupplyStats stats_;
 };
 
 /// Reusable buffers of DefaultPlannedSupply for one market shape: K

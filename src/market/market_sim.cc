@@ -13,26 +13,26 @@ MarketSimulator::MarketSimulator(const query::CostModel* cost_model,
                       "MarketSimulator: invalid QaNtConfig");
   int num_nodes = cost_model->num_nodes();
   num_classes_ = cost_model->num_classes();
-  agents_.reserve(static_cast<size_t>(num_nodes));
   // Each request reaches every node able to evaluate its class.
+  std::vector<std::vector<util::VDuration>> unit_costs(
+      static_cast<size_t>(num_nodes),
+      std::vector<util::VDuration>(static_cast<size_t>(num_classes_)));
   std::vector<std::vector<catalog::NodeId>> members(
       static_cast<size_t>(num_classes_));
   for (int i = 0; i < num_nodes; ++i) {
-    std::vector<util::VDuration> unit_costs(static_cast<size_t>(num_classes_));
     for (int k = 0; k < num_classes_; ++k) {
       util::VDuration c = cost_model->Cost(k, i);
       bool able = c != query::kInfeasibleCost;
-      unit_costs[static_cast<size_t>(k)] =
+      unit_costs[static_cast<size_t>(i)][static_cast<size_t>(k)] =
           able ? c : CapacitySupplySet::kCannotEvaluate;
       if (able) members[static_cast<size_t>(k)].push_back(i);
     }
-    agents_.emplace_back(i, std::move(unit_costs), config.period,
-                         config.agent);
     pending_.emplace_back(num_classes_);
   }
   book_ = ClearingBook(num_nodes, members);
   for (int i = 0; i < num_nodes; ++i) {
-    book_.Attach(i, &agents_[static_cast<size_t>(i)]);
+    book_.Put(i, QaNtAgent(i, std::move(unit_costs[static_cast<size_t>(i)]),
+                           config.period, config.agent));
   }
   next_class_.resize(static_cast<size_t>(num_nodes));
 }
@@ -65,11 +65,9 @@ MarketSimulator::PeriodResult MarketSimulator::RunPeriod(
   result.supplies.assign(static_cast<size_t>(num_nodes),
                          QuantityVector(num_classes));
 
-  // Every agent plans its period and starts out polled on each class it
-  // can evaluate; Reclassify then makes lazy whatever it can.
-  book_.Reset();
-  for (QaNtAgent& agent : agents_) agent.BeginPeriod();
-  for (int j = 0; j < num_nodes; ++j) book_.Reclassify(j);
+  // Every agent plans its period, and the book makes lazy whatever answer
+  // cannot change.
+  book_.BeginPeriod();
 
   // Clients drain their queues one query at a time, round-robin over the
   // clients that still have one, so that no client starves the market
@@ -96,10 +94,7 @@ MarketSimulator::PeriodResult MarketSimulator::RunPeriod(
     clients_.resize(kept);
   }
 
-  for (int j = 0; j < num_nodes; ++j) {
-    book_.Settle(j);
-    agents_[static_cast<size_t>(j)].EndPeriod();
-  }
+  book_.EndPeriod();
 
   result.aggregate_demand = Aggregate(result.demands);
   result.aggregate_consumption = Aggregate(result.consumptions);

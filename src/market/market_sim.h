@@ -28,10 +28,12 @@ struct MarketSimConfig {
 /// into a full timing model. The synchronous loop is what the convergence
 /// tests (Proposition 3.1) and the equilibrium experiments run on.
 ///
-/// Every request goes to every node able to evaluate its class and clears
-/// through a ClearingBook, which asks only the agents whose answer can
-/// still change (DESIGN.md §13). The results are those of asking every
-/// agent, bit for bit.
+/// The agents live in a ClearingBook that lists every node for each class
+/// it can evaluate: every request clears through the book's broadcast
+/// auction, which asks only the agents whose answer can still change
+/// (DESIGN.md §13). The results are those of asking every agent, bit for
+/// bit. The simulator keeps only the clients' round-robin and the period
+/// loop.
 class MarketSimulator {
  public:
   /// One node per cost-model column; node i's agent prices all K classes
@@ -39,10 +41,6 @@ class MarketSimulator {
   /// are read here, once. Aborts with a FATAL message unless
   /// `config.agent` validates.
   MarketSimulator(const query::CostModel* cost_model, MarketSimConfig config);
-  /// The book points into agents_, so a copy would clear the original's
-  /// agents.
-  MarketSimulator(const MarketSimulator&) = delete;
-  MarketSimulator& operator=(const MarketSimulator&) = delete;
 
   struct PeriodResult {
     /// Demand faced this period (new arrivals + carryover), per node.
@@ -64,17 +62,15 @@ class MarketSimulator {
   /// vector per node.
   PeriodResult RunPeriod(const std::vector<QuantityVector>& new_demands);
 
-  int num_nodes() const { return static_cast<int>(agents_.size()); }
+  int num_nodes() const { return book_.num_nodes(); }
   int num_classes() const { return num_classes_; }
-  const QaNtAgent& agent(int node) const {
-    return agents_[static_cast<size_t>(node)];
-  }
+  const QaNtAgent& agent(int node) const { return book_.agent(node); }
   /// Queries still waiting, per client node.
   const std::vector<QuantityVector>& pending() const { return pending_; }
 
   /// Overrides one agent's prices between periods (warm starts, tests).
   void SetPrices(int node, PriceVector prices) {
-    agents_[static_cast<size_t>(node)].SetPrices(std::move(prices));
+    book_.mutable_agent(node).SetPrices(std::move(prices));
   }
 
  private:
@@ -83,10 +79,7 @@ class MarketSimulator {
   void Clear(int client, int k, PeriodResult* result);
 
   int num_classes_ = 0;
-  std::vector<QaNtAgent> agents_;
   std::vector<QuantityVector> pending_;
-  /// Holds a pointer to every agent: agents_ never grows after
-  /// construction.
   ClearingBook book_;
   /// Per-period scratch: queries each client has still to place, the
   /// lowest class it may still hold, and the clients with any left.

@@ -212,8 +212,10 @@ class QaNtAgent {
 
   /// Revises this node's own execution-time belief for class `k` (fed by
   /// the node's plan-history estimator in the real-DBMS deployment, §5.2).
-  /// Takes effect at the next BeginPeriod. Only the node's private data is
-  /// involved, so autonomy is intact.
+  /// unit_cost(k), WouldAccept's budget and density tests and the offer
+  /// ranking read the new cost at once; max density, the density gate's
+  /// bar, keeps the old one until the next decline bump or BeginPeriod.
+  /// Only the node's private data is involved, so autonomy is intact.
   void UpdateUnitCost(int k, util::VDuration cost);
 
  private:

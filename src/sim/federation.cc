@@ -270,7 +270,7 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
   QA_METRICS(config_.metrics) {
     // One final sample so short runs (fewer ticks than a global period)
     // still close with their end-state counters on record.
-    EmitMetricsSample();
+    EmitMetricsSample(/*probed=*/false);
     config_.metrics->RecordPhase(obs::metrics::Phase::kRunTotal,
                                  util::MonotonicClock::NowNanos() - run_start);
   }
@@ -1082,7 +1082,7 @@ void Federation::MarketTick() {
     // deposited so the mechanism's period hook can time its rollover
     // stage without another clock read; an absent mark marks the tick
     // unsampled.
-    if (tick_probe_seq_++ % obs::metrics::kTickProbeStride == 0) {
+    if (ticks_ % obs::metrics::kTickProbeStride == 0) {
       tick_start = util::MonotonicClock::NowNanos();
       config_.metrics->MarkPhaseStart(tick_start);
     }
@@ -1103,8 +1103,11 @@ void Federation::MarketTick() {
   // Admission-control update, once per global period. Deliberately NOT
   // inside a QA_METRICS gate: admission changes which queries run, so it
   // must behave identically with and without a collector attached (the
-  // collector-never-perturbs invariant, DESIGN.md §9). The controller
-  // keeps its own probe for the same reason.
+  // collector-never-perturbs invariant, DESIGN.md §9). It fills the
+  // period's market probe whatever the collector; the metrics sample
+  // below then reads the same probe, since nothing between the two moves
+  // a price or an earning.
+  bool probed = false;
   if (admission_.enabled()) {
     // The fence before every market tick merged every lane, so
     // admitted_in_flight_ is exact here: resync the gate's view so
@@ -1112,9 +1115,10 @@ void Federation::MarketTick() {
     admission_load_ = admitted_in_flight_;
     if (ticks_ % kTicksPerPeriod == 0) {
       if (admission_.wants_probe()) {
-        allocator_->FillMarketProbe(&admission_probe_);
+        allocator_->FillMarketProbe(&market_probe_);
+        probed = true;
       }
-      admission_.OnPeriod(admission_probe_);
+      admission_.OnPeriod(market_probe_);
     }
   }
   QA_OBS(config_.recorder) {
@@ -1148,7 +1152,7 @@ void Federation::MarketTick() {
     if (ticks_ % kTicksPerPeriod == 0) {
       obs::metrics::ScopedPhaseTimer timer(config_.metrics,
                                            obs::metrics::Phase::kSnapshot);
-      EmitMetricsSample();
+      EmitMetricsSample(probed);
     }
   }
   // The market keeps ticking while queries are in flight. The fence
@@ -1165,7 +1169,7 @@ void Federation::EmitRecord(const obs::EventRecord& record) {
                         /*is_snapshot=*/false, record, {}});
 }
 
-void Federation::EmitMetricsSample() {
+void Federation::EmitMetricsSample(bool probed) {
   obs::metrics::SampleRow row;
   row.t_us = events_.now();
   row.period = ticks_ / kTicksPerPeriod;
@@ -1193,7 +1197,7 @@ void Federation::EmitMetricsSample() {
   // Watchdogs first: alarms precede the sample that carries the gauges
   // they fired on, so the stream reads cause-before-effect.
   watchdogs_->ObserveOverload(metrics_.shed, admission_.brownout_level());
-  allocator_->FillMarketProbe(&market_probe_);
+  if (!probed) allocator_->FillMarketProbe(&market_probe_);
   std::vector<obs::metrics::AlarmRecord> alarms =
       watchdogs_->EvaluatePeriod(row.period, events_.now(), market_probe_);
   for (const obs::metrics::AlarmRecord& alarm : alarms) {

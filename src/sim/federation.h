@@ -413,12 +413,13 @@ class Federation : public allocation::AllocationContext {
   /// Schedules a node-lane event into the owning lane's queue.
   void ScheduleNodeEvent(util::VTime when, uint64_t stamp, LaneEvent event);
 
-  /// Evaluates the market-health watchdogs against the allocator snapshot
-  /// and emits one deterministic msample (plus any alarms) into the
-  /// collector. Global-market-period cadence, plus one final sample when
-  /// the run ends. Requires a collector (call sites sit in QA_METRICS
-  /// gates).
-  void EmitMetricsSample();
+  /// Evaluates the market-health watchdogs against the market probe and
+  /// emits one deterministic msample (plus any alarms) into the collector.
+  /// Global-market-period cadence, plus one final sample when the run
+  /// ends. Fills market_probe_ first unless `probed` says this period's
+  /// fill already happened. Requires a collector (call sites sit in
+  /// QA_METRICS gates).
+  void EmitMetricsSample(bool probed);
   /// First market tick strictly after `t` (node lanes pass their own
   /// event clock, the mediator its own).
   util::VTime NextMarketTick(util::VTime t) const;
@@ -488,25 +489,21 @@ class Federation : public allocation::AllocationContext {
   /// Admission-control state machine, rebuilt per Run from the config and
   /// the per-class best costs.
   AdmissionController admission_;
-  /// The admission controller's own market view, refilled every global
-  /// period when the price-signal policy is active. Separate from
-  /// market_probe_ (the watchdog feed) so admission works identically with
-  /// and without a metrics collector attached.
-  obs::metrics::MarketProbe admission_probe_;
   query::QueryId next_query_id_ = 0;
-  /// Market ticks run so far (drives the snapshot cadence of traced runs).
+  /// Market ticks run so far: drives the global-period cadence and the
+  /// sampled tick/rollover phase probes (see
+  /// obs::metrics::kTickProbeStride).
   int64_t ticks_ = 0;
   /// Market-health detectors (built per run when a collector is attached).
   std::unique_ptr<obs::metrics::WatchdogSuite> watchdogs_;
-  /// Reusable watchdog-feed buffer, refilled by the allocator each global
-  /// period (steady state allocates nothing; see MarketProbe).
+  /// The market's prices and earnings, refilled by the allocator at most
+  /// once per global period, for price-signal admission and the watchdogs
+  /// alike, and once more by the run's closing sample (steady state
+  /// allocates nothing; see MarketProbe).
   obs::metrics::MarketProbe market_probe_;
   /// Allocation sequence number driving the sampled allocate/bid-scan
   /// phase probes (see obs::metrics::kAllocProbeStride).
   uint64_t alloc_probe_seq_ = 0;
-  /// Tick sequence number driving the sampled tick/rollover phase probes
-  /// (see obs::metrics::kTickProbeStride).
-  uint64_t tick_probe_seq_ = 0;
   /// Best-case cost per class (0 for a class no node evaluates): the work
   /// a task charges its node's cumulative ledger, the shedding and
   /// brownout priority. The one home of that per-class fact.

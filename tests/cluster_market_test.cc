@@ -196,16 +196,13 @@ TEST(ClusterSupplyAgentTest, LedgerTracksPublishSellExhaust) {
   EXPECT_EQ(agent.sold()[0], 2);
 
   agent.Publish(aggregate);  // next period restores the ledger
+  EXPECT_EQ(agent.remaining()[0], 2);  // both sold units are back
   EXPECT_TRUE(agent.OnSolicited(0));
   agent.MarkExhausted(0);  // tier-2 all-decline correction
   EXPECT_FALSE(agent.OnSolicited(0));
-
-  const market::ClusterSupplyStats& stats = agent.stats();
-  EXPECT_EQ(stats.publishes, 2);
-  EXPECT_EQ(stats.top_requests, 6);
-  EXPECT_EQ(stats.top_offers, 2);
-  EXPECT_EQ(stats.top_declines, 4);
-  EXPECT_EQ(stats.exhausted_marks, 1);
+  EXPECT_EQ(agent.remaining()[0], 0);
+  EXPECT_EQ(agent.published()[0], 2);  // the plan is not rewritten
+  EXPECT_EQ(agent.sold()[0], 2);       // nor is what was sold
 }
 
 TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
@@ -557,16 +554,23 @@ TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
     ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
   }
   allocator.OnPeriodStart(kPeriod);  // first boundary: warm every buffer
+  // Sell into every cluster, so that each ledger shows a unit sold since
+  // its last publish.
+  for (int i = 0; i < 64; ++i) allocator.Allocate(arrival, context);
+  const ClusterMarket& market = *allocator.cluster_market();
+  for (int c = 0; c < 4; ++c) {
+    ASSERT_LT(market.agent(c).remaining()[0], market.agent(c).published()[0])
+        << "cluster " << c;
+  }
 
   int64_t periods = allocator.agent(served).stats().periods;
-  int64_t publishes = allocator.cluster_market()->agent(0).stats().publishes;
   int64_t before = g_allocations.load(std::memory_order_relaxed);
   allocator.OnPeriodStart(2 * kPeriod);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
   EXPECT_EQ(allocator.agent(served).stats().periods, periods + 1);
+  // Every cluster republished: its sold units are back in the ledger.
   for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(allocator.cluster_market()->agent(c).stats().publishes,
-              publishes + 1)
+    EXPECT_EQ(market.agent(c).remaining()[0], market.agent(c).published()[0])
         << "cluster " << c;
   }
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dbms/dataset.h"
 #include "dbms/dbms_federation.h"
+#include "stats/summary.h"
 #include "util/rng.h"
 #include "util/vtime.h"
 
@@ -127,6 +131,27 @@ TEST_F(DbmsFederationTest, QaNtRunCompletesAllQueries) {
   EXPECT_EQ(r.completed + r.dropped, 40);
   EXPECT_EQ(r.dropped, 0);
   EXPECT_GT(r.total_ms.Mean(), 0.0);
+}
+
+/// The bits of the in-order sum of `summary`'s samples.
+uint64_t SumBits(const stats::Summary& summary) {
+  double sum = 0.0;
+  for (double v : summary.values()) sum += v;
+  return std::bit_cast<uint64_t>(sum);
+}
+
+// At this load every eligible node declines some attempts, which then wait
+// for the next period boundary. The counts and the exact sums of the
+// assignment and response times pin the QA-NT auction (offers, the
+// cheapest revised estimate, the retries) bit for bit.
+TEST_F(DbmsFederationTest, QaNtRunWithRetriesIsPinned) {
+  DbmsFederation fed(SmallConfig());
+  DbmsRunResult r = fed.Run("QA-NT", 60, 300 * kMillisecond, 1);
+  EXPECT_EQ(r.completed, 60);
+  EXPECT_EQ(r.retries, 367);
+  EXPECT_EQ(r.dropped, 0);
+  EXPECT_EQ(SumBits(r.assign_ms), 0x4107441722d0e55fULL);  // 190594.892 ms
+  EXPECT_EQ(SumBits(r.total_ms), 0x411997e7676c8b46ULL);   // 419321.851 ms
 }
 
 TEST_F(DbmsFederationTest, AssignTimeDominatedBySlowestReply) {

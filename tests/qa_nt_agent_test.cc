@@ -341,6 +341,33 @@ TEST(QaNtAgentTest, DeclineIsInertOnlyWhileMaxDensityStaysPut) {
   EXPECT_FALSE(moving.DeclineIsInert(0));  // price 1 still climbs
 }
 
+TEST(QaNtAgentTest, RevisedUnitCostCountsAtOnceButMaxDensityWaits) {
+  QaNtConfig config;
+  config.initial_price = 2.0;
+  config.price_cap = 2.0;
+  config.density_gate_when_idle = true;
+  QaNtAgent agent = MakeFig1N1Agent(config);
+  agent.BeginPeriod();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(agent.OnRequest(1));
+    agent.OnOfferAccepted(1);
+  }
+  // 100 ms of budget remain: q1 at 400 ms does not fit.
+  EXPECT_FALSE(agent.WouldAccept(0));
+  agent.UpdateUnitCost(0, 50 * kMillisecond);
+  // The cost, and with it the budget and density tests, change at once.
+  EXPECT_EQ(agent.unit_cost(0), 50 * kMillisecond);
+  EXPECT_TRUE(agent.WouldAccept(0));
+  // Max density is still q2's 2/100 ms, under q1's new 2/50 ms: a decline
+  // of q1 would raise it, so it is not inert.
+  EXPECT_TRUE(agent.PriceAtFixedPoint(0));
+  EXPECT_FALSE(agent.DeclineIsInert(0));
+  // The next period's max density is q1's.
+  agent.EndPeriod();
+  agent.BeginPeriod();
+  EXPECT_TRUE(agent.DeclineIsInert(0));
+}
+
 TEST(QaNtConfigTest, FloorAboveCapIsRejected) {
   // Unchecked, this config starts the agent at the cap (3), the period-end
   // floor clamp lifts the price to 5 and the next decline drops it to 3.

@@ -3,10 +3,11 @@
 // every node is online, asking only the agents whose answer can change
 // (DESIGN.md, "One clearing engine"); PollingAllocator below keeps the
 // allocator that asks every solicited agent on every arrival: lazily built
-// agents, the staggered rollover roster, restarts and the bid scan. Seeded
-// scenarios drive both through a context whose reachability changes over
-// time and compare every decision, probe and snapshot, and every agent's
-// state bit for bit.
+// agents, the staggered rollover roster, restarts and the bid scan, under
+// broadcast or sampled solicitation and cheapest or equitable selection.
+// Seeded scenarios drive both through a context whose reachability changes
+// over time and compare every decision, probe and snapshot, and every
+// agent's state bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "allocation/qa_nt_allocator.h"
+#include "allocation/solicitation.h"
 #include "obs/metrics/market_probe.h"
 #include "obs/snapshot.h"
 #include "query/cost_model.h"
@@ -34,14 +36,29 @@ using util::kMillisecond;
 constexpr util::VDuration kPeriod = 500 * kMillisecond;
 constexpr util::VDuration kTick = kPeriod / 8;
 
-/// The reference: the flat broadcast QA-NT allocator under cheapest-offer
-/// selection, which asks every online candidate of the arrival's class.
+using Selection = QaNtAllocator::OfferSelection;
+
+/// The reference: the flat QA-NT allocator, which asks every online
+/// solicited candidate of the arrival's class: all of them under
+/// broadcast, or the real allocator's per-arrival draw under a sampled
+/// policy. The cheapest offer wins, or under equitable selection the
+/// offer of the least earnings; ties go to the earliest asked.
 class PollingAllocator {
  public:
-  PollingAllocator(const query::CostModel* cost_model, QaNtConfig config)
-      : cost_model_(cost_model), config_(config) {
+  PollingAllocator(const query::CostModel* cost_model, QaNtConfig config,
+                   Selection selection = Selection::kCheapest,
+                   SolicitationConfig solicitation = {}, uint64_t seed = 0)
+      : cost_model_(cost_model),
+        config_(config),
+        selection_(selection),
+        solicitation_(solicitation),
+        seed_(seed),
+        candidates_(*cost_model) {
     agents_.resize(static_cast<size_t>(cost_model_->num_nodes()));
   }
+
+  /// Arrivals whose winner was not the cheapest offer.
+  int64_t non_cheapest_wins() const { return non_cheapest_wins_; }
 
   int num_nodes() const { return static_cast<int>(agents_.size()); }
   bool built(catalog::NodeId node) const {
@@ -51,11 +68,20 @@ class PollingAllocator {
 
   AllocationDecision Allocate(int k, const AllocationContext& context) {
     AllocationDecision decision;
+    uint64_t seq = arrival_seq_++;
+    std::vector<catalog::NodeId> solicited;
+    if (solicitation_.sampled()) {
+      SolicitNodes(solicitation_, candidates_, k,
+                   util::SplitMix64(util::MixSeed(seed_, seq)), &solicited);
+    } else {
+      for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
+        if (cost_model_->CanEvaluate(k, j)) solicited.push_back(j);
+      }
+    }
+    decision.solicited = static_cast<int>(solicited.size());
     std::vector<catalog::NodeId> offers;
     int asked = 0;
-    for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
-      if (!cost_model_->CanEvaluate(k, j)) continue;
-      ++decision.solicited;
+    for (catalog::NodeId j : solicited) {
       if (!context.NodeOnline(j)) continue;
       ++asked;
       if (EnsureAgent(j).OnRequest(k)) offers.push_back(j);
@@ -63,12 +89,21 @@ class PollingAllocator {
     decision.messages = 2 * asked + 1;
     if (offers.empty()) return decision;
     catalog::NodeId best = offers[0];
+    catalog::NodeId cheapest = offers[0];
     for (catalog::NodeId j : offers) {
-      if (agents_[static_cast<size_t>(j)]->unit_cost(k) <
-          agents_[static_cast<size_t>(best)]->unit_cost(k)) {
+      const QaNtAgent& offer = *agents_[static_cast<size_t>(j)];
+      const QaNtAgent& leader = *agents_[static_cast<size_t>(best)];
+      if (selection_ == Selection::kEquitable
+              ? offer.earnings() < leader.earnings()
+              : offer.unit_cost(k) < leader.unit_cost(k)) {
         best = j;
       }
+      if (offer.unit_cost(k) <
+          agents_[static_cast<size_t>(cheapest)]->unit_cost(k)) {
+        cheapest = j;
+      }
     }
+    if (best != cheapest) ++non_cheapest_wins_;
     agents_[static_cast<size_t>(best)]->OnOfferAccepted(k);
     decision.node = best;
     return decision;
@@ -156,6 +191,12 @@ class PollingAllocator {
 
   const query::CostModel* cost_model_;
   QaNtConfig config_;
+  Selection selection_;
+  SolicitationConfig solicitation_;
+  uint64_t seed_;
+  CandidateIndex candidates_;
+  uint64_t arrival_seq_ = 0;
+  int64_t non_cheapest_wins_ = 0;
   util::VTime last_rollover_now_ = 0;
   std::vector<std::unique_ptr<QaNtAgent>> agents_;
   std::vector<RosterEntry> roster_;
@@ -330,9 +371,20 @@ struct Coverage {
   int64_t polled_arrivals = 0;
   int64_t single_candidate_arrivals = 0;
   int64_t unit_cost_ops = 0;
+  /// Arrivals that solicited fewer nodes than their class has candidates.
+  int64_t sampled_arrivals = 0;
+  /// Arrivals whose winner was not the cheapest offer.
+  int64_t non_cheapest_wins = 0;
 };
 
-void RunScenario(uint64_t seed, Coverage* coverage) {
+/// How the allocators of one scenario pick whom to ask and whom to take.
+struct Mechanism {
+  Selection selection = Selection::kCheapest;
+  SolicitationConfig solicitation;
+};
+
+void RunScenario(uint64_t seed, Coverage* coverage,
+                 Mechanism mechanism = {}) {
   static constexpr int kClassMenu[] = {1, 2, 3, 5};
   static constexpr int kNodeMenu[] = {1, 2, 4, 7, 12};
   util::Rng rng(seed);
@@ -349,8 +401,10 @@ void RunScenario(uint64_t seed, Coverage* coverage) {
     }
   }
   QaNtConfig config = MakeConfig(variant);
-  QaNtAllocator real(&costs, kPeriod, config);
-  PollingAllocator ref(&costs, config);
+  QaNtAllocator real(&costs, kPeriod, config, mechanism.selection,
+                     mechanism.solicitation, seed);
+  PollingAllocator ref(&costs, config, mechanism.selection,
+                       mechanism.solicitation, seed);
   SwitchContext context(&costs);
   std::string label = "seed " + std::to_string(seed) + " K=" +
                       std::to_string(num_classes) + " N=" +
@@ -381,6 +435,11 @@ void RunScenario(uint64_t seed, Coverage* coverage) {
                std::to_string(a.solicited) + " vs " +
                std::to_string(b.solicited);
       }
+      int candidates = 0;
+      for (catalog::NodeId j = 0; j < num_nodes; ++j) {
+        candidates += costs.CanEvaluate(k, j) ? 1 : 0;
+      }
+      if (b.solicited < candidates) ++coverage->sampled_arrivals;
       if (b.solicited < 2) {
         ++coverage->single_candidate_arrivals;
       } else if (context.EveryNodeOnline()) {
@@ -434,6 +493,7 @@ void RunScenario(uint64_t seed, Coverage* coverage) {
     if (diff.empty() && every_op) diff = DiffAgents(real, ref, num_classes);
     ASSERT_EQ(diff, "") << label << " op " << op << " (" << name << ")";
   }
+  coverage->non_cheapest_wins += ref.non_cheapest_wins();
 }
 
 TEST(QaNtAllocatorEquivalenceTest, BookMatchesPollingReference) {
@@ -447,6 +507,42 @@ TEST(QaNtAllocatorEquivalenceTest, BookMatchesPollingReference) {
   EXPECT_GT(coverage.polled_arrivals, 30000);
   EXPECT_GT(coverage.single_candidate_arrivals, 30000);
   EXPECT_GT(coverage.unit_cost_ops, 8000);
+}
+
+// Sampled solicitation never books: each arrival asks a fresh draw of its
+// class's candidates, the same per-arrival stream the real allocator draws
+// through SolicitNodes. Fanouts 1 to 4 against 1 to 12 nodes cover both a
+// real sample and a fanout that reaches every candidate.
+TEST(QaNtAllocatorEquivalenceTest, SampledSolicitationMatchesPollingReference) {
+  for (SolicitationPolicy policy : {SolicitationPolicy::kUniformSample,
+                                    SolicitationPolicy::kStratifiedSample}) {
+    Coverage coverage;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      Mechanism mechanism;
+      mechanism.solicitation.policy = policy;
+      mechanism.solicitation.fanout = 1 + static_cast<int>(seed % 4);
+      RunScenario(seed, &coverage, mechanism);
+      if (HasFatalFailure()) return;
+    }
+    std::string name(SolicitationPolicyName(policy));
+    EXPECT_GT(coverage.sampled_arrivals, 20000) << name;
+    EXPECT_GT(coverage.polled_arrivals, 10000) << name;
+    EXPECT_GT(coverage.unit_cost_ops, 2000) << name;
+  }
+}
+
+// Equitable selection never books either: the offer of the least earnings
+// wins, ties to the earliest asked.
+TEST(QaNtAllocatorEquivalenceTest, EquitableSelectionMatchesPollingReference) {
+  Coverage coverage;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Mechanism mechanism;
+    mechanism.selection = Selection::kEquitable;
+    RunScenario(seed, &coverage, mechanism);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(coverage.non_cheapest_wins, 5000);
+  EXPECT_GT(coverage.unit_cost_ops, 2000);
 }
 
 TEST(QaNtAllocatorEquivalenceTest, CostCutAboveMaxDensityKeepsDeclinePolled) {

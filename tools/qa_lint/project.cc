@@ -1124,10 +1124,9 @@ class ShardPass {
         "link_down_",      "link_mask_active_", "tick_assigns_",
         "tick_rejects_",   "consecutive_decline_rounds_",
         "retry_backlog_",  "admitted_in_flight_",
-        "admission_load_", "admission_",       "admission_probe_",
-        "next_query_id_",  "ticks_",           "watchdogs_",
-        "market_probe_",   "alloc_probe_seq_", "tick_probe_seq_",
-        "ran_",            "allocator_"};
+        "admission_load_", "admission_",       "next_query_id_",
+        "ticks_",          "watchdogs_",       "market_probe_",
+        "alloc_probe_seq_", "ran_",            "allocator_"};
     static const std::set<std::string> kQaNtChunkBanned = {
         "book_", "arrival_seq_", "metrics_", "cluster_market_"};
     const FileModel& fm = files_[n.first];
