@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   util::Rng wl_rng(seed + 1);
   workload::Trace trace = workload::GenerateSinusoidWorkload(wave, wl_rng);
 
-  using Selection = allocation::QaNtAllocator::OfferSelection;
+  using Selection = market::OfferSelection;
   std::vector<Selection> selections = {Selection::kCheapest,
                                        Selection::kEquitable};
   std::vector<exec::RunSpec> specs;

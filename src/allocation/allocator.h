@@ -136,12 +136,12 @@ class Allocator {
     (void)runner;
   }
 
-  /// Offers the mechanism a metrics collector for wall-clock phase
-  /// profiling of its internal stages (QA-NT times its period rollover and
-  /// bid scan). Same side-channel contract as the collector itself:
-  /// readings must never influence the decision stream. nullptr (the
-  /// default state) disables the probes; the collector must outlive the
-  /// allocator or be reset first.
+  /// Offers the mechanism the run's metrics collector (nullptr when none);
+  /// the federation calls it once, at Run entry. No mechanism keeps it: a
+  /// mechanism reads no clock, and the federation times its allocate and
+  /// period-hook calls from outside (DESIGN.md §9). The hook stays virtual
+  /// because the benchmark's timing decorator overrides it and takes the
+  /// call as its run-start mark.
   virtual void SetMetricsCollector(obs::metrics::Collector* collector) {
     (void)collector;
   }

@@ -5,11 +5,7 @@
 namespace qa::allocation {
 
 util::Status ClusterPlan::Validate(int num_nodes) const {
-  if (!enabled) return util::Status::OK();
-  if (clusters.empty()) {
-    return util::Status::InvalidArgument(
-        "cluster_plan: enabled plan has zero clusters");
-  }
+  if (clusters.empty()) return util::Status::OK();
   std::vector<int> seen(static_cast<size_t>(num_nodes), 0);
   for (size_t c = 0; c < clusters.size(); ++c) {
     for (catalog::NodeId node : clusters[c]) {
@@ -44,7 +40,6 @@ util::Status ClusterPlan::Validate(int num_nodes) const {
 ClusterPlan ClusterPlan::Uniform(int num_nodes, int num_clusters,
                                  int top_fanout) {
   ClusterPlan plan;
-  plan.enabled = true;
   if (num_clusters < 1) num_clusters = 1;
   plan.clusters.resize(static_cast<size_t>(num_clusters));
   for (int c = 0; c < num_clusters; ++c) {

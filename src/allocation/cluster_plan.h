@@ -12,14 +12,13 @@ namespace qa::allocation {
 /// Partition of the federation's nodes into clusters for the two-tier
 /// hierarchical market: each cluster runs its own QA-NT sub-mediator over
 /// its members, and a top-level market routes each query to a cluster by
-/// trading the clusters' aggregate supply vectors. Disabled (the default)
-/// means the classic flat single-mediator market; an enabled plan with a
-/// single cluster is structurally flat too and reproduces it byte for
-/// byte (the equivalence anchor of the hierarchy tests).
+/// trading the clusters' aggregate supply vectors. A plan that lists fewer
+/// than two clusters (the default lists none) is the classic flat
+/// single-mediator market; a plan with a single cluster reproduces it
+/// byte for byte (the equivalence anchor of the hierarchy tests).
 struct ClusterPlan {
-  bool enabled = false;
-  /// clusters[c] lists the member node ids of cluster c. When the plan is
-  /// enabled, every node of the federation must appear in exactly one
+  /// clusters[c] lists the member node ids of cluster c. When the plan
+  /// lists any, every node of the federation must appear in exactly one
   /// cluster; an empty cluster is legal (it simply never offers).
   std::vector<std::vector<catalog::NodeId>> clusters;
   /// Bounded-fanout solicitation reused at the top tier: how many cluster
@@ -31,12 +30,12 @@ struct ClusterPlan {
   /// True when allocation actually runs the two-tier protocol. A
   /// single-cluster plan degenerates to the flat market and is executed
   /// as such (same code path, same bytes).
-  bool hierarchical() const { return enabled && clusters.size() > 1; }
+  bool hierarchical() const { return clusters.size() > 1; }
 
-  /// A disabled plan is always valid (clusters/top are ignored). An
-  /// enabled plan must name at least one cluster, place every node of
-  /// [0, num_nodes) in exactly one cluster, keep every member id in
-  /// range, and carry a valid top-tier solicitation config.
+  /// A plan that lists no cluster is always valid (`top` is ignored). A
+  /// plan that lists clusters must place every node of [0, num_nodes) in
+  /// exactly one of them, keep every member id in range, and carry a
+  /// valid top-tier solicitation config.
   util::Status Validate(int num_nodes) const;
 
   /// Convenience builder: `num_clusters` clusters of near-equal size over

@@ -10,7 +10,7 @@ std::unique_ptr<Allocator> CreateAllocator(const std::string& name,
   if (name == "QA-NT") {
     return std::make_unique<QaNtAllocator>(
         params.cost_model, params.period, params.qa_nt,
-        QaNtAllocator::OfferSelection::kCheapest, params.solicitation,
+        market::OfferSelection::kCheapest, params.solicitation,
         params.seed, params.cluster_plan);
   }
   if (name == "Greedy") {

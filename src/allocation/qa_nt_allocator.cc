@@ -4,14 +4,12 @@
 #include <cassert>
 #include <span>
 
-#include "obs/metrics/collector.h"
-
 namespace qa::allocation {
 
 QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
                              util::VDuration period,
                              market::QaNtConfig config,
-                             OfferSelection selection,
+                             market::OfferSelection selection,
                              SolicitationConfig solicitation, uint64_t seed,
                              ClusterPlan cluster_plan)
     : cost_model_(cost_model),
@@ -26,8 +24,8 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
   std::vector<std::vector<catalog::NodeId>> members;
   // A single-cluster plan is structurally the flat market, so it runs the
   // flat code path — that degenerate identity is exactly what the
-  // hierarchy equivalence tests pin down, and it means enabling the plan
-  // can never change a federation that has nothing to cluster.
+  // hierarchy equivalence tests pin down, and it means a plan can never
+  // change a federation that has nothing to cluster.
   if (cluster_plan.hierarchical()) {
     cluster_market_ = std::make_unique<ClusterMarket>(
         cost_model_, std::move(cluster_plan), config_, period_);
@@ -35,7 +33,8 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
     // Only the flat market solicits from the whole federation; the
     // two-tier one reads each active cluster's member index instead.
     candidates_ = CandidateIndex(*cost_model_);
-    if (!solicitation_.sampled() && selection_ == OfferSelection::kCheapest) {
+    if (!solicitation_.sampled() &&
+        selection_ == market::OfferSelection::kCheapest) {
       // A class with one candidate stays off the listing: standing answers
       // would save it no poll, yet cost a reclassification per request.
       members.resize(static_cast<size_t>(candidates_.num_classes()));
@@ -185,15 +184,6 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
   }
 
   int asked = 0;
-  [[maybe_unused]] int64_t scan_start = 0;
-  QA_METRICS(metrics_) {
-    // Chain from the federation's allocate-start reading (the routing and
-    // solicitation sampling then count as part of the scan — they are the
-    // fan-out decision of the same stage). An absent mark means this
-    // allocation fell outside the deterministic probe sample (see
-    // kAllocProbeStride) and the scan goes untimed.
-    scan_start = metrics_->TakePhaseMark();
-  }
   if (Booked(k, context)) {
     // Every candidate is online and hears the request; the book asks only
     // those whose answer can change. Its "no winner" is kNoNode (-1).
@@ -205,13 +195,6 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
         solicitation_, *universe, k,
         util::SplitMix64(util::MixSeed(seed_, seq)), &solicited_);
     decision.node = ScanAndSettle(context, k, &asked);
-  }
-  QA_METRICS(metrics_) {
-    if (scan_start != 0) {
-      metrics_->RecordPhase(obs::metrics::Phase::kBidScan,
-                            util::MonotonicClock::NowNanos() - scan_start,
-                            obs::metrics::kAllocProbeStride);
-    }
   }
   // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
@@ -312,13 +295,6 @@ void QaNtAllocator::FillMarketProbe(obs::metrics::MarketProbe* probe) const {
 }
 
 void QaNtAllocator::OnPeriodStart(util::VTime now) {
-  // Chain from the federation's tick-start reading; an absent mark means
-  // this tick fell outside the deterministic probe sample (see
-  // kTickProbeStride) and the rollover goes untimed. OnPeriodEnd is the
-  // base class's no-op, so the chained start matches the rollover's real
-  // start.
-  [[maybe_unused]] int64_t roll_start = 0;
-  QA_METRICS(metrics_) { roll_start = metrics_->TakePhaseMark(); }
   // Record the tick *before* rolling: EnsureAgent replays rollovers for
   // lazily built agents up to exactly this time.
   last_rollover_now_ = now;
@@ -330,13 +306,6 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
     // Sub-mediators publish after their members rolled: the aggregate a
     // cluster trades this period is the members' post-rollover supply.
     cluster_market_->OnTick(now, book_);
-  }
-  QA_METRICS(metrics_) {
-    if (roll_start != 0) {
-      metrics_->RecordPhase(obs::metrics::Phase::kRollover,
-                            util::MonotonicClock::NowNanos() - roll_start,
-                            obs::metrics::kTickProbeStride);
-    }
   }
 }
 

@@ -33,25 +33,23 @@ namespace qa::allocation {
 /// online. Every other attempt polls each solicited online agent.
 class QaNtAllocator : public Allocator {
  public:
-  /// How the client picks among the offering nodes.
-  using OfferSelection = market::OfferSelection;
-
   /// Prepares one agent slot per node of `cost_model` with period budget
   /// `period`. Agents are instantiated lazily on first contact, so a
   /// 10,000-node federation where a sampled policy only ever touches a few
   /// hundred nodes never pays for the rest. The cost model pointer must
   /// outlive the allocator. `seed` feeds the per-arrival solicitation
   /// sampling streams (unused under broadcast).
-  /// `cluster_plan`, when hierarchical (enabled with >= 2 clusters),
-  /// turns on the two-tier market: arrivals are first routed to a cluster
-  /// on the aggregate-supply top market, then auctioned among that
-  /// cluster's members with the ordinary QA-NT protocol. A disabled or
-  /// single-cluster plan is the flat market: the same member auction over
+  /// `cluster_plan`, when hierarchical (>= 2 clusters), turns on the
+  /// two-tier market: arrivals are first routed to a cluster on the
+  /// aggregate-supply top market, then auctioned among that cluster's
+  /// members with the ordinary QA-NT protocol. An empty or single-cluster
+  /// plan is the flat market: the same member auction over
   /// the whole federation, with no top-tier draw and no ledger publish.
   /// Aborts with a FATAL message unless `config` validates.
   QaNtAllocator(const query::CostModel* cost_model, util::VDuration period,
                 market::QaNtConfig config = {},
-                OfferSelection selection = OfferSelection::kCheapest,
+                market::OfferSelection selection =
+                    market::OfferSelection::kCheapest,
                 SolicitationConfig solicitation = {}, uint64_t seed = 0,
                 ClusterPlan cluster_plan = {});
   ~QaNtAllocator() override;
@@ -92,14 +90,6 @@ class QaNtAllocator : public Allocator {
   /// restarted from its configuration file. The agent's staggered period
   /// phase is preserved so the restart does not re-synchronize the market.
   void OnNodeRestart(catalog::NodeId node, util::VTime now) override;
-
-  /// Wall-clock phase profiling of the mechanism's two internal stages:
-  /// the staggered period rollover (OnPeriodStart) and the solicited-agent
-  /// bid scan (Allocate). Side channel only — readings never influence the
-  /// decision stream.
-  void SetMetricsCollector(obs::metrics::Collector* collector) override {
-    metrics_ = collector;
-  }
 
   int num_nodes() const { return book_.num_nodes(); }
   /// Accessing an agent instantiates it (caught up to the market tick) if
@@ -164,7 +154,8 @@ class QaNtAllocator : public Allocator {
   const query::CostModel* cost_model_;
   util::VDuration period_;
   market::QaNtConfig config_;
-  OfferSelection selection_;
+  /// How the client picks among the offering nodes.
+  market::OfferSelection selection_;
   SolicitationConfig solicitation_;
   uint64_t seed_;
   /// Arrivals allocated so far; arrival i's sampling stream is seeded with
@@ -185,8 +176,6 @@ class QaNtAllocator : public Allocator {
   /// walks. The order is free — each agent's rollover is a pure function
   /// of its own state.
   std::vector<RosterEntry> roster_;
-  /// Phase-profiling collector (null = no probes).
-  obs::metrics::Collector* metrics_ = nullptr;
   /// Top tier of the two-tier market; null when the plan is flat.
   std::unique_ptr<ClusterMarket> cluster_market_;
   /// Scratch buffers reused across arrivals (no hot-path allocation).

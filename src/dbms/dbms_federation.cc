@@ -93,6 +93,16 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
                                   int num_queries,
                                   util::VDuration mean_interarrival,
                                   uint64_t run_seed) {
+  // An unknown name would fall through to the QA-NT auction with no
+  // agents built; fail fast instead, like the experiment runner does.
+  const bool qa_nt = mechanism == "QA-NT";
+  util::AbortUnlessOk(
+      qa_nt || mechanism == "Greedy" || mechanism == "GreedyBlind"
+          ? util::Status::OK()
+          : util::Status::InvalidArgument(
+                "unknown mechanism '" + mechanism +
+                "' (accepted: Greedy, GreedyBlind, QA-NT)"),
+      "DbmsFederation::Run");
   DbmsRunResult result;
   result.mechanism = mechanism;
   util::Rng rng(run_seed);
@@ -104,7 +114,6 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
 
   // QA-NT agents: unit costs = static template-cost matrix. Their book
   // lists nothing: a client asks the template's eligible nodes (Poll).
-  const bool qa_nt = mechanism == "QA-NT";
   market::ClearingBook book(n, {});
   if (qa_nt) {
     for (int i = 0; i < n; ++i) {

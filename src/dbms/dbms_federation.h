@@ -74,7 +74,8 @@ class DbmsFederation {
   /// `mean_interarrival` using `mechanism` ("Greedy" = least estimated
   /// completion, "GreedyBlind" = least estimated execution time — the
   /// information a §5.2 client really had — or "QA-NT"). Each Run resets
-  /// node buffer pools, histories and agents.
+  /// node buffer pools, histories and agents. Any other name aborts with a
+  /// FATAL message.
   DbmsRunResult Run(const std::string& mechanism, int num_queries,
                     util::VDuration mean_interarrival, uint64_t run_seed);
 

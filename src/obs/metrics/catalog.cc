@@ -16,9 +16,6 @@ const std::vector<MetricDef>& Catalog() {
       {"qa_phase_market_tick_ns",
        "per-tick market driver (allocator period hooks and bookkeeping)"},
       {"qa_phase_allocate_ns", "per-arrival Allocator::Allocate call"},
-      {"qa_phase_rollover_ns", "per-tick QA-NT staggered period rollover"},
-      {"qa_phase_bid_scan_ns",
-       "per-arrival QA-NT solicitation + solicited-agent bid scan"},
       {"qa_phase_snapshot_ns",
        "per-period market probe + sample + watchdog evaluation"},
       {"qa_phase_mediator_dispatch_ns",

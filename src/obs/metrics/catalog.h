@@ -29,8 +29,6 @@ enum Metric : int {
   kPhaseMerge,
   kPhaseMarketTick,
   kPhaseAllocate,
-  kPhaseRollover,
-  kPhaseBidScan,
   kPhaseSnapshot,
   kPhaseMediatorDispatch,
   // The one deterministic histogram: per-node queue lengths observed at

@@ -7,27 +7,14 @@ namespace qa::obs::metrics {
 
 util::StatusOr<std::unique_ptr<Collector>> Collector::OpenFile(
     const std::string& path) {
-  auto file = std::make_unique<std::ofstream>(path);
-  if (!file->is_open()) {
-    return util::Status::InvalidArgument("cannot open metrics file: " + path);
-  }
-  auto collector = std::make_unique<Collector>(file.get());
-  collector->file_ = std::move(file);
-  return collector;
-}
-
-void Collector::Write(const Json& json) {
-  if (sink_ == nullptr) return;
-  line_buffer_.clear();
-  json.DumpTo(line_buffer_);
-  line_buffer_.push_back('\n');
-  sink_->write(line_buffer_.data(),
-               static_cast<std::streamsize>(line_buffer_.size()));
+  util::StatusOr<JsonlWriter> out = JsonlWriter::Open(path, "metrics");
+  if (!out.ok()) return out.status();
+  return std::make_unique<Collector>(std::move(out).value());
 }
 
 void Collector::BeginRun(const RunMeta& meta) {
   finished_ = false;
-  if (sink_ == nullptr) return;
+  if (!streaming()) return;
   Json line = Json::MakeObject();
   line.Set("type", "mmeta");
   line.Set("mechanism", meta.mechanism);
@@ -36,7 +23,7 @@ void Collector::BeginRun(const RunMeta& meta) {
   line.Set("threads", meta.threads);
   line.Set("seed", meta.seed);
   line.Set("period_us", meta.period_us);
-  Write(line);
+  out_.Write(line);
 }
 
 void Collector::SetNumLanes(size_t lanes) {
@@ -50,40 +37,8 @@ void Collector::RecordLaneDrain(size_t lane, int64_t nanos, uint64_t events) {
   lane_events_[lane] += events;
 }
 
-void Collector::Sample(const SampleRow& row) {
-  // A collect-only collector (no sink) skips the line: building it costs
-  // ~two dozen node allocations per period, which in-memory phase
-  // attribution (bench A/B cells, the shard bench) must not pay on the
-  // measured path.
-  if (sink_ == nullptr) return;
-  Json line = Json::MakeObject();
-  line.Set("type", "msample");
-  line.Set("t_us", row.t_us);
-  line.Set("period", row.period);
-  line.Set("ticks", row.ticks);
-  line.Set("events", row.events_dispatched);
-  line.Set("assigned", row.assigned);
-  line.Set("completed", row.completed);
-  line.Set("dropped", row.dropped);
-  line.Set("expired", row.expired);
-  line.Set("bounced", row.bounced);
-  line.Set("lost", row.lost);
-  line.Set("retries", row.retries);
-  line.Set("messages", row.messages);
-  line.Set("solicited", row.solicited);
-  line.Set("outstanding", row.outstanding);
-  line.Set("shed", row.shed);
-  line.Set("admission_rejects", row.admission_rejects);
-  line.Set("brownout", row.brownout_level);
-  line.Set("log_price_var", row.log_price_variance);
-  line.Set("osc_flip_rate", row.osc_flip_rate);
-  line.Set("max_reject_age_ms", row.max_reject_age_ms);
-  line.Set("earnings_cv", row.earnings_cv);
-  Write(line);
-}
-
 void Collector::Alarm(const AlarmRecord& alarm) {
-  if (sink_ == nullptr) return;
+  if (!streaming()) return;
   Json line = Json::MakeObject();
   line.Set("type", "alarm");
   line.Set("t_us", alarm.t_us);
@@ -93,13 +48,13 @@ void Collector::Alarm(const AlarmRecord& alarm) {
   line.Set("value", alarm.value);
   line.Set("threshold", alarm.threshold);
   line.Set("detail", alarm.detail);
-  Write(line);
+  out_.Write(line);
 }
 
 void Collector::Finish() {
   if (finished_) return;
   finished_ = true;
-  if (sink_ == nullptr) return;
+  if (!streaming()) return;
   const std::vector<MetricDef>& catalog = Catalog();
   for (size_t i = 0; i < catalog.size(); ++i) {
     const Histogram& h = histograms_[i];
@@ -122,7 +77,7 @@ void Collector::Finish() {
       buckets.Append(std::move(pair));
     }
     line.Set("buckets", std::move(buckets));
-    Write(line);
+    out_.Write(line);
   }
   Json shards = Json::MakeObject();
   shards.Set("type", "mshards");
@@ -134,8 +89,8 @@ void Collector::Finish() {
   }
   shards.Set("lane_drain_ns", std::move(nanos));
   shards.Set("lane_events", std::move(events));
-  Write(shards);
-  sink_->flush();
+  out_.Write(shards);
+  out_.Flush();
 }
 
 Json Collector::PerfJson() const {

@@ -4,13 +4,14 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/jsonl.h"
 #include "obs/metrics/catalog.h"
 #include "obs/metrics/watchdog.h"
 #include "util/monotonic_clock.h"
@@ -78,25 +79,23 @@ enum class Phase : int {
   kMerge,
   kMarketTick,
   kAllocate,
-  kRollover,
-  kBidScan,
   kSnapshot,
   kMediatorDispatch,
 };
 
-/// Sampling stride for the per-allocation phase probes (kAllocate and the
-/// nested kBidScan): one in every kAllocProbeStride allocations is timed,
-/// and the measured duration is recorded with this weight. At allocation
-/// granularity the probe itself (three clock reads, two histogram
-/// records) is a measurable fraction of the work being timed; sampling
+/// Sampling stride for the per-allocation phase probe (kAllocate): one in
+/// every kAllocProbeStride allocations is timed, and the measured
+/// duration is recorded with this weight. At allocation granularity the
+/// probe itself (two clock reads, one histogram record) is a measurable
+/// fraction of the work being timed; sampling
 /// cuts that to 1/N while the weighted records keep histogram counts and
 /// sums unbiased. Which allocations get timed is a pure function of the
 /// allocation sequence number, so record counts stay deterministic
 /// across shard/thread layouts.
 inline constexpr uint64_t kAllocProbeStride = 8;
 
-/// Sampling stride for the per-tick phase probes (kMarketTick and the
-/// nested kRollover), same scheme as kAllocProbeStride. Deliberately
+/// Sampling stride for the per-tick phase probe (kMarketTick), same scheme
+/// as kAllocProbeStride. Deliberately
 /// coprime to the market-tick divisor (a power of two in every shipped
 /// scenario): a stride sharing a factor with the divisor would pin the
 /// sample to a fixed position inside the global period — e.g. always the
@@ -113,41 +112,14 @@ struct RunMeta {
   util::VTime period_us = 0;
 };
 
-/// One deterministic per-period sample: cumulative simulation counters plus
-/// the watchdog gauges, all derived from virtual-time state — identical
-/// bytes at any shard/thread count.
-struct SampleRow {
-  util::VTime t_us = 0;
-  int64_t period = 0;
-  int64_t ticks = 0;
-  int64_t events_dispatched = 0;
-  int64_t assigned = 0;
-  int64_t completed = 0;
-  int64_t dropped = 0;
-  int64_t expired = 0;
-  int64_t bounced = 0;
-  int64_t lost = 0;
-  int64_t retries = 0;
-  int64_t messages = 0;
-  int64_t solicited = 0;
-  int64_t outstanding = 0;
-  int64_t shed = 0;
-  int64_t admission_rejects = 0;
-  int64_t brownout_level = 0;
-  double log_price_variance = 0.0;
-  double osc_flip_rate = 0.0;
-  double max_reject_age_ms = 0.0;
-  double earnings_cv = 0.0;
-};
-
 /// Metrics collector: the JSONL metrics sink plus what only it measures —
 /// the catalog histograms (wall-clock phases and the queue depth) and the
-/// per-lane drain slots. Counts are not kept here: `Sample` and `Alarm`
-/// render rows the federation builds from sim::SimMetrics and the
-/// watchdogs, and store nothing. Mirrors the Recorder's threading contract
-/// — all methods are mediator-thread-only except RecordLaneDrain, which
-/// workers call with distinct lane indices inside a fence's fork-join
-/// section (the join publishes the writes).
+/// per-lane drain slots. Counts are not kept here: `Sample` writes the row
+/// the federation renders from sim::SimMetrics and the watchdogs, `Alarm`
+/// renders a watchdog's alarm, and neither stores anything. Mirrors the
+/// Recorder's threading contract — all methods are mediator-thread-only
+/// except RecordLaneDrain, which workers call with distinct lane indices
+/// inside a fence's fork-join section (the join publishes the writes).
 ///
 /// Record layout of the sink (one JSON object per line, `type` field):
 ///   mmeta   — once, run metadata
@@ -171,7 +143,9 @@ class Collector {
   Collector() = default;
 
   /// Streams metrics records into `sink` (not owned; must outlive this).
-  explicit Collector(std::ostream* sink) : sink_(sink) {}
+  explicit Collector(std::ostream* sink) : out_(sink) {}
+  /// Streams through `out` (OpenFile hands over the file it opened).
+  explicit Collector(JsonlWriter out) : out_(std::move(out)) {}
 
   /// Opens `path` for writing and streams into it.
   static util::StatusOr<std::unique_ptr<Collector>> OpenFile(
@@ -208,22 +182,12 @@ class Collector {
   /// writes visible to the mediator thread.
   void RecordLaneDrain(size_t lane, int64_t nanos, uint64_t events);
 
-  /// Boundary chaining for nested phases on the per-allocation hot path:
-  /// an outer caller that just read the clock deposits the reading here,
-  /// and the immediately-nested stage consumes it as its own start
-  /// instead of reading the clock again (clock reads are the dominant
-  /// probe cost at allocation granularity). TakePhaseMark clears the
-  /// slot, so a stage invoked outside a marking caller falls back to its
-  /// own read. Mediator-thread-only, like every non-lane method.
-  void MarkPhaseStart(int64_t nanos) { phase_mark_ = nanos; }
-  int64_t TakePhaseMark() {
-    int64_t mark = phase_mark_;
-    phase_mark_ = 0;
-    return mark;
-  }
+  /// Whether records go anywhere. A collect-only collector writes no
+  /// line, so its caller need not build one.
+  bool streaming() const { return out_.enabled(); }
 
-  /// Emits one deterministic msample line.
-  void Sample(const SampleRow& row);
+  /// Emits one deterministic msample line, rendered by the federation.
+  void Sample(const Json& row) { out_.Write(row); }
 
   /// Emits one alarm line.
   void Alarm(const AlarmRecord& alarm);
@@ -244,17 +208,11 @@ class Collector {
   ~Collector() { Finish(); }
 
  private:
-  void Write(const Json& json);
-
-  std::ostream* sink_ = nullptr;
-  /// Owned sink storage when OpenFile was used.
-  std::unique_ptr<std::ofstream> file_;
+  JsonlWriter out_;
   std::array<Histogram, kMetricCount> histograms_{};
   std::vector<int64_t> lane_nanos_;
   std::vector<uint64_t> lane_events_;
-  int64_t phase_mark_ = 0;
   bool finished_ = false;
-  std::string line_buffer_;
 };
 
 /// A RAII phase timer; a null collector times nothing.

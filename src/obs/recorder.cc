@@ -6,27 +6,14 @@ namespace qa::obs {
 
 util::StatusOr<std::unique_ptr<Recorder>> Recorder::OpenFile(
     const std::string& path) {
-  auto file = std::make_unique<std::ofstream>(path);
-  if (!file->is_open()) {
-    return util::Status::InvalidArgument("cannot open trace file: " + path);
-  }
-  auto recorder = std::make_unique<Recorder>(file.get());
-  recorder->file_ = std::move(file);
-  return recorder;
-}
-
-void Recorder::Write(const Json& json) {
-  if (sink_ == nullptr) return;
-  line_buffer_.clear();
-  json.DumpTo(line_buffer_);
-  line_buffer_.push_back('\n');
-  sink_->write(line_buffer_.data(),
-               static_cast<std::streamsize>(line_buffer_.size()));
+  util::StatusOr<JsonlWriter> out = JsonlWriter::Open(path, "trace");
+  if (!out.ok()) return out.status();
+  return std::make_unique<Recorder>(std::move(out).value());
 }
 
 void Recorder::RecordSnapshot(util::VTime now,
                               const AllocatorSnapshot& snapshot) {
-  if (sink_ == nullptr) return;
+  if (!enabled()) return;
   for (const AgentStateSnapshot& agent : snapshot.agents) {
     for (size_t k = 0; k < agent.prices.size(); ++k) {
       PriceRecord price;
@@ -75,10 +62,6 @@ void Recorder::RecordSnapshot(util::VTime now,
         k < snapshot.excess_demand.size() ? snapshot.excess_demand[k] : 0.0;
     Record(record);
   }
-}
-
-void Recorder::Finish() {
-  if (sink_ != nullptr) sink_->flush();
 }
 
 }  // namespace qa::obs

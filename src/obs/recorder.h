@@ -1,11 +1,12 @@
 #ifndef QAMARKET_OBS_RECORDER_H_
 #define QAMARKET_OBS_RECORDER_H_
 
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 
+#include "obs/jsonl.h"
 #include "obs/snapshot.h"
 #include "obs/trace_schema.h"
 #include "util/status.h"
@@ -28,7 +29,9 @@ class Recorder {
   Recorder() = default;
 
   /// Records into `sink` (not owned; must outlive the recorder).
-  explicit Recorder(std::ostream* sink) : sink_(sink) {}
+  explicit Recorder(std::ostream* sink) : out_(sink) {}
+  /// Records through `out` (OpenFile hands over the file it opened).
+  explicit Recorder(JsonlWriter out) : out_(std::move(out)) {}
 
   /// Opens `path` for writing and records into it.
   static util::StatusOr<std::unique_ptr<Recorder>> OpenFile(
@@ -37,16 +40,16 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  bool enabled() const { return sink_ != nullptr; }
+  bool enabled() const { return out_.enabled(); }
 
   // ---- Trace records (one JSONL line each) ----
-  void Record(const MetaRecord& record) { Write(record.ToJson()); }
-  void Record(const EventRecord& record) { Write(record.ToJson()); }
-  void Record(const PriceRecord& record) { Write(record.ToJson()); }
-  void Record(const AgentRecord& record) { Write(record.ToJson()); }
-  void Record(const ClusterRecord& record) { Write(record.ToJson()); }
-  void Record(const UmpireRecord& record) { Write(record.ToJson()); }
-  void Record(const RunRecord& record) { Write(record.ToJson()); }
+  void Record(const MetaRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const EventRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const PriceRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const AgentRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const ClusterRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const UmpireRecord& record) { out_.Write(record.ToJson()); }
+  void Record(const RunRecord& record) { out_.Write(record.ToJson()); }
 
   /// Expands an allocator snapshot into price/agent/umpire records stamped
   /// with virtual time `now`.
@@ -54,17 +57,12 @@ class Recorder {
 
   /// Syncs the sink; called by the owner once the run(s) being traced are
   /// over.
-  void Finish();
+  void Finish() { out_.Flush(); }
 
   ~Recorder() { Finish(); }
 
  private:
-  void Write(const Json& json);
-
-  std::ostream* sink_ = nullptr;
-  /// Owned sink storage when OpenFile was used.
-  std::unique_ptr<std::ofstream> file_;
-  std::string line_buffer_;
+  JsonlWriter out_;
 };
 
 }  // namespace qa::obs

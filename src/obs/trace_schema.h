@@ -55,7 +55,7 @@ struct MetaRecord {
   /// Solicitation fanout d (sampled policies only; 0 under broadcast).
   int fanout = 0;
   /// Hierarchical runs only: number of clusters in the plan (0 = flat —
-  /// including enabled single-cluster plans, which run the flat market).
+  /// including single-cluster plans, which run the flat market).
   int clusters = 0;
   /// Top-tier solicitation fanout (0 = top-tier broadcast or flat run).
   int top_fanout = 0;

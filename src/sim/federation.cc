@@ -23,6 +23,52 @@ constexpr int kTicksPerPeriod = 8;
 /// Cap of the mediator's escalating retry backoff, in whole periods.
 constexpr int kMaxBackoffPeriods = 4;
 
+using TraceKind = obs::EventRecord::Kind;
+
+// Trace event records by shape, each shape filling the fields of the one
+// before it. A field a shape leaves alone keeps the default the trace
+// omits.
+
+/// A market or node event: a tick, a restart, or a crash or degrade edge
+/// (`node` -1 when no node is involved).
+obs::EventRecord NodeRecord(TraceKind kind, util::VTime t,
+                            catalog::NodeId node = -1) {
+  return {.kind = kind, .t_us = t, .node = node};
+}
+
+/// A task at its node: a delivery or a completion names the query and its
+/// class, but no attempt count.
+obs::EventRecord TaskRecord(TraceKind kind, util::VTime t,
+                            const PendingQuery& query, catalog::NodeId node) {
+  obs::EventRecord record = NodeRecord(kind, t, node);
+  record.query = query.id;
+  record.class_id = query.arrival.class_id;
+  return record;
+}
+
+/// One of a query's arrivals, bounces or fates (lost, shed, drop): a task
+/// record that also counts the attempts spent so far.
+obs::EventRecord QueryRecord(TraceKind kind, util::VTime t,
+                             const PendingQuery& query,
+                             catalog::NodeId node = -1) {
+  obs::EventRecord record = TaskRecord(kind, t, query, node);
+  record.attempts = query.attempts;
+  return record;
+}
+
+/// An allocation attempt's outcome (assign or reject): a query record plus
+/// what the negotiation cost and where the top tier routed it.
+obs::EventRecord AttemptRecord(
+    TraceKind kind, util::VTime t, const PendingQuery& query,
+    const allocation::AllocationDecision& decision) {
+  obs::EventRecord record = QueryRecord(kind, t, query, decision.node);
+  record.messages = decision.messages;
+  record.solicited = decision.solicited;
+  record.cluster = decision.cluster;
+  record.clusters_asked = decision.clusters_solicited;
+  return record;
+}
+
 }  // namespace
 
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
@@ -180,9 +226,8 @@ SimMetrics Federation::Run(const workload::Trace& trace) {
     watchdogs_ =
         std::make_unique<obs::metrics::WatchdogSuite>(config_.period);
   }
-  // The allocator's internal phase probes share the run's collector; reset
-  // on every run so a collector-less rerun of the same allocator carries no
-  // stale pointer.
+  // No mechanism keeps the collector (they read no clock); a wrapping
+  // allocator may take this call as the run's start.
   allocator_->SetMetricsCollector(config_.metrics);
   [[maybe_unused]] int64_t run_start = 0;
   QA_METRICS(config_.metrics) {
@@ -537,13 +582,10 @@ bool Federation::EveryNodeOnline() const {
 void Federation::HandleQuery(PendingQuery pending) {
   QA_OBS(config_.recorder) {
     if (pending.attempts == 0) {
-      obs::EventRecord event;
-      event.kind = obs::EventRecord::Kind::kArrival;
-      event.t_us = events_.now();
-      event.query = pending.id;
-      event.class_id = pending.arrival.class_id;
-      event.origin = pending.arrival.origin;
-      EmitRecord(event);
+      obs::EventRecord arrival =
+          QueryRecord(TraceKind::kArrival, events_.now(), pending);
+      arrival.origin = pending.arrival.origin;
+      EmitRecord(arrival);
     }
   }
 
@@ -606,13 +648,9 @@ void Federation::HandleQuery(PendingQuery pending) {
   [[maybe_unused]] int64_t alloc_start = 0;
   QA_METRICS(config_.metrics) {
     // Sampled probe: one in kAllocProbeStride allocations is timed (the
-    // sequence counter makes the choice deterministic). The reading is
-    // deposited for the mechanism's own inner-stage probe — QA-NT's bid
-    // scan chains from it rather than reading the clock again, and an
-    // absent mark tells it this allocation is unsampled.
+    // sequence counter makes the choice deterministic).
     if (alloc_probe_seq_++ % obs::metrics::kAllocProbeStride == 0) {
       alloc_start = util::MonotonicClock::NowNanos();
-      config_.metrics->MarkPhaseStart(alloc_start);
     }
   }
   allocation::AllocationDecision decision =
@@ -636,14 +674,8 @@ void Federation::HandleQuery(PendingQuery pending) {
       !NodeOnline(decision.node)) {
     ++metrics_.bounced;
     QA_OBS(config_.recorder) {
-      obs::EventRecord event;
-      event.kind = obs::EventRecord::Kind::kBounce;
-      event.t_us = events_.now();
-      event.query = pending.id;
-      event.class_id = pending.arrival.class_id;
-      event.node = decision.node;
-      event.attempts = pending.attempts;
-      EmitRecord(event);
+      EmitRecord(QueryRecord(TraceKind::kBounce, events_.now(), pending,
+                             decision.node));
     }
     decision.node = allocation::kNoNode;
   }
@@ -661,17 +693,8 @@ void Federation::HandleQuery(PendingQuery pending) {
     }
     if (!SpendRetry(&pending, /*admission=*/false)) return;
     QA_OBS(config_.recorder) {
-      obs::EventRecord event;
-      event.kind = obs::EventRecord::Kind::kReject;
-      event.t_us = events_.now();
-      event.query = pending.id;
-      event.class_id = pending.arrival.class_id;
-      event.messages = decision.messages;
-      event.solicited = decision.solicited;
-      event.cluster = decision.cluster;
-      event.clusters_asked = decision.clusters_solicited;
-      event.attempts = pending.attempts;
-      EmitRecord(event);
+      EmitRecord(AttemptRecord(TraceKind::kReject, events_.now(), pending,
+                               decision));
     }
     // The client resubmits the query at the next market tick (§3.3 says
     // "next time period" — with staggered autonomous periods, some node's
@@ -699,18 +722,8 @@ void Federation::HandleQuery(PendingQuery pending) {
   ++tick_assigns_;
   ++metrics_.assigned;
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kAssign;
-    event.t_us = events_.now();
-    event.query = pending.id;
-    event.class_id = pending.arrival.class_id;
-    event.node = decision.node;
-    event.messages = decision.messages;
-    event.solicited = decision.solicited;
-    event.cluster = decision.cluster;
-    event.clusters_asked = decision.clusters_solicited;
-    event.attempts = pending.attempts;
-    EmitRecord(event);
+    EmitRecord(
+        AttemptRecord(TraceKind::kAssign, events_.now(), pending, decision));
   }
   util::VDuration base =
       cost_model_->Cost(pending.arrival.class_id, decision.node);
@@ -791,13 +804,7 @@ void Federation::DropQuery(const PendingQuery& query, bool expired,
   CountDrop(query, sink);
   if (expired) ++metrics_.expired;
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kDrop;
-    event.t_us = sink.time;
-    event.query = query.id;
-    event.class_id = query.arrival.class_id;
-    event.attempts = query.attempts;
-    RecordFate(event, sink);
+    RecordFate(QueryRecord(TraceKind::kDrop, sink.time, query), sink);
   }
 }
 
@@ -808,14 +815,8 @@ void Federation::ShedQuery(const PendingQuery& query,
   if (admission) ++metrics_.admission_rejects;
   CountDrop(query, sink);
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kShed;
-    event.t_us = sink.time;
-    event.query = query.id;
-    event.class_id = query.arrival.class_id;
-    event.node = node_id;
-    event.attempts = query.attempts;
-    RecordFate(event, sink);
+    RecordFate(QueryRecord(TraceKind::kShed, sink.time, query, node_id),
+               sink);
   }
 }
 
@@ -824,14 +825,7 @@ void Federation::LoseTask(const QueryTask& task, catalog::NodeId node_id,
                           uint64_t resubmit_stamp) {
   ++metrics_.lost;
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kLost;
-    event.t_us = sink.time;
-    event.query = task.id;
-    event.class_id = task.arrival.class_id;
-    event.node = node_id;
-    event.attempts = task.attempts;
-    RecordFate(event, sink);
+    RecordFate(QueryRecord(TraceKind::kLost, sink.time, task, node_id), sink);
   }
   PendingQuery pending = task;
   ++pending.attempts;
@@ -938,11 +932,7 @@ void Federation::HandleRestart(
   // and re-learns through ordinary market interaction.
   allocator_->OnNodeRestart(transition.node, events_.now());
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kRestart;
-    event.t_us = events_.now();
-    event.node = transition.node;
-    EmitRecord(event);
+    EmitRecord(NodeRecord(TraceKind::kRestart, events_.now(), transition.node));
   }
 }
 
@@ -952,12 +942,10 @@ void Federation::HandleSurge(
   // expanded at schedule time; this transition exists so traced runs carry
   // a `surge` marker (analysis tools anchor recovery windows on it).
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kSurge;
-    event.t_us = events_.now();
-    event.class_id = transition.class_id;
-    event.factor = transition.factor;
-    EmitRecord(event);
+    EmitRecord({.kind = TraceKind::kSurge,
+                .t_us = events_.now(),
+                .class_id = transition.class_id,
+                .factor = transition.factor});
   }
 }
 
@@ -1022,19 +1010,19 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
   // order. All times come from the outcome — the mediator clock has
   // already moved past them.
   const Sink sink{outcome.time, /*merge=*/true};
-  obs::EventRecord::Kind kind = obs::EventRecord::Kind::kDeliver;
+  TraceKind kind = TraceKind::kDeliver;
   double response_ms = 0.0;
   switch (outcome.kind) {
     case ShardOutcome::Kind::kDeliverRecord:
       break;
     case ShardOutcome::Kind::kCrashRecord:
-      kind = obs::EventRecord::Kind::kCrash;
+      kind = TraceKind::kCrash;
       break;
     case ShardOutcome::Kind::kDegradeRecord:
-      kind = obs::EventRecord::Kind::kDegrade;
+      kind = TraceKind::kDegrade;
       break;
     case ShardOutcome::Kind::kComplete:
-      kind = obs::EventRecord::Kind::kComplete;
+      kind = TraceKind::kComplete;
       response_ms = util::ToMillis(outcome.time - outcome.task.arrival.time);
       metrics_.response_time_ms.Add(response_ms);
       metrics_.completions.Add(
@@ -1057,34 +1045,25 @@ void Federation::ApplyOutcome(const ShardOutcome& outcome) {
       return;
   }
   // The trace record of a completion or a trace-only outcome; fields an
-  // outcome does not carry (a crash's or degrade's query, a delivery's
-  // factor) hold the record's omitted defaults.
+  // outcome does not carry (a delivery's factor) hold the record's
+  // omitted defaults.
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = kind;
-    event.t_us = outcome.time;
-    if (kind == obs::EventRecord::Kind::kDeliver ||
-        kind == obs::EventRecord::Kind::kComplete) {
-      event.query = outcome.task.id;
-      event.class_id = outcome.task.arrival.class_id;
-    }
-    event.node = outcome.node;
-    event.response_ms = response_ms;
-    event.factor = outcome.factor;
-    config_.recorder->Record(event);
+    obs::EventRecord record =
+        kind == TraceKind::kDeliver || kind == TraceKind::kComplete
+            ? TaskRecord(kind, outcome.time, outcome.task, outcome.node)
+            : NodeRecord(kind, outcome.time, outcome.node);
+    record.response_ms = response_ms;
+    record.factor = outcome.factor;
+    config_.recorder->Record(record);
   }
 }
 
 void Federation::MarketTick() {
   [[maybe_unused]] int64_t tick_start = 0;
   QA_METRICS(config_.metrics) {
-    // Sampled like the allocate probe (kTickProbeStride). The reading is
-    // deposited so the mechanism's period hook can time its rollover
-    // stage without another clock read; an absent mark marks the tick
-    // unsampled.
+    // Sampled like the allocate probe (kTickProbeStride).
     if (ticks_ % obs::metrics::kTickProbeStride == 0) {
       tick_start = util::MonotonicClock::NowNanos();
-      config_.metrics->MarkPhaseStart(tick_start);
     }
   }
   allocator_->OnPeriodEnd(events_.now());
@@ -1121,11 +1100,18 @@ void Federation::MarketTick() {
       admission_.OnPeriod(market_probe_);
     }
   }
+  QA_METRICS(config_.metrics) {
+    // The tick phase is the allocator's period hooks plus bookkeeping; the
+    // trace snapshot below and the sample and watchdogs are not in it.
+    if (tick_start != 0) {
+      config_.metrics->RecordPhase(obs::metrics::Phase::kMarketTick,
+                                   util::MonotonicClock::NowNanos() -
+                                       tick_start,
+                                   obs::metrics::kTickProbeStride);
+    }
+  }
   QA_OBS(config_.recorder) {
-    obs::EventRecord event;
-    event.kind = obs::EventRecord::Kind::kTick;
-    event.t_us = events_.now();
-    EmitRecord(event);
+    EmitRecord(NodeRecord(TraceKind::kTick, events_.now()));
     // Snapshot once per global period (every divisor-th tick), after the
     // period hooks ran: post-rollover prices are what convergence analysis
     // wants to see. Materialized eagerly: by the time the fence flushes
@@ -1137,14 +1123,6 @@ void Federation::MarketTick() {
     }
   }
   QA_METRICS(config_.metrics) {
-    // The tick phase is the allocator's period hooks plus bookkeeping;
-    // sampling and watchdog evaluation is attributed separately below.
-    if (tick_start != 0) {
-      config_.metrics->RecordPhase(obs::metrics::Phase::kMarketTick,
-                                   util::MonotonicClock::NowNanos() -
-                                       tick_start,
-                                   obs::metrics::kTickProbeStride);
-    }
     // Sample once per global period (every divisor-th tick), after the
     // period hooks: the fence before this tick applied every outcome with
     // an earlier key, so the cumulative counters here are the canonical
@@ -1155,10 +1133,10 @@ void Federation::MarketTick() {
       EmitMetricsSample(probed);
     }
   }
-  // The market keeps ticking while queries are in flight. The fence
-  // before this tick applied every completion and drop with an earlier
-  // key, so the count is exact here.
-  if (metrics_.InFlight() > 0) {
+  // The market keeps ticking while any query of the run is unfinished.
+  // The fence before this tick applied every completion and drop with an
+  // earlier key, so the count is exact here.
+  if (metrics_.Unfinished() > 0) {
     events_.Schedule(events_.now() + TickInterval(), NextMediatorStamp(),
                      SimEvent::MakeMarketTick());
   }
@@ -1170,24 +1148,7 @@ void Federation::EmitRecord(const obs::EventRecord& record) {
 }
 
 void Federation::EmitMetricsSample(bool probed) {
-  obs::metrics::SampleRow row;
-  row.t_us = events_.now();
-  row.period = ticks_ / kTicksPerPeriod;
-  row.ticks = ticks_;
-  row.events_dispatched = metrics_.events_dispatched;
-  row.assigned = metrics_.assigned;
-  row.completed = metrics_.completed;
-  row.dropped = metrics_.dropped;
-  row.expired = metrics_.expired;
-  row.bounced = metrics_.bounced;
-  row.lost = metrics_.lost;
-  row.retries = metrics_.retries;
-  row.messages = metrics_.messages;
-  row.solicited = metrics_.solicited;
-  row.outstanding = metrics_.InFlight();
-  row.shed = metrics_.shed;
-  row.admission_rejects = metrics_.admission_rejects;
-  row.brownout_level = admission_.brownout_level();
+  const int64_t period = ticks_ / kTicksPerPeriod;
   // Queue-depth histogram: per-node waiting-queue lengths at the period
   // fence. Virtual state, so the histogram is as deterministic as the
   // counters (the one histogram that is not a wall-clock side channel).
@@ -1198,15 +1159,37 @@ void Federation::EmitMetricsSample(bool probed) {
   // they fired on, so the stream reads cause-before-effect.
   watchdogs_->ObserveOverload(metrics_.shed, admission_.brownout_level());
   if (!probed) allocator_->FillMarketProbe(&market_probe_);
-  std::vector<obs::metrics::AlarmRecord> alarms =
-      watchdogs_->EvaluatePeriod(row.period, events_.now(), market_probe_);
-  for (const obs::metrics::AlarmRecord& alarm : alarms) {
+  for (const obs::metrics::AlarmRecord& alarm :
+       watchdogs_->EvaluatePeriod(period, events_.now(), market_probe_)) {
     config_.metrics->Alarm(alarm);
   }
-  row.log_price_variance = watchdogs_->log_price_variance();
-  row.osc_flip_rate = watchdogs_->osc_flip_rate();
-  row.max_reject_age_ms = watchdogs_->max_reject_age_ms();
-  row.earnings_cv = watchdogs_->earnings_cv();
+  // A collect-only collector writes no line, so no row is built for it:
+  // the row costs two dozen node allocations per period, which in-memory
+  // phase attribution must not pay on the measured path.
+  if (!config_.metrics->streaming()) return;
+  obs::Json row = obs::Json::MakeObject();
+  row.Set("type", "msample");
+  row.Set("t_us", events_.now());
+  row.Set("period", period);
+  row.Set("ticks", ticks_);
+  row.Set("events", metrics_.events_dispatched);
+  row.Set("assigned", metrics_.assigned);
+  row.Set("completed", metrics_.completed);
+  row.Set("dropped", metrics_.dropped);
+  row.Set("expired", metrics_.expired);
+  row.Set("bounced", metrics_.bounced);
+  row.Set("lost", metrics_.lost);
+  row.Set("retries", metrics_.retries);
+  row.Set("messages", metrics_.messages);
+  row.Set("solicited", metrics_.solicited);
+  row.Set("outstanding", metrics_.Unfinished());
+  row.Set("shed", metrics_.shed);
+  row.Set("admission_rejects", metrics_.admission_rejects);
+  row.Set("brownout", admission_.brownout_level());
+  row.Set("log_price_var", watchdogs_->log_price_variance());
+  row.Set("osc_flip_rate", watchdogs_->osc_flip_rate());
+  row.Set("max_reject_age_ms", watchdogs_->max_reject_age_ms());
+  row.Set("earnings_cv", watchdogs_->earnings_cv());
   config_.metrics->Sample(row);
 }
 

@@ -88,10 +88,11 @@ struct FederationConfig {
   /// experiment runner forwards it into AllocatorParams. Mechanisms other
   /// than QA-NT ignore it.
   allocation::SolicitationConfig solicitation;
-  /// Hierarchical two-tier market plan (DESIGN.md §12). Disabled (the
-  /// default) runs the classic flat single-mediator market. When enabled
-  /// with >= 2 clusters, each cluster runs its own QA-NT sub-mediator and
-  /// a top-level market routes queries by aggregate supply. Validated by
+  /// Hierarchical two-tier market plan (DESIGN.md §12). A plan with fewer
+  /// than two clusters (the default lists none) runs the classic flat
+  /// single-mediator market. With >= 2 clusters, each cluster runs its own
+  /// QA-NT sub-mediator and a top-level market routes queries by aggregate
+  /// supply. Validated by
   /// ValidateConfig; forwarded into AllocatorParams by the experiment
   /// runner. Mechanisms other than QA-NT ignore it.
   allocation::ClusterPlan cluster_plan;
@@ -414,7 +415,8 @@ class Federation : public allocation::AllocationContext {
   void ScheduleNodeEvent(util::VTime when, uint64_t stamp, LaneEvent event);
 
   /// Evaluates the market-health watchdogs against the market probe and
-  /// emits one deterministic msample (plus any alarms) into the collector.
+  /// emits one deterministic msample (plus any alarms) into the collector;
+  /// the msample row is rendered here, the one place it is built.
   /// Global-market-period cadence, plus one final sample when the run
   /// ends. Fills market_probe_ first unless `probed` says this period's
   /// fill already happened. Requires a collector (call sites sit in
@@ -491,8 +493,7 @@ class Federation : public allocation::AllocationContext {
   AdmissionController admission_;
   query::QueryId next_query_id_ = 0;
   /// Market ticks run so far: drives the global-period cadence and the
-  /// sampled tick/rollover phase probes (see
-  /// obs::metrics::kTickProbeStride).
+  /// sampled tick phase probe (see obs::metrics::kTickProbeStride).
   int64_t ticks_ = 0;
   /// Market-health detectors (built per run when a collector is attached).
   std::unique_ptr<obs::metrics::WatchdogSuite> watchdogs_;
@@ -501,8 +502,8 @@ class Federation : public allocation::AllocationContext {
   /// alike, and once more by the run's closing sample (steady state
   /// allocates nothing; see MarketProbe).
   obs::metrics::MarketProbe market_probe_;
-  /// Allocation sequence number driving the sampled allocate/bid-scan
-  /// phase probes (see obs::metrics::kAllocProbeStride).
+  /// Allocation sequence number driving the sampled allocate phase probe
+  /// (see obs::metrics::kAllocProbeStride).
   uint64_t alloc_probe_seq_ = 0;
   /// Best-case cost per class (0 for a class no node evaluates): the work
   /// a task charges its node's cumulative ledger, the shedding and

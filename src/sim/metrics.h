@@ -76,8 +76,11 @@ struct SimMetrics {
   /// Per-node completed-query counts.
   std::vector<int64_t> node_completed;
 
-  /// Queries that arrived and have neither completed nor been dropped.
-  int64_t InFlight() const { return arrivals - completed - dropped; }
+  /// Queries of the run that have neither completed nor been dropped.
+  /// `arrivals` holds the whole schedule from Run's start, so mid-run this
+  /// counts the queries still to arrive as well as those in the system;
+  /// it reaches 0 only when the run is over.
+  int64_t Unfinished() const { return arrivals - completed - dropped; }
   /// Mean response time in ms (0 if nothing completed).
   double MeanResponseMs() const { return response_time_ms.Mean(); }
   /// Completed queries per second of virtual time.

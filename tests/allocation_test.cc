@@ -231,7 +231,7 @@ TEST(QaNtAllocatorTest, EquitableSelectionSpreadsEarnings) {
   FakeContext ctx(model.get());
   QaNtAllocator cheapest(model.get(), 2000 * kMillisecond);
   QaNtAllocator equitable(model.get(), 2000 * kMillisecond, {},
-                          QaNtAllocator::OfferSelection::kEquitable);
+                          market::OfferSelection::kEquitable);
   // Several class-0 queries in one period: the cheapest policy keeps
   // hitting node 0 while it has supply; the equitable policy rotates.
   std::map<catalog::NodeId, int> cheap_counts;

@@ -73,25 +73,28 @@ using util::kSecond;
 
 // --------------------------------------------------- ClusterPlan::Validate
 
-TEST(ClusterPlanTest, DisabledPlanIsAlwaysValid) {
-  ClusterPlan plan;  // disabled: clusters/top are ignored
-  EXPECT_TRUE(plan.Validate(10).ok());
-  plan.clusters = {{99}};  // garbage, but the plan is off
+TEST(ClusterPlanTest, PlanWithoutClustersIsFlatAndAlwaysValid) {
+  ClusterPlan plan;  // lists no cluster: `top` is ignored
+  plan.top.policy = SolicitationPolicy::kUniformSample;
+  plan.top.fanout = 0;  // would be rejected in a plan with clusters
   EXPECT_TRUE(plan.Validate(10).ok());
   EXPECT_FALSE(plan.hierarchical());
 }
 
-TEST(ClusterPlanTest, EnabledPlanWithZeroClustersIsRejected) {
+TEST(ClusterPlanTest, SingleClusterPlanIsFlatButChecked) {
   ClusterPlan plan;
-  plan.enabled = true;
-  util::Status status = plan.Validate(4);
+  plan.clusters = {{99}};  // one cluster runs flat, but its list is checked
+  EXPECT_FALSE(plan.hierarchical());
+  util::Status status = plan.Validate(10);
   EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("zero clusters"), std::string::npos);
+  EXPECT_NE(status.message().find("outside [0, 10)"), std::string::npos);
+  plan.clusters = {{0, 1, 2, 3}};
+  EXPECT_TRUE(plan.Validate(4).ok());
+  EXPECT_FALSE(plan.hierarchical());
 }
 
 TEST(ClusterPlanTest, NodeInNoClusterIsRejected) {
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1}, {3}};  // node 2 unplaced
   util::Status status = plan.Validate(4);
   EXPECT_FALSE(status.ok());
@@ -100,7 +103,6 @@ TEST(ClusterPlanTest, NodeInNoClusterIsRejected) {
 
 TEST(ClusterPlanTest, NodeInTwoClustersIsRejected) {
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1}, {1, 2, 3}};
   util::Status status = plan.Validate(4);
   EXPECT_FALSE(status.ok());
@@ -109,7 +111,6 @@ TEST(ClusterPlanTest, NodeInTwoClustersIsRejected) {
 
 TEST(ClusterPlanTest, OutOfRangeMemberIsRejected) {
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1, 2, 3}, {4}};
   EXPECT_FALSE(plan.Validate(4).ok());
   plan.clusters = {{0, 1, 2, -1}};
@@ -118,7 +119,6 @@ TEST(ClusterPlanTest, OutOfRangeMemberIsRejected) {
 
 TEST(ClusterPlanTest, BadTopTierFanoutIsRejected) {
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1}, {2, 3}};
   plan.top.policy = SolicitationPolicy::kUniformSample;
   plan.top.fanout = 0;  // sampled top tier needs fanout >= 1
@@ -129,7 +129,6 @@ TEST(ClusterPlanTest, BadTopTierFanoutIsRejected) {
 
 TEST(ClusterPlanTest, EmptyClusterIsLegal) {
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1, 2, 3}, {}};  // empty cluster: never offers
   EXPECT_TRUE(plan.Validate(4).ok());
   EXPECT_TRUE(plan.hierarchical());
@@ -156,8 +155,8 @@ TEST(ClusterPlanTest, ValidateConfigRejectsMalformedPlans) {
   sim::FederationConfig config;
   EXPECT_TRUE(sim::ValidateConfig(config, 4).ok());  // flat default
 
-  config.cluster_plan.enabled = true;
-  EXPECT_FALSE(sim::ValidateConfig(config, 4).ok());  // zero clusters
+  config.cluster_plan.clusters = {{0, 1}, {3}};  // node 2 unplaced
+  EXPECT_FALSE(sim::ValidateConfig(config, 4).ok());
 
   config.cluster_plan.clusters = {{0, 1}, {2, 3}};
   EXPECT_TRUE(sim::ValidateConfig(config, 4).ok());
@@ -295,12 +294,11 @@ TEST(ClusterMarketTest, RoutesToCheapestOfferingCluster) {
   model.SetCost(0, 3, 200 * kMillisecond);
 
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0, 1}, {2, 3}};  // top tier broadcasts by default
   ASSERT_TRUE(plan.Validate(4).ok());
 
   QaNtAllocator allocator(&model, 500 * kMillisecond, {},
-                          QaNtAllocator::OfferSelection::kCheapest, {},
+                          market::OfferSelection::kCheapest, {},
                           /*seed=*/1, plan);
   IdleContext context(&model);
   workload::Arrival arrival;
@@ -334,10 +332,9 @@ TEST(ClusterMarketTest, ExhaustedClusterRoutesElsewhere) {
   model.SetCost(0, 1, 50 * kMillisecond);   // cluster 1: supply 2
 
   ClusterPlan plan;
-  plan.enabled = true;
   plan.clusters = {{0}, {1}};
   QaNtAllocator allocator(&model, 100 * kMillisecond, {},
-                          QaNtAllocator::OfferSelection::kCheapest, {},
+                          market::OfferSelection::kCheapest, {},
                           /*seed=*/1, plan);
   IdleContext context(&model);
   workload::Arrival arrival;
@@ -422,7 +419,7 @@ TEST(ClusterMarketTest, IncrementalPublishEqualsFromScratchSum) {
   members.fanout = 3;
   market::QaNtConfig config;
   QaNtAllocator allocator(&model, kPeriod, config,
-                          QaNtAllocator::OfferSelection::kCheapest, members,
+                          market::OfferSelection::kCheapest, members,
                           /*seed=*/3, plan);
   const ClusterMarket& market = *allocator.cluster_market();
   IdleContext context(&model);
@@ -504,7 +501,7 @@ int64_t FirstAllocateAllocations(int members) {
   one.policy = SolicitationPolicy::kUniformSample;
   one.fanout = 1;
   QaNtAllocator allocator(&model, 500 * kMillisecond, {},
-                          QaNtAllocator::OfferSelection::kCheapest, one,
+                          market::OfferSelection::kCheapest, one,
                           /*seed=*/1, ClusterPlan::Uniform(nodes, 2, 1));
   IdleContext context(&model);
   workload::Arrival arrival;
@@ -542,7 +539,7 @@ TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
   members.policy = SolicitationPolicy::kUniformSample;
   members.fanout = 4;
   QaNtAllocator allocator(&model, kPeriod, {},
-                          QaNtAllocator::OfferSelection::kCheapest, members,
+                          market::OfferSelection::kCheapest, members,
                           /*seed=*/2,
                           ClusterPlan::Uniform(kNodes, 4, /*top_fanout=*/0));
   IdleContext context(&model);
@@ -619,7 +616,7 @@ TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
   CountingCostModel counting(&model);
   ClusterPlan plan = ClusterPlan::Uniform(kNodes, 64, /*top_fanout=*/0);
   QaNtAllocator allocator(&counting, 500 * kMillisecond, {},
-                          QaNtAllocator::OfferSelection::kCheapest, {},
+                          market::OfferSelection::kCheapest, {},
                           /*seed=*/1, plan);
   IdleContext context(&model);
   workload::Arrival arrival;
@@ -711,11 +708,10 @@ RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads,
 
 // The equivalence anchor: a 1-cluster hierarchy is the flat market — same
 // trace bytes, same metrics — at every shard/thread combination. This is
-// what guarantees that merely enabling the plan feature can never perturb
-// a federation with nothing to cluster.
+// what guarantees that a plan with nothing to cluster can never perturb
+// a federation.
 TEST(HierarchyEquivalenceTest, OneClusterHierarchyIsByteIdenticalToFlat) {
   ClusterPlan one_cluster;
-  one_cluster.enabled = true;
   one_cluster.clusters.resize(1);
   for (catalog::NodeId node = 0; node < 12; ++node) {
     one_cluster.clusters[0].push_back(node);

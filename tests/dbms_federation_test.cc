@@ -165,6 +165,13 @@ TEST_F(DbmsFederationTest, AssignTimeDominatedBySlowestReply) {
   EXPECT_GT(r.assign_ms.Mean(), 50.0);
 }
 
+TEST_F(DbmsFederationTest, UnknownMechanismAbortsLoudly) {
+  DbmsFederation fed(SmallConfig());
+  EXPECT_DEATH(fed.Run("Random", 5, 300 * kMillisecond, 7),
+               "unknown mechanism 'Random' \\(accepted: Greedy, "
+               "GreedyBlind, QA-NT\\)");
+}
+
 TEST_F(DbmsFederationTest, RunsAreDeterministic) {
   DbmsFederation fed(SmallConfig());
   DbmsRunResult a = fed.Run("Greedy", 25, 300 * kMillisecond, 5);

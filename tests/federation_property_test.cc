@@ -166,7 +166,6 @@ FuzzCase MakeCase(int index) {
   if (c.mechanism == "QA-NT" && rng.Bernoulli(0.5)) {
     int num_clusters =
         static_cast<int>(rng.UniformInt(1, std::min(c.num_nodes, 6)));
-    c.config.cluster_plan.enabled = true;
     c.config.cluster_plan.clusters.assign(
         static_cast<size_t>(num_clusters), {});
     for (int node = 0; node < c.num_nodes; ++node) {
@@ -664,7 +663,7 @@ TEST(FederationPropertyTest, CorpusCoversTheInterestingPaths) {
     }
     const allocation::ClusterPlan& plan = c.config.cluster_plan;
     if (plan.hierarchical()) ++clustered;
-    if (plan.enabled && plan.num_clusters() == 1) ++degenerate;
+    if (plan.num_clusters() == 1) ++degenerate;
     size_t min_size = SIZE_MAX, max_size = 0;
     for (const auto& members : plan.clusters) {
       if (members.empty()) ++empty_cluster;

@@ -58,7 +58,8 @@ TEST(CatalogTest, NamesAreUnique) {
 TEST(CatalogTest, PhaseMetricMapsEveryPhaseOntoItsHistogram) {
   EXPECT_EQ(Collector::PhaseMetric(Phase::kRunTotal), kPhaseRunTotal);
   EXPECT_EQ(Collector::PhaseMetric(Phase::kLaneDrain), kPhaseLaneDrain);
-  EXPECT_EQ(Collector::PhaseMetric(Phase::kBidScan), kPhaseBidScan);
+  EXPECT_EQ(Collector::PhaseMetric(Phase::kAllocate), kPhaseAllocate);
+  EXPECT_EQ(Collector::PhaseMetric(Phase::kSnapshot), kPhaseSnapshot);
   EXPECT_EQ(Collector::PhaseMetric(Phase::kMediatorDispatch),
             kPhaseMediatorDispatch);
 }
@@ -266,15 +267,15 @@ TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
     collector.RecordQueueDepth(3);
     collector.RecordLaneDrain(1, 2000, 10);
 
-    SampleRow row;
-    row.t_us = kPeriod;
-    row.period = 1;
-    row.ticks = 2;
-    row.events_dispatched = 100;
-    row.completed = 30;
-    row.messages = 40;
-    row.outstanding = 5;
-    row.log_price_variance = 0.25;
+    // The federation renders the msample row; the collector writes it.
+    Json row = Json::MakeObject();
+    row.Set("type", "msample");
+    row.Set("t_us", kPeriod);
+    row.Set("period", 1);
+    row.Set("events", 100);
+    row.Set("messages", 40);
+    row.Set("outstanding", 5);
+    row.Set("log_price_var", 0.25);
     collector.Sample(row);
 
     AlarmRecord alarm;
@@ -382,15 +383,18 @@ TEST(MetricsGateTest, NullProbeNeverRunsAndLiveCollectorWrites) {
   std::ostringstream sink;
   {
     Collector collector(&sink);
+    EXPECT_TRUE(collector.streaming());
     RunMeta meta;
     meta.mechanism = "QA-NT";
     collector.BeginRun(meta);
-    SampleRow row;
-    row.events_dispatched = 1;
+    Json row = Json::MakeObject();
+    row.Set("type", "msample");
     collector.Sample(row);
     collector.Finish();
   }
   EXPECT_FALSE(sink.str().empty());
+  // A collect-only collector streams nothing, so callers build no rows.
+  EXPECT_FALSE(Collector().streaming());
 }
 
 // ---------------------------------------------------------------------------

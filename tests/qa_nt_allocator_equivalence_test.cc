@@ -36,7 +36,7 @@ using util::kMillisecond;
 constexpr util::VDuration kPeriod = 500 * kMillisecond;
 constexpr util::VDuration kTick = kPeriod / 8;
 
-using Selection = QaNtAllocator::OfferSelection;
+using Selection = market::OfferSelection;
 
 /// The reference: the flat QA-NT allocator, which asks every online
 /// solicited candidate of the arrival's class: all of them under

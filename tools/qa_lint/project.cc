@@ -746,7 +746,7 @@ class ClockPass {
   /// callee lives under the whitelisted sidecar paths.
   bool IsSidecarCall(const CallSite& c) const {
     static const std::set<std::string> kSidecarNames = {
-        "RecordPhase", "RecordLaneDrain", "MarkPhaseStart", "TakePhaseMark"};
+        "RecordPhase", "RecordLaneDrain"};
     for (const std::string& part : c.chain) {
       if (part == "MonotonicClock") return true;
     }
@@ -1128,7 +1128,7 @@ class ShardPass {
         "ticks_",          "watchdogs_",       "market_probe_",
         "alloc_probe_seq_", "ran_",            "allocator_"};
     static const std::set<std::string> kQaNtChunkBanned = {
-        "book_", "arrival_seq_", "metrics_", "cluster_market_"};
+        "book_", "arrival_seq_", "cluster_market_"};
     const FileModel& fm = files_[n.first];
     const FuncInfo& fn = fm.funcs[n.second];
     const auto& t = fm.lexed.tokens;

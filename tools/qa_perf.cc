@@ -4,10 +4,11 @@
 // (see src/obs/SCHEMA.md) and reports where the run's wall time went and
 // how healthy the market looked:
 //
-//   * a phase table: count / total / mean per instrumented phase
-//     (lane drain, cross-shard merge, mediator dispatch, market tick,
-//     allocate, QA-NT rollover + bid scan, snapshot) and each phase's
-//     share of the measured run total;
+//   * a phase table: count / total / mean per instrumented phase (run
+//     total, lane drain, cross-lane merge, market tick, allocate,
+//     snapshot, mediator dispatch; the federation times them all, none
+//     from inside the mechanism) and each phase's share of the measured
+//     run total;
 //   * the per-node queue depth sampled at period fences: observations,
 //     mean and max depth;
 //   * per-lane drain time and the lane-imbalance factor (max/mean) for
