@@ -1,11 +1,16 @@
 // Google-benchmark microbenchmarks of the market core: the per-period
-// supply optimization (eq. 4), the QA-NT request path, one tatonnement
-// iteration, and the discrete-event queue. These bound the runtime
-// overhead a node pays for running the query economy (the paper argues it
-// is negligible next to query execution).
+// supply optimization (eq. 4), the QA-NT request path, the staggered
+// period rollover of a whole market, one tatonnement iteration, and the
+// discrete-event queue. These bound the runtime overhead a node pays for
+// running the query economy (the paper argues it is negligible next to
+// query execution).
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
+#include "market/clearing_book.h"
 #include "market/qa_nt.h"
 #include "market/tatonnement.h"
 #include "sim/event_queue.h"
@@ -67,6 +72,47 @@ void BM_QaNtPeriodRollover(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QaNtPeriodRollover)->Arg(100)->Arg(1000);
+
+// The mediator's period rollover, as QaNtAllocator::OnPeriodStart runs it:
+// agents built in shuffled node order (as first contacts build them), each
+// node's boundaries staggered at phase ((node+1)/N)*T, and one market tick
+// of T/8 per iteration, which rolls every row whose boundary has passed.
+// Items are rolls (one EndPeriod + BeginPeriod each).
+void BM_StaggeredRollover(benchmark::State& state) {
+  constexpr int kClasses = 2;
+  constexpr util::VDuration kPeriod = 500 * kMillisecond;
+  constexpr util::VDuration kTick = kPeriod / 8;
+  int num_nodes = static_cast<int>(state.range(0));
+  std::vector<catalog::NodeId> order(static_cast<size_t>(num_nodes));
+  for (int j = 0; j < num_nodes; ++j) order[static_cast<size_t>(j)] = j;
+  util::Rng rng(11);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int64_t>(i) - 1))]);
+  }
+  market::ClearingBook book(num_nodes, kClasses, kPeriod, {});
+  std::vector<util::VDuration> costs(kClasses);
+  std::vector<util::VTime> next;
+  for (catalog::NodeId j : order) {
+    for (util::VDuration& c : costs) c = rng.UniformInt(50, 400) * kMillisecond;
+    book.Put(j, costs).BeginPeriod();
+    next.push_back(kPeriod * (j + 1) / num_nodes);
+  }
+  util::VTime now = 0;
+  int64_t rolls = 0;
+  for (auto _ : state) {
+    now += kTick;
+    for (size_t row = 0; row < next.size(); ++row) {
+      if (next[row] > now) continue;
+      int64_t periods = 0;
+      for (; next[row] <= now; next[row] += kPeriod) ++periods;
+      book.Roll(static_cast<int32_t>(row), periods);
+      rolls += periods;
+    }
+  }
+  state.SetItemsProcessed(rolls);
+}
+BENCHMARK(BM_StaggeredRollover)->Arg(10000)->Arg(160000);
 
 void BM_TatonnementIteration(benchmark::State& state) {
   int num_nodes = static_cast<int>(state.range(0));

@@ -82,7 +82,7 @@ int main() {
   };
   std::vector<Entry> entries;
   for (int i = 0; i < qa_nt->num_nodes(); ++i) {
-    const market::QaNtAgent& agent = qa_nt->agent(i);
+    market::QaNtAgentView agent = qa_nt->agent(i);
     for (int k = 0; k < scenario.cost_model->num_classes(); ++k) {
       if (!agent.CanEvaluate(k)) continue;
       entries.push_back({i, k, agent.prices()[k],

@@ -87,7 +87,7 @@ void ClusterMarket::EnsureActive(int cluster,
   state.idle_sum = market::QuantityVector(cost_model_->num_classes());
   for (catalog::NodeId node : members) {
     if (book.built(node)) {
-      state.live.push_back(node);
+      state.live.push_back(book.row_of(node));
     } else {
       state.idle_sum += DefaultPlan(node);
     }
@@ -96,11 +96,11 @@ void ClusterMarket::EnsureActive(int cluster,
   PublishCluster(cluster, book);
 }
 
-void ClusterMarket::OnMemberBuilt(catalog::NodeId node) {
+void ClusterMarket::OnMemberBuilt(catalog::NodeId node, int32_t row) {
   Cluster& state = clusters_[static_cast<size_t>(cluster_of(node))];
   if (!state.active) return;
   state.idle_sum -= DefaultPlan(node);
-  state.live.push_back(node);
+  state.live.push_back(row);
 }
 
 void ClusterMarket::OnTick(util::VTime now,
@@ -132,8 +132,8 @@ void ClusterMarket::PublishCluster(int cluster,
   // Exact, not an estimate: quantities are integers, so the sum does not
   // depend on the order members went live in.
   publish_ = state.idle_sum;
-  for (catalog::NodeId node : state.live) {
-    publish_ += book.agent(node).remaining_supply();
+  for (int32_t row : state.live) {
+    publish_ += book.row_agent(row).remaining_supply();
   }
   state.agent.Publish(publish_);
 }

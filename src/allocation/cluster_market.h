@@ -26,9 +26,8 @@ namespace qa::allocation {
 /// tier only ever touches a few hundred clusters never pays for the rest.
 /// An active cluster's upkeep follows its traded members, not its size:
 /// a publish walks only the members whose agents exist. It reads the
-/// members' agents from the allocator's book (built / agent): only
-/// activation asks every member whether it is built; publishes read only
-/// the live ones. Everything here runs on the mediator lane (Allocate /
+/// members' agents from the allocator's book: only activation asks every
+/// member whether it is built; publishes read the live ones' rows. Everything here runs on the mediator lane (Allocate /
 /// OnPeriodStart): strictly sequential, no cross-shard state.
 class ClusterMarket {
  public:
@@ -80,11 +79,11 @@ class ClusterMarket {
   /// aggregate. O(members * K) with no per-member allocation. Idempotent.
   void EnsureActive(int cluster, const market::ClearingBook& book);
 
-  /// A member's agent was just instantiated. If its cluster is active, the
-  /// member leaves the idle sum (minus exactly the default plan activation
-  /// added) and joins the live list. An inactive cluster needs nothing:
-  /// its activation will find the agent.
-  void OnMemberBuilt(catalog::NodeId node);
+  /// A member's agent was just instantiated in book row `row`. If its
+  /// cluster is active, the member leaves the idle sum (minus exactly the
+  /// default plan activation added) and joins the live list. An inactive
+  /// cluster needs nothing: its activation will find the agent.
+  void OnMemberBuilt(catalog::NodeId node, int32_t row);
 
   /// Market tick: once `now` crosses a global period boundary, every
   /// active cluster's sub-mediator re-publishes its aggregate from the
@@ -102,8 +101,9 @@ class ClusterMarket {
     /// published aggregate is always idle_sum + the live members'
     /// remaining supply.
     market::QuantityVector idle_sum;
-    /// Members with an instantiated agent, in the order they were found.
-    std::vector<catalog::NodeId> live;
+    /// Book rows of the members with an instantiated agent, in the order
+    /// they were found. A restart keeps a member's row.
+    std::vector<int32_t> live;
     bool active = false;
   };
 

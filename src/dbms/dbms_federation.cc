@@ -114,19 +114,16 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
 
   // QA-NT agents: unit costs = static template-cost matrix. Their book
   // lists nothing: a client asks the template's eligible nodes (Poll).
-  market::ClearingBook book(n, {});
+  market::ClearingBook book(n, num_t, config_.period, config_.qa_nt);
   if (qa_nt) {
+    std::vector<util::VDuration> costs(static_cast<size_t>(num_t));
     for (int i = 0; i < n; ++i) {
-      std::vector<util::VDuration> costs(static_cast<size_t>(num_t));
       for (int t = 0; t < num_t; ++t) {
         util::VDuration c = TemplateCost(t, i);
         costs[static_cast<size_t>(t)] =
             c > 0 ? c : market::CapacitySupplySet::kCannotEvaluate;
       }
-      market::QaNtAgent agent(i, std::move(costs), config_.period,
-                              config_.qa_nt);
-      agent.BeginPeriod();
-      book.Put(i, std::move(agent));
+      book.Put(i, costs).BeginPeriod();
     }
   }
   util::VTime next_boundary = config_.period;
@@ -136,7 +133,9 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
       ++periods;
       next_boundary += config_.period;
     }
-    for (int i = 0; i < n; ++i) book.Roll(i, periods);
+    for (int32_t row = 0; row < book.num_rows(); ++row) {
+      book.Roll(row, periods);
+    }
   };
 
   // QA-NT converts overload into boundary retries rather than node-side

@@ -8,8 +8,12 @@
 namespace qa::market {
 
 ClearingBook::ClearingBook(
-    int num_nodes, const std::vector<std::vector<catalog::NodeId>>& members)
-    : agents_(static_cast<size_t>(num_nodes)), books_(members.size()) {
+    int num_nodes, int num_classes, util::VDuration period_budget,
+    const QaNtConfig& config,
+    const std::vector<std::vector<catalog::NodeId>>& members)
+    : pool_(num_classes, period_budget, config),
+      rows_(static_cast<size_t>(num_nodes), -1),
+      books_(members.size()) {
   // Count each listed node's lanes, then lay the slots out node-major.
   // Walking the classes in order puts each node's slots in class order.
   size_t span = 0;
@@ -48,33 +52,30 @@ ClearingBook::ClearingBook(
   }
 }
 
-void ClearingBook::Put(catalog::NodeId node, QaNtAgent agent) {
-  std::unique_ptr<QaNtAgent>& slot = agents_[static_cast<size_t>(node)];
-  NodeLanes n = lanes_of(node);
-  if (slot == nullptr) {
+QaNtAgent ClearingBook::Put(catalog::NodeId node,
+                            std::span<const util::VDuration> unit_costs) {
+  int32_t& row = rows_[static_cast<size_t>(node)];
+  if (row < 0) {
+    NodeLanes n = lanes_of(node);
     for (int32_t i = n.begin; i < n.end; ++i) {
       --books_[static_cast<size_t>(slots_[static_cast<size_t>(i)].k)]
             .detached;
     }
+    row = pool_.Append(node, unit_costs);
+  } else {
+    pool_.Reset(row, unit_costs);
   }
-  slot = std::make_unique<QaNtAgent>(std::move(agent));
   Unlist(node);
+  return pool_.agent(row);
 }
 
-QaNtAgent& ClearingBook::mutable_agent(catalog::NodeId node) {
+QaNtAgent ClearingBook::mutable_agent(catalog::NodeId node) {
   Settle(node);
   Unlist(node);
-  return held(node);
+  return pool_.agent(row_of(node));
 }
 
-void ClearingBook::Roll(catalog::NodeId node, int64_t periods) {
-  Settle(node);
-  QaNtAgent& agent = held(node);
-  for (int64_t i = 0; i < periods; ++i) {
-    agent.EndPeriod();
-    agent.BeginPeriod();
-  }
-  if (lazy(node) == 0) return;
+void ClearingBook::PollLanes(catalog::NodeId node) {
   NodeLanes n = lanes_of(node);
   for (int32_t i = n.begin; i < n.end; ++i) SetLane(i, Lane::kPolled, false);
 }
@@ -94,7 +95,7 @@ catalog::NodeId ClearingBook::Clear(int k) {
   for (int32_t i : asked_) {
     catalog::NodeId j = slots_[static_cast<size_t>(i)].node;
     Settle(j);
-    QaNtAgent& asked = held(j);
+    QaNtAgent asked = pool_.agent(row_of(j));
     if (asked.OnRequest(k)) {
       Offer offer{asked.unit_cost(k), j, i};
       if (best.node < 0 || offer < best) best = offer;
@@ -109,7 +110,7 @@ catalog::NodeId ClearingBook::Clear(int k) {
     // supply left at period end): losing to a cheaper offer is neither,
     // so only the winner hears back.
     Settle(best.node);
-    held(best.node).OnOfferAccepted(k);
+    pool_.agent(row_of(best.node)).OnOfferAccepted(k);
     Reclassify(best.node);
   }
   for (int32_t i : asked_) Reclassify(slots_[static_cast<size_t>(i)].node);
@@ -123,18 +124,21 @@ catalog::NodeId ClearingBook::Poll(int k,
   // Asking one agent moves no other's cost or earnings, so ranking each
   // offer as it comes equals ranking them all at the end.
   catalog::NodeId best = -1;
+  int32_t best_row = -1;
   for (catalog::NodeId j : nodes) {
     Settle(j);
-    QaNtAgent& asked = held(j);
+    QaNtAgent asked = pool_.agent(row_of(j));
     if (!asked.OnRequest(k)) continue;
-    if (best < 0 || (selection == OfferSelection::kEquitable
-                         ? asked.earnings() < held(best).earnings()
-                         : asked.unit_cost(k) < held(best).unit_cost(k))) {
+    if (best < 0 ||
+        (selection == OfferSelection::kEquitable
+             ? asked.earnings() < pool_.agent(best_row).earnings()
+             : asked.unit_cost(k) < pool_.agent(best_row).unit_cost(k))) {
       best = j;
+      best_row = asked.row();
     }
   }
   // A losing offer moves no price, so only the winner hears back.
-  if (best >= 0) held(best).OnOfferAccepted(k);
+  if (best >= 0) pool_.agent(best_row).OnOfferAccepted(k);
   // The asked agents' states moved, so their standing answers may not.
   for (catalog::NodeId j : nodes) {
     if (lazy(j) > 0) Reclassify(j);
@@ -144,7 +148,7 @@ catalog::NodeId ClearingBook::Poll(int k,
 
 void ClearingBook::BeginPeriod() {
   for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
-    held(j).BeginPeriod();
+    pool_.agent(row_of(j)).BeginPeriod();
     Reclassify(j);
   }
 }
@@ -152,7 +156,7 @@ void ClearingBook::BeginPeriod() {
 void ClearingBook::EndPeriod() {
   for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
     Settle(j);
-    held(j).EndPeriod();
+    pool_.agent(row_of(j)).EndPeriod();
   }
   for (ClassBook& book : books_) {
     book.requests = 0;
@@ -177,7 +181,7 @@ void ClearingBook::EndPeriod() {
 
 void ClearingBook::Replay(catalog::NodeId node) const {
   NodeLanes n = nodes_[static_cast<size_t>(node)];
-  QaNtAgent& agent = held(node);
+  QaNtAgent agent = pool_.agent(row_of(node));
   for (int32_t i = n.begin; i < n.end; ++i) {
     Slot& s = slots_[static_cast<size_t>(i)];
     if (s.lane == Lane::kPolled) continue;
@@ -205,7 +209,7 @@ void ClearingBook::Unlist(catalog::NodeId node) {
 
 void ClearingBook::Reclassify(catalog::NodeId node) {
   NodeLanes n = lanes_of(node);
-  const QaNtAgent& state = held(node);
+  QaNtAgentView state = std::as_const(pool_).agent(row_of(node));
   bool quiet = false;
   for (int32_t i = n.begin; i < n.end; ++i) {
     int k = slots_[static_cast<size_t>(i)].k;
@@ -258,7 +262,9 @@ void ClearingBook::SetLane(int32_t slot, Lane lane, bool moves) {
     book.polled.push_back(slot);
   }
   if (lane == Lane::kQuiet && !s.in_heap) {
-    book.quiet.push_back({held(s.node).unit_cost(s.k), s.node, slot});
+    book.quiet.push_back(
+        {std::as_const(pool_).agent(row_of(s.node)).unit_cost(s.k), s.node,
+         slot});
     std::push_heap(book.quiet.begin(), book.quiet.end(), std::greater<>());
     s.in_heap = true;
   }

@@ -2,8 +2,8 @@
 #define QAMARKET_MARKET_CLEARING_BOOK_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -32,46 +32,78 @@ enum class OfferSelection : uint8_t {
 /// whose answer can, and replays the rest through
 /// QaNtAgent::OnRepeatedRequests before any read of the agent: every read
 /// settles by itself, and gets what asking every listed agent every time
-/// would give, bit for bit. A book that lists nothing holds one agent slot
-/// per node and nothing else per node.
+/// would give, bit for bit.
+///
+/// The agents are the rows of one AgentPool, appended in build order; a
+/// node-indexed map names each node's row (-1 until it is built), and a
+/// restart re-initializes the node's row in place, so a row never changes
+/// its node. A book that lists nothing holds that one 4-byte map entry per
+/// node and nothing else per node.
 class ClearingBook {
  public:
   /// An empty book (no node, no class).
   ClearingBook() = default;
-  /// One agent slot per node and one lane per listed (node, class) pair:
-  /// `members[k]` lists the nodes a class-k broadcast reaches, in
-  /// ascending id order. Every lane starts polled, and every slot empty.
-  ClearingBook(int num_nodes,
-               const std::vector<std::vector<catalog::NodeId>>& members);
+  /// One map entry per node, an empty pool of `num_classes` classes whose
+  /// agents share `period_budget` and `config` (which must validate), and
+  /// one lane per listed (node, class) pair: `members[k]` lists the nodes
+  /// a class-k broadcast reaches, in ascending id order. Every lane starts
+  /// polled, and no node is built.
+  ClearingBook(int num_nodes, int num_classes, util::VDuration period_budget,
+               const QaNtConfig& config,
+               const std::vector<std::vector<catalog::NodeId>>& members = {});
 
-  int num_nodes() const { return static_cast<int>(agents_.size()); }
+  int num_nodes() const { return static_cast<int>(rows_.size()); }
+  /// Built agents, which are rows [0, num_rows()).
+  int32_t num_rows() const { return pool_.size(); }
 
-  /// Sets the agent of `node`: its first build, or a restart. Whatever the
-  /// old agent owed is dropped with it, and its lanes start polled.
-  void Put(catalog::NodeId node, QaNtAgent agent);
-  bool built(catalog::NodeId node) const {
-    return agents_[static_cast<size_t>(node)] != nullptr;
+  /// Builds the agent of `node` from `unit_costs` (one per class,
+  /// CapacitySupplySet::kCannotEvaluate for a class it cannot run), as the
+  /// standalone QaNtAgent constructor would: its first build appends a
+  /// row, a restart resets the node's row. Whatever the old agent owed is
+  /// dropped with it, and its lanes start polled. Returns the agent, which
+  /// the caller may change as mutable_agent()'s may be.
+  QaNtAgent Put(catalog::NodeId node,
+                std::span<const util::VDuration> unit_costs);
+  bool built(catalog::NodeId node) const { return row_of(node) >= 0; }
+  /// The row of `node`'s agent, or -1 before its first build.
+  int32_t row_of(catalog::NodeId node) const {
+    return rows_[static_cast<size_t>(node)];
   }
   /// The agent of `node`, every owed answer replayed. Requires built(node).
-  const QaNtAgent& agent(catalog::NodeId node) const {
+  QaNtAgentView agent(catalog::NodeId node) const {
     Settle(node);
-    return held(node);
+    return std::as_const(pool_).agent(row_of(node));
+  }
+  /// As agent(), by row.
+  QaNtAgentView row_agent(int32_t row) const {
+    QaNtAgentView agent = std::as_const(pool_).agent(row);
+    Settle(agent.node());
+    return agent;
   }
   /// As agent(), but replays only the declines that still move a price:
   /// quiet offers and inert declines owe only tallies.
-  const QaNtAgent& priced_agent(catalog::NodeId node) const {
+  QaNtAgentView priced_agent(catalog::NodeId node) const {
     if (lanes_of(node).moving > 0) Replay(node);
-    return held(node);
+    return std::as_const(pool_).agent(row_of(node));
   }
   /// As agent(), and its lanes are polled and its quiet offers leave the
   /// heaps: the caller may change anything about it, unit costs included,
   /// before the book's next call.
-  QaNtAgent& mutable_agent(catalog::NodeId node);
-  /// Settles `node`, rolls its agent over `periods` times (EndPeriod, then
-  /// BeginPeriod) and polls its lanes: the new period starts with every
-  /// answer open. Its quiet offers stay in the heaps and serve again once
-  /// it turns quiet.
-  void Roll(catalog::NodeId node, int64_t periods);
+  QaNtAgent mutable_agent(catalog::NodeId node);
+  /// Settles the agent in `row`, rolls it over `periods` times (EndPeriod,
+  /// then BeginPeriod) and polls its lanes: the new period starts with
+  /// every answer open. Its quiet offers stay in the heaps and serve again
+  /// once it turns quiet.
+  void Roll(int32_t row, int64_t periods) {
+    QaNtAgent agent = pool_.agent(row);
+    catalog::NodeId node = agent.node();
+    Settle(node);
+    for (int64_t i = 0; i < periods; ++i) {
+      agent.EndPeriod();
+      agent.BeginPeriod();
+    }
+    if (lazy(node) > 0) PollLanes(node);
+  }
 
   /// Whether any node is listed for class `k`.
   bool Lists(int k) const {
@@ -154,9 +186,6 @@ class ClearingBook {
     std::vector<Offer> quiet;
   };
 
-  QaNtAgent& held(catalog::NodeId node) const {
-    return *agents_[static_cast<size_t>(node)];
-  }
   /// The lanes of `node`: none past the highest listed id.
   NodeLanes lanes_of(catalog::NodeId node) const {
     return static_cast<size_t>(node) < nodes_.size()
@@ -172,6 +201,9 @@ class ClearingBook {
   /// Puts every lane of `node` on kPolled and takes its quiet entries out
   /// of the heaps.
   void Unlist(catalog::NodeId node);
+  /// Puts every lane of `node` on kPolled; its quiet entries stay in the
+  /// heaps.
+  void PollLanes(catalog::NodeId node);
   /// Puts every lane of `node` on the lane its current state allows.
   /// Requires the node settled.
   void Reclassify(catalog::NodeId node);
@@ -179,8 +211,11 @@ class ClearingBook {
   /// The cheapest quiet offer of class `k`; node -1 when there is none.
   Offer CheapestQuiet(int k);
 
-  /// One slot per node; null until the node's agent is put.
-  std::vector<std::unique_ptr<QaNtAgent>> agents_;
+  /// Every built agent. Settling replays answers into the agents, so the
+  /// const reads settle too.
+  mutable AgentPool pool_;
+  /// The row of each node's agent; -1 until the node is built.
+  std::vector<int32_t> rows_;
   /// One entry per node up to the highest listed id.
   std::vector<NodeLanes> nodes_;
   /// Settling advances only the answered counts, so the const reads

@@ -72,9 +72,9 @@ struct DefaultPlanScratch {
   DefaultPlanScratch(int num_classes, util::VDuration period_budget,
                      const QaNtConfig& config);
 
-  /// The knapsack's supply set; its unit costs are rewritten per call.
-  CapacitySupplySet supply_set;
-  /// A fresh agent's prices: the initial price, clamped to the floor.
+  util::VDuration budget;
+  /// A fresh agent's prices: the initial price, clamped into
+  /// [price_floor, price_cap].
   PriceVector prices;
   /// The evaluable classes of the node being planned (capacity K).
   std::vector<int> classes;
@@ -84,7 +84,7 @@ struct DefaultPlanScratch {
 /// The supply vector a fresh default-state QaNtAgent with these unit costs
 /// plans for its first period, floored at 1 for every evaluable class,
 /// computed without building the agent: the agent's own eq.-4 knapsack
-/// (CapacitySupplySet::MaximizeValueOver) at the clamped initial prices
+/// (MaximizeValueOver) at the clamped initial prices
 /// against one whole period budget, which is exactly a fresh agent's first
 /// BeginPeriod. The cluster market adds this for every member whose agent
 /// was never instantiated, and subtracts the same value when the member's

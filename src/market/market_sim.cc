@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 namespace qa::market {
 
@@ -14,25 +15,27 @@ MarketSimulator::MarketSimulator(const query::CostModel* cost_model,
   int num_nodes = cost_model->num_nodes();
   num_classes_ = cost_model->num_classes();
   // Each request reaches every node able to evaluate its class.
-  std::vector<std::vector<util::VDuration>> unit_costs(
-      static_cast<size_t>(num_nodes),
-      std::vector<util::VDuration>(static_cast<size_t>(num_classes_)));
+  std::vector<util::VDuration> unit_costs(
+      static_cast<size_t>(num_nodes) * static_cast<size_t>(num_classes_));
   std::vector<std::vector<catalog::NodeId>> members(
       static_cast<size_t>(num_classes_));
   for (int i = 0; i < num_nodes; ++i) {
     for (int k = 0; k < num_classes_; ++k) {
       util::VDuration c = cost_model->Cost(k, i);
       bool able = c != query::kInfeasibleCost;
-      unit_costs[static_cast<size_t>(i)][static_cast<size_t>(k)] =
+      unit_costs[static_cast<size_t>(i) * static_cast<size_t>(num_classes_) +
+                 static_cast<size_t>(k)] =
           able ? c : CapacitySupplySet::kCannotEvaluate;
       if (able) members[static_cast<size_t>(k)].push_back(i);
     }
     pending_.emplace_back(num_classes_);
   }
-  book_ = ClearingBook(num_nodes, members);
+  book_ = ClearingBook(num_nodes, num_classes_, config.period, config.agent,
+                       members);
   for (int i = 0; i < num_nodes; ++i) {
-    book_.Put(i, QaNtAgent(i, std::move(unit_costs[static_cast<size_t>(i)]),
-                           config.period, config.agent));
+    book_.Put(i, std::span<const util::VDuration>(unit_costs).subspan(
+                     static_cast<size_t>(i) * static_cast<size_t>(num_classes_),
+                     static_cast<size_t>(num_classes_)));
   }
   next_class_.resize(static_cast<size_t>(num_nodes));
 }

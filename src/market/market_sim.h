@@ -64,13 +64,13 @@ class MarketSimulator {
 
   int num_nodes() const { return book_.num_nodes(); }
   int num_classes() const { return num_classes_; }
-  const QaNtAgent& agent(int node) const { return book_.agent(node); }
+  QaNtAgentView agent(int node) const { return book_.agent(node); }
   /// Queries still waiting, per client node.
   const std::vector<QuantityVector>& pending() const { return pending_; }
 
   /// Overrides one agent's prices between periods (warm starts, tests).
   void SetPrices(int node, PriceVector prices) {
-    book_.mutable_agent(node).SetPrices(std::move(prices));
+    book_.mutable_agent(node).SetPrices(prices);
   }
 
  private:

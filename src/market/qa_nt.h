@@ -2,7 +2,11 @@
 #define QAMARKET_MARKET_QA_NT_H_
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -97,55 +101,157 @@ struct QaNtAgentStats {
   int64_t periods = 0;
 };
 
-/// One server node's QA-NT state machine: private prices, the per-period
-/// supply vector obtained by solving eq. (4), and the non-tâtonnement price
-/// adjustments of the QA-NT algorithm listing (§3.3).
+class QaNtAgent;
+class QaNtAgentView;
+
+/// The storage of one market's QA-NT agents: one row per agent, appended
+/// in build order, all sharing one QaNtConfig and one period budget. Each
+/// agent field is a parallel array, and all the arrays share one heap
+/// block. The per-class fields (unit costs, prices, planned and remaining
+/// supply, and the rollover's class list) are K-strided, so a walk over
+/// rows in order streams through each array, and N appends make O(log N)
+/// heap allocations.
 ///
-/// The agent is deliberately self-contained: it never sees other nodes'
-/// prices, loads or capabilities — its only inputs are the requests clients
-/// send it and the fate of its own offers. This is what preserves node
-/// autonomy (Table 2).
-class QaNtAgent {
+/// QaNtAgent and QaNtAgentView are the handles to a row, and the only way
+/// to read or move an agent. A handle is (pool, row) and stays valid while
+/// the pool lives; a PriceView or QuantityView of a row dies with the next
+/// Append, which may move the block. A moved-from pool may only be
+/// destroyed or assigned to.
+class AgentPool {
  public:
-  /// `unit_costs[k]` is this node's execution time for one k-class query or
-  /// CapacitySupplySet::kCannotEvaluate; `period_budget` is the length T of
-  /// a time period (the node's serial execution capacity per period).
-  /// Requires a `config` that validates (its owner checks it).
-  QaNtAgent(catalog::NodeId node, std::vector<util::VDuration> unit_costs,
-            util::VDuration period_budget, QaNtConfig config = {});
+  /// An empty pool of no class.
+  AgentPool() = default;
+  /// An empty pool of `num_classes` classes. Requires a `config` that
+  /// validates (its owner checks it).
+  AgentPool(int num_classes, util::VDuration period_budget,
+            const QaNtConfig& config);
+  AgentPool(AgentPool&&) noexcept = default;
+  AgentPool& operator=(AgentPool&&) noexcept = default;
 
-  /// Step 2: given current prices, recompute the optimal supply vector for
-  /// the period that now begins.
-  void BeginPeriod();
+  int num_classes() const { return num_classes_; }
+  int32_t size() const { return size_; }
 
-  /// Steps 4-10: a client asks this node to evaluate a k-class query.
-  /// Returns true iff the node offers: the period's execution-time budget
-  /// still covers the query (see WouldAccept) and the class's price
-  /// density passes the first-order-condition gate. When the node declines
-  /// a class it could evaluate in principle, the price of k is raised:
-  /// p_k += lambda * p_k (step 9).
-  bool OnRequest(int k);
+  /// Appends a fresh agent of `node` (see QaNtAgent's constructor) and
+  /// returns its row. `unit_costs` holds one entry per class.
+  int32_t Append(catalog::NodeId node,
+                 std::span<const util::VDuration> unit_costs);
+  /// Makes `row` a fresh agent of its node again, with `unit_costs`: every
+  /// learned price, plan, debt, tally and earning is gone.
+  void Reset(int32_t row, std::span<const util::VDuration> unit_costs);
 
-  /// Step 6: the client accepted our offer; one unit of supply is consumed.
-  /// An offer the client turns down needs no call: the listing moves no
-  /// price when an offer loses, and the unused unit is caught by the
-  /// end-of-period decay.
-  void OnOfferAccepted(int k);
+  QaNtAgent agent(int32_t row);
+  QaNtAgentView agent(int32_t row) const;
 
-  /// Steps 12-14: for every class with leftover planned supply, decay the
-  /// price: p_k -= s_ik * lambda * p_k (clamped to the floor).
-  void EndPeriod();
+ private:
+  friend class QaNtAgentView;
+  friend class QaNtAgent;
 
-  catalog::NodeId node() const { return node_; }
-  const PriceVector& prices() const { return prices_; }
+  size_t K() const { return static_cast<size_t>(num_classes_); }
+  size_t At(int32_t row) const {
+    assert(row >= 0 && row < size_);
+    return static_cast<size_t>(row);
+  }
+  /// Where the slice of `row` starts in the K-strided arrays.
+  size_t Slice(int32_t row) const { return At(row) * K(); }
+  /// Index of class `k` of `row` in the K-strided arrays.
+  size_t Cell(int32_t row, int k) const {
+    assert(k >= 0 && k < num_classes_);
+    return Slice(row) + static_cast<size_t>(k);
+  }
+  /// Doubles the capacity: one new block, every array copied into it.
+  void Grow();
+  /// Calls `f(column, entries_per_row)` for every array of the block.
+  template <typename F>
+  void ForEachColumn(F f);
+
+  int num_classes_ = 0;
+  util::VDuration budget_ = 0;
+  QaNtConfig config_;
+  int32_t size_ = 0;
+  int32_t capacity_ = 0;
+  /// Holds every array below.
+  std::unique_ptr<std::byte[]> block_;
+
+  // K entries per row: row r's class k sits at r * K + k.
+  util::VDuration* unit_costs_ = nullptr;
+  double* prices_ = nullptr;
+  /// s_i planned at the row's last BeginPeriod, and its unsold part.
+  Quantity* planned_ = nullptr;
+  Quantity* remaining_ = nullptr;
+  /// Every class the row's node has ever been able to evaluate, in the
+  /// greedy order of its last BeginPeriod: the first listed_[r] entries of
+  /// the row's slice. The period rollover walks only these: a class
+  /// outside them has zero supply, and its price moves only through
+  /// SetPrices. A class switched off keeps its place, because supply left
+  /// over from before the switch still decays.
+  int* classes_ = nullptr;
+
+  // One entry per row.
+  catalog::NodeId* nodes_ = nullptr;
+  int32_t* listed_ = nullptr;
+  /// Carryover debt (see QaNtConfig::allow_min_one_offer); negative values
+  /// are banked capacity from integer-rounding leftovers.
+  util::VDuration* debt_ = nullptr;
+  /// Execution time accepted during the current period.
+  util::VDuration* accepted_cost_ = nullptr;
+  /// Unspent budget of the running period (admission is budget-elastic
+  /// within the density gate, not hard-committed to the planned classes).
+  util::VDuration* remaining_budget_ = nullptr;
+  /// Best price-per-cost density over evaluable classes at period start
+  /// (kept fresh as declines bump prices up).
+  double* max_density_ = nullptr;
+  double* earnings_ = nullptr;
+  // QaNtAgentStats, one array per counter: the rollover reads only
+  // periods_, the request path the rest.
+  int64_t* requests_seen_ = nullptr;
+  int64_t* offers_made_ = nullptr;
+  int64_t* offers_accepted_ = nullptr;
+  int64_t* declines_no_supply_ = nullptr;
+  int64_t* periods_ = nullptr;
+  /// No period begun yet: the first BeginPeriod settles no debt.
+  bool* first_period_ = nullptr;
+  /// Armed when the previous period ended with no budget left (capacity
+  /// contended => positive shadow price => enforce first-order conditions).
+  bool* density_gate_ = nullptr;
+};
+
+/// A read-only handle to one agent of an AgentPool: every read of
+/// QaNtAgent, and none of its moves. What a clearing book hands out for
+/// reads (ClearingBook::agent).
+class QaNtAgentView {
+ public:
+  QaNtAgentView(const AgentPool* pool, int32_t row)
+      : pool_(pool), row_(row) {}
+
+  int32_t row() const { return row_; }
+  catalog::NodeId node() const { return pool_->nodes_[r()]; }
+  PriceView prices() const {
+    return PriceView(
+        std::span<const double>(pool_->prices_ + slice(), pool_->K()));
+  }
   /// s_i computed at the start of the current period.
-  const QuantityVector& planned_supply() const { return planned_supply_; }
+  QuantityView planned_supply() const {
+    return QuantityView(
+        std::span<const Quantity>(pool_->planned_ + slice(), pool_->K()));
+  }
   /// Remaining (not yet accepted) part of the planned supply.
-  const QuantityVector& remaining_supply() const { return remaining_supply_; }
-  const QaNtAgentStats& stats() const { return stats_; }
+  QuantityView remaining_supply() const {
+    return QuantityView(
+        std::span<const Quantity>(pool_->remaining_ + slice(), pool_->K()));
+  }
+  QaNtAgentStats stats() const {
+    size_t r = this->r();
+    return {pool_->requests_seen_[r], pool_->offers_made_[r],
+            pool_->offers_accepted_[r], pool_->declines_no_supply_[r],
+            pool_->periods_[r]};
+  }
 
-  bool CanEvaluate(int k) const { return supply_set_.CanEvaluateClass(k); }
-  util::VDuration unit_cost(int k) const { return supply_set_.unit_cost(k); }
+  bool CanEvaluate(int k) const {
+    return unit_cost(k) != CapacitySupplySet::kCannotEvaluate;
+  }
+  util::VDuration unit_cost(int k) const {
+    return pool_->unit_costs_[cell(k)];
+  }
 
   /// True when the activation threshold (if any) says prices are still low
   /// enough that the agent should not restrict supply.
@@ -153,11 +259,13 @@ class QaNtAgent {
 
   /// Capacity debt carried into the current period: execution time accepted
   /// in earlier periods that exceeds the capacity those periods offered.
-  util::VDuration debt() const { return debt_; }
+  util::VDuration debt() const { return pool_->debt_[r()]; }
 
   /// Unspent execution-time budget of the current period (negative after
   /// an allowed overshoot).
-  util::VDuration remaining_budget() const { return remaining_budget_; }
+  util::VDuration remaining_budget() const {
+    return pool_->remaining_budget_[r()];
+  }
 
   /// Whether a request for class `k` would currently be offered.
   bool WouldAccept(int k) const;
@@ -190,25 +298,96 @@ class QaNtAgent {
   /// decline then raises max density.)
   bool DeclineIsInert(int k) const;
 
+  /// Cumulative virtual value earned by this node: the sum over accepted
+  /// queries of their price at acceptance time. This is the node's utility
+  /// in the market; the equitable-allocation extension (paper §6) selects
+  /// offers so as to equalize it across nodes.
+  double earnings() const { return pool_->earnings_[r()]; }
+
+  /// True when the first-order-condition density gate is armed (capacity
+  /// was contended in the previous period).
+  bool density_gate_active() const { return pool_->density_gate_[r()]; }
+
+ protected:
+  /// The row's index in the per-row arrays, its slice in the K-strided
+  /// ones, and class `k`'s place there.
+  size_t r() const { return pool_->At(row_); }
+  size_t slice() const { return pool_->Slice(row_); }
+  size_t cell(int k) const { return pool_->Cell(row_, k); }
+  /// The rollover's classes, in the greedy order of the last BeginPeriod.
+  std::span<int> classes() const {
+    return {pool_->classes_ + slice(),
+            static_cast<size_t>(pool_->listed_[r()])};
+  }
+  /// WouldAccept's budget clauses: true when the remaining budget cannot
+  /// cover class `k` (no overshoot allowed for it).
+  bool BudgetBars(int k) const;
+  /// Best price-per-cost density over the currently evaluable classes.
+  double MaxDensity() const;
+
+ private:
+  const AgentPool* pool_;
+  int32_t row_;
+};
+
+/// One server node's QA-NT state machine: private prices, the per-period
+/// supply vector obtained by solving eq. (4), and the non-tâtonnement price
+/// adjustments of the QA-NT algorithm listing (§3.3).
+///
+/// The agent is deliberately self-contained: it never sees other nodes'
+/// prices, loads or capabilities — its only inputs are the requests clients
+/// send it and the fate of its own offers. This is what preserves node
+/// autonomy (Table 2).
+///
+/// A QaNtAgent is a handle to one row of an AgentPool, where its state
+/// lives; a market's agents share one pool (ClearingBook). The standalone
+/// constructor owns a one-row pool of its own, so a lone agent runs the
+/// same code. Handles move but do not copy; QaNtAgentView is the
+/// read-only one.
+class QaNtAgent : public QaNtAgentView {
+ public:
+  /// A standalone agent. `unit_costs[k]` is this node's execution time for
+  /// one k-class query or CapacitySupplySet::kCannotEvaluate;
+  /// `period_budget` is the length T of a time period (the node's serial
+  /// execution capacity per period). Requires a `config` that validates
+  /// (its owner checks it).
+  QaNtAgent(catalog::NodeId node, std::vector<util::VDuration> unit_costs,
+            util::VDuration period_budget, QaNtConfig config = {});
+  /// The agent in `row` of `pool`.
+  QaNtAgent(AgentPool* pool, int32_t row)
+      : QaNtAgentView(pool, row), pool_(pool) {}
+
+  /// Step 2: given current prices, recompute the optimal supply vector for
+  /// the period that now begins.
+  void BeginPeriod();
+
+  /// Steps 4-10: a client asks this node to evaluate a k-class query.
+  /// Returns true iff the node offers: the period's execution-time budget
+  /// still covers the query (see WouldAccept) and the class's price
+  /// density passes the first-order-condition gate. When the node declines
+  /// a class it could evaluate in principle, the price of k is raised:
+  /// p_k += lambda * p_k (step 9).
+  bool OnRequest(int k);
+
+  /// Step 6: the client accepted our offer; one unit of supply is consumed.
+  /// An offer the client turns down needs no call: the listing moves no
+  /// price when an offer loses, and the unused unit is caught by the
+  /// end-of-period decay.
+  void OnOfferAccepted(int k);
+
+  /// Steps 12-14: for every class with leftover planned supply, decay the
+  /// price: p_k -= s_ik * lambda * p_k (clamped to the floor).
+  void EndPeriod();
+
   /// Answers `n` requests for class `k` at once, exactly as `n` OnRequest(k)
   /// calls in a row would, and returns that answer. Requires WouldAccept(k)
   /// (`n` offers, which move only the tallies) or DeclineSticks(k) (`n`
   /// declines, whose price bumps stop at the fixed point).
   bool OnRepeatedRequests(int k, int64_t n);
 
-  /// Cumulative virtual value earned by this node: the sum over accepted
-  /// queries of their price at acceptance time. This is the node's utility
-  /// in the market; the equitable-allocation extension (paper §6) selects
-  /// offers so as to equalize it across nodes.
-  double earnings() const { return earnings_; }
-
-  /// True when the first-order-condition density gate is armed (capacity
-  /// was contended in the previous period).
-  bool density_gate_active() const { return density_gate_active_; }
-
   /// Overrides the current prices (tests / warm starts), each moved into
   /// [price_floor, price_cap].
-  void SetPrices(PriceVector prices);
+  void SetPrices(PriceView prices);
 
   /// Revises this node's own execution-time belief for class `k` (fed by
   /// the node's plan-history estimator in the real-DBMS deployment, §5.2).
@@ -219,43 +398,26 @@ class QaNtAgent {
   void UpdateUnitCost(int k, util::VDuration cost);
 
  private:
-  void BumpPriceUp(int k);
-  /// WouldAccept's budget clauses: true when the remaining budget cannot
-  /// cover class `k` (no overshoot allowed for it).
-  bool BudgetBars(int k) const;
-  /// Best price-per-cost density over the currently evaluable classes.
-  double MaxDensity() const;
+  QaNtAgent(std::unique_ptr<AgentPool> pool, catalog::NodeId node,
+            std::span<const util::VDuration> unit_costs);
 
-  catalog::NodeId node_;
-  CapacitySupplySet supply_set_;
-  QaNtConfig config_;
-  /// Every class this node has ever been able to evaluate, in the greedy
-  /// order of the last BeginPeriod. The period rollover walks only this
-  /// list: a class outside it has zero supply, and its price moves only
-  /// through SetPrices. A class switched off keeps its place, because
-  /// supply left over from before the switch still decays.
-  std::vector<int> classes_;
-  PriceVector prices_;
-  QuantityVector planned_supply_;
-  QuantityVector remaining_supply_;
-  QaNtAgentStats stats_;
-  /// Execution time accepted during the current period.
-  util::VDuration accepted_cost_ = 0;
-  /// Carryover debt (see QaNtConfig::allow_min_one_offer); negative values
-  /// are banked capacity from integer-rounding leftovers.
-  util::VDuration debt_ = 0;
-  bool first_period_ = true;
-  /// Unspent budget of the running period (admission is budget-elastic
-  /// within the density gate, not hard-committed to the planned classes).
-  util::VDuration remaining_budget_ = 0;
-  /// Best price-per-cost density over evaluable classes at period start
-  /// (kept fresh as declines bump prices up).
-  double max_density_ = 0.0;
-  /// Armed when the previous period ended with no budget left (capacity
-  /// contended => positive shadow price => enforce first-order conditions).
-  bool density_gate_active_ = false;
-  double earnings_ = 0.0;
+  void BumpPriceUp(int k);
+
+  /// The standalone agent's own pool; null for a row of a shared one.
+  std::unique_ptr<AgentPool> owned_;
+  /// The pool, writable (the base holds it read-only).
+  AgentPool* pool_;
 };
+
+inline QaNtAgent AgentPool::agent(int32_t row) {
+  assert(row >= 0 && row < size_);
+  return QaNtAgent(this, row);
+}
+
+inline QaNtAgentView AgentPool::agent(int32_t row) const {
+  assert(row >= 0 && row < size_);
+  return QaNtAgentView(this, row);
+}
 
 }  // namespace qa::market
 

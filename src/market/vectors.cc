@@ -7,12 +7,26 @@
 
 namespace qa::market {
 
-Quantity QuantityVector::Total() const {
+Quantity QuantityView::Total() const {
   return std::accumulate(q_.begin(), q_.end(), Quantity{0});
 }
 
-bool QuantityVector::IsZero() const {
+bool QuantityView::IsZero() const {
   return std::all_of(q_.begin(), q_.end(), [](Quantity v) { return v == 0; });
+}
+
+std::string QuantityView::ToString() const {
+  std::string out = "(";
+  for (size_t k = 0; k < q_.size(); ++k) {
+    if (k != 0) out += ", ";
+    out += std::to_string(q_[k]);
+  }
+  out += ")";
+  return out;
+}
+
+bool operator==(QuantityView a, QuantityView b) {
+  return std::equal(a.q_.begin(), a.q_.end(), b.q_.begin(), b.q_.end());
 }
 
 bool QuantityVector::ComponentwiseLeq(const QuantityVector& other) const {
@@ -23,26 +37,16 @@ bool QuantityVector::ComponentwiseLeq(const QuantityVector& other) const {
   return true;
 }
 
-QuantityVector& QuantityVector::operator+=(const QuantityVector& other) {
+QuantityVector& QuantityVector::operator+=(QuantityView other) {
   assert(num_classes() == other.num_classes());
-  for (size_t k = 0; k < q_.size(); ++k) q_[k] += other.q_[k];
+  for (size_t k = 0; k < q_.size(); ++k) q_[k] += other.values()[k];
   return *this;
 }
 
-QuantityVector& QuantityVector::operator-=(const QuantityVector& other) {
+QuantityVector& QuantityVector::operator-=(QuantityView other) {
   assert(num_classes() == other.num_classes());
-  for (size_t k = 0; k < q_.size(); ++k) q_[k] -= other.q_[k];
+  for (size_t k = 0; k < q_.size(); ++k) q_[k] -= other.values()[k];
   return *this;
-}
-
-std::string QuantityVector::ToString() const {
-  std::string out = "(";
-  for (size_t k = 0; k < q_.size(); ++k) {
-    if (k != 0) out += ", ";
-    out += std::to_string(q_[k]);
-  }
-  out += ")";
-  return out;
 }
 
 QuantityVector Aggregate(const std::vector<QuantityVector>& vectors) {
@@ -56,7 +60,7 @@ void PriceVector::ClampFloor(double floor) {
   for (double& p : p_) p = std::max(p, floor);
 }
 
-std::string PriceVector::ToString() const {
+std::string PriceView::ToString() const {
   std::string out = "(";
   char buf[32];
   for (size_t k = 0; k < p_.size(); ++k) {

@@ -92,9 +92,18 @@ class Parser {
     char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Each level is a frame of this recursion: hostile input must not
+        // get to choose the stack depth.
+        if (depth_ == kMaxNesting) {
+          return Error("nesting deeper than " + std::to_string(kMaxNesting) +
+                       " levels");
+        }
+        ++depth_;
+        util::StatusOr<Json> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         util::StatusOr<std::string> s = ParseString();
         if (!s.ok()) return s.status();
@@ -256,8 +265,14 @@ class Parser {
     }
   }
 
+  /// Far above anything the project writes or reads: its traces, metrics
+  /// streams and compile_commands.json nest a few levels.
+  static constexpr int kMaxNesting = 256;
+
   std::string_view text_;
   size_t pos_ = 0;
+  /// Arrays and objects open around the cursor.
+  int depth_ = 0;
 };
 
 }  // namespace

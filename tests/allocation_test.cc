@@ -269,6 +269,30 @@ TEST(QaNtAllocatorTest, OffersRankByTheAgentsOwnQuote) {
   EXPECT_EQ(alloc.Allocate(MakeArrival(0), ctx).node, 1);
 }
 
+// Agents are rows in build order, yet the market's introspection reports
+// them in node-id order.
+TEST(QaNtAllocatorTest, SnapshotAndProbeKeepNodeOrderAcrossRows) {
+  auto model = std::make_unique<query::MatrixCostModel>(2, 6);
+  for (catalog::NodeId node = 0; node < 6; ++node) {
+    model->SetCost(0, node, (100 + 50 * node) * kMillisecond);
+  }
+  QaNtAllocator alloc(model.get(), 500 * kMillisecond);
+  for (catalog::NodeId node : {4, 1, 5, 2}) {
+    alloc.mutable_agent(node).SetPrices(market::PriceVector({1.0 + node, 0.5}));
+  }
+  std::vector<catalog::NodeId> in_order = {1, 2, 4, 5};
+  obs::AllocatorSnapshot snapshot = alloc.Snapshot();
+  ASSERT_EQ(snapshot.agents.size(), in_order.size());
+  obs::metrics::MarketProbe probe;
+  alloc.FillMarketProbe(&probe);
+  ASSERT_EQ(probe.num_agents(), in_order.size());
+  for (size_t i = 0; i < in_order.size(); ++i) {
+    EXPECT_EQ(snapshot.agents[i].node, in_order[i]);
+    EXPECT_EQ(snapshot.agents[i].prices[0], 1.0 + in_order[i]);
+    EXPECT_EQ(probe.price(i, 0), 1.0 + in_order[i]);
+  }
+}
+
 TEST(QaNtAllocatorDeathTest, InvalidConfigAborts) {
   auto model = ThreeNodeModel();
   market::QaNtConfig config;

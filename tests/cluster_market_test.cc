@@ -36,9 +36,16 @@
 
 namespace {
 
-/// Heap allocations made by this test binary so far (see operator new
-/// below); the allocation-bound tests read it around the calls they pin.
+/// Heap allocations made and blocks freed by this test binary so far (see
+/// operator new and delete below); the allocation-bound tests read them
+/// around the calls they pin.
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_frees{0};
+
+void CountFree(void* p) {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -56,13 +63,13 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { CountFree(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  CountFree(p);
 }
 [[gnu::noinline]] void operator delete(void* p,
                                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountFree(p);
 }
 
 namespace qa::allocation {
@@ -570,6 +577,56 @@ TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
     EXPECT_EQ(market.agent(c).remaining()[0], market.agent(c).published()[0])
         << "cluster " << c;
   }
+}
+
+/// Heap allocations made while a flat QaNtAllocator over `nodes` nodes
+/// builds every agent, in shuffled node order, and blocks freed when it is
+/// torn down.
+struct BuildCost {
+  int64_t allocations;
+  int64_t frees;
+};
+BuildCost BuildEveryAgent(int nodes) {
+  query::MatrixCostModel model(/*num_classes=*/2, nodes);
+  std::vector<catalog::NodeId> order;
+  for (catalog::NodeId node = 0; node < nodes; ++node) {
+    model.SetCost(0, node, (100 + 50 * (node % 7)) * kMillisecond);
+    if (node % 3 != 0) model.SetCost(1, node, 800 * kMillisecond);
+    order.push_back(node);
+  }
+  util::Rng rng(3);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int64_t>(i) - 1))]);
+  }
+  SolicitationConfig one;
+  one.policy = SolicitationPolicy::kUniformSample;
+  one.fanout = 1;
+  auto allocator = std::make_unique<QaNtAllocator>(
+      &model, 500 * kMillisecond, market::QaNtConfig{},
+      market::OfferSelection::kCheapest, one, /*seed=*/1);
+  allocator->OnPeriodStart(kSecond);  // a build replays two rollovers
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (catalog::NodeId node : order) allocator->agent(node);
+  BuildCost cost;
+  cost.allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocator->agent(order.back()).stats().periods, 3);
+  before = g_frees.load(std::memory_order_relaxed);
+  allocator.reset();
+  cost.frees = g_frees.load(std::memory_order_relaxed) - before;
+  return cost;
+}
+
+// The agents are rows of one pool that grows geometrically, beside one
+// next-boundary array per row: building N agents makes O(log N) heap
+// allocations, and tearing them down frees as many blocks for 10,000
+// agents as for 1,000.
+TEST(ClusterMarketAllocationTest, BuildingAgentsAllocatesLogarithmically) {
+  BuildCost small = BuildEveryAgent(1000);
+  BuildCost large = BuildEveryAgent(10000);
+  EXPECT_LE(large.allocations, 64);
+  EXPECT_LT(large.allocations, small.allocations + 16);
+  EXPECT_EQ(large.frees, small.frees);
 }
 
 // ------------------------------------------------ construction cost

@@ -349,7 +349,7 @@ TEST(CrashTest, QaNtAgentRelearnsFromDefaultsAfterRestart) {
                                   qa_config);
   // Exhaust node 0's period budget, then keep asking: each decline of an
   // evaluable class bumps its price (step 9), moving it off the default.
-  market::QaNtAgent& agent = alloc.mutable_agent(0);
+  market::QaNtAgent agent = alloc.mutable_agent(0);
   for (int i = 0; i < 50; ++i) {
     if (agent.OnRequest(0)) agent.OnOfferAccepted(0);
   }

@@ -62,7 +62,7 @@ TEST(JsonlWriterTest, OpenErrorsNameTheStream) {
 /// the exact error message.
 struct MalformedCase {
   const char* name;
-  const char* input;
+  std::string input;
   const char* trace_error;
   const char* metrics_error;
 };
@@ -88,6 +88,14 @@ const std::vector<MalformedCase>& MalformedCases() {
       // compatibility); the metrics stream rejects it (schema drift).
       {"unknown type", "\n{\"type\":\"bogus\"}\n", "",
        "metrics line 2: unknown record type 'bogus'"},
+      // 30,000 levels would overflow a recursive parser's stack; the
+      // reader stops at its nesting cap.
+      {"deep nesting",
+       "\n" + std::string(30000, '[') + std::string(30000, ']') + "\n",
+       "trace line 2: JSON parse error at offset 256: nesting deeper than "
+       "256 levels",
+       "metrics line 2: JSON parse error at offset 256: nesting deeper than "
+       "256 levels"},
       {"blank lines", "\n\n\n", "", ""},
       {"empty stream", "", "", ""},
   };
@@ -119,6 +127,17 @@ TEST(JsonlReaderTest, BothParsersPinEveryMalformedLine) {
       EXPECT_EQ(parsed.status().message(), c.metrics_error);
     }
   }
+}
+
+TEST(JsonlReaderTest, NestingCapAdmitsItsOwnDepth) {
+  std::string deepest = std::string(256, '[') + std::string(256, ']');
+  EXPECT_TRUE(Json::Parse(deepest).ok());
+  util::StatusOr<Json> deeper =
+      Json::Parse("{\"a\":" + std::string(256, '[') + std::string(256, ']') +
+                  "}");
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_EQ(deeper.status().message(),
+            "JSON parse error at offset 260: nesting deeper than 256 levels");
 }
 
 TEST(JsonlReaderTest, LinesAfterAGoodRecordKeepTheirNumbers) {

@@ -172,8 +172,8 @@ std::string Diff(const MarketSimulator& lazy, const BroadcastMarket& ref,
     return "aggregates";
   }
   for (int j = 0; j < ref.num_nodes(); ++j) {
-    const QaNtAgent& x = lazy.agent(j);
-    const QaNtAgent& y = ref.agent(j);
+    QaNtAgentView x = lazy.agent(j);
+    QaNtAgentView y = ref.agent(j);
     std::string at = " of node " + std::to_string(j);
     for (int k = 0; k < ref.num_classes(); ++k) {
       if (Bits(x.prices()[k]) != Bits(y.prices()[k])) {

@@ -30,6 +30,7 @@ namespace qa::allocation {
 namespace {
 
 using market::QaNtAgent;
+using market::QaNtAgentView;
 using market::QaNtConfig;
 using util::kMillisecond;
 
@@ -292,7 +293,7 @@ util::VDuration DrawCost(util::Rng& rng) {
 }
 
 /// Compares one agent of each side; "" when equal.
-std::string DiffAgent(const QaNtAgent& x, const QaNtAgent& y, int classes) {
+std::string DiffAgent(QaNtAgentView x, QaNtAgentView y, int classes) {
   for (int k = 0; k < classes; ++k) {
     if (Bits(x.prices()[k]) != Bits(y.prices()[k])) {
       return "price of class " + std::to_string(k) + ": " +

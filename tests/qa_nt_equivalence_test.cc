@@ -5,8 +5,12 @@
 // sorts a fresh candidate list into a fresh supply vector each period.
 // Seeded op sequences drive both and compare every observable bit for bit
 // after every op; whenever the agent says an answer repeats, one batched
-// call must equal that many single requests to the reference. The last
-// test pins the rollover allocation-free.
+// call must equal that many single requests to the reference. The op
+// sequences run on a standalone agent, and the first seed of each case
+// again on one row of a shared AgentPool that grows between the agent's
+// ops. The pool's own cases
+// follow (restarts, handles across growth), and the last test pins the
+// rollover allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +21,13 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <ranges>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "market/clearing_book.h"
 #include "market/qa_nt.h"
 #include "util/rng.h"
 #include "util/vtime.h"
@@ -328,7 +336,71 @@ struct RepeatCounts {
   int to_fixed_point = 0;
 };
 
-void RunCase(const Case& c, uint64_t seed, RepeatCounts* counts) {
+/// The rows around the agent under test when it lives in a shared pool:
+/// other nodes' agents, built in shuffled node order before it and
+/// between its ops (so the pool grows mid-run), each driven a little so
+/// that its row's state moves too. A null pool leaves the agent alone.
+class Neighbours {
+ public:
+  Neighbours(AgentPool* pool, uint64_t seed) : pool_(pool), rng_(seed) {
+    if (pool_ == nullptr) return;
+    for (catalog::NodeId j = 0; j < kNodes; ++j) nodes_.push_back(j);
+    for (size_t i = nodes_.size(); i > 1; --i) {
+      std::swap(nodes_[i - 1], nodes_[static_cast<size_t>(rng_.UniformInt(
+                                   0, static_cast<int64_t>(i) - 1))]);
+    }
+    int64_t before = rng_.UniformInt(0, 40);
+    for (int64_t i = 0; i < before; ++i) Build();
+  }
+
+  /// The node of the agent under test: one the neighbours never take.
+  static constexpr catalog::NodeId kAgentNode = 300;
+
+  /// Builds one more neighbour now and then, and drives an old one.
+  void Step() {
+    if (pool_ == nullptr) return;
+    if (rng_.Bernoulli(0.4)) Build();
+    if (rows_.empty()) return;
+    int32_t row = rows_[static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(rows_.size()) - 1))];
+    int k = static_cast<int>(rng_.UniformInt(0, pool_->num_classes() - 1));
+    QaNtAgent agent = pool_->agent(row);
+    if (rng_.Bernoulli(0.2)) {
+      agent.EndPeriod();
+      agent.BeginPeriod();
+    } else if (agent.OnRequest(k)) {
+      agent.OnOfferAccepted(k);
+    }
+  }
+
+ private:
+  static constexpr catalog::NodeId kNodes = 600;
+
+  void Build() {
+    if (next_ == nodes_.size()) return;
+    catalog::NodeId node = nodes_[next_++];
+    if (node == kAgentNode) return;
+    std::vector<util::VDuration> costs(
+        static_cast<size_t>(pool_->num_classes()));
+    for (util::VDuration& cost : costs) {
+      cost = rng_.Bernoulli(0.3) ? kCannot : DrawCost(rng_);
+    }
+    int32_t row = pool_->Append(node, costs);
+    pool_->agent(row).BeginPeriod();
+    rows_.push_back(row);
+  }
+
+  AgentPool* pool_;
+  util::Rng rng_;
+  std::vector<catalog::NodeId> nodes_;
+  size_t next_ = 0;
+  std::vector<int32_t> rows_;
+};
+
+/// Runs one seeded op sequence against the dense reference; `pooled` puts
+/// the agent in a shared, growing pool.
+void RunCase(const Case& c, uint64_t seed, bool pooled,
+             RepeatCounts* counts) {
   util::Rng rng(seed);
   std::vector<util::VDuration> costs(static_cast<size_t>(c.num_classes),
                                      kCannot);
@@ -342,16 +414,23 @@ void RunCase(const Case& c, uint64_t seed, RepeatCounts* counts) {
     }
   }
   QaNtConfig config = MakeConfig(c.config);
-  QaNtAgent sparse(0, costs, 500 * kMillisecond, config);
+  AgentPool pool(c.num_classes, 500 * kMillisecond, config);
+  // Its own stream, so that both runs of a seed see the same ops.
+  Neighbours neighbours(pooled ? &pool : nullptr, ~seed);
+  QaNtAgent sparse =
+      pooled ? pool.agent(pool.Append(Neighbours::kAgentNode, costs))
+             : QaNtAgent(0, costs, 500 * kMillisecond, config);
   DenseAgent dense(costs, 500 * kMillisecond, config);
   sparse.BeginPeriod();
   dense.BeginPeriod();
   std::string label = "K=" + std::to_string(c.num_classes) +
                       " mask=" + std::to_string(c.mask) +
-                      " config=" + std::to_string(c.config);
+                      " config=" + std::to_string(c.config) +
+                      (pooled ? " pooled" : "");
   ASSERT_EQ(Diff(sparse, dense), "") << label << " at start";
 
   for (int op = 0; op < 600; ++op) {
+    neighbours.Step();
     int64_t draw = rng.UniformInt(0, 99);
     int k = static_cast<int>(rng.UniformInt(0, c.num_classes - 1));
     std::string name;
@@ -415,8 +494,13 @@ TEST(QaNtEquivalenceTest, SparseRolloverMatchesDenseReference) {
          ++mask) {
       for (int config = 0; config < kNumConfigs; ++config) {
         for (int rep = 0; rep < 3; ++rep) {
-          RunCase({num_classes, mask, config}, seed++, &counts);
-          if (HasFatalFailure()) return;
+          // The first seed of each case runs again as a pooled row.
+          for (bool pooled : {false, true}) {
+            if (pooled && rep > 0) continue;
+            RunCase({num_classes, mask, config}, seed, pooled, &counts);
+            if (HasFatalFailure()) return;
+          }
+          ++seed;
         }
       }
     }
@@ -425,6 +509,108 @@ TEST(QaNtEquivalenceTest, SparseRolloverMatchesDenseReference) {
   EXPECT_GT(counts.offers, 100);
   EXPECT_GT(counts.declines, 100);
   EXPECT_GT(counts.to_fixed_point, 20);
+}
+
+/// A pool of `rows` two-class agents of nodes 0.. in order.
+void Fill(AgentPool* pool, int rows) {
+  for (int i = 0; i < rows; ++i) {
+    catalog::NodeId node = pool->size();
+    pool->agent(pool->Append(node, std::vector<util::VDuration>{
+                                       100 * kMillisecond,
+                                       (200 + 10 * node) * kMillisecond}))
+        .BeginPeriod();
+  }
+}
+
+TEST(AgentPoolTest, HandleTakenBeforeGrowthReadsTheSameStateAfter) {
+  AgentPool pool(2, 500 * kMillisecond, {});
+  Fill(&pool, 3);
+  QaNtAgent agent = pool.agent(1);
+  ASSERT_TRUE(agent.OnRequest(0));
+  agent.OnOfferAccepted(0);
+  PriceVector prices({3.0, 0.5});
+  agent.SetPrices(prices);
+  std::span<const Quantity> left = agent.remaining_supply().values();
+  QuantityVector remaining(std::vector<Quantity>(left.begin(), left.end()));
+  QaNtAgentStats stats = agent.stats();
+  util::VDuration budget = agent.remaining_budget();
+  double earnings = agent.earnings();
+
+  Fill(&pool, 500);  // the block moves several times
+  EXPECT_EQ(agent.node(), 1);
+  EXPECT_EQ(agent.prices()[0], 3.0);
+  EXPECT_EQ(agent.prices()[1], 0.5);
+  EXPECT_EQ(agent.remaining_supply(), remaining);
+  EXPECT_EQ(agent.remaining_budget(), budget);
+  EXPECT_EQ(agent.earnings(), earnings);
+  EXPECT_EQ(agent.stats().offers_accepted, stats.offers_accepted);
+  EXPECT_EQ(agent.stats().requests_seen, stats.requests_seen);
+  // It still moves its own row and no other.
+  agent.EndPeriod();
+  agent.BeginPeriod();
+  EXPECT_EQ(agent.stats().periods, 2);
+  EXPECT_EQ(pool.agent(0).stats().periods, 1);
+  EXPECT_EQ(pool.agent(2).stats().periods, 1);
+}
+
+TEST(AgentPoolTest, ResetMakesTheRowAFreshAgentInPlace) {
+  AgentPool pool(2, 500 * kMillisecond, {});
+  Fill(&pool, 4);
+  std::vector<util::VDuration> costs = {kCannot, 300 * kMillisecond};
+  QaNtAgent agent = pool.agent(2);
+  for (int i = 0; i < 20; ++i) {
+    if (agent.OnRequest(i % 2)) agent.OnOfferAccepted(i % 2);
+  }
+  agent.EndPeriod();
+  agent.BeginPeriod();
+  ASSERT_GT(agent.earnings(), 0.0);
+
+  pool.Reset(2, costs);
+  agent.BeginPeriod();
+  QaNtAgent fresh(2, costs, 500 * kMillisecond);
+  fresh.BeginPeriod();
+  EXPECT_EQ(pool.size(), 4);
+  EXPECT_EQ(agent.node(), 2);
+  EXPECT_FALSE(agent.CanEvaluate(0));
+  EXPECT_TRUE(
+      std::ranges::equal(agent.prices().values(), fresh.prices().values()));
+  EXPECT_EQ(agent.planned_supply(), fresh.planned_supply());
+  EXPECT_EQ(agent.remaining_supply(), fresh.remaining_supply());
+  EXPECT_EQ(agent.debt(), fresh.debt());
+  EXPECT_EQ(agent.remaining_budget(), fresh.remaining_budget());
+  EXPECT_EQ(agent.earnings(), 0.0);
+  EXPECT_EQ(agent.density_gate_active(), fresh.density_gate_active());
+  EXPECT_EQ(agent.stats().requests_seen, 0);
+  EXPECT_EQ(agent.stats().periods, 1);
+  // The rollover walks only the restarted row's own classes now.
+  agent.EndPeriod();
+  fresh.EndPeriod();
+  EXPECT_TRUE(
+      std::ranges::equal(agent.prices().values(), fresh.prices().values()));
+}
+
+TEST(ClearingBookTest, RestartKeepsTheNodesRow) {
+  ClearingBook book(8, 2, 500 * kMillisecond, {});
+  std::vector<util::VDuration> costs = {100 * kMillisecond,
+                                        250 * kMillisecond};
+  for (catalog::NodeId node : {5, 2, 7}) book.Put(node, costs).BeginPeriod();
+  ASSERT_EQ(book.row_of(2), 1);
+  QaNtAgent agent = book.mutable_agent(2);
+  for (int i = 0; i < 6; ++i) {
+    if (agent.OnRequest(1)) agent.OnOfferAccepted(1);
+  }
+  ASSERT_GT(book.agent(2).stats().offers_accepted, 0);
+
+  book.Put(2, costs).BeginPeriod();  // the restart
+  EXPECT_EQ(book.num_rows(), 3);
+  EXPECT_EQ(book.row_of(2), 1);
+  EXPECT_EQ(book.row_of(5), 0);
+  EXPECT_EQ(book.row_of(7), 2);
+  EXPECT_EQ(book.agent(2).node(), 2);
+  EXPECT_EQ(book.agent(2).stats().requests_seen, 0);
+  EXPECT_EQ(book.agent(2).stats().offers_accepted, 0);
+  EXPECT_EQ(book.agent(2).earnings(), 0.0);
+  EXPECT_FALSE(book.built(0));
 }
 
 TEST(QaNtEquivalenceTest, EveryConfigValidates) {
