@@ -49,8 +49,9 @@ BENCHMARK(BM_SupplyMaximize)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_QaNtRequestPath(benchmark::State& state) {
   int num_classes = static_cast<int>(state.range(0));
-  market::QaNtAgent agent(0, RandomCosts(num_classes, 42),
-                          500 * kMillisecond);
+  market::AgentPool pool(1, num_classes, 500 * kMillisecond, {});
+  market::QaNtAgent agent =
+      pool.agent(pool.Append(0, RandomCosts(num_classes, 42)));
   agent.BeginPeriod();
   util::Rng rng(7);
   for (auto _ : state) {
@@ -63,8 +64,9 @@ BENCHMARK(BM_QaNtRequestPath)->Arg(100)->Arg(1000);
 
 void BM_QaNtPeriodRollover(benchmark::State& state) {
   int num_classes = static_cast<int>(state.range(0));
-  market::QaNtAgent agent(0, RandomCosts(num_classes, 42),
-                          500 * kMillisecond);
+  market::AgentPool pool(1, num_classes, 500 * kMillisecond, {});
+  market::QaNtAgent agent =
+      pool.agent(pool.Append(0, RandomCosts(num_classes, 42)));
   for (auto _ : state) {
     agent.BeginPeriod();
     agent.EndPeriod();

@@ -117,11 +117,8 @@ void ClusterMarket::OnTick(util::VTime now,
 const market::QuantityVector& ClusterMarket::DefaultPlan(
     catalog::NodeId node) {
   for (size_t k = 0; k < unit_costs_.size(); ++k) {
-    util::VDuration c =
+    unit_costs_[k] =
         cost_model_->Cost(static_cast<query::QueryClassId>(k), node);
-    unit_costs_[k] = c == query::kInfeasibleCost
-                         ? market::CapacitySupplySet::kCannotEvaluate
-                         : c;
   }
   return market::DefaultPlannedSupply(unit_costs_, &plan_scratch_);
 }

@@ -55,11 +55,8 @@ QaNtAllocator::~QaNtAllocator() = default;
 
 int32_t QaNtAllocator::Build(catalog::NodeId node) {
   for (size_t k = 0; k < unit_costs_.size(); ++k) {
-    util::VDuration c =
+    unit_costs_[k] =
         cost_model_->Cost(static_cast<query::QueryClassId>(k), node);
-    unit_costs_[k] = c == query::kInfeasibleCost
-                         ? market::CapacitySupplySet::kCannotEvaluate
-                         : c;
   }
   market::QaNtAgent agent = book_.Put(node, unit_costs_);
   agent.BeginPeriod();

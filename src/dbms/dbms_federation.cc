@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "market/clearing_book.h"
+#include "query/cost_model.h"
 
 namespace qa::dbms {
 
@@ -120,8 +121,7 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
     for (int i = 0; i < n; ++i) {
       for (int t = 0; t < num_t; ++t) {
         util::VDuration c = TemplateCost(t, i);
-        costs[static_cast<size_t>(t)] =
-            c > 0 ? c : market::CapacitySupplySet::kCannotEvaluate;
+        costs[static_cast<size_t>(t)] = c > 0 ? c : query::kInfeasibleCost;
       }
       book.Put(i, costs).BeginPeriod();
     }

@@ -11,7 +11,7 @@ ClearingBook::ClearingBook(
     int num_nodes, int num_classes, util::VDuration period_budget,
     const QaNtConfig& config,
     const std::vector<std::vector<catalog::NodeId>>& members)
-    : pool_(num_classes, period_budget, config),
+    : pool_(num_nodes, num_classes, period_budget, config),
       rows_(static_cast<size_t>(num_nodes), -1),
       books_(members.size()) {
   // Count each listed node's lanes, then lay the slots out node-major.

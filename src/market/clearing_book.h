@@ -34,20 +34,23 @@ enum class OfferSelection : uint8_t {
 /// settles by itself, and gets what asking every listed agent every time
 /// would give, bit for bit.
 ///
-/// The agents are the rows of one AgentPool, appended in build order; a
-/// node-indexed map names each node's row (-1 until it is built), and a
-/// restart re-initializes the node's row in place, so a row never changes
-/// its node. A book that lists nothing holds that one 4-byte map entry per
-/// node and nothing else per node.
+/// The agents are the rows of one AgentPool with a row for every node,
+/// appended in build order; a node-indexed map names each node's row (-1
+/// until it is built), and a restart re-initializes the node's row in
+/// place, so a row never changes its node. Beside the pool's block, a book
+/// that lists nothing holds that one 4-byte map entry per node and nothing
+/// else per node; the block is allocated once, and only built rows are
+/// written.
 class ClearingBook {
  public:
   /// An empty book (no node, no class).
   ClearingBook() = default;
-  /// One map entry per node, an empty pool of `num_classes` classes whose
-  /// agents share `period_budget` and `config` (which must validate), and
-  /// one lane per listed (node, class) pair: `members[k]` lists the nodes
-  /// a class-k broadcast reaches, in ascending id order. Every lane starts
-  /// polled, and no node is built.
+  /// One map entry per node, an empty pool with room for every node's
+  /// agent, of `num_classes` classes, whose agents share `period_budget`
+  /// and `config` (which must validate), and one lane per listed (node,
+  /// class) pair: `members[k]` lists the nodes a class-k broadcast
+  /// reaches, in ascending id order. Every lane starts polled, and no node
+  /// is built.
   ClearingBook(int num_nodes, int num_classes, util::VDuration period_budget,
                const QaNtConfig& config,
                const std::vector<std::vector<catalog::NodeId>>& members = {});
@@ -56,12 +59,12 @@ class ClearingBook {
   /// Built agents, which are rows [0, num_rows()).
   int32_t num_rows() const { return pool_.size(); }
 
-  /// Builds the agent of `node` from `unit_costs` (one per class,
-  /// CapacitySupplySet::kCannotEvaluate for a class it cannot run), as the
-  /// standalone QaNtAgent constructor would: its first build appends a
-  /// row, a restart resets the node's row. Whatever the old agent owed is
-  /// dropped with it, and its lanes start polled. Returns the agent, which
-  /// the caller may change as mutable_agent()'s may be.
+  /// Builds a fresh agent of `node` from `unit_costs` (one per class,
+  /// query::kInfeasibleCost for a class it cannot run): its first build
+  /// appends a row (AgentPool::Append), a restart resets the node's row
+  /// (AgentPool::Reset). Whatever the old agent owed is dropped with it,
+  /// and its lanes start polled. Returns the agent, which the caller may
+  /// change as mutable_agent()'s may be.
   QaNtAgent Put(catalog::NodeId node,
                 std::span<const util::VDuration> unit_costs);
   bool built(catalog::NodeId node) const { return row_of(node) >= 0; }
@@ -211,8 +214,8 @@ class ClearingBook {
   /// The cheapest quiet offer of class `k`; node -1 when there is none.
   Offer CheapestQuiet(int k);
 
-  /// Every built agent. Settling replays answers into the agents, so the
-  /// const reads settle too.
+  /// Every built agent, in a block sized for every node. Settling replays
+  /// answers into the agents, so the const reads settle too.
   mutable AgentPool pool_;
   /// The row of each node's agent; -1 until the node is built.
   std::vector<int32_t> rows_;

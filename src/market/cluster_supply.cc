@@ -21,8 +21,7 @@ const QuantityVector& DefaultPlannedSupply(
   scratch->classes.clear();
   for (int k = 0; k < plan.num_classes(); ++k) {
     plan[k] = 0;
-    if (unit_costs[static_cast<size_t>(k)] !=
-        CapacitySupplySet::kCannotEvaluate) {
+    if (unit_costs[static_cast<size_t>(k)] != query::kInfeasibleCost) {
       scratch->classes.push_back(k);
     }
   }

@@ -92,9 +92,9 @@ struct DefaultPlanScratch {
 /// configuration, so the sub-mediator can publish on behalf of its idle
 /// members without building (or messaging) them.
 ///
-/// `unit_costs` holds one entry per class of `scratch` (kCannotEvaluate
-/// for a class the node cannot run). Returns a view of scratch->plan,
-/// valid until the next call with the same scratch.
+/// `unit_costs` holds one entry per class of `scratch`
+/// (query::kInfeasibleCost for a class the node cannot run). Returns a
+/// view of scratch->plan, valid until the next call with the same scratch.
 const QuantityVector& DefaultPlannedSupply(
     std::span<const util::VDuration> unit_costs, DefaultPlanScratch* scratch);
 

@@ -22,11 +22,11 @@ MarketSimulator::MarketSimulator(const query::CostModel* cost_model,
   for (int i = 0; i < num_nodes; ++i) {
     for (int k = 0; k < num_classes_; ++k) {
       util::VDuration c = cost_model->Cost(k, i);
-      bool able = c != query::kInfeasibleCost;
       unit_costs[static_cast<size_t>(i) * static_cast<size_t>(num_classes_) +
-                 static_cast<size_t>(k)] =
-          able ? c : CapacitySupplySet::kCannotEvaluate;
-      if (able) members[static_cast<size_t>(k)].push_back(i);
+                 static_cast<size_t>(k)] = c;
+      if (c != query::kInfeasibleCost) {
+        members[static_cast<size_t>(k)].push_back(i);
+      }
     }
     pending_.emplace_back(num_classes_);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -39,13 +38,6 @@ util::Status QaNtConfig::Validate() const {
   return util::Status::OK();
 }
 
-AgentPool::AgentPool(int num_classes, util::VDuration period_budget,
-                     const QaNtConfig& config)
-    : num_classes_(num_classes), budget_(period_budget), config_(config) {
-  assert(num_classes_ >= 0);
-  assert(config_.Validate().ok());
-}
-
 template <typename F>
 void AgentPool::ForEachColumn(F f) {
   f(unit_costs_, K());
@@ -69,45 +61,45 @@ void AgentPool::ForEachColumn(F f) {
   f(density_gate_, size_t{1});
 }
 
-void AgentPool::Grow() {
-  int32_t capacity = std::max<int32_t>(16, 2 * capacity_);
-  size_t rows = static_cast<size_t>(capacity);
+AgentPool::AgentPool(int32_t capacity, int num_classes,
+                     util::VDuration period_budget, const QaNtConfig& config)
+    : num_classes_(num_classes),
+      budget_(period_budget),
+      config_(config),
+      capacity_(capacity) {
+  assert(capacity_ >= 0 && num_classes_ >= 0);
+  assert(config_.Validate().ok());
+  size_t rows = static_cast<size_t>(capacity_);
   // Each array starts on a max_align_t boundary of the block.
   auto align = [](size_t at) {
     constexpr size_t kAlign = alignof(std::max_align_t);
     return (at + kAlign - 1) / kAlign * kAlign;
   };
-  // A cache line of padding before each array: a power-of-two capacity
-  // often makes a K-strided array a whole number of 4 KiB pages, and
-  // without the padding a row's cells in every such array would share
-  // their page offset, and so an L1 set.
+  // A cache line of padding before each array: a capacity that makes a
+  // K-strided array a whole number of 4 KiB pages would otherwise put a
+  // row's cells in every such array at one page offset, and so in one L1
+  // set.
   constexpr size_t kPad = 64;
   size_t bytes = 0;
   ForEachColumn([&](auto*& column, size_t per_row) {
     bytes = align(bytes) + kPad + sizeof(*column) * per_row * rows;
   });
   // A byte array provides storage for the columns' trivially copyable
-  // values, and memcpy carries them over to the new block.
-  std::unique_ptr<std::byte[]> block =
-      std::make_unique_for_overwrite<std::byte[]>(bytes);
+  // values; a row's entries are written when it is appended.
+  block_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
   size_t at = 0;
-  size_t used = static_cast<size_t>(size_);
   ForEachColumn([&](auto*& column, size_t per_row) {
     using T = std::remove_reference_t<decltype(*column)>;
     static_assert(std::is_trivially_copyable_v<T>);
     at = align(at) + kPad;
-    T* moved = reinterpret_cast<T*>(block.get() + at);
-    if (used > 0) std::memcpy(moved, column, sizeof(T) * per_row * used);
-    column = moved;
+    column = reinterpret_cast<T*>(block_.get() + at);
     at += sizeof(T) * per_row * rows;
   });
-  block_ = std::move(block);
-  capacity_ = capacity;
 }
 
 int32_t AgentPool::Append(catalog::NodeId node,
                           std::span<const util::VDuration> unit_costs) {
-  if (size_ == capacity_) Grow();
+  assert(size_ < capacity_);
   int32_t row = size_++;
   nodes_[At(row)] = node;
   Reset(row, unit_costs);
@@ -122,13 +114,13 @@ void AgentPool::Reset(int32_t row,
   int32_t listed = 0;
   for (int k = 0; k < num_classes_; ++k) {
     util::VDuration cost = unit_costs[static_cast<size_t>(k)];
-    assert(cost == CapacitySupplySet::kCannotEvaluate || cost > 0);
+    assert(cost > 0);
     size_t cell = Cell(row, k);
     unit_costs_[cell] = cost;
     prices_[cell] = price;
     planned_[cell] = 0;
     remaining_[cell] = 0;
-    if (cost != CapacitySupplySet::kCannotEvaluate) {
+    if (cost != query::kInfeasibleCost) {
       classes_[Slice(row) + static_cast<size_t>(listed++)] = k;
     }
   }
@@ -155,37 +147,6 @@ bool QaNtAgentView::SupplyRestrictionActive() const {
     max_price = std::max(max_price, price);
   }
   return max_price >= config.activation_threshold;
-}
-
-bool QaNtAgentView::WouldAccept(int k) const {
-  if (!CanEvaluate(k)) return false;
-  const QaNtConfig& config = pool_->config_;
-  util::VDuration remaining = remaining_budget();
-  if (remaining <= 0) return false;
-  util::VDuration cost = unit_cost(k);
-  if (cost > remaining) {
-    // Overshoot: only for classes that can never fit within one period
-    // (cost > T), and only if the config allows debt financing. Classes
-    // that do fit a period must wait for a period with budget.
-    if (!config.allow_min_one_offer || cost <= pool_->budget_) return false;
-  }
-  // First-order-condition gate (eq. 4, relaxed by the tolerance): supply
-  // classes whose price-per-cost density is near the node's best. Armed
-  // only while capacity is contended — an uncontended node's capacity has
-  // zero shadow price, so it serves whatever it can evaluate.
-  if (!density_gate_active() && !config.density_gate_when_idle) return true;
-  double max_density = pool_->max_density_[r()];
-  if (max_density <= 0.0) return false;
-  double density = prices()[k] / static_cast<double>(cost);
-  return density >= config.supply_density_tolerance * max_density - 1e-18;
-}
-
-bool QaNtAgentView::BudgetBars(int k) const {
-  util::VDuration remaining = remaining_budget();
-  if (remaining <= 0) return true;
-  util::VDuration cost = unit_cost(k);
-  return cost > remaining && (!pool_->config_.allow_min_one_offer ||
-                              cost <= pool_->budget_);
 }
 
 bool QaNtAgentView::PriceAtFixedPoint(int k) const {
@@ -224,20 +185,6 @@ double QaNtAgentView::MaxDensity() const {
   }
   return best;
 }
-
-QaNtAgent::QaNtAgent(catalog::NodeId node,
-                     std::vector<util::VDuration> unit_costs,
-                     util::VDuration period_budget, QaNtConfig config)
-    : QaNtAgent(std::make_unique<AgentPool>(
-                    static_cast<int>(unit_costs.size()), period_budget,
-                    config),
-                node, unit_costs) {}
-
-QaNtAgent::QaNtAgent(std::unique_ptr<AgentPool> pool, catalog::NodeId node,
-                     std::span<const util::VDuration> unit_costs)
-    : QaNtAgentView(pool.get(), pool->Append(node, unit_costs)),
-      owned_(std::move(pool)),
-      pool_(owned_.get()) {}
 
 void QaNtAgent::BeginPeriod() {
   AgentPool& pool = *pool_;
@@ -383,7 +330,7 @@ void QaNtAgent::UpdateUnitCost(int k, util::VDuration cost) {
   AgentPool& pool = *pool_;
   // A class switched on joins the rollover list unless it was listed
   // before (an evaluable class always is).
-  if (cost != CapacitySupplySet::kCannotEvaluate && !CanEvaluate(k)) {
+  if (cost != query::kInfeasibleCost && !CanEvaluate(k)) {
     std::span<int> listed = classes();
     if (std::find(listed.begin(), listed.end(), k) == listed.end()) {
       pool.classes_[slice() + listed.size()] = k;

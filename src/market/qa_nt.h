@@ -7,11 +7,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
+#include <type_traits>
 
 #include "catalog/catalog.h"
 #include "market/supply_set.h"
 #include "market/vectors.h"
+#include "query/cost_model.h"
 #include "util/status.h"
 #include "util/vtime.h"
 
@@ -107,23 +108,25 @@ class QaNtAgentView;
 /// The storage of one market's QA-NT agents: one row per agent, appended
 /// in build order, all sharing one QaNtConfig and one period budget. Each
 /// agent field is a parallel array, and all the arrays share one heap
-/// block. The per-class fields (unit costs, prices, planned and remaining
-/// supply, and the rollover's class list) are K-strided, so a walk over
-/// rows in order streams through each array, and N appends make O(log N)
-/// heap allocations.
+/// block, allocated once at construction with room for `capacity` rows
+/// (a clearing book's node count). The per-class fields (unit costs,
+/// prices, planned and remaining supply, and the rollover's class list)
+/// are K-strided, so a walk over rows in order streams through each array.
 ///
 /// QaNtAgent and QaNtAgentView are the handles to a row, and the only way
-/// to read or move an agent. A handle is (pool, row) and stays valid while
-/// the pool lives; a PriceView or QuantityView of a row dies with the next
-/// Append, which may move the block. A moved-from pool may only be
-/// destroyed or assigned to.
+/// to read or move an agent. The block never moves, so a handle, and a
+/// PriceView or QuantityView of a row, stays valid until the pool is
+/// destroyed or moved from. A moved-from pool may only be destroyed or
+/// assigned to.
 class AgentPool {
  public:
-  /// An empty pool of no class.
+  /// An empty pool of no row and no class.
   AgentPool() = default;
-  /// An empty pool of `num_classes` classes. Requires a `config` that
-  /// validates (its owner checks it).
-  AgentPool(int num_classes, util::VDuration period_budget,
+  /// An empty pool with room for `capacity` rows of `num_classes` classes;
+  /// `period_budget` is the length T of a time period (a node's serial
+  /// execution capacity per period). Requires a `config` that validates
+  /// (its owner checks it).
+  AgentPool(int32_t capacity, int num_classes, util::VDuration period_budget,
             const QaNtConfig& config);
   AgentPool(AgentPool&&) noexcept = default;
   AgentPool& operator=(AgentPool&&) noexcept = default;
@@ -131,8 +134,10 @@ class AgentPool {
   int num_classes() const { return num_classes_; }
   int32_t size() const { return size_; }
 
-  /// Appends a fresh agent of `node` (see QaNtAgent's constructor) and
-  /// returns its row. `unit_costs` holds one entry per class.
+  /// Appends a fresh agent of `node` and returns its row. `unit_costs`
+  /// holds one entry per class: the node's execution time for one query
+  /// of the class, or query::kInfeasibleCost for a class it cannot run.
+  /// Requires room: fewer rows than the capacity.
   int32_t Append(catalog::NodeId node,
                  std::span<const util::VDuration> unit_costs);
   /// Makes `row` a fresh agent of its node again, with `unit_costs`: every
@@ -158,8 +163,6 @@ class AgentPool {
     assert(k >= 0 && k < num_classes_);
     return Slice(row) + static_cast<size_t>(k);
   }
-  /// Doubles the capacity: one new block, every array copied into it.
-  void Grow();
   /// Calls `f(column, entries_per_row)` for every array of the block.
   template <typename F>
   void ForEachColumn(F f);
@@ -247,7 +250,7 @@ class QaNtAgentView {
   }
 
   bool CanEvaluate(int k) const {
-    return unit_cost(k) != CapacitySupplySet::kCannotEvaluate;
+    return unit_cost(k) != query::kInfeasibleCost;
   }
   util::VDuration unit_cost(int k) const {
     return pool_->unit_costs_[cell(k)];
@@ -340,19 +343,11 @@ class QaNtAgentView {
 /// autonomy (Table 2).
 ///
 /// A QaNtAgent is a handle to one row of an AgentPool, where its state
-/// lives; a market's agents share one pool (ClearingBook). The standalone
-/// constructor owns a one-row pool of its own, so a lone agent runs the
-/// same code. Handles move but do not copy; QaNtAgentView is the
-/// read-only one.
+/// lives; a market's agents share one pool (ClearingBook), and an agent
+/// driven on its own is the one row of a pool of its own. A handle owns
+/// nothing and copies freely; QaNtAgentView is the read-only one.
 class QaNtAgent : public QaNtAgentView {
  public:
-  /// A standalone agent. `unit_costs[k]` is this node's execution time for
-  /// one k-class query or CapacitySupplySet::kCannotEvaluate;
-  /// `period_budget` is the length T of a time period (the node's serial
-  /// execution capacity per period). Requires a `config` that validates
-  /// (its owner checks it).
-  QaNtAgent(catalog::NodeId node, std::vector<util::VDuration> unit_costs,
-            util::VDuration period_budget, QaNtConfig config = {});
   /// The agent in `row` of `pool`.
   QaNtAgent(AgentPool* pool, int32_t row)
       : QaNtAgentView(pool, row), pool_(pool) {}
@@ -390,24 +385,53 @@ class QaNtAgent : public QaNtAgentView {
   void SetPrices(PriceView prices);
 
   /// Revises this node's own execution-time belief for class `k` (fed by
-  /// the node's plan-history estimator in the real-DBMS deployment, §5.2).
-  /// unit_cost(k), WouldAccept's budget and density tests and the offer
-  /// ranking read the new cost at once; max density, the density gate's
-  /// bar, keeps the old one until the next decline bump or BeginPeriod.
-  /// Only the node's private data is involved, so autonomy is intact.
+  /// the node's plan-history estimator in the real-DBMS deployment, §5.2);
+  /// query::kInfeasibleCost switches the class off. unit_cost(k),
+  /// WouldAccept's budget and density tests and the offer ranking read the
+  /// new cost at once; max density, the density gate's bar, keeps the old
+  /// one until the next decline bump or BeginPeriod. Only the node's
+  /// private data is involved, so autonomy is intact.
   void UpdateUnitCost(int k, util::VDuration cost);
 
  private:
-  QaNtAgent(std::unique_ptr<AgentPool> pool, catalog::NodeId node,
-            std::span<const util::VDuration> unit_costs);
-
   void BumpPriceUp(int k);
 
-  /// The standalone agent's own pool; null for a row of a shared one.
-  std::unique_ptr<AgentPool> owned_;
   /// The pool, writable (the base holds it read-only).
   AgentPool* pool_;
 };
+
+static_assert(std::is_trivially_copyable_v<QaNtAgent>);
+
+inline bool QaNtAgentView::WouldAccept(int k) const {
+  if (!CanEvaluate(k)) return false;
+  const QaNtConfig& config = pool_->config_;
+  util::VDuration remaining = remaining_budget();
+  if (remaining <= 0) return false;
+  util::VDuration cost = unit_cost(k);
+  if (cost > remaining) {
+    // Overshoot: only for classes that can never fit within one period
+    // (cost > T), and only if the config allows debt financing. Classes
+    // that do fit a period must wait for a period with budget.
+    if (!config.allow_min_one_offer || cost <= pool_->budget_) return false;
+  }
+  // First-order-condition gate (eq. 4, relaxed by the tolerance): supply
+  // classes whose price-per-cost density is near the node's best. Armed
+  // only while capacity is contended — an uncontended node's capacity has
+  // zero shadow price, so it serves whatever it can evaluate.
+  if (!density_gate_active() && !config.density_gate_when_idle) return true;
+  double max_density = pool_->max_density_[r()];
+  if (max_density <= 0.0) return false;
+  double density = prices()[k] / static_cast<double>(cost);
+  return density >= config.supply_density_tolerance * max_density - 1e-18;
+}
+
+inline bool QaNtAgentView::BudgetBars(int k) const {
+  util::VDuration remaining = remaining_budget();
+  if (remaining <= 0) return true;
+  util::VDuration cost = unit_cost(k);
+  return cost > remaining && (!pool_->config_.allow_min_one_offer ||
+                              cost <= pool_->budget_);
+}
 
 inline QaNtAgent AgentPool::agent(int32_t row) {
   assert(row >= 0 && row < size_);

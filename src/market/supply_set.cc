@@ -7,17 +7,11 @@
 
 namespace qa::market {
 
-bool SupplySet::CanAddUnit(const QuantityVector& supply, int k) const {
-  QuantityVector next = supply;
-  next[k] += 1;
-  return Contains(next);
-}
-
 CapacitySupplySet::CapacitySupplySet(std::vector<util::VDuration> unit_costs,
                                      util::VDuration budget)
     : unit_costs_(std::move(unit_costs)), budget_(budget) {
   for (util::VDuration c : unit_costs_) {
-    assert(c == kCannotEvaluate || c > 0);
+    assert(c > 0);
     (void)c;
   }
 }
@@ -27,7 +21,7 @@ util::VDuration CapacitySupplySet::CostOf(const QuantityVector& supply) const {
   util::VDuration total = 0;
   for (int k = 0; k < num_classes(); ++k) {
     if (supply[k] == 0) continue;
-    if (!CanEvaluateClass(k)) return kCannotEvaluate;
+    if (!CanEvaluateClass(k)) return query::kInfeasibleCost;
     total += unit_costs_[static_cast<size_t>(k)] * supply[k];
   }
   return total;
@@ -39,26 +33,18 @@ bool CapacitySupplySet::Contains(const QuantityVector& supply) const {
     if (supply[k] < 0) return false;
   }
   util::VDuration cost = CostOf(supply);
-  return cost != kCannotEvaluate && cost <= budget_;
+  return cost != query::kInfeasibleCost && cost <= budget_;
 }
 
 QuantityVector CapacitySupplySet::MaximizeValue(
     const PriceVector& prices) const {
   std::vector<int> classes(static_cast<size_t>(num_classes()));
   std::iota(classes.begin(), classes.end(), 0);
-  QuantityVector supply(num_classes());
-  MaximizeValueOver(prices, budget_, classes, &supply);
-  return supply;
-}
-
-void CapacitySupplySet::MaximizeValueOver(const PriceVector& prices,
-                                          util::VDuration budget,
-                                          std::span<int> classes,
-                                          QuantityVector* supply) const {
   assert(prices.num_classes() == num_classes());
-  assert(supply->num_classes() == num_classes());
-  market::MaximizeValueOver(prices.values(), unit_costs_, budget, classes,
-                            supply->mutable_values());
+  QuantityVector supply(num_classes());
+  MaximizeValueOver(prices.values(), unit_costs_, budget_, classes,
+                    supply.mutable_values());
+  return supply;
 }
 
 double MaximizeValueOver(std::span<const double> prices,
@@ -69,8 +55,7 @@ double MaximizeValueOver(std::span<const double> prices,
   assert(supply.size() == unit_costs.size());
   auto plannable = [&](int k) {
     size_t i = static_cast<size_t>(k);
-    return unit_costs[i] != CapacitySupplySet::kCannotEvaluate &&
-           prices[i] > 0.0;
+    return unit_costs[i] != query::kInfeasibleCost && prices[i] > 0.0;
   };
   auto density = [&](int k) {
     size_t i = static_cast<size_t>(k);
@@ -123,20 +108,6 @@ double MaximizeValueOver(std::span<const double> prices,
   return !classes.empty() && plannable(classes.front())
              ? density(classes.front())
              : 0.0;
-}
-
-int CapacitySupplySet::BestDensityClass(const PriceVector& prices) const {
-  int best = -1;
-  double best_density = 0.0;
-  for (int k = 0; k < num_classes(); ++k) {
-    if (!CanEvaluateClass(k) || prices[k] <= 0.0) continue;
-    double density = prices[k] / static_cast<double>(unit_cost(k));
-    if (best < 0 || density > best_density) {
-      best = k;
-      best_density = density;
-    }
-  }
-  return best;
 }
 
 FiniteSupplySet::FiniteSupplySet(std::vector<QuantityVector> vectors)

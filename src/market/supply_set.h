@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "market/vectors.h"
+#include "query/cost_model.h"
 #include "util/vtime.h"
 
 namespace qa::market {
@@ -13,7 +14,7 @@ namespace qa::market {
 /// The eq.-4 density greedy, the one knapsack of the market: plans the
 /// candidate classes `classes` (each at most once) against an arbitrary
 /// budget, at `prices` and with `unit_costs` (one entry per class,
-/// CapacitySupplySet::kCannotEvaluate for a class the node cannot run).
+/// query::kInfeasibleCost for a class the node cannot run).
 /// The QA-NT agent plans each period against its remaining capacity after
 /// debt, over only the classes it can supply. Writes the plan of every
 /// listed class into `supply` and leaves the other entries untouched.
@@ -42,9 +43,6 @@ class SupplySet {
   /// Solves the seller's problem (eq. 4): the feasible supply vector with
   /// the largest virtual value p . s. Ties may be broken arbitrarily.
   virtual QuantityVector MaximizeValue(const PriceVector& prices) const = 0;
-
-  /// True iff `supply + one more unit of class k` is still feasible.
-  bool CanAddUnit(const QuantityVector& supply, int k) const;
 };
 
 /// Supply set of a node with a single serial executor: a supply vector is
@@ -60,12 +58,10 @@ class SupplySet {
 /// the budget evenly; FiniteSupplySet provides an exact oracle for tests.
 class CapacitySupplySet : public SupplySet {
  public:
-  /// `unit_costs[k]` is the node's execution time for one k-class query, or
-  /// query::kInfeasibleCost-style sentinel: pass cost <= 0 or > budget
-  /// handled as infeasible-within-period naturally; pass
-  /// `kCannotEvaluate` for classes the node cannot run at all.
-  static constexpr util::VDuration kCannotEvaluate = -1;
-
+  /// `unit_costs[k]` is the node's execution time for one k-class query,
+  /// which must be positive, or query::kInfeasibleCost for a class the node
+  /// cannot run at all. A class costing more than `budget` is evaluable
+  /// but fits no supply vector.
   CapacitySupplySet(std::vector<util::VDuration> unit_costs,
                     util::VDuration budget);
 
@@ -76,33 +72,18 @@ class CapacitySupplySet : public SupplySet {
   util::VDuration unit_cost(int k) const {
     return unit_costs_[static_cast<size_t>(k)];
   }
-  /// Revises the node's belief about one class's execution time (e.g. from
-  /// its plan-history estimator); kCannotEvaluate switches the class off.
-  void SetUnitCost(int k, util::VDuration cost) {
-    unit_costs_[static_cast<size_t>(k)] = cost;
-  }
   bool CanEvaluateClass(int k) const {
-    return unit_costs_[static_cast<size_t>(k)] != kCannotEvaluate;
+    return unit_costs_[static_cast<size_t>(k)] != query::kInfeasibleCost;
   }
 
-  /// Total execution time of `supply`; kCannotEvaluate if it uses a class
-  /// the node cannot run.
+  /// Total execution time of `supply`; query::kInfeasibleCost if it uses a
+  /// class the node cannot run.
   util::VDuration CostOf(const QuantityVector& supply) const;
 
   bool Contains(const QuantityVector& supply) const override;
-  /// The greedy over every class against the period budget.
+  /// The greedy (market::MaximizeValueOver) over every class against the
+  /// period budget.
   QuantityVector MaximizeValue(const PriceVector& prices) const override;
-
-  /// The density greedy (market::MaximizeValueOver) over this node's unit
-  /// costs, the candidate classes `classes` and an arbitrary budget.
-  void MaximizeValueOver(const PriceVector& prices, util::VDuration budget,
-                         std::span<int> classes,
-                         QuantityVector* supply) const;
-
-  /// The evaluable class with the highest price-per-cost density (given
-  /// positive price), or -1. Used for the minimum-one-offer rule when every
-  /// class costs more than the period.
-  int BestDensityClass(const PriceVector& prices) const;
 
  private:
   std::vector<util::VDuration> unit_costs_;

@@ -16,7 +16,8 @@ class QuantityVector;
 
 /// A read-only view of K query counts held elsewhere: a QuantityVector, or
 /// one agent row of an AgentPool. Valid while what it views is neither
-/// resized nor destroyed; an agent row's view dies with the next build.
+/// resized nor destroyed; an agent row's view, until its pool is destroyed
+/// or moved from.
 class QuantityView {
  public:
   explicit QuantityView(std::span<const Quantity> values) : q_(values) {}

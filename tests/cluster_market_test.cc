@@ -23,6 +23,7 @@
 #include "allocation/qa_nt_allocator.h"
 #include "exec/experiment_runner.h"
 #include "exec/thread_pool.h"
+#include "lone_agent.h"
 #include "market/cluster_supply.h"
 #include "obs/recorder.h"
 #include "obs/trace_reader.h"
@@ -215,7 +216,7 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
   std::vector<util::VDuration> costs = {50 * kMillisecond,
                                         200 * kMillisecond};
   market::QaNtConfig config;
-  market::QaNtAgent fresh(7, costs, 500 * kMillisecond, config);
+  market::LoneAgent fresh(7, costs, 500 * kMillisecond, config);
   fresh.BeginPeriod();
   // The default plan is the fresh agent's eq.-4 plan, floored at 1 for
   // every evaluable class (budget-elastic admission accepts a first query
@@ -235,8 +236,8 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
 TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
   constexpr int kClasses = 5;
   constexpr util::VDuration kMenu[] = {
-      market::CapacitySupplySet::kCannotEvaluate, 60 * kMillisecond,
-      125 * kMillisecond, 250 * kMillisecond, 700 * kMillisecond};
+      query::kInfeasibleCost, 60 * kMillisecond, 125 * kMillisecond,
+      250 * kMillisecond, 700 * kMillisecond};
   market::QaNtConfig config;
   config.initial_price = 0.5;
   config.price_floor = 2.0;  // the clamp decides the starting prices
@@ -245,7 +246,7 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
   for (int node = 0; node < 200; ++node) {
     std::vector<util::VDuration> costs(kClasses);
     for (util::VDuration& cost : costs) cost = kMenu[rng.UniformInt(0, 4)];
-    market::QaNtAgent fresh(node, costs, 500 * kMillisecond, config);
+    market::LoneAgent fresh(node, costs, 500 * kMillisecond, config);
     fresh.BeginPeriod();
     const market::QuantityVector& plan =
         market::DefaultPlannedSupply(costs, &scratch);
@@ -262,8 +263,8 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
 TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyFloorsEvaluableClasses) {
   // Class 0 cannot fit in the budget (cost > budget) but is evaluable, so
   // the floor advertises 1; class 1 is infeasible and stays 0.
-  std::vector<util::VDuration> costs = {
-      800 * kMillisecond, market::CapacitySupplySet::kCannotEvaluate};
+  std::vector<util::VDuration> costs = {800 * kMillisecond,
+                                        query::kInfeasibleCost};
   market::QaNtConfig config;
   market::DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
   const market::QuantityVector& plan =
@@ -367,10 +368,7 @@ market::QuantityVector FreshDefaultPlan(const query::CostModel& model,
   std::vector<util::VDuration> costs(
       static_cast<size_t>(model.num_classes()));
   for (int k = 0; k < model.num_classes(); ++k) {
-    util::VDuration c = model.Cost(k, node);
-    costs[static_cast<size_t>(k)] =
-        c == query::kInfeasibleCost ? market::CapacitySupplySet::kCannotEvaluate
-                                    : c;
+    costs[static_cast<size_t>(k)] = model.Cost(k, node);
   }
   market::DefaultPlanScratch scratch(model.num_classes(), period, config);
   return market::DefaultPlannedSupply(costs, &scratch);
@@ -617,10 +615,12 @@ BuildCost BuildEveryAgent(int nodes) {
   return cost;
 }
 
-// The agents are rows of one pool that grows geometrically, beside one
-// next-boundary array per row: building N agents makes O(log N) heap
-// allocations, and tearing them down frees as many blocks for 10,000
-// agents as for 1,000.
+// The agents are rows of one pool, whose block the allocator's clearing
+// book allocates once, at construction, with a row for every node; what a
+// build still allocates is the allocator's next-boundary array, which
+// grows geometrically: building N agents makes O(log N) heap allocations,
+// and tearing them down frees as many blocks for 10,000 agents as for
+// 1,000.
 TEST(ClusterMarketAllocationTest, BuildingAgentsAllocatesLogarithmically) {
   BuildCost small = BuildEveryAgent(1000);
   BuildCost large = BuildEveryAgent(10000);

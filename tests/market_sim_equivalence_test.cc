@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "lone_agent.h"
 #include "market/market_sim.h"
 #include "query/cost_model.h"
 #include "sim/federation.h"
@@ -39,13 +40,10 @@ class BroadcastMarket {
       std::vector<util::VDuration> unit_costs(
           static_cast<size_t>(num_classes));
       for (int k = 0; k < num_classes; ++k) {
-        util::VDuration c = cost_model_->Cost(k, i);
-        unit_costs[static_cast<size_t>(k)] =
-            c == query::kInfeasibleCost ? CapacitySupplySet::kCannotEvaluate
-                                        : c;
+        unit_costs[static_cast<size_t>(k)] = cost_model_->Cost(k, i);
       }
-      agents_.push_back(std::make_unique<QaNtAgent>(
-          i, std::move(unit_costs), config_.period, config_.agent));
+      agents_.push_back(std::make_unique<LoneAgent>(
+          i, unit_costs, config_.period, config_.agent));
       pending_.emplace_back(num_classes);
     }
   }
@@ -136,7 +134,7 @@ class BroadcastMarket {
  private:
   const query::CostModel* cost_model_;
   MarketSimConfig config_;
-  std::vector<std::unique_ptr<QaNtAgent>> agents_;
+  std::vector<std::unique_ptr<LoneAgent>> agents_;
   std::vector<QuantityVector> pending_;
 };
 

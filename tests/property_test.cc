@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lone_agent.h"
 #include "market/market_sim.h"
 #include "market/pareto.h"
 #include "market/qa_nt.h"
@@ -106,7 +107,7 @@ TEST_P(RandomMarketTest, LongRunAcceptanceRespectsCapacity) {
   for (int k = 0; k < num_classes_; ++k) {
     costs.push_back(rng_->UniformInt(100, 2500) * kMillisecond);
   }
-  QaNtAgent agent(0, costs, period);
+  LoneAgent agent(0, costs, period);
   util::VDuration accepted = 0;
   const int periods = 400;
   for (int t = 0; t < periods; ++t) {

@@ -4,7 +4,9 @@
 #include <limits>
 #include <string>
 
+#include "lone_agent.h"
 #include "market/qa_nt.h"
+#include "query/cost_model.h"
 #include "util/vtime.h"
 
 namespace qa::market {
@@ -12,14 +14,14 @@ namespace {
 
 using util::kMillisecond;
 
-QaNtAgent MakeFig1N1Agent(QaNtConfig config = {}) {
+LoneAgent MakeFig1N1Agent(QaNtConfig config = {}) {
   // Fig. 1's N1: q1 400 ms, q2 100 ms; period 500 ms.
-  return QaNtAgent(0, {400 * kMillisecond, 100 * kMillisecond},
+  return LoneAgent(0, {400 * kMillisecond, 100 * kMillisecond},
                    500 * kMillisecond, config);
 }
 
 TEST(QaNtAgentTest, InitialSupplyPrefersDensestClass) {
-  QaNtAgent agent = MakeFig1N1Agent();
+  LoneAgent agent = MakeFig1N1Agent();
   agent.BeginPeriod();
   // Equal prices: q2 is 4x denser. All budget goes to q2 (paper's example:
   // "node N1 will supply only q2 queries").
@@ -27,7 +29,7 @@ TEST(QaNtAgentTest, InitialSupplyPrefersDensestClass) {
 }
 
 TEST(QaNtAgentTest, OffersWhileSupplyLastsThenDeclines) {
-  QaNtAgent agent = MakeFig1N1Agent();
+  LoneAgent agent = MakeFig1N1Agent();
   agent.BeginPeriod();
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(agent.OnRequest(1)) << "offer " << i;
@@ -45,7 +47,7 @@ TEST(QaNtAgentTest, DeclineRaisesPriceMultiplicatively) {
   // Force the first-order-condition gate on so the fresh (uncontended)
   // agent already restricts supply to its densest class.
   config.density_gate_when_idle = true;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   // q1 has no planned supply at equal prices.
   double p0 = agent.prices()[0];
@@ -58,7 +60,7 @@ TEST(QaNtAgentTest, DeclineRaisesPriceMultiplicatively) {
 TEST(QaNtAgentTest, EndPeriodDecaysLeftoverSupplyPrices) {
   QaNtConfig config;
   config.lambda = 0.05;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   ASSERT_EQ(agent.planned_supply()[1], 5);
   // Sell only 2 of the 5 planned q2.
@@ -76,7 +78,7 @@ TEST(QaNtAgentTest, PriceFloorHolds) {
   QaNtConfig config;
   config.lambda = 0.5;
   config.price_floor = 1e-6;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   // Never sell anything for many periods: price decays but stays >= floor.
   for (int t = 0; t < 100; ++t) {
     agent.BeginPeriod();
@@ -89,7 +91,7 @@ TEST(QaNtAgentTest, PriceCapHolds) {
   QaNtConfig config;
   config.lambda = 1.0;
   config.price_cap = 100.0;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   for (int i = 0; i < 50; ++i) agent.OnRequest(0);
   EXPECT_LE(agent.prices()[0], config.price_cap);
@@ -99,7 +101,7 @@ TEST(QaNtAgentTest, InitialPriceAboveTheCapStartsAtTheCap) {
   QaNtConfig config;
   config.initial_price = 5.0;
   config.price_cap = 3.0;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   EXPECT_EQ(agent.prices()[0], 3.0);
   EXPECT_EQ(agent.prices()[1], 3.0);
   agent.BeginPeriod();
@@ -122,7 +124,7 @@ TEST(QaNtAgentTest, PersistentDemandShiftsSupplyToScarceClass) {
   // price rises until N1 starts supplying q1 too.
   QaNtConfig config;
   config.lambda = 0.2;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   bool supplies_q1 = false;
   for (int period = 0; period < 50 && !supplies_q1; ++period) {
     agent.BeginPeriod();
@@ -140,8 +142,7 @@ TEST(QaNtAgentTest, PersistentDemandShiftsSupplyToScarceClass) {
 }
 
 TEST(QaNtAgentTest, CannotEvaluateClassNeverOffersAndNoPriceMove) {
-  QaNtAgent agent(0,
-                  {400 * kMillisecond, CapacitySupplySet::kCannotEvaluate},
+  LoneAgent agent(0, {400 * kMillisecond, query::kInfeasibleCost},
                   500 * kMillisecond);
   agent.BeginPeriod();
   double p1 = agent.prices()[1];
@@ -154,7 +155,7 @@ TEST(QaNtAgentTest, OvershootOfferForQueriesLongerThanPeriod) {
   // Query costs 2 s against a 500 ms period: the per-period knapsack is
   // empty, but the agent must still offer one query and repay the
   // overshoot via debt.
-  QaNtAgent agent(0, {2000 * kMillisecond}, 500 * kMillisecond);
+  LoneAgent agent(0, {2000 * kMillisecond}, 500 * kMillisecond);
   agent.BeginPeriod();
   EXPECT_TRUE(agent.WouldAccept(0));
   EXPECT_TRUE(agent.OnRequest(0));
@@ -181,7 +182,7 @@ TEST(QaNtAgentTest, OvershootAcceptsAnyNearDensityClass) {
   // Two classes, both longer than the period: the overshoot offer must
   // serve whichever class is requested first (its density is within the
   // tolerance of the best), not only the densest one.
-  QaNtAgent agent(0, {2000 * kMillisecond, 1500 * kMillisecond},
+  LoneAgent agent(0, {2000 * kMillisecond, 1500 * kMillisecond},
                   500 * kMillisecond);
   agent.BeginPeriod();
   // Class 0 is *not* the densest (1/2000 < 1/1500), but 0.75 >= 0.5.
@@ -197,7 +198,7 @@ TEST(QaNtAgentTest, DensityGateDeclinesFarBelowBestClass) {
   // node and leaves q1 to nodes where it is relatively attractive).
   QaNtConfig config;
   config.density_gate_when_idle = true;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   EXPECT_FALSE(agent.WouldAccept(0));
   EXPECT_TRUE(agent.WouldAccept(1));
@@ -211,7 +212,7 @@ TEST(QaNtAgentTest, DensityGateDeclinesFarBelowBestClass) {
 TEST(QaNtAgentTest, DensityGateArmsOnlyUnderContention) {
   // Fresh agent: gate disarmed, any evaluable class is admitted while
   // budget remains (zero shadow price on idle capacity)...
-  QaNtAgent agent = MakeFig1N1Agent();
+  LoneAgent agent = MakeFig1N1Agent();
   agent.BeginPeriod();
   EXPECT_FALSE(agent.density_gate_active());
   EXPECT_TRUE(agent.WouldAccept(0));
@@ -234,7 +235,7 @@ TEST(QaNtAgentTest, BankedCapacityCompensatesRounding) {
   // 300 ms queries, 500 ms period: plain per-period planning strands
   // 200 ms per period; with banking the long-run rate approaches the
   // true capacity of 1/0.3 per period.
-  QaNtAgent agent(0, {300 * kMillisecond}, 500 * kMillisecond);
+  LoneAgent agent(0, {300 * kMillisecond}, 500 * kMillisecond);
   int accepted = 0;
   const int periods = 600;
   for (int t = 0; t < periods; ++t) {
@@ -252,7 +253,7 @@ TEST(QaNtAgentTest, BankedCapacityCompensatesRounding) {
 TEST(QaNtAgentTest, MinOneOfferDisabled) {
   QaNtConfig config;
   config.allow_min_one_offer = false;
-  QaNtAgent agent(0, {2000 * kMillisecond}, 500 * kMillisecond, config);
+  LoneAgent agent(0, {2000 * kMillisecond}, 500 * kMillisecond, config);
   agent.BeginPeriod();
   EXPECT_TRUE(agent.planned_supply().IsZero());
   EXPECT_FALSE(agent.WouldAccept(0));
@@ -262,7 +263,7 @@ TEST(QaNtAgentTest, MinOneOfferDisabled) {
 TEST(QaNtAgentTest, LongRunThroughputRespectsCapacityWithDebt) {
   // 700 ms queries, 500 ms periods: long-run acceptance rate must be about
   // 500/700 queries per period, not 1 per period.
-  QaNtAgent agent(0, {700 * kMillisecond}, 500 * kMillisecond);
+  LoneAgent agent(0, {700 * kMillisecond}, 500 * kMillisecond);
   int accepted = 0;
   const int periods = 700;
   for (int t = 0; t < periods; ++t) {
@@ -280,7 +281,7 @@ TEST(QaNtAgentTest, LongRunThroughputRespectsCapacityWithDebt) {
 TEST(QaNtAgentTest, ActivationThresholdDisablesRestrictionWhenPricesLow) {
   QaNtConfig config;
   config.activation_threshold = 10.0;  // initial price 1.0 is far below
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   // q1 has zero planned supply, but restriction is inactive: still offers.
   EXPECT_FALSE(agent.SupplyRestrictionActive());
@@ -290,7 +291,7 @@ TEST(QaNtAgentTest, ActivationThresholdDisablesRestrictionWhenPricesLow) {
 TEST(QaNtAgentTest, StatsAreTracked) {
   QaNtConfig config;
   config.density_gate_when_idle = true;  // make the q1 request a decline
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   agent.OnRequest(1);
   agent.OnOfferAccepted(1);
@@ -305,7 +306,7 @@ TEST(QaNtAgentTest, StatsAreTracked) {
 }
 
 TEST(QaNtAgentTest, SetPricesOverrides) {
-  QaNtAgent agent = MakeFig1N1Agent();
+  LoneAgent agent = MakeFig1N1Agent();
   agent.SetPrices(PriceVector({10.0, 1.0}));
   agent.BeginPeriod();
   // q1 now denser (10/400 > 1/100): supply shifts to q1.
@@ -316,7 +317,7 @@ TEST(QaNtAgentTest, DeclineIsInertOnlyWhileMaxDensityStaysPut) {
   QaNtConfig config;
   config.initial_price = 2.0;
   config.price_cap = 2.0;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   // Both prices sit at the cap; q1's density (2/400 ms) is under q2's.
   EXPECT_TRUE(agent.PriceAtFixedPoint(0));
@@ -336,7 +337,7 @@ TEST(QaNtAgentTest, DeclineIsInertOnlyWhileMaxDensityStaysPut) {
 
   QaNtConfig below_cap;
   below_cap.price_cap = 2.0;
-  QaNtAgent moving = MakeFig1N1Agent(below_cap);
+  LoneAgent moving = MakeFig1N1Agent(below_cap);
   moving.BeginPeriod();
   EXPECT_FALSE(moving.DeclineIsInert(0));  // price 1 still climbs
 }
@@ -346,7 +347,7 @@ TEST(QaNtAgentTest, RevisedUnitCostCountsAtOnceButMaxDensityWaits) {
   config.initial_price = 2.0;
   config.price_cap = 2.0;
   config.density_gate_when_idle = true;
-  QaNtAgent agent = MakeFig1N1Agent(config);
+  LoneAgent agent = MakeFig1N1Agent(config);
   agent.BeginPeriod();
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(agent.OnRequest(1));

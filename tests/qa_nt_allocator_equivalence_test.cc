@@ -20,6 +20,7 @@
 
 #include "allocation/qa_nt_allocator.h"
 #include "allocation/solicitation.h"
+#include "lone_agent.h"
 #include "obs/metrics/market_probe.h"
 #include "obs/snapshot.h"
 #include "query/cost_model.h"
@@ -29,6 +30,7 @@
 namespace qa::allocation {
 namespace {
 
+using market::LoneAgent;
 using market::QaNtAgent;
 using market::QaNtAgentView;
 using market::QaNtConfig;
@@ -155,18 +157,14 @@ class PollingAllocator {
     util::VTime next_refresh;
   };
 
-  std::unique_ptr<QaNtAgent> MakeAgent(catalog::NodeId node) const {
+  std::unique_ptr<LoneAgent> MakeAgent(catalog::NodeId node) const {
     int num_classes = cost_model_->num_classes();
     std::vector<util::VDuration> unit_costs(static_cast<size_t>(num_classes));
     for (int k = 0; k < num_classes; ++k) {
-      util::VDuration c = cost_model_->Cost(k, node);
-      unit_costs[static_cast<size_t>(k)] =
-          c == query::kInfeasibleCost
-              ? market::CapacitySupplySet::kCannotEvaluate
-              : c;
+      unit_costs[static_cast<size_t>(k)] = cost_model_->Cost(k, node);
     }
-    auto agent = std::make_unique<QaNtAgent>(node, std::move(unit_costs),
-                                             kPeriod, config_);
+    auto agent =
+        std::make_unique<LoneAgent>(node, unit_costs, kPeriod, config_);
     agent->BeginPeriod();
     return agent;
   }
@@ -199,7 +197,7 @@ class PollingAllocator {
   uint64_t arrival_seq_ = 0;
   int64_t non_cheapest_wins_ = 0;
   util::VTime last_rollover_now_ = 0;
-  std::vector<std::unique_ptr<QaNtAgent>> agents_;
+  std::vector<std::unique_ptr<LoneAgent>> agents_;
   std::vector<RosterEntry> roster_;
 };
 
@@ -474,9 +472,8 @@ void RunScenario(uint64_t seed, Coverage* coverage,
       catalog::NodeId j =
           static_cast<catalog::NodeId>(rng.UniformInt(0, num_nodes - 1));
       int k = static_cast<int>(rng.UniformInt(0, num_classes - 1));
-      util::VDuration cost = rng.Bernoulli(0.2)
-                                 ? market::CapacitySupplySet::kCannotEvaluate
-                                 : DrawCost(rng);
+      util::VDuration cost =
+          rng.Bernoulli(0.2) ? query::kInfeasibleCost : DrawCost(rng);
       real.mutable_agent(j).UpdateUnitCost(k, cost);
       ref.agent(j).UpdateUnitCost(k, cost);
       ++coverage->unit_cost_ops;

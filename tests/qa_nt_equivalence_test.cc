@@ -6,11 +6,11 @@
 // Seeded op sequences drive both and compare every observable bit for bit
 // after every op; whenever the agent says an answer repeats, one batched
 // call must equal that many single requests to the reference. The op
-// sequences run on a standalone agent, and the first seed of each case
-// again on one row of a shared AgentPool that grows between the agent's
-// ops. The pool's own cases
-// follow (restarts, handles across growth), and the last test pins the
-// rollover allocation-free.
+// sequences run on a lone agent (the one row of a pool of its own), and
+// the first seed of each case again on one row of a shared AgentPool
+// whose other rows are appended between the agent's ops. The pool's own
+// cases follow (restarts, a block filled to its capacity), and the last
+// test pins the rollover allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "lone_agent.h"
 #include "market/clearing_book.h"
 #include "market/qa_nt.h"
+#include "query/cost_model.h"
 #include "util/rng.h"
 #include "util/vtime.h"
 
@@ -57,7 +59,7 @@ namespace qa::market {
 namespace {
 
 using util::kMillisecond;
-constexpr util::VDuration kCannot = CapacitySupplySet::kCannotEvaluate;
+constexpr util::VDuration kCannot = query::kInfeasibleCost;
 
 /// The dense reference agent: the QA-NT listing with every per-class loop
 /// over all K classes. Wherever a price is set (construction, SetPrices)
@@ -338,13 +340,13 @@ struct RepeatCounts {
 
 /// The rows around the agent under test when it lives in a shared pool:
 /// other nodes' agents, built in shuffled node order before it and
-/// between its ops (so the pool grows mid-run), each driven a little so
+/// between its ops (so rows are appended mid-run), each driven a little so
 /// that its row's state moves too. A null pool leaves the agent alone.
 class Neighbours {
  public:
   Neighbours(AgentPool* pool, uint64_t seed) : pool_(pool), rng_(seed) {
     if (pool_ == nullptr) return;
-    for (catalog::NodeId j = 0; j < kNodes; ++j) nodes_.push_back(j);
+    for (catalog::NodeId j = 0; j < kRows; ++j) nodes_.push_back(j);
     for (size_t i = nodes_.size(); i > 1; --i) {
       std::swap(nodes_[i - 1], nodes_[static_cast<size_t>(rng_.UniformInt(
                                    0, static_cast<int64_t>(i) - 1))]);
@@ -355,6 +357,8 @@ class Neighbours {
 
   /// The node of the agent under test: one the neighbours never take.
   static constexpr catalog::NodeId kAgentNode = 300;
+  /// Nodes 0..kRows-1: the agent's and its neighbours', one row each.
+  static constexpr int32_t kRows = 600;
 
   /// Builds one more neighbour now and then, and drives an old one.
   void Step() {
@@ -374,8 +378,6 @@ class Neighbours {
   }
 
  private:
-  static constexpr catalog::NodeId kNodes = 600;
-
   void Build() {
     if (next_ == nodes_.size()) return;
     catalog::NodeId node = nodes_[next_++];
@@ -398,7 +400,7 @@ class Neighbours {
 };
 
 /// Runs one seeded op sequence against the dense reference; `pooled` puts
-/// the agent in a shared, growing pool.
+/// the agent in a shared pool whose other rows are appended mid-run.
 void RunCase(const Case& c, uint64_t seed, bool pooled,
              RepeatCounts* counts) {
   util::Rng rng(seed);
@@ -414,12 +416,13 @@ void RunCase(const Case& c, uint64_t seed, bool pooled,
     }
   }
   QaNtConfig config = MakeConfig(c.config);
-  AgentPool pool(c.num_classes, 500 * kMillisecond, config);
+  AgentPool pool(Neighbours::kRows, c.num_classes, 500 * kMillisecond,
+                 config);
   // Its own stream, so that both runs of a seed see the same ops.
   Neighbours neighbours(pooled ? &pool : nullptr, ~seed);
+  LoneAgent lone(0, costs, 500 * kMillisecond, config);
   QaNtAgent sparse =
-      pooled ? pool.agent(pool.Append(Neighbours::kAgentNode, costs))
-             : QaNtAgent(0, costs, 500 * kMillisecond, config);
+      pooled ? pool.agent(pool.Append(Neighbours::kAgentNode, costs)) : lone;
   DenseAgent dense(costs, 500 * kMillisecond, config);
   sparse.BeginPeriod();
   dense.BeginPeriod();
@@ -522,25 +525,34 @@ void Fill(AgentPool* pool, int rows) {
   }
 }
 
-TEST(AgentPoolTest, HandleTakenBeforeGrowthReadsTheSameStateAfter) {
-  AgentPool pool(2, 500 * kMillisecond, {});
+TEST(AgentPoolTest, RowsAppendedUpToTheCapacityMoveNoRow) {
+  constexpr int32_t kCapacity = 500;
+  AgentPool pool(kCapacity, 2, 500 * kMillisecond, {});
   Fill(&pool, 3);
-  QaNtAgent agent = pool.agent(1);
+  QaNtAgent agent = pool.agent(0);
   ASSERT_TRUE(agent.OnRequest(0));
   agent.OnOfferAccepted(0);
-  PriceVector prices({3.0, 0.5});
-  agent.SetPrices(prices);
-  std::span<const Quantity> left = agent.remaining_supply().values();
-  QuantityVector remaining(std::vector<Quantity>(left.begin(), left.end()));
+  PriceVector set({3.0, 0.5});
+  agent.SetPrices(set);
+  PriceView prices = agent.prices();
+  QuantityView remaining = agent.remaining_supply();
+  QuantityVector left(std::vector<Quantity>(remaining.values().begin(),
+                                            remaining.values().end()));
   QaNtAgentStats stats = agent.stats();
   util::VDuration budget = agent.remaining_budget();
   double earnings = agent.earnings();
 
-  Fill(&pool, 500);  // the block moves several times
-  EXPECT_EQ(agent.node(), 1);
-  EXPECT_EQ(agent.prices()[0], 3.0);
-  EXPECT_EQ(agent.prices()[1], 0.5);
-  EXPECT_EQ(agent.remaining_supply(), remaining);
+  Fill(&pool, kCapacity - pool.size());
+  ASSERT_EQ(pool.size(), kCapacity);
+  // The block never moved: the views taken before still point at the
+  // row's cells, and read its state.
+  ASSERT_EQ(prices.values().data(), agent.prices().values().data());
+  ASSERT_EQ(remaining.values().data(),
+            agent.remaining_supply().values().data());
+  EXPECT_EQ(prices[0], 3.0);
+  EXPECT_EQ(prices[1], 0.5);
+  EXPECT_EQ(remaining, left);
+  EXPECT_EQ(agent.node(), 0);
   EXPECT_EQ(agent.remaining_budget(), budget);
   EXPECT_EQ(agent.earnings(), earnings);
   EXPECT_EQ(agent.stats().offers_accepted, stats.offers_accepted);
@@ -549,12 +561,12 @@ TEST(AgentPoolTest, HandleTakenBeforeGrowthReadsTheSameStateAfter) {
   agent.EndPeriod();
   agent.BeginPeriod();
   EXPECT_EQ(agent.stats().periods, 2);
-  EXPECT_EQ(pool.agent(0).stats().periods, 1);
-  EXPECT_EQ(pool.agent(2).stats().periods, 1);
+  EXPECT_EQ(pool.agent(1).stats().periods, 1);
+  EXPECT_EQ(pool.agent(pool.size() - 1).stats().periods, 1);
 }
 
 TEST(AgentPoolTest, ResetMakesTheRowAFreshAgentInPlace) {
-  AgentPool pool(2, 500 * kMillisecond, {});
+  AgentPool pool(4, 2, 500 * kMillisecond, {});
   Fill(&pool, 4);
   std::vector<util::VDuration> costs = {kCannot, 300 * kMillisecond};
   QaNtAgent agent = pool.agent(2);
@@ -567,7 +579,7 @@ TEST(AgentPoolTest, ResetMakesTheRowAFreshAgentInPlace) {
 
   pool.Reset(2, costs);
   agent.BeginPeriod();
-  QaNtAgent fresh(2, costs, 500 * kMillisecond);
+  LoneAgent fresh(2, costs, 500 * kMillisecond);
   fresh.BeginPeriod();
   EXPECT_EQ(pool.size(), 4);
   EXPECT_EQ(agent.node(), 2);
@@ -622,7 +634,7 @@ TEST(QaNtEquivalenceTest, EveryConfigValidates) {
 TEST(QaNtEquivalenceTest, RolloverMakesNoHeapAllocation) {
   std::vector<util::VDuration> costs(100, kCannot);
   for (int k = 0; k < 100; k += 9) costs[static_cast<size_t>(k)] = 200 + k;
-  QaNtAgent agent(0, costs, 500 * kMillisecond);
+  LoneAgent agent(0, costs, 500 * kMillisecond);
   agent.BeginPeriod();
   int64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int period = 0; period < 50; ++period) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "market/supply_set.h"
+#include "query/cost_model.h"
 #include "util/rng.h"
 #include "util/vtime.h"
 
@@ -25,9 +26,8 @@ TEST(CapacitySupplySetTest, ContainsRespectsBudget) {
 }
 
 TEST(CapacitySupplySetTest, CannotEvaluateClassForcesZero) {
-  CapacitySupplySet set(
-      {400 * kMillisecond, CapacitySupplySet::kCannotEvaluate},
-      500 * kMillisecond);
+  CapacitySupplySet set({400 * kMillisecond, query::kInfeasibleCost},
+                        500 * kMillisecond);
   EXPECT_FALSE(set.CanEvaluateClass(1));
   EXPECT_TRUE(set.Contains(QuantityVector({1, 0})));
   EXPECT_FALSE(set.Contains(QuantityVector({0, 1})));
@@ -67,23 +67,16 @@ TEST(CapacitySupplySetTest, MaximizeValueIgnoresZeroPrices) {
 }
 
 TEST(CapacitySupplySetTest, MaximizeValueOverBudget) {
-  CapacitySupplySet set({100, 100}, 1000);
+  std::vector<util::VDuration> costs = {100, 100};
+  CapacitySupplySet set(costs, 1000);
   std::vector<int> classes = {1, 0};
   QuantityVector s(2);
-  set.MaximizeValueOver(PriceVector(2, 1.0), 250, classes, &s);
+  MaximizeValueOver(PriceVector(2, 1.0).values(), costs, 250, classes,
+                    s.mutable_values());
   EXPECT_EQ(s.Total(), 2);
   EXPECT_TRUE(set.Contains(s));
   // Equal densities tie-break by class id.
   EXPECT_EQ(classes, (std::vector<int>{0, 1}));
-}
-
-TEST(CapacitySupplySetTest, BestDensityClass) {
-  CapacitySupplySet set(
-      {400, 100, CapacitySupplySet::kCannotEvaluate}, 1000);
-  EXPECT_EQ(set.BestDensityClass(PriceVector(3, 1.0)), 1);
-  EXPECT_EQ(set.BestDensityClass(PriceVector({8.0, 1.0, 1.0})), 0);
-  // All prices zero: no class.
-  EXPECT_EQ(set.BestDensityClass(PriceVector(3, 0.0)), -1);
 }
 
 TEST(CapacitySupplySetTest, GreedyResultAlwaysFeasible) {
@@ -92,9 +85,8 @@ TEST(CapacitySupplySetTest, GreedyResultAlwaysFeasible) {
     int k = static_cast<int>(rng.UniformInt(1, 5));
     std::vector<util::VDuration> costs;
     for (int i = 0; i < k; ++i) {
-      costs.push_back(rng.Bernoulli(0.2)
-                          ? CapacitySupplySet::kCannotEvaluate
-                          : rng.UniformInt(1, 500));
+      costs.push_back(rng.Bernoulli(0.2) ? query::kInfeasibleCost
+                                         : rng.UniformInt(1, 500));
     }
     CapacitySupplySet set(std::move(costs), rng.UniformInt(1, 2000));
     PriceVector p(k);
@@ -113,9 +105,8 @@ TEST(CapacitySupplySetTest, GreedyOverCandidateListMatchesAllClasses) {
     int k = static_cast<int>(rng.UniformInt(1, 12));
     std::vector<util::VDuration> costs;
     for (int i = 0; i < k; ++i) {
-      costs.push_back(rng.Bernoulli(0.3)
-                          ? CapacitySupplySet::kCannotEvaluate
-                          : 50 * rng.UniformInt(1, 8));
+      costs.push_back(rng.Bernoulli(0.3) ? query::kInfeasibleCost
+                                         : 50 * rng.UniformInt(1, 8));
     }
     CapacitySupplySet set(costs, rng.UniformInt(1, 2000));
     PriceVector p(k);
@@ -134,7 +125,8 @@ TEST(CapacitySupplySetTest, GreedyOverCandidateListMatchesAllClasses) {
     constexpr Quantity kUntouched = -7;
     QuantityVector s(std::vector<Quantity>(static_cast<size_t>(k),
                                            kUntouched));
-    set.MaximizeValueOver(p, set.budget(), classes, &s);
+    MaximizeValueOver(p.values(), costs, set.budget(), classes,
+                      s.mutable_values());
     for (int i = 0; i < k; ++i) {
       bool listed =
           std::find(classes.begin(), classes.end(), i) != classes.end();
@@ -153,14 +145,6 @@ TEST(FiniteSupplySetTest, ExactMaximization) {
             QuantityVector({1, 0}));
   EXPECT_EQ(set.MaximizeValue(PriceVector({1.0, 1.0})),
             QuantityVector({0, 2}));
-}
-
-TEST(SupplySetTest, CanAddUnit) {
-  CapacitySupplySet set({400 * kMillisecond, 100 * kMillisecond},
-                        500 * kMillisecond);
-  QuantityVector s({1, 0});
-  EXPECT_TRUE(set.CanAddUnit(s, 1));
-  EXPECT_FALSE(set.CanAddUnit(s, 0));
 }
 
 TEST(EnumerateSupplyVectorsTest, MatchesContains) {
