@@ -1,19 +1,25 @@
 // Google-benchmark microbenchmarks of the market core: the per-period
 // supply optimization (eq. 4), the QA-NT request path, the staggered
-// period rollover of a whole market, one tatonnement iteration, and the
+// period rollover of a whole market, the first-contact activation of a
+// two-tier market's cluster, one tatonnement iteration, and the
 // discrete-event queue. These bound the runtime overhead a node pays for
 // running the query economy (the paper argues it is negligible next to
 // query execution).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "allocation/cluster_market.h"
+#include "allocation/cluster_plan.h"
+#include "allocation/solicitation.h"
 #include "market/clearing_book.h"
 #include "market/qa_nt.h"
 #include "market/tatonnement.h"
 #include "sim/event_queue.h"
+#include "sim/scenario.h"
 #include "util/rng.h"
 #include "util/vtime.h"
 
@@ -115,6 +121,52 @@ void BM_StaggeredRollover(benchmark::State& state) {
   state.SetItemsProcessed(rolls);
 }
 BENCHMARK(BM_StaggeredRollover)->Arg(10000)->Arg(160000);
+
+// First-contact activation of a two-tier market's cluster, as
+// ClusterMarket::EnsureActive runs it when the top tier first solicits
+// the cluster: index its 1,000 members (the id order, plus the cost order
+// when the member tier samples stratified) and sum their default plans,
+// on the two-class cost model of the benchmark's hier1m workload with no
+// agent built yet. Each iteration activates a fresh cluster of a 64-cluster
+// market; a new market is built, untimed, once all are active. Items are
+// members activated.
+void BM_ClusterActivation(benchmark::State& state,
+                          allocation::SolicitationPolicy member_policy) {
+  constexpr int kMembers = 1000;
+  constexpr int kClusters = 64;
+  constexpr int kNodes = kMembers * kClusters;
+  constexpr util::VDuration kPeriod = 500 * kMillisecond;
+  util::Rng rng(7);
+  sim::TwoClassConfig scenario;
+  scenario.num_nodes = kNodes;
+  std::unique_ptr<query::MatrixCostModel> model =
+      sim::BuildTwoClassCostModel(scenario, rng);
+  allocation::ClusterPlan plan =
+      allocation::ClusterPlan::Uniform(kNodes, kClusters, /*top_fanout=*/8);
+  allocation::SolicitationConfig members;
+  members.policy = member_policy;
+  members.fanout = 8;
+  market::ClearingBook book(kNodes, model->num_classes(), kPeriod, {});
+  std::unique_ptr<allocation::ClusterMarket> market;
+  int next = kClusters;
+  for (auto _ : state) {
+    if (next == kClusters) {
+      state.PauseTiming();
+      market = std::make_unique<allocation::ClusterMarket>(
+          model.get(), plan, market::QaNtConfig{}, kPeriod, members);
+      next = 0;
+      state.ResumeTiming();
+    }
+    market->EnsureActive(next, book);
+    benchmark::DoNotOptimize(market->agent(next).published().values().data());
+    ++next;
+  }
+  state.SetItemsProcessed(state.iterations() * kMembers);
+}
+BENCHMARK_CAPTURE(BM_ClusterActivation, uniform,
+                  allocation::SolicitationPolicy::kUniformSample);
+BENCHMARK_CAPTURE(BM_ClusterActivation, stratified,
+                  allocation::SolicitationPolicy::kStratifiedSample);
 
 void BM_TatonnementIteration(benchmark::State& state) {
   int num_nodes = static_cast<int>(state.range(0));

@@ -41,12 +41,13 @@ class ClusterQuoteModel : public query::CostModel {
 ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
                              ClusterPlan plan,
                              market::QaNtConfig agent_config,
-                             util::VDuration period)
+                             util::VDuration period,
+                             const SolicitationConfig& member_solicitation)
     : cost_model_(cost_model),
       plan_(std::move(plan)),
       period_(period),
+      member_cost_order_(member_solicitation.reads_cost_order()),
       next_publish_(period),
-      unit_costs_(static_cast<size_t>(cost_model->num_classes())),
       plan_scratch_(cost_model->num_classes(), period, agent_config),
       publish_(cost_model->num_classes()) {
   assert(cost_model_ != nullptr);
@@ -70,7 +71,8 @@ ClusterMarket::ClusterMarket(const query::CostModel* cost_model,
     }
   }
   ClusterQuoteModel quote_model(num_classes, num_clusters, &quotes_);
-  cluster_candidates_ = CandidateIndex(quote_model);
+  cluster_candidates_ =
+      CandidateIndex(quote_model, plan_.top.reads_cost_order());
   clusters_.reserve(static_cast<size_t>(num_clusters));
   for (int c = 0; c < num_clusters; ++c) {
     clusters_.emplace_back(market::ClusterSupplyAgent(c, num_classes));
@@ -81,25 +83,30 @@ void ClusterMarket::EnsureActive(int cluster,
                                  const market::ClearingBook& book) {
   Cluster& state = clusters_[static_cast<size_t>(cluster)];
   if (state.active) return;
-  const std::vector<catalog::NodeId>& members =
-      plan_.clusters[static_cast<size_t>(cluster)];
-  state.members = CandidateIndex(*cost_model_, members);
   state.idle_sum = market::QuantityVector(cost_model_->num_classes());
-  for (catalog::NodeId node : members) {
-    if (book.built(node)) {
-      state.live.push_back(book.row_of(node));
-    } else {
-      state.idle_sum += DefaultPlan(node);
-    }
-  }
+  // The index build reads each member's costs once and hands them on: a
+  // member with an agent goes live, and one without adds the default
+  // plan of those costs to the idle sum.
+  state.members = CandidateIndex(
+      *cost_model_, plan_.clusters[static_cast<size_t>(cluster)],
+      member_cost_order_,
+      [&](catalog::NodeId node, std::span<const util::VDuration> costs) {
+        if (book.built(node)) {
+          state.live.push_back(book.row_of(node));
+        } else {
+          state.idle_sum +=
+              market::DefaultPlannedSupply(costs, &plan_scratch_);
+        }
+      });
   state.active = true;
   PublishCluster(cluster, book);
 }
 
-void ClusterMarket::OnMemberBuilt(catalog::NodeId node, int32_t row) {
-  Cluster& state = clusters_[static_cast<size_t>(cluster_of(node))];
+void ClusterMarket::OnMemberBuilt(int cluster, int32_t row,
+                                  std::span<const util::VDuration> unit_costs) {
+  Cluster& state = clusters_[static_cast<size_t>(cluster)];
   if (!state.active) return;
-  state.idle_sum -= DefaultPlan(node);
+  state.idle_sum -= market::DefaultPlannedSupply(unit_costs, &plan_scratch_);
   state.live.push_back(row);
 }
 
@@ -112,15 +119,6 @@ void ClusterMarket::OnTick(util::VTime now,
     }
   }
   while (next_publish_ <= now) next_publish_ += period_;
-}
-
-const market::QuantityVector& ClusterMarket::DefaultPlan(
-    catalog::NodeId node) {
-  for (size_t k = 0; k < unit_costs_.size(); ++k) {
-    unit_costs_[k] =
-        cost_model_->Cost(static_cast<query::QueryClassId>(k), node);
-  }
-  return market::DefaultPlannedSupply(unit_costs_, &plan_scratch_);
 }
 
 void ClusterMarket::PublishCluster(int cluster,

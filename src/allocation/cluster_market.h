@@ -1,6 +1,8 @@
 #ifndef QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 #define QAMARKET_ALLOCATION_CLUSTER_MARKET_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "allocation/cluster_plan.h"
@@ -32,9 +34,12 @@ namespace qa::allocation {
 class ClusterMarket {
  public:
   /// The plan must have passed Validate(cost_model->num_nodes()). The
-  /// cost model must outlive the market.
+  /// cost model must outlive the market. `member_solicitation` is how the
+  /// member auctions solicit (the federation's member tier); with the
+  /// plan's top tier it decides which indexes keep a cost order.
   ClusterMarket(const query::CostModel* cost_model, ClusterPlan plan,
-                market::QaNtConfig agent_config, util::VDuration period);
+                market::QaNtConfig agent_config, util::VDuration period,
+                const SolicitationConfig& member_solicitation);
 
   int num_clusters() const { return plan_.num_clusters(); }
   const ClusterPlan& plan() const { return plan_; }
@@ -45,7 +50,8 @@ class ClusterMarket {
 
   /// Cluster-level candidate lists: "node" ids are cluster ids, a cluster
   /// is a class-k candidate iff some member can evaluate k, and the cost
-  /// order sorts by the cluster's best member cost (its quote).
+  /// order, kept only when the top tier samples stratified, sorts by the
+  /// cluster's best member cost (its quote).
   const CandidateIndex& cluster_candidates() const {
     return cluster_candidates_;
   }
@@ -76,14 +82,21 @@ class ClusterMarket {
   /// First-contact activation: builds the cluster's member candidate
   /// index, splits its members into live ones (agent instantiated) and
   /// idle ones (summed as their default plans), and publishes the first
-  /// aggregate. O(members * K) with no per-member allocation. Idempotent.
+  /// aggregate. The index build reads each member's costs once, and the
+  /// idle sum takes its plans from that read; the index keeps a cost
+  /// order only when the member tier samples stratified. O(members * K)
+  /// with no per-member allocation. Idempotent.
   void EnsureActive(int cluster, const market::ClearingBook& book);
 
-  /// A member's agent was just instantiated in book row `row`. If its
-  /// cluster is active, the member leaves the idle sum (minus exactly the
-  /// default plan activation added) and joins the live list. An inactive
-  /// cluster needs nothing: its activation will find the agent.
-  void OnMemberBuilt(catalog::NodeId node, int32_t row);
+  /// A member of `cluster` just had its agent instantiated in book row
+  /// `row` from `unit_costs` (its cost of every class). If the cluster is
+  /// active, the member leaves the idle sum (minus exactly the default
+  /// plan activation added, computed from the same costs) and joins the
+  /// live list. An inactive cluster needs nothing: its activation will
+  /// find the agent. The caller names the cluster: a build inside a
+  /// cluster's auction knows it, and cluster_of serves the rest.
+  void OnMemberBuilt(int cluster, int32_t row,
+                     std::span<const util::VDuration> unit_costs);
 
   /// Market tick: once `now` crosses a global period boundary, every
   /// active cluster's sub-mediator re-publishes its aggregate from the
@@ -107,9 +120,6 @@ class ClusterMarket {
     bool active = false;
   };
 
-  /// The default (first-period) plan of `node`'s fresh agent; a view of
-  /// plan_scratch_, valid until the next call.
-  const market::QuantityVector& DefaultPlan(catalog::NodeId node);
   /// Sums idle_sum and the live members' remaining supply into publish_
   /// and publishes it: O(live members * K), allocation-free.
   void PublishCluster(int cluster, const market::ClearingBook& book);
@@ -117,6 +127,8 @@ class ClusterMarket {
   const query::CostModel* cost_model_;
   ClusterPlan plan_;
   util::VDuration period_;
+  /// Whether member indexes keep a cost order (stratified member tier).
+  bool member_cost_order_;
   /// Owning cluster per node id.
   std::vector<int> node_cluster_;
   /// Row-major [class][cluster] best-member-cost quotes.
@@ -126,7 +138,6 @@ class ClusterMarket {
   /// Next global period boundary at which active clusters re-publish.
   util::VTime next_publish_;
   /// Scratch reused across members and publishes.
-  std::vector<util::VDuration> unit_costs_;
   market::DefaultPlanScratch plan_scratch_;
   market::QuantityVector publish_;
 };

@@ -28,11 +28,13 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
   // change a federation that has nothing to cluster.
   if (cluster_plan.hierarchical()) {
     cluster_market_ = std::make_unique<ClusterMarket>(
-        cost_model_, std::move(cluster_plan), config_, period_);
+        cost_model_, std::move(cluster_plan), config_, period_,
+        solicitation_);
   } else {
     // Only the flat market solicits from the whole federation; the
     // two-tier one reads each active cluster's member index instead.
-    candidates_ = CandidateIndex(*cost_model_);
+    candidates_ =
+        CandidateIndex(*cost_model_, solicitation_.reads_cost_order());
     if (!solicitation_.sampled() &&
         selection_ == market::OfferSelection::kCheapest) {
       // A class with one candidate stays off the listing: standing answers
@@ -75,7 +77,7 @@ int64_t QaNtAllocator::Advance(util::VTime* boundary, util::VTime now) const {
   return periods;
 }
 
-void QaNtAllocator::EnsureAgent(catalog::NodeId node) {
+void QaNtAllocator::EnsureAgent(catalog::NodeId node, int cluster) {
   assert(node >= 0 && node < num_nodes());
   if (book_.built(node)) return;
   int32_t row = Build(node);
@@ -88,16 +90,20 @@ void QaNtAllocator::EnsureAgent(catalog::NodeId node) {
   // keeps lazy instantiation byte-identical to the eager protocol.
   book_.Roll(row, Advance(&next, last_rollover_now_));
   next_refresh_.push_back(next);
-  if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node, row);
+  if (cluster_market_ != nullptr) {
+    if (cluster < 0) cluster = cluster_market_->cluster_of(node);
+    assert(cluster == cluster_market_->cluster_of(node));
+    cluster_market_->OnMemberBuilt(cluster, row, unit_costs_);
+  }
 }
 
 market::QaNtAgentView QaNtAllocator::agent(catalog::NodeId node) const {
-  const_cast<QaNtAllocator*>(this)->EnsureAgent(node);
+  const_cast<QaNtAllocator*>(this)->EnsureAgent(node, /*cluster=*/-1);
   return book_.agent(node);
 }
 
 market::QaNtAgent QaNtAllocator::mutable_agent(catalog::NodeId node) {
-  EnsureAgent(node);
+  EnsureAgent(node, /*cluster=*/-1);
   return book_.mutable_agent(node);
 }
 
@@ -193,7 +199,7 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
     decision.solicited = SolicitNodes(
         solicitation_, *universe, k,
         util::SplitMix64(util::MixSeed(seed_, seq)), &solicited_);
-    decision.node = ScanAndSettle(context, k, &asked);
+    decision.node = ScanAndSettle(context, k, decision.cluster, &asked);
   }
   // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
@@ -216,13 +222,16 @@ bool QaNtAllocator::Booked(int k, const AllocationContext& context) {
   if (!book_.Ready(k)) {
     // A broadcast reaches every candidate: build those no earlier request
     // reached before the book asks any of them.
-    for (catalog::NodeId j : candidates_.ById(k)) EnsureAgent(j);
+    for (catalog::NodeId j : candidates_.ById(k)) {
+      EnsureAgent(j, /*cluster=*/-1);
+    }
   }
   return true;
 }
 
 catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
-                                             int k, int* asked_out) {
+                                             int k, int cluster,
+                                             int* asked_out) {
   int asked = 0;
   for (catalog::NodeId j : solicited_) {
     // An offline node's agent is simply unreachable: the request times
@@ -230,7 +239,7 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
     // handling free — the market routes around dead nodes by itself.
     if (!context.NodeOnline(j)) continue;
     solicited_[static_cast<size_t>(asked++)] = j;
-    EnsureAgent(j);
+    EnsureAgent(j, cluster);
   }
   *asked_out = asked;
   // Without an offer the query is resubmitted next period.
@@ -332,7 +341,10 @@ void QaNtAllocator::OnNodeRestart(catalog::NodeId node, util::VTime now) {
     return;
   }
   next_refresh_.push_back(next);
-  if (cluster_market_ != nullptr) cluster_market_->OnMemberBuilt(node, row);
+  if (cluster_market_ != nullptr) {
+    cluster_market_->OnMemberBuilt(cluster_market_->cluster_of(node), row,
+                                   unit_costs_);
+  }
 }
 
 }  // namespace qa::allocation

@@ -123,20 +123,23 @@ class QaNtAllocator : public Allocator {
   /// the class's candidates on its first booked request.
   bool Booked(int k, const AllocationContext& context);
 
-  /// The solicited member auction: builds each online node of solicited_
-  /// not built yet, moves them to its front and polls them through the
-  /// book. Returns the winner (kNoNode when everyone declined); `*asked`
-  /// receives the number of online nodes actually contacted.
+  /// The solicited member auction of `cluster` (-1 in the flat market):
+  /// builds each online node of solicited_ not built yet, moves them to
+  /// its front and polls them through the book. Returns the winner
+  /// (kNoNode when everyone declined); `*asked` receives the number of
+  /// online nodes actually contacted.
   catalog::NodeId ScanAndSettle(const AllocationContext& context, int k,
-                                int* asked);
+                                int cluster, int* asked);
 
   /// Instantiates the agent of `node` on first contact, replaying every
   /// period rollover up to the last market tick — which leaves it
   /// byte-identical to an agent that had existed (idle) since t=0,
   /// because an uncontacted agent's state is a pure function of its
   /// rollover count. A new agent's row gets its next boundary and, under a
-  /// cluster plan, goes live in its cluster's ledger. Mediator lane only.
-  void EnsureAgent(catalog::NodeId node);
+  /// cluster plan, goes live in its cluster's ledger: `cluster` when the
+  /// build happens inside that cluster's auction, else (-1) the cluster
+  /// the plan assigns the node. Mediator lane only.
+  void EnsureAgent(catalog::NodeId node, int cluster);
 
   /// First boundary of `node`'s staggered period: ((node+1)/N)*T. The
   /// schedule exists for every node from t=0 even though the agent itself
@@ -175,7 +178,8 @@ class QaNtAllocator : public Allocator {
   std::unique_ptr<ClusterMarket> cluster_market_;
   /// Scratch buffers reused across arrivals (no hot-path allocation).
   /// ScanAndSettle moves the nodes it asks to the front of solicited_;
-  /// Build writes a node's unit costs into unit_costs_.
+  /// Build writes a node's unit costs into unit_costs_, and a member's
+  /// cluster takes its default plan out of the idle sum from them.
   std::vector<catalog::NodeId> solicited_;
   std::vector<util::VDuration> unit_costs_;
   std::vector<catalog::NodeId> top_solicited_;

@@ -28,44 +28,65 @@ util::Status SolicitationConfig::Validate() const {
   return util::Status::OK();
 }
 
-CandidateIndex::CandidateIndex(const query::CostModel& cost_model) {
+CandidateIndex::CandidateIndex(const query::CostModel& cost_model,
+                               bool cost_order) {
   std::vector<catalog::NodeId> nodes(
       static_cast<size_t>(cost_model.num_nodes()));
   std::iota(nodes.begin(), nodes.end(), 0);
-  Build(cost_model, nodes);
+  Build(cost_model, nodes, cost_order, nullptr);
 }
 
-CandidateIndex::CandidateIndex(
-    const query::CostModel& cost_model,
-    const std::vector<catalog::NodeId>& members) {
+CandidateIndex::CandidateIndex(const query::CostModel& cost_model,
+                               const std::vector<catalog::NodeId>& members,
+                               bool cost_order,
+                               const NodeCostsFn& on_member) {
   // The candidate lists keep ascending id order regardless of how the
   // cluster plan happens to list its members.
   std::vector<catalog::NodeId> sorted = members;
   std::sort(sorted.begin(), sorted.end());
-  Build(cost_model, sorted);
+  Build(cost_model, sorted, cost_order, on_member);
 }
 
 void CandidateIndex::Build(const query::CostModel& cost_model,
-                           const std::vector<catalog::NodeId>& nodes) {
+                           const std::vector<catalog::NodeId>& nodes,
+                           bool cost_order, const NodeCostsFn& on_node) {
   size_t num_classes = static_cast<size_t>(cost_model.num_classes());
+  // Each node's costs are read once, into a node-major table; the lists
+  // are then filled from the table and the cost sort never calls back
+  // into the (virtual) model. Every list is sized exactly before it is
+  // filled, so the allocation count does not grow with the node count.
+  std::vector<util::VDuration> costs(nodes.size() * num_classes);
+  std::vector<size_t> feasible(num_classes, 0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    std::span<util::VDuration> row(costs.data() + i * num_classes,
+                                   num_classes);
+    for (size_t k = 0; k < num_classes; ++k) {
+      row[k] = cost_model.Cost(static_cast<query::QueryClassId>(k), nodes[i]);
+      if (row[k] != query::kInfeasibleCost) ++feasible[k];
+    }
+    if (on_node) on_node(nodes[i], row);
+  }
   by_id_.resize(num_classes);
+  for (size_t k = 0; k < num_classes; ++k) {
+    by_id_[k].reserve(feasible[k]);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (costs[i * num_classes + k] != query::kInfeasibleCost) {
+        by_id_[k].push_back(nodes[i]);
+      }
+    }
+  }
+  if (!cost_order) return;
+  // Sorting (cost, id) pairs equals a stable sort on cost over the
+  // id-ordered list.
   by_cost_.resize(num_classes);
-  // Each class reads its costs once; the cost sort then never calls back
-  // into the (virtual) model. Sorting (cost, id) pairs equals a stable
-  // sort on cost over the id-ordered list. Both lists are sized exactly
-  // from `ranked`, so the allocation count does not grow with the node
-  // count.
   std::vector<std::pair<util::VDuration, catalog::NodeId>> ranked;
   ranked.reserve(nodes.size());
   for (size_t k = 0; k < num_classes; ++k) {
     ranked.clear();
-    for (catalog::NodeId j : nodes) {
-      util::VDuration cost =
-          cost_model.Cost(static_cast<query::QueryClassId>(k), j);
-      if (cost != query::kInfeasibleCost) ranked.emplace_back(cost, j);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      util::VDuration cost = costs[i * num_classes + k];
+      if (cost != query::kInfeasibleCost) ranked.emplace_back(cost, nodes[i]);
     }
-    by_id_[k].reserve(ranked.size());
-    for (const auto& [cost, j] : ranked) by_id_[k].push_back(j);
     std::sort(ranked.begin(), ranked.end());
     by_cost_[k].reserve(ranked.size());
     for (const auto& [cost, j] : ranked) by_cost_[k].push_back(j);

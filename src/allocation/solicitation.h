@@ -1,6 +1,9 @@
 #ifndef QAMARKET_ALLOCATION_SOLICITATION_H_
 #define QAMARKET_ALLOCATION_SOLICITATION_H_
 
+#include <cassert>
+#include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "query/cost_model.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/vtime.h"
 
 namespace qa::allocation {
 
@@ -46,6 +50,11 @@ struct SolicitationConfig {
   int fanout = 0;
 
   bool sampled() const { return policy != SolicitationPolicy::kBroadcast; }
+  /// Whether SolicitNodes reads a CandidateIndex's cost order under this
+  /// config: only stratified sampling does.
+  bool reads_cost_order() const {
+    return policy == SolicitationPolicy::kStratifiedSample;
+  }
 
   /// Rejects a sampled policy with fanout < 1. (fanout > num_nodes is
   /// legal — it clamps to broadcast semantics at allocation time.)
@@ -55,38 +64,60 @@ struct SolicitationConfig {
 /// Per-class feasible-node candidate lists precomputed from a cost model,
 /// so the per-arrival hot path never scans CanEvaluate over all N nodes.
 ///
-/// Two orderings are kept per class: id order (the solicitation order of
-/// the broadcast protocol, and what uniform samples are drawn from) and
-/// cost order (what stratified sampling stratifies).
+/// Every index keeps each class's id order: the solicitation order of the
+/// broadcast protocol, and what uniform samples are drawn from. The cost
+/// order, which only stratified sampling stratifies, is built only when
+/// the index's owner asks for it (SolicitationConfig::reads_cost_order of
+/// the config that solicits from the index): sorting every class's
+/// candidates costs more than the rest of a build, and an index that no
+/// stratified sampler reads would pay it for nothing.
 class CandidateIndex {
  public:
+  /// Called once per indexed node, in ascending id order, with the node's
+  /// cost of every class (query::kInfeasibleCost where it cannot run one):
+  /// the build's one read of those costs, handed on so that a caller
+  /// needing them too does not read the model again.
+  using NodeCostsFn =
+      std::function<void(catalog::NodeId, std::span<const util::VDuration>)>;
+
   CandidateIndex() = default;
-  /// Builds both orderings for every class: O(K * N) once.
-  explicit CandidateIndex(const query::CostModel& cost_model);
+  /// Indexes every node of the model: O(K * N) once, plus the per-class
+  /// sorts when `cost_order`.
+  explicit CandidateIndex(const query::CostModel& cost_model,
+                          bool cost_order = false);
   /// Restriction of the index to `members` (a cluster sub-mediator's view
   /// of the federation): candidate lists contain only feasible nodes from
   /// `members`, in the same (id, cost-stable) orders as the full index.
+  /// `on_member`, when set, receives each member's costs.
   CandidateIndex(const query::CostModel& cost_model,
-                 const std::vector<catalog::NodeId>& members);
+                 const std::vector<catalog::NodeId>& members, bool cost_order,
+                 const NodeCostsFn& on_member = nullptr);
 
   int num_classes() const { return static_cast<int>(by_id_.size()); }
+  bool has_cost_order() const { return !by_cost_.empty(); }
 
   /// Feasible nodes of class `k` in node-id order.
   const std::vector<catalog::NodeId>& ById(query::QueryClassId k) const {
     return by_id_[static_cast<size_t>(k)];
   }
   /// Feasible nodes of class `k` sorted by (cost ascending, id ascending).
+  /// Only an index built with its cost order has one.
   const std::vector<catalog::NodeId>& ByCost(query::QueryClassId k) const {
+    assert(static_cast<size_t>(k) < by_cost_.size() &&
+           "ByCost on an index built without its cost order");
     return by_cost_[static_cast<size_t>(k)];
   }
 
  private:
-  /// Fills both orderings over `nodes` (ascending ids): one Cost call per
-  /// (class, node).
+  /// Fills the orderings over `nodes` (ascending ids): one Cost call per
+  /// (class, node), made node by node so that `on_node` sees each node's
+  /// costs together.
   void Build(const query::CostModel& cost_model,
-             const std::vector<catalog::NodeId>& nodes);
+             const std::vector<catalog::NodeId>& nodes, bool cost_order,
+             const NodeCostsFn& on_node);
 
   std::vector<std::vector<catalog::NodeId>> by_id_;
+  /// Empty unless built with the cost order.
   std::vector<std::vector<catalog::NodeId>> by_cost_;
 };
 

@@ -52,16 +52,15 @@ util::Status Table::Append(Row row) {
 }
 
 int64_t Table::EstimatedBytes() const {
-  int64_t bytes = 0;
-  for (const Row& row : rows_) {
-    for (const Value& v : row) {
-      bytes += 16;
+  for (; counted_rows_ < rows_.size(); ++counted_rows_) {
+    for (const Value& v : rows_[counted_rows_]) {
+      counted_bytes_ += 16;
       if (v.type() == ValueType::kString) {
-        bytes += static_cast<int64_t>(v.AsString().size());
+        counted_bytes_ += static_cast<int64_t>(v.AsString().size());
       }
     }
   }
-  return bytes;
+  return counted_bytes_;
 }
 
 }  // namespace qa::dbms

@@ -37,7 +37,11 @@ class Schema {
   std::vector<Column> columns_;
 };
 
-/// An in-memory row store.
+/// An in-memory row store. Rows are only ever appended. A table is read
+/// and written by one thread at a time: even a const read may update the
+/// footprint count (EstimatedBytes), so two threads must not read one
+/// table at once. Each minidb node's tables are used only by the thread
+/// that runs its federation.
 class Table {
  public:
   Table() = default;
@@ -59,12 +63,19 @@ class Table {
 
   /// Approximate on-disk footprint, used by the cost model & buffer pool:
   /// fixed 16 bytes per numeric value, string length + 16 for strings.
+  /// Exact for the rows the table holds now. A call counts only the rows
+  /// appended since the previous one, so a table's reads walk each row
+  /// once in all and an append costs nothing extra.
   int64_t EstimatedBytes() const;
 
  private:
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
+  /// The footprint of rows_[0, counted_rows_), as EstimatedBytes last
+  /// brought it up to date.
+  mutable int64_t counted_bytes_ = 0;
+  mutable size_t counted_rows_ = 0;
 };
 
 }  // namespace qa::dbms

@@ -1,6 +1,11 @@
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,7 +13,9 @@
 #include "allocation/factory.h"
 #include "allocation/markov.h"
 #include "allocation/qa_nt_allocator.h"
+#include "allocation/solicitation.h"
 #include "query/cost_model.h"
+#include "util/rng.h"
 #include "util/vtime.h"
 
 namespace qa::allocation {
@@ -309,6 +316,166 @@ TEST(QaNtAllocatorTest, PropertiesRespectAutonomy) {
   EXPECT_TRUE(p.respects_autonomy);
   EXPECT_TRUE(p.distributed);
   EXPECT_FALSE(p.conflicts_with_query_optimization);
+}
+
+// ------------------------------------------------------------ solicitation
+
+/// Class 0 runs on every node but 3 and 7, with costs that repeat (ties
+/// break by id in the cost order) and do not follow id order; class 1
+/// runs nowhere.
+std::unique_ptr<query::MatrixCostModel> SolicitationModel(int nodes) {
+  auto model = std::make_unique<query::MatrixCostModel>(2, nodes);
+  for (int node = 0; node < nodes; ++node) {
+    if (node == 3 || node == 7) continue;
+    model->SetCost(0, node, (100 + 40 * ((node * 7) % 5)) * kMillisecond);
+  }
+  return model;
+}
+
+TEST(CandidateIndexTest, KeepsTheCostOrderOnlyWhenAsked) {
+  auto model = SolicitationModel(12);
+  CandidateIndex by_id(*model);
+  EXPECT_FALSE(by_id.has_cost_order());
+  CandidateIndex both(*model, /*cost_order=*/true);
+  ASSERT_TRUE(both.has_cost_order());
+  std::vector<catalog::NodeId> feasible = {0, 1, 2, 4, 5, 6, 8, 9, 10, 11};
+  EXPECT_EQ(by_id.ById(0), feasible);
+  EXPECT_EQ(both.ById(0), feasible);
+  EXPECT_TRUE(by_id.ById(1).empty());
+  EXPECT_TRUE(both.ByCost(1).empty());
+  // (cost ascending, id ascending).
+  const std::vector<catalog::NodeId>& by_cost = both.ByCost(0);
+  ASSERT_EQ(by_cost.size(), feasible.size());
+  EXPECT_TRUE(std::is_sorted(
+      by_cost.begin(), by_cost.end(),
+      [&](catalog::NodeId a, catalog::NodeId b) {
+        return std::make_pair(model->Cost(0, a), a) <
+               std::make_pair(model->Cost(0, b), b);
+      }));
+  EXPECT_EQ(std::set<catalog::NodeId>(by_cost.begin(), by_cost.end()),
+            std::set<catalog::NodeId>(feasible.begin(), feasible.end()));
+  SolicitationConfig config;
+  EXPECT_FALSE(config.reads_cost_order());
+  config.fanout = 2;
+  config.policy = SolicitationPolicy::kUniformSample;
+  EXPECT_FALSE(config.reads_cost_order());
+  config.policy = SolicitationPolicy::kStratifiedSample;
+  EXPECT_TRUE(config.reads_cost_order());
+}
+
+TEST(CandidateIndexTest, MemberIndexHandsOnEachMembersCostsOnce) {
+  auto model = SolicitationModel(12);
+  std::vector<catalog::NodeId> members = {9, 2, 7, 4};
+  std::vector<catalog::NodeId> seen;
+  CandidateIndex index(
+      *model, members, /*cost_order=*/false,
+      [&](catalog::NodeId node, std::span<const util::VDuration> costs) {
+        seen.push_back(node);
+        ASSERT_EQ(costs.size(), 2u);
+        EXPECT_EQ(costs[0], model->Cost(0, node));
+        EXPECT_EQ(costs[1], query::kInfeasibleCost);
+      });
+  EXPECT_EQ(seen, (std::vector<catalog::NodeId>{2, 4, 7, 9}));
+  EXPECT_EQ(index.ById(0), (std::vector<catalog::NodeId>{2, 4, 9}));
+  EXPECT_FALSE(index.has_cost_order());
+}
+
+#ifndef NDEBUG
+TEST(CandidateIndexDeathTest, ByCostWithoutTheCostOrderAsserts) {
+  auto model = SolicitationModel(12);
+  CandidateIndex index(*model);
+  EXPECT_DEATH(index.ByCost(0), "without its cost order");
+}
+#endif
+
+// A fanout that reaches every candidate is the broadcast: the id list as
+// it stands, whatever the stream. The stratified case solicits from an
+// index without a cost order, which a draw from the strata would read.
+TEST(SolicitNodesTest, FanoutCoveringEveryCandidateReturnsTheIdList) {
+  auto model = SolicitationModel(12);
+  CandidateIndex index(*model);
+  const std::vector<catalog::NodeId>& by_id = index.ById(0);
+  int n = static_cast<int>(by_id.size());
+  std::vector<catalog::NodeId> out;
+  for (SolicitationPolicy policy : {SolicitationPolicy::kBroadcast,
+                                    SolicitationPolicy::kUniformSample,
+                                    SolicitationPolicy::kStratifiedSample}) {
+    for (int fanout : {n, n + 1, 100}) {
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        int got = SolicitNodes({policy, fanout}, index, 0,
+                               util::SplitMix64(seed), &out);
+        EXPECT_EQ(got, n);
+        EXPECT_EQ(out, by_id) << SolicitationPolicyName(policy)
+                              << " fanout " << fanout << " seed " << seed;
+      }
+    }
+  }
+  EXPECT_EQ(SolicitNodes({SolicitationPolicy::kUniformSample, 4}, index, 1,
+                         util::SplitMix64(1), &out),
+            0);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(SolicitNodesTest, UniformSampleReturnsDistinctIdsInAscendingOrder) {
+  auto model = SolicitationModel(40);
+  CandidateIndex index(*model);
+  const std::vector<catalog::NodeId>& by_id = index.ById(0);
+  std::vector<catalog::NodeId> out;
+  std::set<catalog::NodeId> reached;
+  for (int d : {1, 3, 8}) {
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      int got = SolicitNodes({SolicitationPolicy::kUniformSample, d}, index,
+                             0, util::SplitMix64(seed), &out);
+      ASSERT_EQ(got, d);
+      ASSERT_EQ(out.size(), static_cast<size_t>(d));
+      // Strictly ascending: sorted and distinct.
+      EXPECT_TRUE(std::adjacent_find(out.begin(), out.end(),
+                                     std::greater_equal<>()) == out.end());
+      for (catalog::NodeId j : out) {
+        EXPECT_TRUE(std::binary_search(by_id.begin(), by_id.end(), j)) << j;
+        reached.insert(j);
+      }
+    }
+  }
+  EXPECT_EQ(reached.size(), by_id.size());
+}
+
+TEST(SolicitNodesTest, StratifiedSampleTakesOneIdFromEachStratum) {
+  auto model = SolicitationModel(40);
+  CandidateIndex index(*model, /*cost_order=*/true);
+  const std::vector<catalog::NodeId>& by_cost = index.ByCost(0);
+  size_t n = by_cost.size();
+  std::vector<catalog::NodeId> out;
+  for (size_t d : {1u, 3u, 7u}) {
+    std::vector<std::set<catalog::NodeId>> reached(d);
+    for (uint64_t seed = 1; seed <= 1000; ++seed) {
+      int got =
+          SolicitNodes({SolicitationPolicy::kStratifiedSample,
+                        static_cast<int>(d)},
+                       index, 0, util::SplitMix64(seed), &out);
+      ASSERT_EQ(got, static_cast<int>(d));
+      EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+      // Stratum i is by_cost[i*n/d, (i+1)*n/d).
+      for (size_t i = 0; i < d; ++i) {
+        auto lo = by_cost.begin() + static_cast<ptrdiff_t>(i * n / d);
+        auto hi = by_cost.begin() + static_cast<ptrdiff_t>((i + 1) * n / d);
+        int taken = 0;
+        for (catalog::NodeId j : out) {
+          if (std::find(lo, hi, j) != hi) {
+            ++taken;
+            reached[i].insert(j);
+          }
+        }
+        EXPECT_EQ(taken, 1) << "d " << d << " stratum " << i << " seed "
+                            << seed;
+      }
+    }
+    // Every stratum is drawn from in full over the seeds.
+    for (size_t i = 0; i < d; ++i) {
+      EXPECT_EQ(reached[i].size(), (i + 1) * n / d - i * n / d)
+          << "d " << d << " stratum " << i;
+    }
+  }
 }
 
 TEST(FactoryTest, CreatesEveryMechanism) {

@@ -649,13 +649,14 @@ class CountingCostModel : public query::CostModel {
   mutable int64_t calls_ = 0;
 };
 
-// A hierarchical market reads costs O(1) times per (class, node): for the
-// cluster quotes, each activated cluster's member index and its members'
-// default plans, and, for a member whose agent is built, the agent and the
-// default plan it takes out of the idle sum. It builds no federation-wide
-// candidate index (only the flat market solicits from one), and the
-// indexes it does build sort on costs read once rather than calling the
-// model per comparison.
+// A hierarchical market reads each (class, node) cost at most three
+// times: once for the cluster quotes, once when the member's cluster
+// activates (its member index and, for a member without an agent, its
+// default plan share that read), and once when the member's agent is
+// built (the agent, and the default plan it takes out of the idle sum,
+// share that read). It builds no federation-wide candidate index (only
+// the flat market solicits from one), and no index calls the model per
+// comparison.
 TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
   constexpr int kClasses = 3;
   constexpr int kNodes = 4096;
@@ -682,7 +683,52 @@ TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
   for (int c = 0; c < plan.num_clusters(); ++c) {
     ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
   }
-  EXPECT_LE(counting.calls(), 4 * kClasses * kNodes);
+  EXPECT_LE(counting.calls(), 3 * kClasses * kNodes);
+}
+
+// Only a stratified sampler reads a cost order, so only the indexes one
+// solicits from keep one: the top index under a stratified top tier, and
+// the member indexes under a stratified member tier.
+TEST(ClusterMarketTest, CostOrderOnlyWhereAStratifiedSamplerReadsIt) {
+  constexpr int kNodes = 48;
+  query::MatrixCostModel model(/*num_classes=*/2, kNodes);
+  for (int node = 0; node < kNodes; ++node) {
+    model.SetCost(0, node, (100 + 25 * (node % 5)) * kMillisecond);
+    if (node % 2 == 0) model.SetCost(1, node, 300 * kMillisecond);
+  }
+  for (bool top_stratified : {false, true}) {
+    for (bool member_stratified : {false, true}) {
+      ClusterPlan plan = ClusterPlan::Uniform(kNodes, 4, /*top_fanout=*/2);
+      if (top_stratified) {
+        plan.top.policy = SolicitationPolicy::kStratifiedSample;
+      }
+      SolicitationConfig members;
+      members.policy = member_stratified
+                           ? SolicitationPolicy::kStratifiedSample
+                           : SolicitationPolicy::kUniformSample;
+      members.fanout = 3;
+      QaNtAllocator allocator(&model, 500 * kMillisecond, {},
+                              market::OfferSelection::kCheapest, members,
+                              /*seed=*/5, plan);
+      IdleContext context(&model);
+      workload::Arrival arrival;
+      for (int i = 0; i < 16; ++i) {
+        arrival.class_id = i % 2;
+        allocator.Allocate(arrival, context);
+      }
+      const ClusterMarket& market = *allocator.cluster_market();
+      EXPECT_EQ(market.cluster_candidates().has_cost_order(), top_stratified);
+      int active = 0;
+      for (int c = 0; c < market.num_clusters(); ++c) {
+        if (!market.active(c)) continue;
+        ++active;
+        EXPECT_EQ(market.member_candidates(c).has_cost_order(),
+                  member_stratified)
+            << "cluster " << c;
+      }
+      EXPECT_GT(active, 1);
+    }
+  }
 }
 
 // ------------------------------------------------ flat/hier equivalence
@@ -690,6 +736,7 @@ TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
 struct RunOutput {
   std::string trace;
   std::string metrics;
+  sim::SimMetrics totals;
   /// Fork-joins the run issued on its runner.
   int parallel_fors = 0;
 };
@@ -757,6 +804,7 @@ RunOutput RunScenario(const ClusterPlan& plan, int shards, int threads,
     exec::RunResult result = exec::RunSpecOnce(spec);
     recorder.Finish();
     out.metrics = sim::MetricsToJson(result.metrics).Dump();
+    out.totals = result.metrics;
     out.parallel_fors = runner.calls();
   }
   out.trace = std::move(sink).str();
@@ -831,6 +879,68 @@ TEST(HierarchyEquivalenceTest, ThreeClusterRunIsByteIdenticalAcrossShards) {
     }
   }
   EXPECT_TRUE(saw_routed_assign);
+}
+
+// A stratified top tier, the one reader of the top index's cost order:
+// its run keeps the accounting identities, and shards 1 and 4 give the
+// same bytes at any thread count.
+TEST(HierarchyEquivalenceTest, StratifiedTopTierKeepsAccountingAcrossShards) {
+  ClusterPlan plan = ClusterPlan::Uniform(12, 3, /*top_fanout=*/2);
+  RunOutput uniform_top = RunScenario(plan, /*shards=*/1, /*threads=*/1);
+  plan.top.policy = SolicitationPolicy::kStratifiedSample;
+  RunOutput inline_run = RunScenario(plan, /*shards=*/1, /*threads=*/1);
+  ASSERT_GT(inline_run.trace.size(), 0u);
+  EXPECT_NE(inline_run.trace, uniform_top.trace);
+
+  const sim::SimMetrics& m = inline_run.totals;
+  EXPECT_GT(m.arrivals, 0);
+  EXPECT_GT(m.completed, 0);
+  EXPECT_EQ(m.arrivals, m.completed + m.dropped);
+  EXPECT_LE(m.expired, m.dropped);
+  EXPECT_LE(m.shed, m.dropped);
+  EXPECT_GE(m.assigned, m.completed);
+  int64_t per_class_drops = 0;
+  for (int64_t d : m.dropped_per_class) per_class_drops += d;
+  EXPECT_EQ(per_class_drops, m.dropped);
+
+  std::istringstream stream(inline_run.trace);
+  util::StatusOr<obs::ParsedTrace> parsed = obs::ParsedTrace::Parse(stream);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  int64_t arrivals = 0;
+  int64_t completes = 0;
+  int64_t routed = 0;
+  for (const obs::EventRecord& event : parsed->events) {
+    switch (event.kind) {
+      case obs::EventRecord::Kind::kArrival:
+        ++arrivals;
+        break;
+      case obs::EventRecord::Kind::kComplete:
+        ++completes;
+        break;
+      case obs::EventRecord::Kind::kAssign:
+        // Two of the three clusters asked: a draw from the strata of the
+        // quote order, not a broadcast.
+        EXPECT_EQ(event.clusters_asked, 2);
+        ++routed;
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(arrivals, m.arrivals);
+  EXPECT_EQ(completes, m.completed);
+  EXPECT_EQ(routed, m.assigned);
+
+  for (int shards : {1, 4}) {
+    for (int threads : {1, 8}) {
+      if (shards == 1 && threads == 1) continue;
+      RunOutput other = RunScenario(plan, shards, threads);
+      EXPECT_EQ(other.trace, inline_run.trace)
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(other.metrics, inline_run.metrics)
+          << "shards=" << shards << " threads=" << threads;
+    }
+  }
 }
 
 // A wide member auction never forks: two 256-member clusters under member

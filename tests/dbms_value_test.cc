@@ -96,5 +96,24 @@ TEST(TableTest, EstimatedBytesGrowsWithRows) {
   EXPECT_GT(t.EstimatedBytes(), empty);
 }
 
+// The footprint stays exact across reads: rows appended after a read, by
+// either append, count on the next one, and a copy carries its count.
+TEST(TableTest, EstimatedBytesCountsRowsAppendedAfterARead) {
+  Table t("t", Schema({{"id", ValueType::kInt}, {"name", ValueType::kString}}));
+  EXPECT_EQ(t.EstimatedBytes(), 0);
+  ASSERT_TRUE(t.Append({Value(int64_t{1}), Value(std::string("ab"))}).ok());
+  EXPECT_EQ(t.EstimatedBytes(), 16 + 16 + 2);
+  EXPECT_EQ(t.EstimatedBytes(), 34);
+  t.AppendUnchecked({Value(int64_t{2}), Value(std::string("xyz"))});
+  EXPECT_EQ(t.EstimatedBytes(), 34 + 16 + 16 + 3);
+  ASSERT_TRUE(t.Append({Value::Null(), Value::Null()}).ok());
+  EXPECT_EQ(t.EstimatedBytes(), 69 + 32);
+
+  Table copy = t;
+  copy.AppendUnchecked({Value(int64_t{3}), Value(std::string("q"))});
+  EXPECT_EQ(copy.EstimatedBytes(), 101 + 33);
+  EXPECT_EQ(t.EstimatedBytes(), 101);
+}
+
 }  // namespace
 }  // namespace qa::dbms

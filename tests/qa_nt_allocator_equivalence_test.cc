@@ -56,7 +56,7 @@ class PollingAllocator {
         selection_(selection),
         solicitation_(solicitation),
         seed_(seed),
-        candidates_(*cost_model) {
+        candidates_(*cost_model, solicitation.reads_cost_order()) {
     agents_.resize(static_cast<size_t>(cost_model_->num_nodes()));
   }
 

@@ -7,14 +7,22 @@
 # suite must have run (ctest) so the .gcda counters exist. The script
 # aggregates gcov line coverage per layer and fails if src/market or
 # src/allocation drops below its floor. Floors sit a few points under the
-# measured baseline (see .github/workflows/ci.yml) so genuine regressions
-# fail while unrelated refactors don't flap.
+# measured baseline (below) so genuine regressions fail while unrelated
+# refactors don't flap.
+#
+# Each source line counts once: it is executable if any object's gcov
+# report lists it, and executed if any object ran it. A header's inline
+# functions are compiled into every object that includes the header, and
+# each object reports only the lines its own callers ran, so summing the
+# reports per object would count such a line once per object and move a
+# layer's figure whenever code moves between a .cc and its header.
 set -eu
 
 build_dir=${1:-build-cov}
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 
-# Measured baseline (full ctest pass, GCC 12): market 90.7%, allocation 85.1%.
+# Measured baseline (full ctest pass, GCC 12, each line counted once):
+# market 96.8%, allocation 98.5%, cluster_* 98.2%.
 floor_market=85
 floor_allocation=80
 
@@ -27,6 +35,43 @@ case "$build_dir" in
   *) build_dir="$repo_root/$build_dir" ;;
 esac
 
+# coverage OBJ_DIR... -- PATTERN...: prints "<pct> <lines>" over the
+# sources whose path contains one of the patterns, merged across every
+# .gcda under the object directories ("0 0" when no line matches).
+coverage() {
+  local dirs=()
+  while [ "$1" != "--" ]; do dirs+=("$1"); shift; done
+  shift
+  (cd "$build_dir" && find "${dirs[@]}" -name '*.gcda' \
+      -exec gcov --json-format --stdout -o {} {} \; 2>/dev/null) \
+    | python3 -c '
+import json, sys
+patterns = sys.argv[1:]
+executed = {}  # (file, line) -> ran in some object
+decoder = json.JSONDecoder()
+text = sys.stdin.read()
+pos = 0
+while True:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    if pos == len(text):
+        break
+    report, pos = decoder.raw_decode(text, pos)
+    for source in report["files"]:
+        name = source["file"]
+        if not any(p in name for p in patterns):
+            continue
+        for line in source["lines"]:
+            key = (name, line["line_number"])
+            executed[key] = executed.get(key, False) or line["count"] > 0
+if not executed:
+    print("0 0")
+else:
+    ran = sum(executed.values())
+    print("%.1f %d" % (100.0 * ran / len(executed), len(executed)))
+' "$@"
+}
+
 status=0
 for layer in market allocation; do
   obj_dir="$build_dir/src/$layer/CMakeFiles"
@@ -37,26 +82,8 @@ for layer in market allocation; do
     exit 2
   fi
 
-  # gcov -n prints, per instrumented source reached from these objects:
-  #   File '<path>'
-  #   Lines executed:<pct>% of <total>
-  # Keep only this layer's own sources (not headers pulled in elsewhere)
-  # and aggregate executed/total line counts.
-  summary=$(cd "$build_dir" && find "$obj_dir" -name '*.gcda' \
-      -exec gcov -n -o {} {} \; 2>/dev/null \
-    | awk -v layer="src/$layer/" '
-        /^File / { f = $0; keep = index($0, layer) > 0 }
-        /^Lines executed:/ && keep {
-          pct = $0; sub(/^Lines executed:/, "", pct); sub(/%.*/, "", pct)
-          total = $NF
-          exec_lines += pct / 100.0 * total
-          total_lines += total
-          keep = 0
-        }
-        END {
-          if (total_lines == 0) { print "0 0"; exit }
-          printf "%.1f %d\n", 100.0 * exec_lines / total_lines, total_lines
-        }')
+  # Only this layer's own sources (not headers of other layers pulled in).
+  summary=$(coverage "$obj_dir" -- "src/$layer/")
   pct=${summary% *}
   total=${summary#* }
   floor=$(eval echo "\$floor_$layer")
@@ -76,26 +103,9 @@ done
 # cluster_supply) get their own aggregate floor: they are new enough that
 # the per-layer averages above could mask an untested two-tier path.
 floor_cluster=80
-summary=$(cd "$build_dir" && \
-    find "$build_dir/src/market/CMakeFiles" \
-         "$build_dir/src/allocation/CMakeFiles" -name '*.gcda' \
-      -exec gcov -n -o {} {} \; 2>/dev/null \
-  | awk '
-      /^File / {
-        keep = (index($0, "src/market/cluster_") > 0 ||
-                index($0, "src/allocation/cluster_") > 0)
-      }
-      /^Lines executed:/ && keep {
-        pct = $0; sub(/^Lines executed:/, "", pct); sub(/%.*/, "", pct)
-        total = $NF
-        exec_lines += pct / 100.0 * total
-        total_lines += total
-        keep = 0
-      }
-      END {
-        if (total_lines == 0) { print "0 0"; exit }
-        printf "%.1f %d\n", 100.0 * exec_lines / total_lines, total_lines
-      }')
+summary=$(coverage "$build_dir/src/market/CMakeFiles" \
+                   "$build_dir/src/allocation/CMakeFiles" -- \
+                   "src/market/cluster_" "src/allocation/cluster_")
 pct=${summary% *}
 total=${summary#* }
 if [ "$total" = "0" ]; then
