@@ -9,7 +9,7 @@
 
 #include "allocation/markov.h"
 #include "bench/bench_common.h"
-#include "workload/uniform.h"
+#include "workload/poisson.h"
 
 namespace qa {
 namespace {

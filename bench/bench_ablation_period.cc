@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "workload/uniform.h"
+#include "workload/poisson.h"
 
 int main(int argc, char** argv) {
   using namespace qa;

@@ -153,12 +153,13 @@ void BM_ClusterActivation(benchmark::State& state,
     if (next == kClusters) {
       state.PauseTiming();
       market = std::make_unique<allocation::ClusterMarket>(
-          model.get(), plan, market::QaNtConfig{}, kPeriod, members);
+          model.get(), plan, market::QaNtConfig{}, kPeriod, members,
+          /*seed=*/7);
       next = 0;
       state.ResumeTiming();
     }
     market->EnsureActive(next, book);
-    benchmark::DoNotOptimize(market->agent(next).published().values().data());
+    benchmark::DoNotOptimize(market->member_candidates(next).ById(0).data());
     ++next;
   }
   state.SetItemsProcessed(state.iterations() * kMembers);

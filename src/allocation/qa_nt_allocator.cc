@@ -29,7 +29,7 @@ QaNtAllocator::QaNtAllocator(const query::CostModel* cost_model,
   if (cluster_plan.hierarchical()) {
     cluster_market_ = std::make_unique<ClusterMarket>(
         cost_model_, std::move(cluster_plan), config_, period_,
-        solicitation_);
+        solicitation_, seed_);
   } else {
     // Only the flat market solicits from the whole federation; the
     // two-tier one reads each active cluster's member index instead.
@@ -119,54 +119,6 @@ MechanismProperties QaNtAllocator::properties() const {
   return p;
 }
 
-/// Salts the top tier's per-arrival sampling stream so its draws never
-/// alias the member sampling made for the same arrival.
-constexpr uint64_t kTopTierSeedSalt = 0x746965722d746f70ULL;  // "tier-top"
-
-int QaNtAllocator::RouteToCluster(int k, uint64_t seq, int* asked) {
-  // Each solicited sub-mediator offers iff its published-aggregate ledger
-  // still shows supply for the class; the query routes to the offer with
-  // the highest *supply density* — remaining aggregate per unit of quoted
-  // cost. Routing on the quote alone would funnel every arrival into the
-  // fastest cluster until its ledger drained, burning a retry per
-  // mis-route; density is the commodity this tier actually trades (how
-  // much eq.-4 supply the quoted price buys), so plentiful clusters absorb
-  // load before hot ones over-promise. Ties (exact density equality)
-  // break toward the earliest-solicited cluster via the strict > below — a
-  // pure function of the per-arrival solicitation draw, so
-  // byte-deterministic.
-  *asked = SolicitNodes(
-      cluster_market_->plan().top, cluster_market_->cluster_candidates(), k,
-      util::SplitMix64(util::MixSeed(seed_ ^ kTopTierSeedSalt, seq)),
-      &top_solicited_);
-  int best_cluster = -1;
-  double best_density = 0.0;
-  int fallback_cluster = -1;
-  for (catalog::NodeId c : top_solicited_) {
-    cluster_market_->EnsureActive(c, book_);
-    if (!cluster_market_->agent(c).OnSolicited(k)) {
-      // An empty ledger is a worst-possible offer, not a refusal: the
-      // first feasible decliner (solicitation order — a fresh uniform
-      // draw per arrival, so load spreads) backstops the round when every
-      // ledger is drained. The member auction, which knows the real
-      // budgets, then settles it like a flat round would.
-      if (fallback_cluster < 0 &&
-          cluster_market_->Quote(c, k) != query::kInfeasibleCost) {
-        fallback_cluster = c;
-      }
-      continue;
-    }
-    double density =
-        static_cast<double>(cluster_market_->agent(c).remaining()[k]) /
-        static_cast<double>(cluster_market_->Quote(c, k));
-    if (best_cluster < 0 || density > best_density) {
-      best_cluster = c;
-      best_density = density;
-    }
-  }
-  return best_cluster >= 0 ? best_cluster : fallback_cluster;
-}
-
 AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
                                            const AllocationContext& context) {
   AllocationDecision decision;
@@ -177,12 +129,13 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
   // that cluster's members.
   const CandidateIndex* universe = &candidates_;
   if (cluster_market_ != nullptr) {
-    decision.cluster = RouteToCluster(k, seq, &decision.clusters_solicited);
+    decision.cluster = cluster_market_->Route(k, seq, book_,
+                                              &decision.clusters_solicited);
     // Solicitation + quote/decline reply per contacted sub-mediator.
     decision.messages = 2 * decision.clusters_solicited;
     if (decision.cluster < 0) {
-      // No solicited cluster can evaluate this class at all; the client
-      // resubmits next period, like an all-decline member auction.
+      // No cluster can evaluate this class at all; the client resubmits
+      // next period, like an all-decline member auction.
       return decision;
     }
     universe = &cluster_market_->member_candidates(decision.cluster);
@@ -204,15 +157,7 @@ AllocationDecision QaNtAllocator::Allocate(const workload::Arrival& arrival,
   // Request + offer/decline reply per asked node, plus the final accept.
   decision.messages += 2 * asked + 1;
   if (decision.cluster >= 0) {
-    market::ClusterSupplyAgent& seat = cluster_market_->agent(decision.cluster);
-    if (decision.node == kNoNode) {
-      // The ledger over-promised (members sold out / went offline since
-      // the last publish): correct it so follow-up queries stop routing
-      // here.
-      seat.MarkExhausted(k);
-    } else {
-      seat.OnSold(k);
-    }
+    cluster_market_->Settle(decision.cluster, k, decision.node != kNoNode);
   }
   return decision;
 }
@@ -277,18 +222,7 @@ obs::AllocatorSnapshot QaNtAllocator::Snapshot() const {
     snapshot.agents.push_back(std::move(state));
   }
   if (cluster_market_ != nullptr) {
-    // Per-tier introspection: every *activated* cluster's top-market seat
-    // (O(contacted clusters), matching the lazy-agent story one tier up).
-    for (int c = 0; c < cluster_market_->num_clusters(); ++c) {
-      if (!cluster_market_->active(c)) continue;
-      const market::ClusterSupplyAgent& seat = cluster_market_->agent(c);
-      obs::ClusterStateSnapshot state;
-      state.cluster = c;
-      state.published = seat.published().values();
-      state.remaining = seat.remaining().values();
-      state.sold = seat.sold();
-      snapshot.clusters.push_back(std::move(state));
-    }
+    snapshot.clusters = cluster_market_->Snapshot();
   }
   return snapshot;
 }

@@ -112,12 +112,6 @@ class QaNtAllocator : public Allocator {
   /// recovery share this).
   int32_t Build(catalog::NodeId node);
 
-  /// Tier 1 of the two-tier market: solicits cluster sub-mediators for
-  /// arrival `seq` of class `k` and returns the cluster the arrival routes
-  /// to, or -1 when no solicited cluster can evaluate the class. `*asked`
-  /// receives the number of clusters solicited.
-  int RouteToCluster(int k, uint64_t seq, int* asked);
-
   /// Whether this class-`k` attempt clears through the book's broadcast
   /// auction: the book lists the class and every node is online. Builds
   /// the class's candidates on its first booked request.
@@ -182,7 +176,6 @@ class QaNtAllocator : public Allocator {
   /// cluster takes its default plan out of the idle sum from them.
   std::vector<catalog::NodeId> solicited_;
   std::vector<util::VDuration> unit_costs_;
-  std::vector<catalog::NodeId> top_solicited_;
 };
 
 }  // namespace qa::allocation

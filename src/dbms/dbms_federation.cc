@@ -75,8 +75,9 @@ void DbmsFederation::Calibrate() {
   for (auto& node : nodes_) node->set_data_scale(data_scale_);
 
   // Static template-cost matrix at the calibrated scale.
-  template_cost_.assign(static_cast<size_t>(num_t),
-                        std::vector<util::VDuration>(nodes_.size(), 0));
+  template_cost_.assign(
+      static_cast<size_t>(num_t),
+      std::vector<util::VDuration>(nodes_.size(), query::kInfeasibleCost));
   for (int t = 0; t < num_t; ++t) {
     for (int i : dataset_.template_nodes[static_cast<size_t>(t)]) {
       template_cost_[static_cast<size_t>(t)][static_cast<size_t>(i)] =
@@ -120,8 +121,7 @@ DbmsRunResult DbmsFederation::Run(const std::string& mechanism,
     std::vector<util::VDuration> costs(static_cast<size_t>(num_t));
     for (int i = 0; i < n; ++i) {
       for (int t = 0; t < num_t; ++t) {
-        util::VDuration c = TemplateCost(t, i);
-        costs[static_cast<size_t>(t)] = c > 0 ? c : query::kInfeasibleCost;
+        costs[static_cast<size_t>(t)] = TemplateCost(t, i);
       }
       book.Put(i, costs).BeginPeriod();
     }

@@ -88,7 +88,8 @@ class DbmsFederation {
   /// data_scale chosen by calibration.
   double data_scale() const { return data_scale_; }
   /// Static (empty-history) estimate of template `t` on node `n`, used as
-  /// the QA-NT agents' unit costs; kInfeasible-like 0 when not eligible.
+  /// the QA-NT agents' unit costs; query::kInfeasibleCost when the node is
+  /// not eligible.
   util::VDuration TemplateCost(int t, int n) const {
     return template_cost_[static_cast<size_t>(t)][static_cast<size_t>(n)];
   }
@@ -102,7 +103,8 @@ class DbmsFederation {
   Fig7Dataset dataset_;
   std::vector<std::unique_ptr<DbmsNode>> nodes_;
   std::vector<util::VDuration> node_latency_;
-  /// template x node static cost matrix (0 = infeasible).
+  /// template x node static cost matrix (query::kInfeasibleCost where
+  /// the node is not eligible).
   std::vector<std::vector<util::VDuration>> template_cost_;
   double data_scale_ = 1.0;
 };

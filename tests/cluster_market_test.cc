@@ -1,6 +1,8 @@
 // Tests of the hierarchical two-tier market (DESIGN.md §12): ClusterPlan
-// validation, the aggregate-supply ledger, hand-computed two-cluster
-// routing, the incremental publish against a from-scratch member sum, the
+// validation, idle members' default plans, the top tier's ledger and
+// routing rule (density ranking, the first-solicited fallback, settling),
+// hand-computed two-cluster routing through the allocator, the
+// incremental publish against a from-scratch member sum, the
 // allocation bounds of activation and of the per-tick upkeep, and the
 // central equivalence anchor — a 1-cluster hierarchy reproduces flat QA-NT
 // byte for byte (trace + metrics) at every shard/thread combination.
@@ -24,7 +26,6 @@
 #include "exec/experiment_runner.h"
 #include "exec/thread_pool.h"
 #include "lone_agent.h"
-#include "market/cluster_supply.h"
 #include "obs/recorder.h"
 #include "obs/trace_reader.h"
 #include "query/cost_model.h"
@@ -181,38 +182,9 @@ TEST(ClusterPlanTest, ValidateConfigRejectsMalformedPlans) {
   EXPECT_FALSE(sim::ValidateConfig(config, 4).ok());
 }
 
-// -------------------------------------------------------- supply ledger
+// ----------------------------------------------------- default plans
 
-TEST(ClusterSupplyAgentTest, LedgerTracksPublishSellExhaust) {
-  market::ClusterSupplyAgent agent(/*cluster=*/3, /*num_classes=*/2);
-  EXPECT_EQ(agent.cluster(), 3);
-  EXPECT_FALSE(agent.OnSolicited(0));  // nothing published yet
-
-  market::QuantityVector aggregate(2);
-  aggregate[0] = 2;
-  aggregate[1] = 0;
-  agent.Publish(aggregate);
-  EXPECT_TRUE(agent.OnSolicited(0));
-  EXPECT_FALSE(agent.OnSolicited(1));  // zero supply for class 1
-
-  agent.OnSold(0);
-  EXPECT_EQ(agent.remaining()[0], 1);
-  EXPECT_EQ(agent.published()[0], 2);  // published is the period's plan
-  agent.OnSold(0);
-  EXPECT_FALSE(agent.OnSolicited(0));  // sold out
-  EXPECT_EQ(agent.sold()[0], 2);
-
-  agent.Publish(aggregate);  // next period restores the ledger
-  EXPECT_EQ(agent.remaining()[0], 2);  // both sold units are back
-  EXPECT_TRUE(agent.OnSolicited(0));
-  agent.MarkExhausted(0);  // tier-2 all-decline correction
-  EXPECT_FALSE(agent.OnSolicited(0));
-  EXPECT_EQ(agent.remaining()[0], 0);
-  EXPECT_EQ(agent.published()[0], 2);  // the plan is not rewritten
-  EXPECT_EQ(agent.sold()[0], 2);       // nor is what was sold
-}
-
-TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
+TEST(DefaultPlanTest, DefaultPlannedSupplyMatchesFreshAgent) {
   std::vector<util::VDuration> costs = {50 * kMillisecond,
                                         200 * kMillisecond};
   market::QaNtConfig config;
@@ -221,9 +193,8 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
   // The default plan is the fresh agent's eq.-4 plan, floored at 1 for
   // every evaluable class (budget-elastic admission accepts a first query
   // of any evaluable class, even into debt).
-  market::DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
-  const market::QuantityVector& plan =
-      market::DefaultPlannedSupply(costs, &scratch);
+  DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
+  const market::QuantityVector& plan = DefaultPlannedSupply(costs, &scratch);
   for (int k = 0; k < plan.num_classes(); ++k) {
     EXPECT_EQ(plan[k], std::max(fresh.planned_supply()[k],
                                 market::Quantity{1}))
@@ -233,7 +204,7 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyMatchesFreshAgent) {
 
 // One scratch plans member after member: nothing of one node's plan (its
 // class list, costs or supply) may leak into the next one's.
-TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
+TEST(DefaultPlanTest, DefaultPlannedSupplyReusesScratchExactly) {
   constexpr int kClasses = 5;
   constexpr util::VDuration kMenu[] = {
       query::kInfeasibleCost, 60 * kMillisecond, 125 * kMillisecond,
@@ -241,7 +212,7 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
   market::QaNtConfig config;
   config.initial_price = 0.5;
   config.price_floor = 2.0;  // the clamp decides the starting prices
-  market::DefaultPlanScratch scratch(kClasses, 500 * kMillisecond, config);
+  DefaultPlanScratch scratch(kClasses, 500 * kMillisecond, config);
   util::Rng rng(5);
   for (int node = 0; node < 200; ++node) {
     std::vector<util::VDuration> costs(kClasses);
@@ -249,7 +220,7 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
     market::LoneAgent fresh(node, costs, 500 * kMillisecond, config);
     fresh.BeginPeriod();
     const market::QuantityVector& plan =
-        market::DefaultPlannedSupply(costs, &scratch);
+        DefaultPlannedSupply(costs, &scratch);
     for (int k = 0; k < kClasses; ++k) {
       market::Quantity expected = fresh.planned_supply()[k];
       if (fresh.CanEvaluate(k)) {
@@ -260,17 +231,190 @@ TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyReusesScratchExactly) {
   }
 }
 
-TEST(ClusterSupplyAgentTest, DefaultPlannedSupplyFloorsEvaluableClasses) {
+TEST(DefaultPlanTest, DefaultPlannedSupplyFloorsEvaluableClasses) {
   // Class 0 cannot fit in the budget (cost > budget) but is evaluable, so
   // the floor advertises 1; class 1 is infeasible and stays 0.
   std::vector<util::VDuration> costs = {800 * kMillisecond,
                                         query::kInfeasibleCost};
   market::QaNtConfig config;
-  market::DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
-  const market::QuantityVector& plan =
-      market::DefaultPlannedSupply(costs, &scratch);
+  DefaultPlanScratch scratch(2, 500 * kMillisecond, config);
+  const market::QuantityVector& plan = DefaultPlannedSupply(costs, &scratch);
   EXPECT_EQ(plan[0], 1);
   EXPECT_EQ(plan[1], 0);
+}
+
+// ------------------------------------------- top-tier ledger and routing
+
+constexpr util::VDuration kPeriod = 500 * kMillisecond;
+
+/// The ledger `market` reports for `cluster`; cluster -1 and no entries
+/// when the cluster is not active.
+obs::ClusterStateSnapshot Ledger(const ClusterMarket& market, int cluster) {
+  for (const obs::ClusterStateSnapshot& ledger : market.Snapshot()) {
+    if (ledger.cluster == cluster) return ledger;
+  }
+  return {};
+}
+
+/// The clusters `market` has activated, in id order.
+std::vector<int> ActiveClusters(const ClusterMarket& market) {
+  std::vector<int> active;
+  for (const obs::ClusterStateSnapshot& ledger : market.Snapshot()) {
+    active.push_back(ledger.cluster);
+  }
+  return active;
+}
+
+// A top tier over `plan` whose members have no agent: a book with a row
+// for every node that lists nothing and builds none, as under a cluster
+// plan, so every cluster publishes its members' default plans.
+struct TopTier {
+  TopTier(const query::CostModel* model, const ClusterPlan& plan)
+      : book(model->num_nodes(), model->num_classes(), kPeriod, {}),
+        market(model, plan, {}, kPeriod, SolicitationConfig{},
+               /*seed=*/1) {}
+
+  market::ClearingBook book;
+  ClusterMarket market;
+};
+
+// With T = 500 ms, cluster 1 = {node 1: 250 ms} publishes 2 units of
+// class 0 and none of class 1, which no member can run. A sale takes one
+// unit off the ledger (none past zero, where the fallback route still
+// sells), a failed member auction zeroes the class, and the next global
+// boundary's publish restores it; neither rewrites the published plan or
+// what was sold.
+TEST(ClusterMarketTest, LedgerTracksPublishSellExhaust) {
+  query::MatrixCostModel model(/*num_classes=*/2, /*num_nodes=*/2);
+  model.SetCost(0, 0, 100 * kMillisecond);
+  model.SetCost(1, 0, 100 * kMillisecond);
+  model.SetCost(0, 1, 250 * kMillisecond);
+  ClusterPlan plan;
+  plan.clusters = {{0}, {1}};
+  TopTier top(&model, plan);
+  EXPECT_TRUE(top.market.Snapshot().empty());  // nothing published yet
+
+  top.market.EnsureActive(1, top.book);
+  obs::ClusterStateSnapshot ledger = Ledger(top.market, 1);
+  EXPECT_EQ(ledger.cluster, 1);
+  EXPECT_EQ(ledger.published, (std::vector<int64_t>{2, 0}));
+  EXPECT_EQ(ledger.remaining, (std::vector<int64_t>{2, 0}));
+  EXPECT_EQ(ledger.sold, (std::vector<int64_t>{0, 0}));
+  EXPECT_EQ(ActiveClusters(top.market), std::vector<int>{1});
+
+  top.market.Settle(1, 0, /*sold=*/true);
+  ledger = Ledger(top.market, 1);
+  EXPECT_EQ(ledger.remaining[0], 1);
+  EXPECT_EQ(ledger.published[0], 2);  // published is the period's plan
+  top.market.Settle(1, 0, /*sold=*/true);
+  top.market.Settle(1, 0, /*sold=*/true);  // sold past the ledger
+  ledger = Ledger(top.market, 1);
+  EXPECT_EQ(ledger.remaining[0], 0);  // sold out
+  EXPECT_EQ(ledger.sold[0], 3);
+
+  top.market.OnTick(kPeriod, top.book);  // next period restores the ledger
+  ledger = Ledger(top.market, 1);
+  EXPECT_EQ(ledger.remaining[0], 2);
+  top.market.Settle(1, 0, /*sold=*/false);  // tier-2 all-decline correction
+  ledger = Ledger(top.market, 1);
+  EXPECT_EQ(ledger.remaining[0], 0);
+  EXPECT_EQ(ledger.published[0], 2);  // the plan is not rewritten
+  EXPECT_EQ(ledger.sold[0], 3);       // nor is what was sold
+}
+
+// Density, not quote, ranks the offers. With T = 500 ms, cluster 0 =
+// {node 0: 50 ms} publishes 10 units at a 50 ms quote and cluster 1 =
+// {nodes 1, 2: 100 ms} publishes 5 + 5 = 10 units at 100 ms. Cluster 0 is
+// the denser until five sales leave it 5 / 50 ms, a tie that goes to the
+// earlier solicited; after a sixth, the dearer cluster, with more left,
+// takes the arrival though the cheap one still offers.
+TEST(ClusterMarketTest, DensityNotQuotePicksTheCluster) {
+  query::MatrixCostModel model(/*num_classes=*/1, /*num_nodes=*/3);
+  model.SetCost(0, 0, 50 * kMillisecond);
+  model.SetCost(0, 1, 100 * kMillisecond);
+  model.SetCost(0, 2, 100 * kMillisecond);
+  ClusterPlan plan;
+  plan.clusters = {{0}, {1, 2}};  // top tier broadcasts by default
+  TopTier top(&model, plan);
+
+  int asked = 0;
+  EXPECT_EQ(top.market.Route(0, /*seq=*/0, top.book, &asked), 0);
+  EXPECT_EQ(asked, 2);
+  EXPECT_EQ(Ledger(top.market, 0).published[0], 10);
+  EXPECT_EQ(Ledger(top.market, 1).published[0], 10);
+  EXPECT_LT(top.market.Quote(0, 0), top.market.Quote(1, 0));
+
+  for (int sale = 0; sale < 5; ++sale) top.market.Settle(0, 0, true);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/1, top.book, &asked), 0);  // tie
+  top.market.Settle(0, 0, true);
+  EXPECT_EQ(Ledger(top.market, 0).remaining[0], 4);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/2, top.book, &asked), 1);
+  EXPECT_EQ(asked, 2);
+}
+
+// When every solicited ledger is empty, the first solicited cluster takes
+// the arrival — not the cheapest: an empty aggregate says nothing about a
+// member mid-period, and the member auction settles the round.
+TEST(ClusterMarketTest, EmptyLedgersFallBackToTheFirstSolicitedCluster) {
+  query::MatrixCostModel model(/*num_classes=*/1, /*num_nodes=*/3);
+  model.SetCost(0, 0, 100 * kMillisecond);  // cluster 0: 5 units
+  model.SetCost(0, 1, 50 * kMillisecond);   // cluster 1: 10 + 10 units
+  model.SetCost(0, 2, 50 * kMillisecond);
+  ClusterPlan plan;
+  plan.clusters = {{0}, {1, 2}};
+  TopTier top(&model, plan);
+
+  int asked = 0;
+  EXPECT_EQ(top.market.Route(0, /*seq=*/0, top.book, &asked), 1);
+  top.market.Settle(1, 0, /*sold=*/false);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/1, top.book, &asked), 0);
+  top.market.Settle(0, 0, /*sold=*/false);
+  EXPECT_EQ(Ledger(top.market, 0).remaining[0], 0);
+  EXPECT_EQ(Ledger(top.market, 1).remaining[0], 0);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/2, top.book, &asked), 0);
+  EXPECT_EQ(asked, 2);
+}
+
+// A class no member of any cluster can evaluate routes nowhere: the top
+// index lists no cluster for it, so no cluster is asked or activated.
+TEST(ClusterMarketTest, ClassNoClusterCanEvaluateRoutesNowhere) {
+  query::MatrixCostModel model(/*num_classes=*/2, /*num_nodes=*/2);
+  model.SetCost(0, 0, 100 * kMillisecond);
+  model.SetCost(0, 1, 100 * kMillisecond);  // class 1 runs nowhere
+  ClusterPlan plan;
+  plan.clusters = {{0}, {1}};
+  TopTier top(&model, plan);
+
+  int asked = -1;
+  EXPECT_EQ(top.market.Route(1, /*seq=*/0, top.book, &asked), -1);
+  EXPECT_EQ(asked, 0);
+  EXPECT_TRUE(top.market.Snapshot().empty());
+  EXPECT_EQ(top.market.Quote(0, 1), query::kInfeasibleCost);
+}
+
+// A failed member auction zeroes the routed cluster's class, so the next
+// arrival goes to the other cluster; the next global boundary's publish
+// (and not an earlier tick) restores it.
+TEST(ClusterMarketTest, FailedAuctionZeroesTheClassUntilTheNextPublish) {
+  query::MatrixCostModel model(/*num_classes=*/1, /*num_nodes=*/2);
+  model.SetCost(0, 0, 100 * kMillisecond);  // cluster 0: 5 units
+  model.SetCost(0, 1, 50 * kMillisecond);   // cluster 1: 10 units
+  ClusterPlan plan;
+  plan.clusters = {{0}, {1}};
+  TopTier top(&model, plan);
+
+  int asked = 0;
+  EXPECT_EQ(top.market.Route(0, /*seq=*/0, top.book, &asked), 1);
+  top.market.Settle(1, 0, /*sold=*/false);
+  EXPECT_EQ(Ledger(top.market, 1).remaining[0], 0);
+  EXPECT_EQ(Ledger(top.market, 1).published[0], 10);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/1, top.book, &asked), 0);
+
+  top.market.OnTick(kPeriod - 1, top.book);  // before the boundary
+  EXPECT_EQ(Ledger(top.market, 1).remaining[0], 0);
+  top.market.OnTick(kPeriod, top.book);
+  EXPECT_EQ(Ledger(top.market, 1).remaining[0], 10);
+  EXPECT_EQ(top.market.Route(0, /*seq=*/2, top.book, &asked), 1);
 }
 
 // ------------------------------------------------- two-cluster routing
@@ -291,10 +435,11 @@ class IdleContext : public AllocationContext {
 
 // Hand-computed routing over known aggregate supplies: with T = 500 ms and
 // one class, cluster 0 = {node0: 100ms, node1: 50ms} publishes 5 + 10 = 15
-// units, cluster 1 = {node2: 10ms, node3: 200ms} publishes 50 + 2 = 52.
-// Both offer; cluster 1 quotes 10 ms < cluster 0's 50 ms, so the query
-// routes to cluster 1 and lands on node 2 in the tier-2 auction.
-TEST(ClusterMarketTest, RoutesToCheapestOfferingCluster) {
+// units at a 50 ms quote, cluster 1 = {node2: 10ms, node3: 200ms} 50 + 2 =
+// 52 at 10 ms. Both offer; cluster 1's density, 52 units / 10 ms, beats
+// cluster 0's 15 / 50 ms, so the query routes to cluster 1 and lands on
+// node 2 in the tier-2 auction.
+TEST(ClusterMarketTest, RoutesToDensestOfferingCluster) {
   query::MatrixCostModel model(/*num_classes=*/1, /*num_nodes=*/4);
   model.SetCost(0, 0, 100 * kMillisecond);
   model.SetCost(0, 1, 50 * kMillisecond);
@@ -324,9 +469,10 @@ TEST(ClusterMarketTest, RoutesToCheapestOfferingCluster) {
   ASSERT_NE(market, nullptr);
   EXPECT_EQ(market->Quote(0, 0), 50 * kMillisecond);
   EXPECT_EQ(market->Quote(1, 0), 10 * kMillisecond);
-  EXPECT_EQ(market->agent(1).published()[0], 52);
-  EXPECT_EQ(market->agent(1).remaining()[0], 51);  // one unit sold
-  EXPECT_EQ(market->agent(1).sold()[0], 1);
+  obs::ClusterStateSnapshot ledger = Ledger(*market, 1);
+  EXPECT_EQ(ledger.published[0], 52);
+  EXPECT_EQ(ledger.remaining[0], 51);  // one unit sold
+  EXPECT_EQ(ledger.sold[0], 1);
   EXPECT_EQ(market->cluster_of(1), 0);
   EXPECT_EQ(market->cluster_of(3), 1);
 }
@@ -351,7 +497,7 @@ TEST(ClusterMarketTest, ExhaustedClusterRoutesElsewhere) {
   // Two sales drain cluster 1's published aggregate of 2 units...
   EXPECT_EQ(allocator.Allocate(arrival, context).cluster, 1);
   EXPECT_EQ(allocator.Allocate(arrival, context).cluster, 1);
-  EXPECT_EQ(allocator.cluster_market()->agent(1).remaining()[0], 0);
+  EXPECT_EQ(Ledger(*allocator.cluster_market(), 1).remaining[0], 0);
   // ...so the third query routes to cluster 0 without soliciting node 1.
   AllocationDecision third = allocator.Allocate(arrival, context);
   EXPECT_EQ(third.cluster, 0);
@@ -370,8 +516,8 @@ market::QuantityVector FreshDefaultPlan(const query::CostModel& model,
   for (int k = 0; k < model.num_classes(); ++k) {
     costs[static_cast<size_t>(k)] = model.Cost(k, node);
   }
-  market::DefaultPlanScratch scratch(model.num_classes(), period, config);
-  return market::DefaultPlannedSupply(costs, &scratch);
+  DefaultPlanScratch scratch(model.num_classes(), period, config);
+  return DefaultPlannedSupply(costs, &scratch);
 }
 
 /// A cluster's aggregate summed from scratch over *all* its members: the
@@ -407,7 +553,6 @@ TEST(ClusterMarketTest, IncrementalPublishEqualsFromScratchSum) {
   constexpr int kClasses = 2;
   constexpr int kNodes = 48;
   constexpr int kClusters = 4;
-  constexpr util::VDuration kPeriod = 500 * kMillisecond;
   query::MatrixCostModel model(kClasses, kNodes);
   util::Rng rng(21);
   for (int k = 0; k < kClasses; ++k) {
@@ -455,8 +600,8 @@ TEST(ClusterMarketTest, IncrementalPublishEqualsFromScratchSum) {
     if (!restarted_idle_member) {
       // Restart a never-contacted member of an already active cluster.
       obs::AllocatorSnapshot snapshot = allocator.Snapshot();
-      for (int c = 0; c < kClusters && !restarted_idle_member; ++c) {
-        if (!market.active(c)) continue;
+      for (int c : ActiveClusters(market)) {
+        if (restarted_idle_member) break;
         for (catalog::NodeId node : plan.clusters[static_cast<size_t>(c)]) {
           bool built = std::any_of(
               snapshot.agents.begin(), snapshot.agents.end(),
@@ -472,21 +617,19 @@ TEST(ClusterMarketTest, IncrementalPublishEqualsFromScratchSum) {
     }
     allocator.OnPeriodStart(now);
     if (now % kPeriod != 0) continue;  // not a global boundary
-    for (int c = 0; c < kClusters; ++c) {
-      if (!market.active(c)) continue;
+    for (const obs::ClusterStateSnapshot& ledger : market.Snapshot()) {
       ++checks;
-      EXPECT_EQ(market.agent(c).published().ToString(),
-                FromScratchAggregate(allocator, model,
-                                     plan.clusters[static_cast<size_t>(c)],
-                                     kPeriod, config)
+      EXPECT_EQ(market::QuantityVector(ledger.published).ToString(),
+                FromScratchAggregate(
+                    allocator, model,
+                    plan.clusters[static_cast<size_t>(ledger.cluster)],
+                    kPeriod, config)
                     .ToString())
-          << "cluster " << c << " at t=" << now;
+          << "cluster " << ledger.cluster << " at t=" << now;
     }
   }
   EXPECT_TRUE(restarted_idle_member);
-  for (int c = 0; c < kClusters; ++c) {
-    EXPECT_TRUE(market.active(c)) << "cluster " << c;
-  }
+  EXPECT_EQ(ActiveClusters(market), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_GE(checks, 30);
 }
 
@@ -515,8 +658,7 @@ int64_t FirstAllocateAllocations(int members) {
   AllocationDecision decision = allocator.Allocate(arrival, context);
   int64_t made = g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_NE(decision.node, kNoNode);
-  EXPECT_NE(allocator.cluster_market()->active(0),
-            allocator.cluster_market()->active(1));
+  EXPECT_EQ(ActiveClusters(*allocator.cluster_market()).size(), 1u);
   return made;
 }
 
@@ -534,7 +676,6 @@ TEST(ClusterMarketAllocationTest, ActivationAllocationsDoNotGrowWithMembers) {
 // active cluster allocates nothing.
 TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
   constexpr int kNodes = 48;
-  constexpr util::VDuration kPeriod = 500 * kMillisecond;
   query::MatrixCostModel model(/*num_classes=*/2, kNodes);
   for (int node = 0; node < kNodes; ++node) {
     model.SetCost(0, node, (100 + 25 * (node % 5)) * kMillisecond);
@@ -552,17 +693,15 @@ TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
   arrival.class_id = 0;
   catalog::NodeId served = allocator.Allocate(arrival, context).node;
   ASSERT_NE(served, kNoNode);
-  for (int c = 0; c < 4; ++c) {
-    ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
-  }
+  const ClusterMarket& market = *allocator.cluster_market();
+  ASSERT_EQ(ActiveClusters(market), (std::vector<int>{0, 1, 2, 3}));
   allocator.OnPeriodStart(kPeriod);  // first boundary: warm every buffer
   // Sell into every cluster, so that each ledger shows a unit sold since
   // its last publish.
   for (int i = 0; i < 64; ++i) allocator.Allocate(arrival, context);
-  const ClusterMarket& market = *allocator.cluster_market();
-  for (int c = 0; c < 4; ++c) {
-    ASSERT_LT(market.agent(c).remaining()[0], market.agent(c).published()[0])
-        << "cluster " << c;
+  for (const obs::ClusterStateSnapshot& ledger : market.Snapshot()) {
+    ASSERT_LT(ledger.remaining[0], ledger.published[0])
+        << "cluster " << ledger.cluster;
   }
 
   int64_t periods = allocator.agent(served).stats().periods;
@@ -571,9 +710,11 @@ TEST(ClusterMarketAllocationTest, TickMakesNoHeapAllocation) {
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
   EXPECT_EQ(allocator.agent(served).stats().periods, periods + 1);
   // Every cluster republished: its sold units are back in the ledger.
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(market.agent(c).remaining()[0], market.agent(c).published()[0])
-        << "cluster " << c;
+  std::vector<obs::ClusterStateSnapshot> ledgers = market.Snapshot();
+  ASSERT_EQ(ledgers.size(), 4u);
+  for (const obs::ClusterStateSnapshot& ledger : ledgers) {
+    EXPECT_EQ(ledger.remaining[0], ledger.published[0])
+        << "cluster " << ledger.cluster;
   }
 }
 
@@ -680,9 +821,8 @@ TEST(ClusterMarketTest, ConstructionReadsEachCostAConstantNumberOfTimes) {
   workload::Arrival arrival;
   arrival.class_id = 0;
   allocator.Allocate(arrival, context);
-  for (int c = 0; c < plan.num_clusters(); ++c) {
-    ASSERT_TRUE(allocator.cluster_market()->active(c)) << "cluster " << c;
-  }
+  ASSERT_EQ(ActiveClusters(*allocator.cluster_market()).size(),
+            static_cast<size_t>(plan.num_clusters()));
   EXPECT_LE(counting.calls(), 3 * kClasses * kNodes);
 }
 
@@ -718,15 +858,13 @@ TEST(ClusterMarketTest, CostOrderOnlyWhereAStratifiedSamplerReadsIt) {
       }
       const ClusterMarket& market = *allocator.cluster_market();
       EXPECT_EQ(market.cluster_candidates().has_cost_order(), top_stratified);
-      int active = 0;
-      for (int c = 0; c < market.num_clusters(); ++c) {
-        if (!market.active(c)) continue;
-        ++active;
+      std::vector<int> active = ActiveClusters(market);
+      for (int c : active) {
         EXPECT_EQ(market.member_candidates(c).has_cost_order(),
                   member_stratified)
             << "cluster " << c;
       }
-      EXPECT_GT(active, 1);
+      EXPECT_GT(active.size(), 1u);
     }
   }
 }

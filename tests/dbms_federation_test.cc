@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
 #include "dbms/dataset.h"
 #include "dbms/dbms_federation.h"
+#include "query/cost_model.h"
 #include "stats/summary.h"
 #include "util/rng.h"
 #include "util/vtime.h"
@@ -102,12 +104,11 @@ TEST_F(DbmsFederationTest, CalibrationHitsTargetFastestExec) {
   double sum = 0.0;
   int counted = 0;
   for (int t = 0; t < fed.num_templates(); ++t) {
-    util::VDuration best = 0;
+    util::VDuration best = query::kInfeasibleCost;
     for (int n = 0; n < fed.num_nodes(); ++n) {
-      util::VDuration c = fed.TemplateCost(t, n);
-      if (c > 0 && (best == 0 || c < best)) best = c;
+      best = std::min(best, fed.TemplateCost(t, n));
     }
-    if (best > 0) {
+    if (best != query::kInfeasibleCost) {
       sum += static_cast<double>(best);
       ++counted;
     }

@@ -13,7 +13,7 @@
 #include "sim/scenario.h"
 #include "sim/shard.h"
 #include "util/rng.h"
-#include "workload/uniform.h"
+#include "workload/poisson.h"
 
 namespace qa::sim {
 namespace {

@@ -5,9 +5,9 @@
 
 #include "util/rng.h"
 #include "util/vtime.h"
+#include "workload/poisson.h"
 #include "workload/sinusoid.h"
 #include "workload/trace.h"
-#include "workload/uniform.h"
 #include "workload/zipf_workload.h"
 
 namespace qa::workload {
@@ -204,19 +204,6 @@ TEST(ZipfWorkloadTest, SmallerMeanIsHeavierLoad) {
   Trace t_heavy = GenerateZipfWorkload(heavy, rng1);
   Trace t_light = GenerateZipfWorkload(light, rng2);
   EXPECT_LT(t_heavy.LastArrivalTime(), t_light.LastArrivalTime());
-}
-
-TEST(UniformWorkloadTest, MeanInterarrivalApproximatelyCorrect) {
-  UniformWorkloadConfig config;
-  config.num_queries = 5000;
-  config.mean_interarrival = 300 * kMillisecond;
-  config.classes = {0, 1, 2};
-  util::Rng rng(42);
-  Trace t = GenerateUniformWorkload(config, rng);
-  ASSERT_EQ(t.size(), 5000u);
-  double mean_gap = static_cast<double>(t.LastArrivalTime()) / 5000.0;
-  EXPECT_NEAR(mean_gap, static_cast<double>(config.mean_interarrival),
-              static_cast<double>(config.mean_interarrival) * 0.05);
 }
 
 TEST(PoissonWorkloadTest, MeanRateCorrect) {
